@@ -84,22 +84,16 @@ def _expression_str(scenario, ineq) -> str:
 # -- facets ----------------------------------------------------------------
 
 
-def _wired_coordinates(s: Scenario) -> tuple[Scenario, list[int]]:
-    ny = s.nA if s.kind is Kind.INSTRUMENTAL else s.nY
-    bell = Scenario.bell(s.nX, ny, s.nA, s.nB)
-    keep = [bell.index(x, s.wire(a, x), a, b) for x, a, b in s.coords()]
-    return bell, keep
-
-
 def cmd_facets(args) -> int:
     s = Scenario.instrumental(args.x, args.a, args.b)
     if args.classical:
         h = facet_enumeration(classical_vpolytope(s), max_rays=args.max_rays)
         side = "classical"
     else:
-        bell, keep = _wired_coordinates(s)
         h = fourier_motzkin_project(
-            no_signalling_polytope(bell), keep, max_rows=args.max_rays
+            no_signalling_polytope(s.parent_bell()),
+            s.wired_indices(),
+            max_rows=args.max_rays,
         )
         side = "gpt"
     orbits = facet_orbit_classify(h.inequalities, symmetry_group(s))

@@ -20,12 +20,13 @@ from .polytope import (
     LinearInequality,
     MembershipCertificate,
     VPolytope,
-    _reduce_equalities,
-    _separating_facet,
+    _eliminate_leads,
     canonicalize,
     classical_vpolytope,
     maximize_linear,
+    membership,
     no_signalling_polytope,
+    normalization_equalities,
     reduce_modulo,
 )
 from .linprog import LpStatus, solve_lp
@@ -475,10 +476,10 @@ def lift_to_bell(e: LinearExpression) -> LinearExpression:
     s = e.scenario
     if s.kind is Kind.BELL:
         raise ValueError("the expression is already over a Bell scenario")
-    bell = Scenario.bell(s.nX, s.nY, s.nA, s.nB)
+    bell = s.parent_bell()
     coeffs = [F0] * bell.dim
-    for (x, a, b), c in zip(s.coords(), e.coeffs):
-        coeffs[bell.index(x, s.wire(a, x), a, b)] += c
+    for i, c in zip(s.wired_indices(), e.coeffs):
+        coeffs[i] += c
     return LinearExpression(bell, tuple(coeffs), e.constant)
 
 
@@ -540,30 +541,13 @@ def verify_identity(kind: str, *, alpha=None, n=None) -> bool:
     to zero modulo the no-signalling equality system."""
     residual = identity_residual_expression(kind, alpha=alpha, n=n)
     ns = no_signalling_polytope(residual.scenario)
-    coeffs = list(residual.coeffs)
-    constant = residual.constant
-    for e_coeffs, e_rhs in ns.equalities:
-        lead = next(j for j, c in enumerate(e_coeffs) if c != 0)
-        if coeffs[lead] != 0:
-            f = coeffs[lead] / e_coeffs[lead]
-            coeffs = [c - f * e for c, e in zip(coeffs, e_coeffs)]
-            constant += f * e_rhs
-    return all(c == 0 for c in coeffs) and constant == 0
+    # coeffs . p + constant reads as the inequality coeffs . p <= -constant
+    coeffs, bound = _eliminate_leads(residual.coeffs, -residual.constant, ns.equalities)
+    return all(c == 0 for c in coeffs) and bound == 0
 
 
 # ---------------------------------------------------------------------------
 # relabelling symmetry
-
-
-def normalization_equalities(s: Scenario) -> tuple[Equality, ...]:
-    """One probability-sum equality per input context, row-reduced."""
-    eqs = []
-    for block in s.input_blocks():
-        coeffs = [F0] * s.dim
-        for i in block:
-            coeffs[i] = F1
-        eqs.append((tuple(coeffs), F1))
-    return _reduce_equalities(eqs, s.dim)
 
 
 def _relabelling_map(
@@ -748,11 +732,6 @@ def classical_maximum(e: LinearExpression, limit: int = 10**7):
     return maximize_linear(e.coeffs, v, constant=e.constant)
 
 
-def _ns_standard_form(bell: Scenario) -> list[tuple[list[Fraction], Fraction]]:
-    ns = no_signalling_polytope(bell)
-    return [(list(c), r) for c, r in ns.equalities]
-
-
 def gpt_maximum(e: LinearExpression):
     """Exact maximum over post-selections of no-signalling boxes.
 
@@ -767,7 +746,7 @@ def gpt_maximum(e: LinearExpression):
         bell = lifted.scenario
     res = solve_lp(
         list(lifted.coeffs),
-        eqs=_ns_standard_form(bell),
+        eqs=no_signalling_polytope(bell).equalities,
         nonneg=True,
         maximize=True,
     )
@@ -791,38 +770,22 @@ def extension_membership(p: Correlation, theory: str) -> MembershipCertificate:
         raise ValueError("extension tests start from an Instrumental table")
     if not p.exact:
         raise TypeError("exact membership needs rational entries")
-    bell = Scenario.bell(s.nX, s.nY, s.nA, s.nB)
+    bell = s.parent_bell()
     if theory == "classical":
+        # One column per Bell strategy, duplicates kept, so the weights line
+        # up with enumerate_deterministic_strategies(bell).
         columns = [
             postselect(strategy_to_correlation(d), s).entries
             for d in enumerate_deterministic_strategies(bell)
         ]
-        eq_rows = [
-            ([col[i] for col in columns], p.entries[i]) for i in range(s.dim)
-        ]
-        eq_rows.append(([F1] * len(columns), F1))
-        res = solve_lp(
-            [F0] * len(columns), eqs=eq_rows, nonneg=True, maximize=False
-        )
-        if res.status is LpStatus.OPTIMAL:
-            mix = [F0] * s.dim
-            for w, col in zip(res.x, columns):
-                for i in range(s.dim):
-                    mix[i] += w * col[i]
-            assert tuple(mix) == p.entries
-            return MembershipCertificate(inside=True, weights=res.x)
-        verts = VPolytope.from_points(columns).vertices
-        sep = _separating_facet(p.entries, verts)
-        margin = sep.violation(p.entries)
-        assert margin > 0 and all(sep.satisfied_by(v) for v in verts)
-        return MembershipCertificate(inside=False, separator=sep, margin=margin)
+        return membership(p, VPolytope(s.dim, tuple(columns)))
     if theory != "nosignalling":
         raise ValueError("theory must be 'classical' or 'nosignalling'")
-    eq_rows = _ns_standard_form(bell)
+    eq_rows = list(no_signalling_polytope(bell).equalities)
     pin_rows = []
-    for (x, a, b), v in zip(s.coords(), p.entries):
+    for i, v in zip(s.wired_indices(), p.entries):
         coeffs = [F0] * bell.dim
-        coeffs[bell.index(x, s.wire(a, x), a, b)] = F1
+        coeffs[i] = F1
         pin_rows.append((coeffs, v))
     res = solve_lp(
         [F0] * bell.dim,

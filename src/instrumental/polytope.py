@@ -39,6 +39,7 @@ __all__ = [
     "membership",
     "maximize_linear",
     "no_signalling_polytope",
+    "normalization_equalities",
     "classical_vpolytope",
     "h_implies",
     "h_polytopes_equal",
@@ -101,15 +102,23 @@ def reduce_modulo(
     representative, so two inequalities cut the same face iff they reduce to
     the same canonical form.
     """
-    coeffs = list(ineq.coeffs)
-    bound = ineq.bound
+    coeffs, bound = _eliminate_leads(ineq.coeffs, ineq.bound, equalities)
+    return canonicalize(LinearInequality(tuple(coeffs), bound))
+
+
+def _eliminate_leads(
+    coeffs: Sequence[Fraction], bound: Fraction, equalities: Sequence[Equality]
+) -> tuple[list[Fraction], Fraction]:
+    """Subtract multiples of each row-reduced equality from coeffs . x <= bound
+    so that its leading column is zero; returns the new (coeffs, bound)."""
+    coeffs = list(coeffs)
     for e_coeffs, e_rhs in equalities:
         lead = next(j for j, c in enumerate(e_coeffs) if c != 0)
         if coeffs[lead] != 0:
             f = coeffs[lead] / e_coeffs[lead]
             coeffs = [c - f * e for c, e in zip(coeffs, e_coeffs)]
             bound -= f * e_rhs
-    return canonicalize(LinearInequality(tuple(coeffs), bound))
+    return coeffs, bound
 
 
 @dataclass(frozen=True)
@@ -269,22 +278,9 @@ def _dd_pointed(
     to the ambient dimension (a pointed cone); the caller arranges this.
     """
     r = len(rows[0])
-    # Initial simplicial cone from the first r independent rows.
-    chosen: list[int] = []
-    echelon: list[list[Fraction]] = []
-    for idx, row in enumerate(rows):
-        vec = [Fraction(v) for v in row]
-        for e in echelon:
-            lead = next(j for j, v in enumerate(e) if v != 0)
-            if vec[lead] != 0:
-                f = vec[lead]
-                vec = [v - f * ev for v, ev in zip(vec, e)]
-        if any(v != 0 for v in vec):
-            piv = next(v for v in vec if v != 0)
-            echelon.append([v / piv for v in vec])
-            chosen.append(idx)
-            if len(chosen) == r:
-                break
+    # Initial simplicial cone from the first r independent rows: the pivot
+    # columns of the transposed matrix.
+    _, chosen = _rref([[Fraction(v) for v in col] for col in zip(*rows)])
     if len(chosen) < r:
         raise ValueError("cone is not pointed (rank-deficient constraint matrix)")
 
@@ -620,7 +616,7 @@ def membership(point, polytope: VPolytope) -> MembershipCertificate:
         for i in range(d):
             assert sum(w * v[i] for w, v in zip(weights, verts)) == q[i]
         return MembershipCertificate(inside=True, weights=weights)
-    sep = _separating_facet(q, verts)
+    sep = _separating_facet(q, VPolytope.from_points(verts).vertices)
     margin = sep.violation(q)
     assert margin > 0
     assert all(sep.satisfied_by(v) for v in verts)
@@ -747,12 +743,7 @@ def no_signalling_polytope(s: Scenario) -> HPolytope:
         coeffs = [_F0] * d
         coeffs[i] = Fraction(-1)
         ineqs.append(LinearInequality(tuple(coeffs), _F0))
-    eqs: list[Equality] = []
-    for block in s.input_blocks():
-        coeffs = [_F0] * d
-        for i in block:
-            coeffs[i] = _F1
-        eqs.append((tuple(coeffs), _F1))
+    eqs = list(normalization_equalities(s))
     # Alice's marginal must not depend on y, Bob's not on x.
     for x in range(s.nX):
         for a in range(s.nA):
@@ -771,6 +762,17 @@ def no_signalling_polytope(s: Scenario) -> HPolytope:
                     coeffs[s.index(x + 1, y, a, b)] -= _F1
                 eqs.append((tuple(coeffs), _F0))
     return HPolytope(d, tuple(ineqs), _reduce_equalities(eqs, d))
+
+
+def normalization_equalities(s: Scenario) -> tuple[Equality, ...]:
+    """One probability-sum equality per input context, row-reduced."""
+    eqs = []
+    for block in s.input_blocks():
+        coeffs = [_F0] * s.dim
+        for i in block:
+            coeffs[i] = _F1
+        eqs.append((tuple(coeffs), _F1))
+    return _reduce_equalities(eqs, s.dim)
 
 
 def classical_vpolytope(s: Scenario, limit: int = 10**7) -> VPolytope:

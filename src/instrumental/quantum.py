@@ -15,9 +15,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import CapacityError, ConvergenceError
-from .inequalities import LinearExpression, catalog
-from .polytope import no_signalling_polytope, vertex_enumeration
+from .errors import ConvergenceError
+from .inequalities import catalog
 from .scenario import (
     Correlation,
     Kind,
@@ -36,7 +35,6 @@ __all__ = [
     "chained_strategy",
     "SeeSawResult",
     "tilted_search",
-    "gpt_box_search",
     "rationalize_correlation",
 ]
 
@@ -157,20 +155,14 @@ def born_table(strategy: QuantumStrategy, scenario: Scenario) -> Correlation:
     """
     if scenario.nA != 2 or scenario.nB != 2:
         raise ValueError("planar qubit strategies produce binary outcomes")
-    if scenario.kind is Kind.BELL:
-        ny = scenario.nY
-    else:
-        ny = scenario.nA if scenario.kind is Kind.INSTRUMENTAL else scenario.nY
     if len(strategy.alice) != scenario.nX:
         raise ValueError("need one observable per input x")
-    if len(strategy.bob) != ny:
+    if len(strategy.bob) != scenario.nY:
         raise ValueError("need one observable per wire value")
-    entries = _bell_entries(strategy, scenario.nX, ny)
-    bell = Scenario.bell(scenario.nX, ny)
-    q = Correlation(bell, tuple(entries))
+    entries = _bell_entries(strategy, scenario.nX, scenario.nY)
     if scenario.kind is Kind.BELL:
-        return q
-    return postselect(q, scenario)
+        return Correlation(scenario, tuple(entries))
+    return postselect(Correlation(scenario.parent_bell(), tuple(entries)), scenario)
 
 
 def chsh_strategy() -> QuantumStrategy:
@@ -288,38 +280,6 @@ def tilted_search(
     wired = postselect(extended, Scenario.instrumental(3))
     instrumental_value = catalog("tilted", alpha=alpha).evaluate(wired)
     return SeeSawResult(best, instrumental_value, strategy, iterations)
-
-
-def gpt_box_search(expression: LinearExpression):
-    """Exact maximum of a wired expression over boxes with a no-signalling
-    extension, found by scanning the extension polytope's vertices.
-
-    Returns the value and the lexicographically smallest maximizing table.
-    The scan enumerates every extremal no-signalling behaviour, so it is
-    capped at four inputs.
-    """
-    s = expression.scenario
-    if s.kind is Kind.BELL:
-        raise ValueError("the search applies to wired expressions")
-    if s.nA != 2 or s.nB != 2:
-        raise ValueError("the vertex scan handles binary outcomes only")
-    if s.nX > 4:
-        raise CapacityError("vertex scan is limited to four inputs")
-    ny = s.nA if s.kind is Kind.INSTRUMENTAL else s.nY
-    bell = Scenario.bell(s.nX, ny)
-    verts = vertex_enumeration(no_signalling_polytope(bell))
-    best_value: Fraction | None = None
-    best_entries: tuple | None = None
-    for v in verts.vertices:
-        p = postselect(Correlation(bell, v), s)
-        val = expression.evaluate(p)
-        if (
-            best_value is None
-            or val > best_value
-            or (val == best_value and p.entries < best_entries)
-        ):
-            best_value, best_entries = val, p.entries
-    return best_value, Correlation(s, best_entries)
 
 
 def rationalize_correlation(

@@ -2,8 +2,9 @@
 
 All polytope-facing data in this package is kept as `fractions.Fraction`.
 Floating-point numbers appear only at the quantum-evaluation boundary and are
-converted with `rationalize` (continued fractions with a denominator cap)
-before they touch any exact computation.
+converted by `quantum.rationalize_correlation` (continued fractions with a
+denominator cap) before they touch any exact computation.  The helpers here
+scale rational vectors to primitive integer ones.
 """
 
 from __future__ import annotations
@@ -12,47 +13,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence
 
-__all__ = [
-    "parse_rational",
-    "format_rational",
-    "rationalize",
-    "integerize",
-    "primitive",
-]
-
-
-def parse_rational(value) -> Fraction:
-    """Parse a rational from an int, a Fraction or a 'p/q' / 'p' string."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value.strip())
-    raise TypeError(f"cannot parse rational from {type(value).__name__}: {value!r}")
-
-
-def format_rational(q: Fraction) -> str:
-    """Render a Fraction as 'p/q', or 'p' when the denominator is 1."""
-    q = Fraction(q)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
-
-
-def rationalize(x: float, max_denominator: int = 10**6, tol: float = 1e-9) -> Fraction:
-    """Round a float to a nearby rational via continued fractions.
-
-    The denominator is capped at `max_denominator`; if no rational within
-    `tol` of `x` exists under that cap, a ValueError is raised rather than
-    silently feeding a bad approximation into an exact computation.
-    """
-    r = Fraction(x).limit_denominator(max_denominator)
-    if abs(float(r) - x) > tol:
-        raise ValueError(
-            f"no rational with denominator <= {max_denominator} within {tol} of {x}"
-        )
-    return r
+__all__ = ["integerize", "primitive"]
 
 
 def integerize(vec: Sequence[Fraction]) -> tuple[int, ...]:

@@ -60,8 +60,9 @@ class Scenario:
     """Cardinalities (and, for f-Instrumental, the wiring table) of a scenario.
 
     ``wiring[a][x]`` is the input Bob receives when Alice saw x and output a.
-    It is stored explicitly even for wirings with a closed form, so that all
-    downstream code treats the wire uniformly.
+    Plain Instrumental stores no table (its wire is y = a, with nY == nA);
+    downstream code reads the wire through `wire`, `parent_bell` and
+    `wired_indices`, which treat both wired kinds uniformly.
     """
 
     kind: Kind
@@ -127,6 +128,18 @@ class Scenario:
         if self.kind is Kind.F_INSTRUMENTAL:
             return self.wiring[a][x]  # type: ignore[index]
         raise ValueError("Bell scenarios have a free input, not a wire")
+
+    def parent_bell(self) -> "Scenario":
+        """The Bell scenario whose second input the wire feeds."""
+        if self.kind is Kind.BELL:
+            raise ValueError("Bell scenarios have no parent Bell scenario")
+        return Scenario.bell(self.nX, self.nY, self.nA, self.nB)
+
+    def wired_indices(self) -> list[int]:
+        """Parent-Bell index of each coordinate, in flat index order: the
+        coordinate (x, a, b) sits at (x, wire(a, x), a, b)."""
+        bell = self.parent_bell()
+        return [bell.index(x, self.wire(a, x), a, b) for x, a, b in self.coords()]
 
     def index(self, *coords: int) -> int:
         """Flat coordinate index of (x, y, a, b) or (x, a, b)."""
@@ -214,8 +227,8 @@ class Correlation:
 class DeterministicStrategy:
     """A pair of response functions.
 
-    ``alpha[x]`` is Alice's output.  ``beta`` is indexed by Bob's input: y for
-    Bell and f-Instrumental, a for Instrumental.
+    ``alpha[x]`` is Alice's output.  ``beta`` is indexed by Bob's input y,
+    which for the wired kinds is the wire value.
     """
 
     scenario: Scenario
@@ -226,8 +239,7 @@ class DeterministicStrategy:
         s = self.scenario
         if len(self.alpha) != s.nX:
             raise ValueError("alpha must assign an output to every x")
-        ny = s.nA if s.kind is Kind.INSTRUMENTAL else s.nY
-        if len(self.beta) != ny:
+        if len(self.beta) != s.nY:
             raise ValueError("beta must assign an output to every wire value")
         if any(not 0 <= a < s.nA for a in self.alpha):
             raise ValueError("alpha values out of range")
@@ -242,15 +254,14 @@ def enumerate_deterministic_strategies(
 
     Raises CapacityError before iterating when the count exceeds `limit`.
     """
-    ny = s.nA if s.kind is Kind.INSTRUMENTAL else s.nY
-    count = s.nA**s.nX * s.nB**ny
+    count = s.nA**s.nX * s.nB**s.nY
     if count > limit:
         raise CapacityError(
             f"{count} deterministic strategies exceed the limit of {limit}"
         )
     out = []
     for alpha in itertools.product(range(s.nA), repeat=s.nX):
-        for beta in itertools.product(range(s.nB), repeat=ny):
+        for beta in itertools.product(range(s.nB), repeat=s.nY):
             out.append(DeterministicStrategy(s, alpha, beta))
     return out
 
@@ -266,8 +277,7 @@ def strategy_to_correlation(d: DeterministicStrategy) -> Correlation:
     else:
         for x in range(s.nX):
             a = d.alpha[x]
-            b = d.beta[a] if s.kind is Kind.INSTRUMENTAL else d.beta[s.wire(a, x)]
-            entries[s.index(x, a, b)] = _F1
+            entries[s.index(x, a, d.beta[s.wire(a, x)])] = _F1
     return Correlation(s, tuple(entries))
 
 
@@ -306,16 +316,12 @@ def postselect(p: Correlation, target: Scenario) -> Correlation:
         raise ValueError("postselect target must be instrumental or f-instrumental")
     if (target.nX, target.nA, target.nB) != (s.nX, s.nA, s.nB):
         raise ValueError("target cardinalities do not match the Bell scenario")
-    wire_range = target.nA if target.kind is Kind.INSTRUMENTAL else target.nY
-    if wire_range > s.nY:
+    if target.nY > s.nY:
         raise ValueError("wire values exceed the Bell scenario's nY")
-    entries = []
-    for x in range(target.nX):
-        for a in range(target.nA):
-            y = target.wire(a, x)
-            for b in range(target.nB):
-                entries.append(p.entries[s.index(x, y, a, b)])
-    q = Correlation(target, tuple(entries))
+    # Index through p's own scenario: its nY may exceed the wire range.
+    q = Correlation(target, tuple(
+        p.entries[s.index(x, target.wire(a, x), a, b)] for x, a, b in target.coords()
+    ))
     report = validate(q)
     if not report.normalized:
         raise ValueError(

@@ -35,13 +35,11 @@ from instrumental.quantum import (
     born_table,
     chained_strategy,
     chsh_strategy,
-    gpt_box_search,
     tilted_search,
 )
 from instrumental.scenario import (
     Correlation,
     DeterministicStrategy,
-    Kind,
     Scenario,
     append_dummy_input,
     dummy_input_extension,
@@ -54,6 +52,8 @@ from instrumental.scenario import (
     strategy_to_correlation,
 )
 
+from oracles import gpt_box_search
+
 F = Fraction
 INSTR2 = Scenario.instrumental(2)
 INSTR3 = Scenario.instrumental(3)
@@ -61,10 +61,9 @@ INSTR3 = Scenario.instrumental(3)
 
 def wired_projection(s):
     """FM projection of the no-signalling extension onto the wired coords."""
-    ny = s.nA if s.kind is Kind.INSTRUMENTAL else s.nY
-    bell = Scenario.bell(s.nX, ny, s.nA, s.nB)
-    keep = [bell.index(x, s.wire(a, x), a, b) for x, a, b in s.coords()]
-    return fourier_motzkin_project(no_signalling_polytope(bell), keep)
+    return fourier_motzkin_project(
+        no_signalling_polytope(s.parent_bell()), s.wired_indices()
+    )
 
 
 def canonical_positivity(s, equalities):

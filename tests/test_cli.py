@@ -6,8 +6,8 @@ import pytest
 from instrumental import io
 from instrumental.cli import main
 from instrumental.inequalities import catalog
-from instrumental.quantum import gpt_box_search
 from instrumental.scenario import Scenario, postselect, pr_box
+from oracles import gpt_box_search
 
 
 @pytest.fixture(scope="module")

@@ -14,7 +14,6 @@ from instrumental.quantum import (
     born_table,
     chained_strategy,
     chsh_strategy,
-    gpt_box_search,
     rationalize_correlation,
     tilted_search,
 )
@@ -28,6 +27,8 @@ from instrumental.scenario import (
     pr_box,
     validate,
 )
+
+from oracles import gpt_box_search
 
 F = Fraction
 INSTR3 = Scenario.instrumental(3)
