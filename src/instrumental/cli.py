@@ -17,14 +17,17 @@ from fractions import Fraction
 from . import io
 from .errors import CapacityError, ConvergenceError
 from .inequalities import (
+    CATALOG_KINDS,
     LinearExpression,
     bounds,
     catalog,
+    check_catalog_params,
     classical_maximum,
     extension_membership,
     facet_orbit_classify,
     gpt_maximum,
     identity_check,
+    identity_residual_expression,
     symmetry_group,
     verify_identity,
 )
@@ -139,22 +142,6 @@ def cmd_facets(args) -> int:
 # -- bounds ----------------------------------------------------------------
 
 
-def _parse_bounds_params(args):
-    kind = args.kind
-    alpha = n = None
-    if kind in ("tilted", "tilted_chsh"):
-        if args.param is None:
-            raise ValueError(f"{kind} needs a weight parameter, e.g. `bounds {kind} 2`")
-        alpha = Fraction(args.param)
-    elif kind in ("chained", "chained_bell"):
-        if args.param is None:
-            raise ValueError(f"{kind} needs a length parameter, e.g. `bounds {kind} 4`")
-        n = int(args.param)
-    elif args.param is not None:
-        raise ValueError(f"{kind} takes no parameter")
-    return kind, alpha, n
-
-
 def _quantum_value(kind, alpha, n) -> tuple[float, float]:
     """The value the named strategy actually reaches, and its tolerance."""
     if kind in ("bonet",) or (kind == "tilted" and alpha == 1):
@@ -176,7 +163,13 @@ def _quantum_value(kind, alpha, n) -> tuple[float, float]:
 
 
 def cmd_bounds(args) -> int:
-    kind, alpha, n = _parse_bounds_params(args)
+    kind = args.kind
+    # the one positional parameter is the chain length for chained kinds and
+    # the weight otherwise, where the catalog check rejects it if unwanted
+    chained = kind in ("chained", "chained_bell")
+    alpha, n = check_catalog_params(
+        kind, None if chained else args.param, args.param if chained else None
+    )
     e = catalog(kind, alpha=alpha, n=n)
     triple = bounds(kind, alpha=alpha, n=n)
 
@@ -311,25 +304,9 @@ def cmd_membership(args) -> int:
 # -- identity --------------------------------------------------------------
 
 
-def _identity_params(args):
-    kind = args.kind
-    if kind == "bonet":
-        if args.alpha is not None or args.n is not None:
-            raise ValueError("bonet takes neither --alpha nor --n")
-        return dict(alpha=None, n=None), Scenario.bell(3, 2)
-    if kind == "tilted":
-        if args.alpha is None:
-            raise ValueError("tilted needs --alpha")
-        return dict(alpha=Fraction(args.alpha), n=None), Scenario.bell(3, 2)
-    if kind == "chained":
-        if args.n is None:
-            raise ValueError("chained needs --n")
-        return dict(alpha=None, n=args.n), Scenario.bell(args.n + 1, args.n)
-    raise ValueError(f"unknown identity kind {kind!r}")
-
-
 def cmd_identity(args) -> int:
-    params, bell = _identity_params(args)
+    params = dict(alpha=args.alpha, n=args.n)
+    bell = identity_residual_expression(args.kind, **params).scenario
     symbolic = verify_identity(args.kind, **params)
     rng = random.Random(args.seed)
     # mix over true extremal boxes where the enumeration stays small, over
@@ -386,9 +363,7 @@ def _build_parser() -> _Parser:
     f.set_defaults(func=cmd_facets)
 
     b = sub.add_parser("bounds", help="three-theory bound table with verification")
-    b.add_argument("kind", choices=[
-        "bonet", "tilted", "chained", "chsh", "tilted_chsh", "chained_bell",
-    ])
+    b.add_argument("kind", choices=CATALOG_KINDS)
     b.add_argument("param", nargs="?",
                    help="weight for tilted kinds, length for chained kinds")
     b.add_argument("--format", choices=["table", "json", "csv"], default="table")

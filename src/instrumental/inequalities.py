@@ -37,6 +37,7 @@ from .scenario import (
     enumerate_deterministic_strategies,
     postselect,
     strategy_to_correlation,
+    validate,
 )
 
 __all__ = [
@@ -61,6 +62,7 @@ __all__ = [
     "classical_maximum",
     "gpt_maximum",
     "CATALOG_KINDS",
+    "check_catalog_params",
 ]
 
 F0 = Fraction(0)
@@ -82,16 +84,6 @@ class LinearExpression:
     def __post_init__(self) -> None:
         if len(self.coeffs) != self.scenario.dim:
             raise ValueError("coefficient length does not match the scenario")
-
-    @staticmethod
-    def zero(s: Scenario) -> "LinearExpression":
-        return LinearExpression(s, (F0,) * s.dim)
-
-    @staticmethod
-    def term(s: Scenario, coords: Sequence[int], weight=1) -> "LinearExpression":
-        coeffs = [F0] * s.dim
-        coeffs[s.index(*coords)] = Fraction(weight)
-        return LinearExpression(s, tuple(coeffs))
 
     def evaluate(self, p: Correlation):
         """Exact Fraction on exact tables, float on Born tables."""
@@ -269,10 +261,6 @@ class ExactValue:
             Fraction(rational), Fraction(coefficient), 1, divisor
         )
 
-    @property
-    def is_rational(self) -> bool:
-        return self.coefficient == 0
-
     def __float__(self) -> float:
         if self.coefficient == 0:
             return float(self.rational)
@@ -337,7 +325,12 @@ class BoundsTriple:
 CATALOG_KINDS = ("bonet", "tilted", "chained", "chsh", "tilted_chsh", "chained_bell")
 
 
-def _check_params(kind: str, alpha, n) -> tuple[Fraction | None, int | None]:
+def check_catalog_params(kind: str, alpha, n) -> tuple[Fraction | None, int | None]:
+    """Validate the parameters of a catalog kind; returns (alpha, n) parsed.
+
+    Tilted kinds take a weight alpha >= 1, chained kinds a chain length
+    n >= 2, and the others nothing.  Every error message names the kind.
+    """
     if kind not in CATALOG_KINDS:
         raise ValueError(f"unknown expression kind {kind!r}")
     if kind in ("tilted", "tilted_chsh"):
@@ -345,14 +338,14 @@ def _check_params(kind: str, alpha, n) -> tuple[Fraction | None, int | None]:
             raise ValueError(f"{kind} needs a weight alpha")
         alpha = Fraction(alpha)
         if alpha < 1:
-            raise ValueError("the weight alpha must be >= 1")
+            raise ValueError(f"{kind} needs a weight alpha >= 1")
         return alpha, None
     if kind in ("chained", "chained_bell"):
         if n is None:
             raise ValueError(f"{kind} needs a chain length n")
         n = int(n)
         if n < 2:
-            raise ValueError("the chain length must be >= 2")
+            raise ValueError(f"{kind} needs a chain length n >= 2")
         return None, n
     if alpha is not None or n is not None:
         raise ValueError(f"{kind} takes no parameters")
@@ -367,7 +360,7 @@ def catalog(kind: str, *, alpha=None, n=None) -> LinearExpression:
     n).  Bell families: chsh, tilted_chsh, chained_bell, written through the
     correlator expansion.
     """
-    alpha, n = _check_params(kind, alpha, n)
+    alpha, n = check_catalog_params(kind, alpha, n)
     if kind == "bonet":
         return catalog("tilted", alpha=1)
     if kind == "tilted":
@@ -413,7 +406,7 @@ def bounds(kind: str, *, alpha=None, n=None) -> BoundsTriple:
     identities: a quarter of the Bell quantum value plus the constant shift,
     with the leftover coordinate sent to zero by the dummy-input construction.
     """
-    alpha, n = _check_params(kind, alpha, n)
+    alpha, n = check_catalog_params(kind, alpha, n)
     if kind == "bonet":
         return bounds("tilted", alpha=1)
     if kind == "tilted":
@@ -498,14 +491,12 @@ def _identity_rhs(kind: str, alpha, n) -> LinearExpression:
         alpha = F1 if kind == "bonet" else alpha
         bell = Scenario.bell(3, 2)
         chsh = _embed(catalog("tilted_chsh", alpha=alpha), bell)
-        e = Fraction(1, 4) * chsh - alpha * LinearExpression.term(
-            bell, (2, 0, 1, 1)
-        )
+        e = Fraction(1, 4) * chsh - alpha * _sum_terms(bell, [(2, 0, 1, 1)])
         return e.shifted(1 + alpha / 2)
     if kind == "chained":
         bell = Scenario.bell(n + 1, n)
         ch = _embed(catalog("chained_bell", n=n), bell)
-        e = Fraction(1, 4) * ch - LinearExpression.term(bell, (n, n - 1, 0, 1))
+        e = Fraction(1, 4) * ch - _sum_terms(bell, [(n, n - 1, 0, 1)])
         return e.shifted(Fraction(n + 1, 2))
     raise ValueError(f"no lifting identity for kind {kind!r}")
 
@@ -513,7 +504,7 @@ def _identity_rhs(kind: str, alpha, n) -> LinearExpression:
 @functools.lru_cache(maxsize=None)
 def identity_residual_expression(kind: str, *, alpha=None, n=None) -> LinearExpression:
     """lift(catalog(kind)) minus its Bell-side closed form, as one expression."""
-    alpha, n = _check_params(kind, alpha, n)
+    alpha, n = check_catalog_params(kind, alpha, n)
     lifted = lift_to_bell(catalog(kind, alpha=alpha, n=n))
     return lifted - _identity_rhs(kind, alpha, n)
 
@@ -522,17 +513,18 @@ def identity_check(kind: str, p: Correlation, *, alpha=None, n=None) -> Fraction
     """Exact residual of the lifting identity on one no-signalling box.
 
     Zero for every no-signalling p; the identity consumes the normalization
-    and marginal-consistency equalities, so a signalling input is rejected.
+    and marginal-consistency equalities, so a table that is signalling or not
+    normalized is rejected.  Entries may be negative: the identity holds on
+    the whole affine hull.
     """
     residual = identity_residual_expression(kind, alpha=alpha, n=n)
     if p.scenario != residual.scenario:
         raise ValueError("correlation scenario does not match the identity")
     if not p.exact:
         raise TypeError("exact residuals need rational entries")
-    ns = no_signalling_polytope(p.scenario)
-    for coeffs, rhs in ns.equalities:
-        if sum(c * v for c, v in zip(coeffs, p.entries)) != rhs:
-            raise ValueError("the identity holds only for no-signalling boxes")
+    report = validate(p)
+    if not (report.normalized and report.no_signalling):
+        raise ValueError("the identity holds only for no-signalling boxes")
     return residual.evaluate(p)
 
 
@@ -725,10 +717,10 @@ def facet_orbit_classify(
 # bound computation and extension membership
 
 
-def classical_maximum(e: LinearExpression, limit: int = 10**7):
+def classical_maximum(e: LinearExpression):
     """Exact maximum over the deterministic-strategy polytope, with the
     lexicographically smallest maximizing vertex."""
-    v = classical_vpolytope(e.scenario, limit=limit)
+    v = classical_vpolytope(e.scenario)
     return maximize_linear(e.coeffs, v, constant=e.constant)
 
 

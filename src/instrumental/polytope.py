@@ -6,11 +6,13 @@ Polytopes appear in two representations:
 * `HPolytope`: facet inequalities (sense <=) plus affine-hull equalities.
 
 Conversions run through an incremental double-description cone algorithm over
-primitive integer vectors; projections through Fourier-Motzkin elimination
-with exact-LP redundancy removal after every eliminated variable.  Membership
-tests are LP feasibility problems whose answers carry certificates: explicit
-convex weights for inside points, a separating inequality (a facet, found by
-maximizing the violation over the polar) for outside points.
+primitive integer vectors; projections through Fourier-Motzkin elimination:
+one substitution pass through the equalities, then row combination for the
+variables left, with exact-LP redundancy removal after the substitution pass
+and after each combination step.  Membership tests are LP feasibility
+problems whose answers carry certificates: explicit convex weights for inside
+points, a separating inequality (a facet, found by maximizing the violation
+over the polar) for outside points.
 """
 
 from __future__ import annotations
@@ -325,7 +327,7 @@ def _dd_pointed(
         new_tight: list[int] = []
         for p, n in itertools.product(pos, neg):
             common = tight[p] & tight[n]
-            if _popcount(common) < r - 2:
+            if common.bit_count() < r - 2:
                 continue
             # p and n are adjacent iff no third ray is tight on their
             # common constraints.
@@ -356,10 +358,6 @@ def _dd_pointed(
             return []
     # Degenerate duplicates cannot arise from adjacent pairs, but stay safe.
     return list(dict.fromkeys(rays))
-
-
-def _popcount(v: int) -> int:
-    return v.bit_count()
 
 
 def _invert(mat: list[list[Fraction]]) -> list[list[Fraction]]:
@@ -479,74 +477,63 @@ def fourier_motzkin_project(
 ) -> HPolytope:
     """Project onto the coordinates in `keep` (ascending original order).
 
-    Variables are eliminated one at a time: through an equality pivot when one
-    is available (exact substitution, no row growth), otherwise by combining
-    positive and negative rows.  After every elimination, redundant rows are
-    removed with exact LPs so intermediate systems stay minimal.
+    The equalities are row-reduced once with the eliminated columns ordered
+    first.  Each pivot on an eliminated column solves for that variable, and
+    `_eliminate_leads` substitutes all of them into the inequalities in one
+    pass; equalities whose pivot falls on a kept column carry over to the
+    projection.  The variables left are eliminated one at a time by
+    combining positive and negative rows.  Redundant rows are removed with
+    exact LPs once after the substitution pass and once after each
+    combination step: a substitution maps the feasible set onto itself, so
+    it cannot make a row redundant.
     """
     keep = sorted(set(keep))
     if any(i < 0 or i >= h.dim for i in keep):
         raise ValueError("keep indices out of range")
-    ineqs = [(list(q.coeffs), q.bound) for q in h.inequalities]
-    eqs = [(list(c), r) for c, r in h.equalities]
-    remaining = [i for i in range(h.dim) if i not in keep]
-
-    while remaining:
-        var = None
-        pivot_eq = None
-        for v in remaining:
-            pivot_eq = next((e for e in eqs if e[0][v] != 0), None)
-            if pivot_eq is not None:
-                var = v
-                break
-        if var is not None:
-            eqs.remove(pivot_eq)
-            ineqs = [_substitute(row, pivot_eq, var) for row in ineqs]
-            eqs = [_substitute(row, pivot_eq, var) for row in eqs]
-        else:
-            var = min(
-                remaining,
-                key=lambda v: sum(1 for c, _ in ineqs if c[v] > 0)
-                * sum(1 for c, _ in ineqs if c[v] < 0),
-            )
-            pos = [row for row in ineqs if row[0][var] > 0]
-            neg = [row for row in ineqs if row[0][var] < 0]
-            zero = [row for row in ineqs if row[0][var] == 0]
-            combined = []
-            for (cp, bp), (cn, bn) in itertools.product(pos, neg):
-                wp, wn = -cn[var], cp[var]
-                coeffs = [wp * a + wn * b for a, b in zip(cp, cn)]
-                combined.append((coeffs, wp * bp + wn * bn))
-            ineqs = zero + combined
-        remaining.remove(var)
-        ineqs = _tidy_rows(ineqs)
-        if len(ineqs) > max_rows:
-            raise CapacityError(f"projection exceeded {max_rows} rows")
-        if prune:
-            ineqs = _prune_redundant(ineqs, eqs)
-
-    kept_eqs = _reduce_equalities(
-        [(tuple(c[i] for i in keep), r) for c, r in eqs], len(keep)
+    # Permuted coordinates: the m eliminated columns first, then the kept.
+    order = [i for i in range(h.dim) if i not in keep] + keep
+    m = h.dim - len(keep)
+    reduced = _reduce_equalities(
+        [(tuple(c[i] for i in order), r) for c, r in h.equalities], h.dim
     )
-    kept_ineqs = [
-        reduce_modulo(
-            LinearInequality(tuple(c[i] for i in keep), b), kept_eqs
+    pivots = [e for e in reduced if any(e[0][:m])]
+    eqs = [e for e in reduced if not any(e[0][:m])]
+    solved = {next(j for j, c in enumerate(e[0]) if c != 0) for e in pivots}
+    remaining = [j for j in range(m) if j not in solved]
+
+    def settle(rows):
+        rows = _tidy_rows(rows)
+        if len(rows) > max_rows:
+            raise CapacityError(f"projection exceeded {max_rows} rows")
+        return _prune_redundant(rows, eqs) if prune else rows
+
+    ineqs = settle(
+        _eliminate_leads([q.coeffs[i] for i in order], q.bound, pivots)
+        for q in h.inequalities
+    )
+    while remaining:
+        var = min(
+            remaining,
+            key=lambda v: sum(1 for c, _ in ineqs if c[v] > 0)
+            * sum(1 for c, _ in ineqs if c[v] < 0),
         )
+        remaining.remove(var)
+        pos = [row for row in ineqs if row[0][var] > 0]
+        neg = [row for row in ineqs if row[0][var] < 0]
+        combined = [row for row in ineqs if row[0][var] == 0]
+        for (cp, bp), (cn, bn) in itertools.product(pos, neg):
+            wp, wn = -cn[var], cp[var]
+            coeffs = [wp * a + wn * b for a, b in zip(cp, cn)]
+            combined.append((coeffs, wp * bp + wn * bn))
+        ineqs = settle(combined)
+
+    kept_eqs = tuple((c[m:], r) for c, r in eqs)
+    kept_ineqs = [
+        reduce_modulo(LinearInequality(tuple(c[m:]), b), kept_eqs)
         for c, b in ineqs
     ]
     kept_ineqs = sorted(set(kept_ineqs), key=lambda f: (f.coeffs, f.bound))
     return HPolytope(len(keep), tuple(kept_ineqs), kept_eqs)
-
-
-def _substitute(row, eq, var):
-    coeffs, rhs = row
-    e_coeffs, e_rhs = eq
-    f = coeffs[var] / e_coeffs[var]
-    if f == 0:
-        return (list(coeffs), rhs)
-    new_coeffs = [c - f * e for c, e in zip(coeffs, e_coeffs)]
-    new_coeffs[var] = _F0
-    return (new_coeffs, rhs - f * e_rhs)
 
 
 def _tidy_rows(rows):
@@ -671,7 +658,6 @@ def maximize_linear(
     over: VPolytope | HPolytope,
     constant: Fraction = _F0,
     argmax: bool = True,
-    lex: bool = True,
 ):
     """Exact maximum of coeffs . x + constant over a polytope.
 
@@ -706,20 +692,18 @@ def maximize_linear(
         raise ValueError("the H-polytope is empty")
     if not argmax:
         return res.value + constant, None
-    point = res.x
-    if lex:
-        eqs = [(list(c), r) for c, r in over.equalities]
-        eqs.append((list(coeffs), res.value))
-        ineq_rows = [(list(q.coeffs), q.bound) for q in over.inequalities]
-        for j in range(over.dim):
-            unit = [_F0] * over.dim
-            unit[j] = _F1
-            sub = solve_lp(
-                unit, ineqs=ineq_rows, eqs=eqs, nonneg=False, maximize=False
-            )
-            assert sub.status is LpStatus.OPTIMAL
-            eqs.append((unit, sub.value))
-        point = tuple(r for _, r in eqs[len(over.equalities) + 1 :])
+    eqs = [(list(c), r) for c, r in over.equalities]
+    eqs.append((list(coeffs), res.value))
+    ineq_rows = [(list(q.coeffs), q.bound) for q in over.inequalities]
+    for j in range(over.dim):
+        unit = [_F0] * over.dim
+        unit[j] = _F1
+        sub = solve_lp(
+            unit, ineqs=ineq_rows, eqs=eqs, nonneg=False, maximize=False
+        )
+        assert sub.status is LpStatus.OPTIMAL
+        eqs.append((unit, sub.value))
+    point = tuple(r for _, r in eqs[len(over.equalities) + 1 :])
     return res.value + constant, point
 
 
@@ -744,23 +728,14 @@ def no_signalling_polytope(s: Scenario) -> HPolytope:
         coeffs[i] = Fraction(-1)
         ineqs.append(LinearInequality(tuple(coeffs), _F0))
     eqs = list(normalization_equalities(s))
-    # Alice's marginal must not depend on y, Bob's not on x.
-    for x in range(s.nX):
-        for a in range(s.nA):
-            for y in range(s.nY - 1):
-                coeffs = [_F0] * d
-                for b in range(s.nB):
-                    coeffs[s.index(x, y, a, b)] += _F1
-                    coeffs[s.index(x, y + 1, a, b)] -= _F1
-                eqs.append((tuple(coeffs), _F0))
-    for y in range(s.nY):
-        for b in range(s.nB):
-            for x in range(s.nX - 1):
-                coeffs = [_F0] * d
-                for a in range(s.nA):
-                    coeffs[s.index(x, y, a, b)] += _F1
-                    coeffs[s.index(x + 1, y, a, b)] -= _F1
-                eqs.append((tuple(coeffs), _F0))
+    for group in s.marginal_groups():
+        for first, second in zip(group, group[1:]):
+            coeffs = [_F0] * d
+            for i in first:
+                coeffs[i] = _F1
+            for i in second:
+                coeffs[i] = Fraction(-1)
+            eqs.append((tuple(coeffs), _F0))
     return HPolytope(d, tuple(ineqs), _reduce_equalities(eqs, d))
 
 
@@ -775,9 +750,9 @@ def normalization_equalities(s: Scenario) -> tuple[Equality, ...]:
     return _reduce_equalities(eqs, s.dim)
 
 
-def classical_vpolytope(s: Scenario, limit: int = 10**7) -> VPolytope:
+def classical_vpolytope(s: Scenario) -> VPolytope:
     """Vertices of the classical (deterministic-strategy) polytope."""
-    return VPolytope.from_points(classical_correlations(s, dedup=True, limit=limit))
+    return VPolytope.from_points(classical_correlations(s))
 
 
 # ---------------------------------------------------------------------------

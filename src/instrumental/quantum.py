@@ -44,6 +44,7 @@ _I2 = np.eye(2, dtype=complex)
 
 _UNIT_TOL = 1e-12
 _CLIP_TOL = 1e-12
+_SNAP_TOL = 1e-9  # largest move rationalization may make to an entry or total
 
 
 @dataclass(frozen=True)
@@ -218,14 +219,13 @@ class SeeSawResult:
 def tilted_search(
     alpha,
     *,
-    tol: float = 1e-12,
     max_iterations: int = 10**4,
 ) -> SeeSawResult:
     """Alternate exact single-party updates on the weighted correlator test.
 
     Each half step replaces one party's angles by the closed-form argmax
     given the other party's, so the value never decreases.  Stops when an
-    iteration improves by less than `tol`; the result must land within 1e-6
+    iteration improves by less than 1e-12; the result must land within 1e-6
     of 2*sqrt(alpha^2 + 1) or a ConvergenceError is raised.
     """
     a = float(alpha)
@@ -260,7 +260,7 @@ def tilted_search(
         b0 = arg(ea0 + ea1, b0)
         b1 = arg(ea0 - ea1, b1)
         current = value(a0, a1, b0, b1)
-        if current - best < tol:
+        if current - best < 1e-12:
             best = max(best, current)
             break
         best = current
@@ -283,11 +283,11 @@ def tilted_search(
 
 
 def rationalize_correlation(
-    p: Correlation, *, max_denominator: int = 10**6, tol: float = 1e-9
+    p: Correlation, *, max_denominator: int = 10**6
 ) -> Correlation:
     """Snap a float table to nearby small rationals and renormalize exactly.
 
-    Raises if any entry moves by more than `tol`, or if a context's total is
+    Raises if any entry moves by more than 1e-9, or if a context's total is
     too far from one for the exact renormalization to be faithful.
     """
     if p.exact:
@@ -297,12 +297,12 @@ def rationalize_correlation(
     entries = list(approx)
     for block in s.input_blocks():
         total = sum(entries[i] for i in block)
-        if abs(float(total) - 1.0) > tol:
+        if abs(float(total) - 1.0) > _SNAP_TOL:
             raise ValueError(f"context total {float(total)} too far from one")
         if total != 1:
             for i in block:
                 entries[i] /= total
     drift = max(abs(float(f) - e) for f, e in zip(entries, p.entries))
-    if drift > tol:
+    if drift > _SNAP_TOL:
         raise ValueError(f"rationalization moved an entry by {drift}")
     return Correlation(s, tuple(entries))

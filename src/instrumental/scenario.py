@@ -167,28 +167,37 @@ class Scenario:
         return itertools.product(range(self.nX), range(self.nA), range(self.nB))
 
     def input_blocks(self) -> list[list[int]]:
-        """Coordinate indices grouped by input context (one block per x or xy)."""
-        blocks: list[list[int]] = []
-        if self.kind is Kind.BELL:
-            for x in range(self.nX):
-                for y in range(self.nY):
-                    blocks.append(
-                        [
-                            self.index(x, y, a, b)
-                            for a in range(self.nA)
-                            for b in range(self.nB)
-                        ]
-                    )
-        else:
-            for x in range(self.nX):
-                blocks.append(
-                    [
-                        self.index(x, a, b)
-                        for a in range(self.nA)
-                        for b in range(self.nB)
-                    ]
-                )
-        return blocks
+        """Coordinate indices grouped by input context (one block per x or xy).
+
+        The outcomes (a, b) are innermost in the flat layout, so each context
+        is a contiguous run of nA*nB indices.
+        """
+        k = self.nA * self.nB
+        return [list(range(i, i + k)) for i in range(0, self.dim, k)]
+
+    def marginal_groups(self) -> list[list[list[int]]]:
+        """The no-signalling conditions of a Bell scenario as index groups.
+
+        Each group holds one index block per context, and the block sums are
+        one party's marginal there: Alice's p(a|x) across y for every (x, a),
+        then Bob's p(b|y) across x for every (y, b).  A table is
+        no-signalling iff the block sums agree within every group.
+        """
+        if self.kind is not Kind.BELL:
+            raise ValueError("marginal conditions apply to Bell scenarios")
+        idx = self.index
+        nX, nY, nA, nB = self.nX, self.nY, self.nA, self.nB
+        alice = [
+            [[idx(x, y, a, b) for b in range(nB)] for y in range(nY)]
+            for x in range(nX)
+            for a in range(nA)
+        ]
+        bob = [
+            [[idx(x, y, a, b) for a in range(nA)] for x in range(nX)]
+            for y in range(nY)
+            for b in range(nB)
+        ]
+        return alice + bob
 
 
 @dataclass(frozen=True)
@@ -281,23 +290,20 @@ def strategy_to_correlation(d: DeterministicStrategy) -> Correlation:
     return Correlation(s, tuple(entries))
 
 
-def classical_correlations(
-    s: Scenario, dedup: bool = True, limit: int = 10**7
-) -> list[Correlation]:
-    """Correlations of all deterministic strategies.
+def classical_correlations(s: Scenario) -> list[Correlation]:
+    """Correlations of all deterministic strategies, without duplicates.
 
     Distinct strategies can induce the same table (an unreachable wire value
-    makes part of beta irrelevant); with `dedup` those duplicates are removed,
-    keeping first occurrences in enumeration order.
+    makes part of beta irrelevant); those duplicates are removed, keeping
+    first occurrences in enumeration order.
     """
     out: list[Correlation] = []
     seen: set[tuple] = set()
-    for d in enumerate_deterministic_strategies(s, limit):
+    for d in enumerate_deterministic_strategies(s):
         c = strategy_to_correlation(d)
-        if dedup:
-            if c.entries in seen:
-                continue
-            seen.add(c.entries)
+        if c.entries in seen:
+            continue
+        seen.add(c.entries)
         out.append(c)
     return out
 
@@ -430,22 +436,10 @@ def max_signalling_residual(p: Correlation):
     if s.kind is not Kind.BELL:
         raise ValueError("signalling residuals apply to Bell correlations")
     worst = _F0 if p.exact else 0.0
-    for x in range(s.nX):
-        for a in range(s.nA):
-            margs = [
-                sum(p.entries[s.index(x, y, a, b)] for b in range(s.nB))
-                for y in range(s.nY)
-            ]
-            for m in margs[1:]:
-                worst = max(worst, abs(m - margs[0]))
-    for y in range(s.nY):
-        for b in range(s.nB):
-            margs = [
-                sum(p.entries[s.index(x, y, a, b)] for a in range(s.nA))
-                for x in range(s.nX)
-            ]
-            for m in margs[1:]:
-                worst = max(worst, abs(m - margs[0]))
+    for group in s.marginal_groups():
+        first, *rest = (sum(p.entries[i] for i in block) for block in group)
+        for m in rest:
+            worst = max(worst, abs(m - first))
     return worst
 
 
@@ -471,13 +465,11 @@ def random_mixture(
     s: Scenario,
     rng,
     *,
-    parts: int = 4,
-    denominator_cap: int = 1000,
     pool: Sequence[Correlation] | None = None,
 ) -> Correlation:
-    """A random rational mixture of extreme points, drawn from `rng`.
+    """A random rational mixture of four extreme points, drawn from `rng`.
 
-    All weights are multiples of 1/d for one denominator d <= the cap, so the
+    All weights are multiples of 1/d for one denominator d <= 1000, so the
     result has small exact entries.  The default pool is the deterministic
     strategies of `s`; pass a precomputed `pool` to avoid re-enumeration or to
     mix over other extreme points.
@@ -487,7 +479,8 @@ def random_mixture(
             strategy_to_correlation(d)
             for d in enumerate_deterministic_strategies(s)
         ]
-    d = rng.randint(1, denominator_cap)
+    parts = 4
+    d = rng.randint(1, 1000)
     cuts = sorted(rng.randint(0, d) for _ in range(parts - 1))
     weights = [
         Fraction(hi - lo, d) for lo, hi in zip([0, *cuts], [*cuts, d])

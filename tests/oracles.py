@@ -9,7 +9,7 @@ from fractions import Fraction
 from instrumental.errors import CapacityError
 from instrumental.inequalities import LinearExpression
 from instrumental.polytope import no_signalling_polytope, vertex_enumeration
-from instrumental.scenario import Correlation, Kind, postselect
+from instrumental.scenario import Correlation, Kind, Scenario, postselect
 
 
 def gpt_box_search(expression: LinearExpression):
@@ -41,3 +41,67 @@ def gpt_box_search(expression: LinearExpression):
         ):
             best_value, best_entries = val, p.entries
     return best_value, Correlation(s, best_entries)
+
+
+def input_blocks(s: Scenario) -> list[list[int]]:
+    """Coordinate indices per input context, built through `Scenario.index`.
+    `Scenario.input_blocks` reads the same blocks off the flat layout."""
+    if s.kind is Kind.BELL:
+        return [
+            [s.index(x, y, a, b) for a in range(s.nA) for b in range(s.nB)]
+            for x in range(s.nX)
+            for y in range(s.nY)
+        ]
+    return [
+        [s.index(x, a, b) for a in range(s.nA) for b in range(s.nB)]
+        for x in range(s.nX)
+    ]
+
+
+def no_signalling_equalities(s: Scenario) -> list[tuple[tuple[Fraction, ...], Fraction]]:
+    """Normalization and marginal-consistency rows of a Bell scenario, one per
+    context and per adjacent pair of contexts, unreduced.  Alice's marginal
+    must not depend on y, Bob's not on x."""
+    d = s.dim
+    eqs = []
+    for block in input_blocks(s):
+        eqs.append((tuple(Fraction(int(i in block)) for i in range(d)), Fraction(1)))
+    for x in range(s.nX):
+        for a in range(s.nA):
+            for y in range(s.nY - 1):
+                coeffs = [Fraction(0)] * d
+                for b in range(s.nB):
+                    coeffs[s.index(x, y, a, b)] += 1
+                    coeffs[s.index(x, y + 1, a, b)] -= 1
+                eqs.append((tuple(coeffs), Fraction(0)))
+    for y in range(s.nY):
+        for b in range(s.nB):
+            for x in range(s.nX - 1):
+                coeffs = [Fraction(0)] * d
+                for a in range(s.nA):
+                    coeffs[s.index(x, y, a, b)] += 1
+                    coeffs[s.index(x + 1, y, a, b)] -= 1
+                eqs.append((tuple(coeffs), Fraction(0)))
+    return eqs
+
+
+def signalling_residual(p: Correlation):
+    """Largest absolute gap between a party's marginal in some context and
+    in that party's first context, one explicit loop per party."""
+    s = p.scenario
+    worst = Fraction(0) if p.exact else 0.0
+    for x in range(s.nX):
+        for a in range(s.nA):
+            margs = [
+                sum(p.entries[s.index(x, y, a, b)] for b in range(s.nB))
+                for y in range(s.nY)
+            ]
+            worst = max([worst] + [abs(m - margs[0]) for m in margs[1:]])
+    for y in range(s.nY):
+        for b in range(s.nB):
+            margs = [
+                sum(p.entries[s.index(x, y, a, b)] for a in range(s.nA))
+                for x in range(s.nX)
+            ]
+            worst = max([worst] + [abs(m - margs[0]) for m in margs[1:]])
+    return worst

@@ -1,0 +1,82 @@
+"""CLI stdout and exit codes compared byte for byte against recorded output.
+
+The files under ``tests/golden/`` hold what each command printed when it was
+recorded.  A refactor that should not change any answer keeps them equal.
+To re-record after an intended output change, run from the repository root::
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io as stdio
+import json
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from instrumental import io
+from instrumental.cli import main
+from instrumental.scenario import Scenario, postselect, pr_box
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# name -> argv; "{pr}" and "{wired_pr}" stand for the two table files
+CASES = {
+    "facets_classical_x2": ["facets", "--classical", "-x", "2"],
+    "facets_classical_x2_json": ["facets", "--classical", "-x", "2", "--format", "json"],
+    "facets_classical_x2_porta": ["facets", "--classical", "-x", "2", "--format", "porta"],
+    "facets_gpt_x2_json": ["facets", "--gpt", "-x", "2", "--format", "json"],
+    "bounds_bonet": ["bounds", "bonet"],
+    "bounds_tilted_3_2_json": ["bounds", "tilted", "3/2", "--format", "json"],
+    "bounds_chained_4_csv": ["bounds", "chained", "4", "--format", "csv"],
+    "identity_bonet_20": ["identity", "bonet", "--trials", "20"],
+    "membership_wired_pr": ["membership", "{wired_pr}", "--theory", "classical"],
+    "membership_wired_pr_local": [
+        "membership", "{wired_pr}", "--theory", "classical", "--with-local-processing",
+    ],
+    "membership_bell_pr": ["membership", "{pr}", "--theory", "classical"],
+    "membership_bell_pr_local": [
+        "membership", "{pr}", "--theory", "classical", "--with-local-processing",
+    ],
+}
+
+
+def _tables(directory: Path) -> dict[str, str]:
+    paths = {"pr": directory / "pr.json", "wired_pr": directory / "wired_pr.json"}
+    io.save_correlation(pr_box(), paths["pr"])
+    io.save_correlation(postselect(pr_box(), Scenario.instrumental(2)), paths["wired_pr"])
+    return {k: str(v) for k, v in paths.items()}
+
+
+def _run(argv: list[str], tables: dict[str, str]) -> tuple[int, str]:
+    out, err = stdio.StringIO(), stdio.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([a.format(**tables) for a in argv])
+    return code, out.getvalue()
+
+
+@pytest.fixture(scope="module")
+def tables(tmp_path_factory):
+    return _tables(tmp_path_factory.mktemp("golden"))
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_matches_golden(name, tables):
+    code, out = _run(CASES[name], tables)
+    codes = json.loads((GOLDEN / "exit_codes.json").read_text())
+    assert code == codes[name]
+    assert out.encode() == (GOLDEN / f"{name}.stdout").read_bytes()
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    codes = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        tables = _tables(Path(tmp))
+        for name, argv in sorted(CASES.items()):
+            codes[name], out = _run(argv, tables)
+            (GOLDEN / f"{name}.stdout").write_bytes(out.encode())
+    (GOLDEN / "exit_codes.json").write_text(json.dumps(codes, indent=2) + "\n")

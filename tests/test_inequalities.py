@@ -193,6 +193,19 @@ def test_identity_check_sampled():
     assert identity_check("chained", uniform_box(Scenario.bell(4, 3)), n=3) == 0
 
 
+def test_identity_check_accepts_affine_points():
+    # The identity holds on the whole no-signalling affine hull, so a point
+    # with negative entries passes.
+    dets = enumerate_deterministic_strategies(BELL32)
+    p = mix_correlations([
+        (2, strategy_to_correlation(dets[0])),
+        (-1, strategy_to_correlation(dets[-1])),
+    ])
+    assert min(p.entries) < 0
+    assert identity_check("bonet", p) == 0
+    assert identity_check("tilted", p, alpha=F(5, 2)) == 0
+
+
 def test_identity_check_rejects_bad_input():
     signalling = [F(0)] * BELL32.dim
     signalling[BELL32.index(0, 0, 0, 0)] = F(1)
@@ -203,6 +216,10 @@ def test_identity_check_rejects_bad_input():
     p = Correlation(BELL32, tuple(signalling))
     with pytest.raises(ValueError):
         identity_check("bonet", p)
+    # consistent marginals, but every context sums to 2
+    doubled = mix_correlations([(2, uniform_box(BELL32))])
+    with pytest.raises(ValueError):
+        identity_check("bonet", doubled)
     with pytest.raises(TypeError):
         identity_check("bonet", Correlation(BELL32, (1 / 24.0,) * 24))
     with pytest.raises(ValueError):

@@ -1,13 +1,20 @@
 """Test oracles against the routes the package uses."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from instrumental.inequalities import catalog, gpt_maximum, pearl_expressions
-from instrumental.scenario import Scenario
+from instrumental.polytope import _reduce_equalities, no_signalling_polytope
+from instrumental.scenario import Correlation, Scenario, max_signalling_residual
 
-from oracles import gpt_box_search
+from oracles import (
+    gpt_box_search,
+    input_blocks,
+    no_signalling_equalities,
+    signalling_residual,
+)
 
 EXPRESSIONS = {
     "bonet": catalog("bonet"),
@@ -21,3 +28,40 @@ EXPRESSIONS = {
 def test_vertex_scan_matches_gpt_maximum(name):
     e = EXPRESSIONS[name]
     assert gpt_box_search(e)[0] == gpt_maximum(e)[0]
+
+
+def _name(s):
+    return f"{s.kind.value}-{s.nX}{s.nY}{s.nA}{s.nB}"
+
+
+NS_SCENARIOS = [
+    Scenario.bell(2, 2),
+    Scenario.bell(3, 2),
+    Scenario.bell(2, 2, 3, 2),
+    Scenario.bell(2, 3, 2, 3),
+]
+
+
+@pytest.mark.parametrize("s", NS_SCENARIOS, ids=_name)
+def test_no_signalling_equalities_match_loops(s):
+    expected = _reduce_equalities(no_signalling_equalities(s), s.dim)
+    assert no_signalling_polytope(s).equalities == expected
+
+
+@pytest.mark.parametrize("s", NS_SCENARIOS, ids=_name)
+def test_signalling_residual_matches_loops(s):
+    rng = random.Random(s.dim)
+    for _ in range(5):
+        exact = Correlation(s, tuple(Fraction(rng.randint(0, 5), 7) for _ in range(s.dim)))
+        floats = Correlation(s, tuple(rng.random() for _ in range(s.dim)))
+        for p in (exact, floats):
+            assert max_signalling_residual(p) == signalling_residual(p)
+
+
+@pytest.mark.parametrize(
+    "s",
+    [Scenario.bell(2, 3, 3, 2), Scenario.instrumental(3, 3, 2), Scenario.chained(3)],
+    ids=_name,
+)
+def test_input_blocks_match_loops(s):
+    assert s.input_blocks() == input_blocks(s)

@@ -193,6 +193,48 @@ def test_hull_equals_wired_projection_nx2():
     assert proj.equalities == hull.equalities
 
 
+def test_projection_solved_by_equalities_stays_irredundant():
+    # x2 = x0 and x3 = x0 + x1 solve both eliminated variables; in original
+    # column order each equality leads on a kept column.  The last row,
+    # x2 + x3 <= 4, is redundant and only the pruning pass removes it.
+    h = HPolytope(4, (
+        ineq([0, 0, 1, 0], 1),
+        ineq([0, 0, 0, 1], 2),
+        ineq([-1, 0, 0, 0], 0),
+        ineq([0, -1, 0, 0], 0),
+        ineq([0, 0, 1, 1], 4),
+    ), (
+        ((F(-1), F0, F1, F0), F0),
+        ((F(-1), F(-1), F0, F1), F0),
+    ))
+    proj = fourier_motzkin_project(h, [0, 1])
+    assert proj.equalities == ()
+    assert proj.inequalities == (
+        ineq([-1, 0], 0), ineq([0, -1], 0), ineq([1, 0], 1), ineq([1, 1], 2),
+    )
+    unpruned = fourier_motzkin_project(h, [0, 1], prune=False)
+    assert ineq([2, 1], 4) in unpruned.inequalities
+    assert len(unpruned.inequalities) == 5
+
+
+def test_projection_keeps_equality_pivoting_on_kept_column():
+    # x1 + x0 = 1 solves x1; x1 + x0 + x2 = 2 reduces to x2 = 1, which has
+    # no eliminated variable left and must survive the projection.  x3 has
+    # no equality and goes by row combination.
+    h = HPolytope(4, (
+        ineq([0, -1, 0, 0], 0),
+        ineq([-1, 0, 0, 0], 0),
+        ineq([0, 0, 0, -1], 0),
+        ineq([-1, 0, 0, 1], 0),
+    ), (
+        ((F1, F1, F0, F0), F1),
+        ((F1, F1, F1, F0), F(2)),
+    ))
+    proj = fourier_motzkin_project(h, [0, 2])
+    assert proj.equalities == (((F0, F1), F1),)
+    assert proj.inequalities == (ineq([-1, 0], 0), ineq([1, 0], 1))
+
+
 def test_no_signalling_2222():
     ns = no_signalling_polytope(BELL22)
     assert ns.affine_dimension() == 8
