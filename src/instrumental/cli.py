@@ -2,7 +2,8 @@
 certificates and identity residual checks.
 
 Exit codes: 0 success, 1 usage or bad input, 2 capacity limit hit,
-3 a verified quantity disagreed with its closed form.
+3 a verified quantity disagreed with its closed form or a certificate failed
+its check.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from . import io
-from .errors import CapacityError, ConvergenceError
+from .errors import CapacityError, CertificateError, ConvergenceError
 from .inequalities import (
     CATALOG_KINDS,
     LinearExpression,
@@ -51,6 +52,7 @@ from .scenario import (
     Kind,
     Scenario,
     append_dummy_input,
+    classical_correlations,
     dummy_input_extension,
     postselect,
     random_mixture,
@@ -310,14 +312,15 @@ def cmd_identity(args) -> int:
     symbolic = verify_identity(args.kind, **params)
     rng = random.Random(args.seed)
     # mix over true extremal boxes where the enumeration stays small, over
-    # deterministic ones (the same affine span) otherwise
+    # deterministic ones (the same affine span; no two Bell strategies share
+    # a table, so this is random_mixture's default pool) otherwise
     if bell.dim <= 32:
         pool = [
             Correlation(bell, v)
             for v in vertex_enumeration(no_signalling_polytope(bell)).vertices
         ]
     else:
-        pool = None
+        pool = classical_correlations(bell)
     worst = Fraction(0)
     for _ in range(args.trials):
         q = random_mixture(bell, rng, pool=pool)
@@ -406,6 +409,9 @@ def main(argv=None) -> int:
         return CAPACITY_ERROR
     except ConvergenceError as exc:
         print(f"no convergence: {exc}", file=sys.stderr)
+        return MISMATCH_ERROR
+    except CertificateError as exc:
+        print(f"certificate: {exc}", file=sys.stderr)
         return MISMATCH_ERROR
     except (ValueError, TypeError, OSError, json.JSONDecodeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

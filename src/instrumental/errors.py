@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-__all__ = ["CapacityError", "ConvergenceError"]
+__all__ = ["CapacityError", "CertificateError", "ConvergenceError"]
 
 
 class CapacityError(RuntimeError):
@@ -12,6 +12,11 @@ class CapacityError(RuntimeError):
     grow combinatorially, and the caller is expected to either raise the limit
     deliberately or treat the result as out of reach.
     """
+
+
+class CertificateError(RuntimeError):
+    """An answer's certificate (convex weights, a separating inequality, an
+    optimal face) failed its exact check; a correct solver never raises it."""
 
 
 class ConvergenceError(RuntimeError):

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from .errors import CertificateError
 from .polytope import (
     Equality,
     LinearInequality,
@@ -35,7 +36,6 @@ from .scenario import (
     Kind,
     Scenario,
     enumerate_deterministic_strategies,
-    postselect,
     strategy_to_correlation,
     validate,
 )
@@ -764,11 +764,12 @@ def extension_membership(p: Correlation, theory: str) -> MembershipCertificate:
         raise TypeError("exact membership needs rational entries")
     bell = s.parent_bell()
     if theory == "classical":
-        # One column per Bell strategy, duplicates kept, so the weights line
-        # up with enumerate_deterministic_strategies(bell).
+        # One column per strategy, duplicates kept: s and its parent Bell
+        # scenario enumerate the same (alpha, beta), so the weights line up
+        # with enumerate_deterministic_strategies(bell).
         columns = [
-            postselect(strategy_to_correlation(d), s).entries
-            for d in enumerate_deterministic_strategies(bell)
+            strategy_to_correlation(d).entries
+            for d in enumerate_deterministic_strategies(s)
         ]
         return membership(p, VPolytope(s.dim, tuple(columns)))
     if theory != "nosignalling":
@@ -791,7 +792,8 @@ def extension_membership(p: Correlation, theory: str) -> MembershipCertificate:
         )
     # Farkas multipliers of the pinned rows give a functional whose
     # no-signalling maximum certifies the separation.
-    assert res.farkas is not None
+    if res.farkas is None:
+        raise CertificateError("infeasible extension LP without a Farkas vector")
     mult = res.farkas[len(eq_rows):]
     coeffs = [F0] * s.dim
     for i, m in enumerate(mult):
@@ -799,5 +801,6 @@ def extension_membership(p: Correlation, theory: str) -> MembershipCertificate:
     bound, _ = gpt_maximum(LinearExpression(s, tuple(coeffs)))
     sep = canonicalize(LinearInequality(tuple(coeffs), bound))
     margin = sep.violation(p.entries)
-    assert margin > 0
+    if margin <= 0:
+        raise CertificateError("Farkas functional does not separate the table")
     return MembershipCertificate(inside=False, separator=sep, margin=margin)

@@ -5,8 +5,12 @@ Polytopes appear in two representations:
 * `VPolytope`: a list of vertices (rational vectors).
 * `HPolytope`: facet inequalities (sense <=) plus affine-hull equalities.
 
-Conversions run through an incremental double-description cone algorithm over
-primitive integer vectors; projections through Fourier-Motzkin elimination:
+Row reductions (affine hulls, null spaces, equality systems, the starting
+cone of the double description) go through one fraction-free Gauss-Jordan
+elimination over Python ints, `_echelon`, whose rows are the primitive integer
+multiples of the reduced row echelon form.  Conversions run through an
+incremental double-description cone algorithm over primitive integer vectors;
+projections through Fourier-Motzkin elimination:
 one substitution pass through the equalities, then row combination for the
 variables left, with exact-LP redundancy removal after the substitution pass
 and after each combination step.  Membership tests are LP feasibility
@@ -23,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import CapacityError
+from .errors import CapacityError, CertificateError
 from .linprog import LpStatus, solve_lp
 from .rationals import integerize, primitive
 from .scenario import Correlation, Kind, Scenario, classical_correlations
@@ -34,7 +38,6 @@ __all__ = [
     "VPolytope",
     "MembershipCertificate",
     "canonicalize",
-    "canonicalize_equality",
     "facet_enumeration",
     "vertex_enumeration",
     "fourier_motzkin_project",
@@ -79,18 +82,6 @@ def canonicalize(ineq: LinearInequality) -> LinearInequality:
         raise ValueError("cannot canonicalize the zero inequality")
     ints = integerize(tuple(ineq.coeffs) + (ineq.bound,))
     return LinearInequality(tuple(Fraction(v) for v in ints[:-1]), Fraction(ints[-1]))
-
-
-def canonicalize_equality(eq: Equality) -> Equality:
-    """Primitive integers with the first nonzero coefficient positive."""
-    coeffs, rhs = eq
-    if all(c == 0 for c in coeffs):
-        raise ValueError("cannot canonicalize an equality with zero coefficients")
-    ints = list(integerize(tuple(coeffs) + (Fraction(rhs),)))
-    lead = next(v for v in ints[:-1] if v != 0)
-    if lead < 0:
-        ints = [-v for v in ints]
-    return tuple(Fraction(v) for v in ints[:-1]), Fraction(ints[-1])
 
 
 def reduce_modulo(
@@ -147,7 +138,7 @@ class HPolytope:
         )
 
     def affine_dimension(self) -> int:
-        return self.dim - _rank([list(c) for c, _ in self.equalities])
+        return self.dim - len(_echelon([c for c, _ in self.equalities])[1])
 
 
 @dataclass(frozen=True)
@@ -210,54 +201,53 @@ def _as_point(point, dim: int) -> tuple[Fraction, ...]:
 
 
 # ---------------------------------------------------------------------------
-# exact Gaussian elimination
+# fraction-free Gauss-Jordan elimination
 
 
-def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns the nonzero rows and pivot columns."""
-    rows = [list(r) for r in rows]
-    pivots: list[int] = []
-    lead = 0
+def _echelon(rows: Sequence[Sequence]) -> tuple[list[tuple[int, ...]], list[int]]:
+    """Reduced row echelon form over the integers; returns the nonzero rows
+    and their pivot columns.
+
+    Each rational row is scaled to primitive integers up front; elimination
+    then stays on Python ints and divides every updated row by its content.
+    A returned row is primitive, has a positive pivot and is zero on the other
+    pivot columns: the primitive positive multiple of the unique RREF row.
+    """
+    rows = [integerize(r) for r in rows]
     ncols = len(rows[0]) if rows else 0
+    pivots: list[int] = []
     for col in range(ncols):
-        pr = next((i for i in range(lead, len(rows)) if rows[i][col] != 0), None)
-        if pr is None:
-            continue
-        rows[lead], rows[pr] = rows[pr], rows[lead]
-        piv = rows[lead][col]
-        if piv != 1:
-            rows[lead] = [v / piv for v in rows[lead]]
-        for i, row in enumerate(rows):
-            if i != lead and row[col] != 0:
-                f = row[col]
-                rows[i] = [v - f * pv for v, pv in zip(row, rows[lead])]
-        pivots.append(col)
-        lead += 1
+        lead = len(pivots)
         if lead == len(rows):
             break
-    return rows[:lead], pivots
+        pr = next((i for i in range(lead, len(rows)) if rows[i][col]), None)
+        if pr is None:
+            continue
+        prow = rows[pr] if rows[pr][col] > 0 else tuple(-v for v in rows[pr])
+        rows[pr] = rows[lead]
+        rows[lead] = prow
+        p = prow[col]
+        for i, row in enumerate(rows):
+            f = row[col]
+            if f and i != lead:
+                rows[i] = primitive([p * v - f * pv for v, pv in zip(row, prow)])
+        pivots.append(col)
+    return rows[: len(pivots)], pivots
 
 
-def _rank(rows: list[list[Fraction]]) -> int:
-    if not rows:
-        return 0
-    return len(_rref(rows)[0])
-
-
-def _null_space(rows: list[list[Fraction]], ncols: int) -> list[tuple[Fraction, ...]]:
-    """A basis of {y : rows . y = 0}."""
-    if not rows:
-        return [
-            tuple(_F1 if j == k else _F0 for j in range(ncols)) for k in range(ncols)
-        ]
-    rref, pivots = _rref(rows)
-    free = [j for j in range(ncols) if j not in pivots]
+def _null_space(
+    rows: Sequence[Sequence[int]], pivots: Sequence[int], ncols: int
+) -> list[tuple[Fraction, ...]]:
+    """A basis of {y : rows . y = 0} from an `_echelon` result: one vector
+    per free column, 1 on that column and 0 on the other free ones."""
     basis = []
-    for f in free:
+    for f in range(ncols):
+        if f in pivots:
+            continue
         vec = [_F0] * ncols
         vec[f] = _F1
-        for row, pc in zip(rref, pivots):
-            vec[pc] = -row[f]
+        for row, pc in zip(rows, pivots):
+            vec[pc] = Fraction(-row[f], row[pc])
         basis.append(tuple(vec))
     return basis
 
@@ -276,26 +266,28 @@ def _dd_pointed(
     """Extreme rays of the pointed cone {u : row . u >= 0 for every row}.
 
     Incremental insertion in the given row order; adjacency of rays is decided
-    combinatorially from tight-constraint bitmasks.  Requires rank(rows) equal
-    to the ambient dimension (a pointed cone); the caller arranges this.
+    combinatorially from tight-constraint bitmasks.  Raises ValueError unless
+    rank(rows) equals the ambient dimension (a pointed cone).
     """
     r = len(rows[0])
-    # Initial simplicial cone from the first r independent rows: the pivot
-    # columns of the transposed matrix.
-    _, chosen = _rref([[Fraction(v) for v in col] for col in zip(*rows)])
-    if len(chosen) < r:
+    # Initial simplicial cone from the first r independent rows A.  Echelon
+    # of [rows^T | I] is [E | (A^-1)^T]: its pivots pick A, and the identity
+    # block carries the columns of A^-1, each tight on all of A but one row.
+    n = len(rows)
+    ech, chosen = _echelon(
+        [list(col) + [int(j == k) for j in range(r)] for k, col in enumerate(zip(*rows))]
+    )
+    if chosen[-1] >= n:
         raise ValueError("cone is not pointed (rank-deficient constraint matrix)")
 
-    inv = _invert([[Fraction(v) for v in rows[i]] for i in chosen])
     rays: list[tuple[int, ...]] = []
     tight: list[int] = []
     for k in range(r):
-        ray = primitive(integerize([inv[j][k] for j in range(r)]))
+        rays.append(primitive(ech[k][n:]))
         mask = 0
         for j, idx in enumerate(chosen):
             if j != k:
                 mask |= 1 << idx
-        rays.append(ray)
         tight.append(mask)
 
     chosen_set = set(chosen)
@@ -360,15 +352,6 @@ def _dd_pointed(
     return list(dict.fromkeys(rays))
 
 
-def _invert(mat: list[list[Fraction]]) -> list[list[Fraction]]:
-    n = len(mat)
-    aug = [list(row) + [_F1 if i == j else _F0 for j in range(n)] for i, row in enumerate(mat)]
-    rref, pivots = _rref(aug)
-    if pivots != list(range(n)):
-        raise ValueError("matrix is singular")
-    return [row[n:] for row in rref]
-
-
 # ---------------------------------------------------------------------------
 # conversions
 
@@ -379,64 +362,47 @@ def facet_enumeration(v: VPolytope, max_rays: int = 10**6) -> HPolytope:
     Vertices are deduplicated and inserted in lexicographic order.  The valid
     inequalities c0 + c . x >= 0 of the hull form a cone with one constraint
     per vertex; its lineality space is the affine hull and its extreme rays
-    are the facets.
+    are the facets.  One echelon of the homogenized vertices gives both: the
+    null space spans the affine hull, the rows span the rest.
     """
     vp = VPolytope.from_points(v.vertices)
     d = vp.dim
     hom = [integerize((_F1,) + vert) for vert in vp.vertices]
-    frows = [[Fraction(x) for x in row] for row in hom]
-
-    equalities = []
-    for y in _null_space(frows, d + 1):
-        # y0 + y . x = 0 on the hull, i.e. y[1:] . x = -y0
-        equalities.append(canonicalize_equality((tuple(y[1:]), -y[0])))
-    equalities = _reduce_equalities(equalities, d)
-
-    basis_rows, _ = _rref(frows)
-    q_cols = [integerize(row) for row in basis_rows]
-    restricted = [tuple(_dot(w, q) for q in q_cols) for w in hom]
-    rays = _dd_pointed(restricted, max_rays)
+    basis, pivots = _echelon(hom)
+    # y0 + y . x = 0 on the hull, i.e. y[1:] . x = -y0
+    equalities = _reduce_equalities(
+        [(y[1:], -y[0]) for y in _null_space(basis, pivots, d + 1)], d
+    )
 
     facets = []
-    for u in rays:
-        y = [sum(q[j] * uk for q, uk in zip(q_cols, u)) for j in range(d + 1)]
+    for y in _cone_rays(hom, basis, max_rays):
         coeffs = tuple(Fraction(-c) for c in y[1:])
-        bound = Fraction(y[0])
         if all(c == 0 for c in coeffs):
             # The trivial inequality 0 <= b appears only for 0-dimensional
             # hulls, where the affine hull already pins the point.
             continue
         facets.append(
-            reduce_modulo(LinearInequality(coeffs, bound), equalities)
+            reduce_modulo(LinearInequality(coeffs, Fraction(y[0])), equalities)
         )
     facets = sorted(set(facets), key=lambda f: (f.coeffs, f.bound))
-    return HPolytope(d, tuple(facets), tuple(equalities))
+    return HPolytope(d, tuple(facets), equalities)
 
 
 def vertex_enumeration(h: HPolytope, max_rays: int = 10**6) -> VPolytope:
     """Vertices of a bounded H-polytope (errors out on unbounded input)."""
     d = h.dim
-    eq_rows = [
-        [Fraction(-rhs)] + [Fraction(c) for c in coeffs]
-        for coeffs, rhs in h.equalities
-    ]
-    ineq_rows = [tuple([ineq.bound] + [-c for c in ineq.coeffs]) for ineq in h.inequalities]
-    ineq_rows.append(tuple([_F1] + [_F0] * d))  # homogenization: t >= 0
+    eq_rows = [[-rhs, *coeffs] for coeffs, rhs in h.equalities]
+    ineq_rows = [(ineq.bound, *(-c for c in ineq.coeffs)) for ineq in h.inequalities]
+    ineq_rows.append((_F1,) + (_F0,) * d)  # homogenization: t >= 0
     ineq_rows = [integerize(row) for row in ineq_rows]
 
-    subspace = _null_space(eq_rows, d + 1)
+    subspace = _null_space(*_echelon(eq_rows), d + 1)
     if not subspace:
         return VPolytope(d, ())
-    q_cols = [integerize(vec) for vec in subspace]
-    restricted = [tuple(_dot(w, q) for q in q_cols) for w in ineq_rows]
-    if _rank([[Fraction(v) for v in row] for row in restricted]) < len(q_cols):
-        raise ValueError("polytope contains a line; vertex enumeration undefined")
-    restricted.sort()
-    rays = _dd_pointed(restricted, max_rays)
+    basis = [integerize(vec) for vec in subspace]
 
     verts = []
-    for u in rays:
-        y = [sum(q[j] * uk for q, uk in zip(q_cols, u)) for j in range(d + 1)]
+    for y in _cone_rays(ineq_rows, basis, max_rays, sort=True):
         t = y[0]
         if t == 0:
             raise ValueError("polytope is unbounded; vertex enumeration undefined")
@@ -448,21 +414,33 @@ def vertex_enumeration(h: HPolytope, max_rays: int = 10**6) -> VPolytope:
     return VPolytope.from_points(verts)
 
 
+def _cone_rays(
+    rows: list[tuple[int, ...]],
+    basis: list[Sequence[int]],
+    max_rays: int,
+    sort: bool = False,
+) -> list[list[int]]:
+    """Extreme rays of {y in span(basis) : row . y >= 0 for every row}.
+
+    The rows are restricted to coordinates on the basis (and sorted when
+    asked), handed to `_dd_pointed`, and its rays mapped back to y.
+    """
+    restricted = [tuple(_dot(w, q) for q in basis) for w in rows]
+    if sort:
+        restricted.sort()
+    cols = list(zip(*basis))
+    return [[_dot(col, u) for col in cols] for u in _dd_pointed(restricted, max_rays)]
+
+
 def _reduce_equalities(eqs: list[Equality], dim: int) -> tuple[Equality, ...]:
-    """Independent, canonicalized presentation via row reduction."""
-    if not eqs:
-        return ()
-    aug = [[*coeffs, rhs] for coeffs, rhs in eqs]
-    rref, pivots = _rref(aug)
-    out = []
-    for row in rref:
-        coeffs, rhs = row[:dim], row[dim]
-        if all(c == 0 for c in coeffs):
-            if rhs != 0:
-                raise ValueError("inconsistent equality system")
-            continue
-        out.append(canonicalize_equality((tuple(coeffs), rhs)))
-    return tuple(out)
+    """Independent, canonicalized presentation: the `_echelon` rows of the
+    augmented system, primitive with a positive leading coefficient."""
+    rows, pivots = _echelon([[*coeffs, rhs] for coeffs, rhs in eqs])
+    if pivots and pivots[-1] == dim:
+        raise ValueError("inconsistent equality system")
+    return tuple(
+        (tuple(Fraction(c) for c in row[:dim]), Fraction(row[dim])) for row in rows
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -599,14 +577,15 @@ def membership(point, polytope: VPolytope) -> MembershipCertificate:
     )
     if res.status is LpStatus.OPTIMAL:
         weights = res.x
-        assert all(w >= 0 for w in weights) and sum(weights) == 1
-        for i in range(d):
-            assert sum(w * v[i] for w, v in zip(weights, verts)) == q[i]
+        if any(w < 0 for w in weights) or sum(weights) != 1 or any(
+            sum(w * v[i] for w, v in zip(weights, verts)) != q[i] for i in range(d)
+        ):
+            raise CertificateError("weights are not a convex mix of the point")
         return MembershipCertificate(inside=True, weights=weights)
     sep = _separating_facet(q, VPolytope.from_points(verts).vertices)
     margin = sep.violation(q)
-    assert margin > 0
-    assert all(sep.satisfied_by(v) for v in verts)
+    if margin <= 0 or not all(sep.satisfied_by(v) for v in verts):
+        raise CertificateError("the inequality does not separate the point")
     return MembershipCertificate(inside=False, separator=sep, margin=margin)
 
 
@@ -625,7 +604,7 @@ def _separating_facet(
     n = len(verts)
     centroid = tuple(sum(v[i] for v in verts) / n for i in range(d))
     centered = [[v[i] - centroid[i] for i in range(d)] for v in verts]
-    normals = _null_space(centered, d)
+    normals = _null_space(*_echelon(centered), d)
     for nvec in normals:
         # nvec . x is constant on the hull
         rhs = sum(nv * c for nv, c in zip(nvec, centroid))
@@ -701,7 +680,8 @@ def maximize_linear(
         sub = solve_lp(
             unit, ineqs=ineq_rows, eqs=eqs, nonneg=False, maximize=False
         )
-        assert sub.status is LpStatus.OPTIMAL
+        if sub.status is not LpStatus.OPTIMAL:
+            raise CertificateError("the optimal face has no lexicographic minimum")
         eqs.append((unit, sub.value))
     point = tuple(r for _, r in eqs[len(over.equalities) + 1 :])
     return res.value + constant, point

@@ -33,9 +33,7 @@ def integerize(vec: Sequence[Fraction]) -> tuple[int, ...]:
 def primitive(ints: Iterable[int]) -> tuple[int, ...]:
     """Divide an integer vector by the gcd of its entries (kept positive)."""
     ints = tuple(ints)
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
+    g = gcd(*ints)
     if g <= 1:
         return ints
     return tuple(v // g for v in ints)

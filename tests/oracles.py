@@ -8,8 +8,16 @@ from fractions import Fraction
 
 from instrumental.errors import CapacityError
 from instrumental.inequalities import LinearExpression
-from instrumental.polytope import no_signalling_polytope, vertex_enumeration
-from instrumental.scenario import Correlation, Kind, Scenario, postselect
+from instrumental.polytope import Equality, no_signalling_polytope, vertex_enumeration
+from instrumental.rationals import integerize
+from instrumental.scenario import (
+    Correlation,
+    Kind,
+    Scenario,
+    enumerate_deterministic_strategies,
+    postselect,
+    strategy_to_correlation,
+)
 
 
 def gpt_box_search(expression: LinearExpression):
@@ -105,3 +113,83 @@ def signalling_residual(p: Correlation):
             ]
             worst = max([worst] + [abs(m - margs[0]) for m in margs[1:]])
     return worst
+
+
+def canonicalize_equality(eq: Equality) -> Equality:
+    """Primitive integers with the first nonzero coefficient positive; the
+    form `polytope._reduce_equalities` gives each row."""
+    coeffs, rhs = eq
+    if all(c == 0 for c in coeffs):
+        raise ValueError("cannot canonicalize an equality with zero coefficients")
+    ints = list(integerize(tuple(coeffs) + (Fraction(rhs),)))
+    lead = next(v for v in ints[:-1] if v != 0)
+    if lead < 0:
+        ints = [-v for v in ints]
+    return tuple(Fraction(v) for v in ints[:-1]), Fraction(ints[-1])
+
+
+def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form in `Fraction` arithmetic; returns the nonzero
+    rows and pivot columns.  `polytope._echelon` returns the same rows scaled
+    to primitive integers."""
+    rows = [[Fraction(v) for v in r] for r in rows]
+    pivots: list[int] = []
+    lead = 0
+    ncols = len(rows[0]) if rows else 0
+    for col in range(ncols):
+        pr = next((i for i in range(lead, len(rows)) if rows[i][col] != 0), None)
+        if pr is None:
+            continue
+        rows[lead], rows[pr] = rows[pr], rows[lead]
+        piv = rows[lead][col]
+        if piv != 1:
+            rows[lead] = [v / piv for v in rows[lead]]
+        for i, row in enumerate(rows):
+            if i != lead and row[col] != 0:
+                f = row[col]
+                rows[i] = [v - f * pv for v, pv in zip(row, rows[lead])]
+        pivots.append(col)
+        lead += 1
+        if lead == len(rows):
+            break
+    return rows[:lead], pivots
+
+
+def rref_null_space(rows, ncols: int) -> list[tuple[Fraction, ...]]:
+    """Null-space basis read off `rref`: 1 on each free column in turn."""
+    reduced, pivots = rref(rows)
+    basis = []
+    for f in (j for j in range(ncols) if j not in pivots):
+        vec = [Fraction(0)] * ncols
+        vec[f] = Fraction(1)
+        for row, pc in zip(reduced, pivots):
+            vec[pc] = -row[f]
+        basis.append(tuple(vec))
+    return basis
+
+
+def rref_equalities(eqs, dim: int) -> tuple[tuple[tuple[Fraction, ...], Fraction], ...]:
+    """`rref` of the augmented system, each row through
+    `canonicalize_equality`; raises on an inconsistent system."""
+    if not eqs:
+        return ()
+    reduced, _ = rref([[*coeffs, rhs] for coeffs, rhs in eqs])
+    out = []
+    for row in reduced:
+        coeffs, rhs = row[:dim], row[dim]
+        if all(c == 0 for c in coeffs):
+            if rhs != 0:
+                raise ValueError("inconsistent equality system")
+            continue
+        out.append(canonicalize_equality((tuple(coeffs), rhs)))
+    return tuple(out)
+
+
+def postselected_strategy_columns(s: Scenario) -> list[tuple[Fraction, ...]]:
+    """Wired tables of the parent Bell scenario's deterministic strategies,
+    one per strategy in enumeration order, each built as a Bell table and
+    post-selected."""
+    return [
+        postselect(strategy_to_correlation(d), s).entries
+        for d in enumerate_deterministic_strategies(s.parent_bell())
+    ]

@@ -1,0 +1,101 @@
+"""Certificates are checked by raising `CertificateError`, never by
+`assert`, so a tampered solver answer is caught even under ``python -O``."""
+
+import ast
+import dataclasses
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+import instrumental.inequalities as inequalities
+import instrumental.polytope as polytope
+from instrumental import io
+from instrumental.cli import main
+from instrumental.errors import CertificateError
+from instrumental.inequalities import extension_membership
+from instrumental.linprog import LpStatus, solve_lp
+from instrumental.scenario import Correlation, Scenario, postselect, pr_box
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "instrumental"
+INSTR2 = Scenario.instrumental(2)
+
+
+def wired_pr():
+    return postselect(pr_box(), INSTR2)
+
+
+def signalling_table():
+    """Alice always answers 0, so Bob always gets y = 0, yet Bob's answer
+    follows x: no no-signalling box post-selects to it."""
+    entries = [Fraction(0)] * INSTR2.dim
+    entries[INSTR2.index(0, 0, 0)] = Fraction(1)
+    entries[INSTR2.index(1, 0, 1)] = Fraction(1)
+    return Correlation(INSTR2, tuple(entries))
+
+
+def tamper(monkeypatch, module, status, **changes):
+    def tampered(*args, **kwargs):
+        res = solve_lp(*args, **kwargs)
+        if res.status is status:
+            res = dataclasses.replace(res, **{k: f(res) for k, f in changes.items()})
+        return res
+
+    monkeypatch.setattr(module, "solve_lp", tampered)
+
+
+def shifted_weights(res):
+    # still sums to one, but mixes to a different table
+    return (res.x[0] + Fraction(1, 2), res.x[1] - Fraction(1, 2)) + res.x[2:]
+
+
+def negated_farkas(res):
+    return tuple(-y for y in res.farkas)
+
+
+def test_tampered_membership_weights_raise(monkeypatch):
+    assert extension_membership(wired_pr(), "classical").inside
+    tamper(monkeypatch, polytope, LpStatus.OPTIMAL, x=shifted_weights)
+    with pytest.raises(CertificateError):
+        extension_membership(wired_pr(), "classical")
+
+
+def test_tampered_farkas_vector_raises(monkeypatch):
+    assert not extension_membership(signalling_table(), "nosignalling").inside
+    tamper(monkeypatch, inequalities, LpStatus.INFEASIBLE, farkas=negated_farkas)
+    with pytest.raises(CertificateError):
+        extension_membership(signalling_table(), "nosignalling")
+    tamper(monkeypatch, inequalities, LpStatus.INFEASIBLE, farkas=lambda res: None)
+    with pytest.raises(CertificateError):
+        extension_membership(signalling_table(), "nosignalling")
+
+
+@pytest.mark.parametrize(
+    "table, theory, module, status, change",
+    [
+        (wired_pr, "classical", polytope, LpStatus.OPTIMAL, {"x": shifted_weights}),
+        (signalling_table, "nosignalling", inequalities, LpStatus.INFEASIBLE,
+         {"farkas": negated_farkas}),
+    ],
+    ids=["weights", "farkas"],
+)
+def test_failed_certificate_exits_3(
+    monkeypatch, tmp_path, capsys, table, theory, module, status, change
+):
+    path = tmp_path / "table.json"
+    io.save_correlation(table(), path)
+    argv = ["membership", str(path), "--theory", theory]
+    assert main(argv) == 0
+    tamper(monkeypatch, module, status, **change)
+    assert main(argv) == 3
+    assert "certificate:" in capsys.readouterr().err
+
+
+def test_no_assert_statements_in_package():
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert not found, f"soundness checks must raise, not assert: {found}"

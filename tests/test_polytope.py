@@ -9,7 +9,6 @@ from instrumental.polytope import (
     LinearInequality,
     VPolytope,
     canonicalize,
-    canonicalize_equality,
     classical_vpolytope,
     facet_enumeration,
     fourier_motzkin_project,
@@ -28,6 +27,8 @@ from instrumental.scenario import (
     strategy_to_correlation,
     enumerate_deterministic_strategies,
 )
+
+from oracles import canonicalize_equality
 
 F = Fraction
 F0 = F(0)

@@ -25,6 +25,8 @@ from instrumental.scenario import (
     validate,
 )
 
+from oracles import postselected_strategy_columns
+
 F = Fraction
 INSTR2 = Scenario.instrumental(2)
 
@@ -84,6 +86,17 @@ def test_classical_extension_weights_follow_bell_strategies():
     cert = extension_membership(p, "classical")
     assert cert.inside and len(cert.weights) == 16
     assert mix_correlations(zip(cert.weights, columns)) == p
+
+
+@pytest.mark.parametrize(
+    "s", WIRED + [Scenario.instrumental(2, 3, 2)], ids=lambda s: f"{s.kind.value}-{s.dim}"
+)
+def test_wired_strategies_match_postselected_bell_strategies(s):
+    # the classical extension columns: one per strategy, in the same order
+    columns = [
+        strategy_to_correlation(d).entries for d in enumerate_deterministic_strategies(s)
+    ]
+    assert columns == postselected_strategy_columns(s)
 
 
 def test_postselect_accepts_bell_table_wider_than_the_wire(tmp_path):
