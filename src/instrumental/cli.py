@@ -116,10 +116,9 @@ def cmd_facets(args) -> int:
                 {
                     "tag": o.tag,
                     "size": len(o.members),
-                    "representative": {
-                        "coeffs": [io.fraction_to_str(c) for c in o.representative.coeffs],
-                        "bound": io.fraction_to_str(o.representative.bound),
-                    },
+                    "representative": io.row_to_json(
+                        o.representative.coeffs, o.representative.bound
+                    ),
                 }
                 for o in orbits
             ],
@@ -272,10 +271,8 @@ def cmd_membership(args) -> int:
         if cert.extension is not None:
             doc["extension"] = [io.fraction_to_str(v) for v in cert.extension]
         if cert.separator is not None:
-            doc["separator"] = {
-                "coeffs": [io.fraction_to_str(c) for c in cert.separator.coeffs],
-                "bound": io.fraction_to_str(cert.separator.bound),
-            }
+            sep = cert.separator
+            doc["separator"] = io.row_to_json(sep.coeffs, sep.bound)
             doc["margin"] = io.fraction_to_str(cert.margin)
         if caveat:
             doc["caveat"] = _CAVEAT

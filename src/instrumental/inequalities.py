@@ -31,6 +31,7 @@ from .polytope import (
     reduce_modulo,
 )
 from .linprog import LpStatus, solve_lp
+from .rationals import integerize
 from .scenario import (
     Correlation,
     Kind,
@@ -534,8 +535,8 @@ def verify_identity(kind: str, *, alpha=None, n=None) -> bool:
     residual = identity_residual_expression(kind, alpha=alpha, n=n)
     ns = no_signalling_polytope(residual.scenario)
     # coeffs . p + constant reads as the inequality coeffs . p <= -constant
-    coeffs, bound = _eliminate_leads(residual.coeffs, -residual.constant, ns.equalities)
-    return all(c == 0 for c in coeffs) and bound == 0
+    row = integerize((*residual.coeffs, -residual.constant))
+    return not any(_eliminate_leads(row, ns.equalities))
 
 
 # ---------------------------------------------------------------------------
@@ -700,12 +701,10 @@ def facet_orbit_classify(
                     orbit.add(img)
                     frontier.append(img)
         if not orbit <= pool:
-            raise AssertionError(
-                "orbit escapes the facet list; input not group-closed"
-            )
+            raise ValueError("orbit escapes the facet list; input not group-closed")
         tags = {seeds[q] for q in orbit if q in seeds}
         if len(tags) > 1:
-            raise AssertionError("one orbit matched two different families")
+            raise CertificateError("one orbit matched two different families")
         members = tuple(sorted(orbit, key=lambda q: (q.coeffs, q.bound)))
         orbits.append(Orbit(tags.pop() if tags else "unknown", members[0], members))
         remaining -= orbit
@@ -743,7 +742,7 @@ def gpt_maximum(e: LinearExpression):
         maximize=True,
     )
     if res.status is not LpStatus.OPTIMAL:
-        raise AssertionError("the no-signalling polytope is compact and nonempty")
+        raise CertificateError("the no-signalling polytope is compact and nonempty")
     return res.value + lifted.constant, Correlation(bell, tuple(res.x))
 
 

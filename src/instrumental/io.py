@@ -40,6 +40,7 @@ __all__ = [
     "vpolytope_to_json",
     "vpolytope_from_json",
     "hpolytope_to_json",
+    "row_to_json",
     "hpolytope_from_json",
     "write_poi",
     "read_poi",
@@ -198,23 +199,19 @@ def vpolytope_from_json(d: dict[str, Any]) -> VPolytope:
     )
 
 
+def row_to_json(coeffs, bound) -> dict[str, Any]:
+    """One inequality or equality row: its coefficients and right-hand side."""
+    return {
+        "coeffs": [fraction_to_str(c) for c in coeffs],
+        "bound": fraction_to_str(bound),
+    }
+
+
 def hpolytope_to_json(h: HPolytope) -> dict[str, Any]:
     return {
         "dim": h.dim,
-        "inequalities": [
-            {
-                "coeffs": [fraction_to_str(c) for c in q.coeffs],
-                "bound": fraction_to_str(q.bound),
-            }
-            for q in h.inequalities
-        ],
-        "equalities": [
-            {
-                "coeffs": [fraction_to_str(c) for c in coeffs],
-                "bound": fraction_to_str(rhs),
-            }
-            for coeffs, rhs in h.equalities
-        ],
+        "inequalities": [row_to_json(q.coeffs, q.bound) for q in h.inequalities],
+        "equalities": [row_to_json(c, rhs) for c, rhs in h.equalities],
     }
 
 

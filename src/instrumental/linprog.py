@@ -23,6 +23,8 @@ from enum import Enum
 from fractions import Fraction
 from typing import Sequence
 
+from .errors import CertificateError
+
 __all__ = ["LpStatus", "LpResult", "solve_lp"]
 
 _F0 = Fraction(0)
@@ -135,7 +137,7 @@ def _simplex_standard(
             if row[j]:
                 obj[j] -= row[j]
     if not _pivot_loop(tab, basis, obj, allowed=total):
-        raise AssertionError("phase 1 cannot be unbounded")
+        raise CertificateError("phase 1 cannot be unbounded")
     if -obj[-1] > 0:  # leftover artificial mass: infeasible
         y = [flip[i] * (_F1 - obj[n + i]) for i in range(m)]
         _check_farkas(y, rows, rhs)
@@ -232,8 +234,8 @@ def _check_farkas(
     # Internal soundness guard: a bad certificate means a solver bug, so fail
     # loudly rather than hand it to a caller that will build a proof from it.
     if sum(yi * r for yi, r in zip(y, rhs)) <= 0:
-        raise AssertionError("Farkas certificate does not witness infeasibility")
+        raise CertificateError("Farkas certificate does not witness infeasibility")
     n = len(rows[0]) if rows else 0
     for j in range(n):
         if sum(y[i] * rows[i][j] for i in range(len(rows))) > 0:
-            raise AssertionError("Farkas certificate violates column inequality")
+            raise CertificateError("Farkas certificate violates column inequality")

@@ -8,15 +8,19 @@ Polytopes appear in two representations:
 Row reductions (affine hulls, null spaces, equality systems, the starting
 cone of the double description) go through one fraction-free Gauss-Jordan
 elimination over Python ints, `_echelon`, whose rows are the primitive integer
-multiples of the reduced row echelon form.  Conversions run through an
-incremental double-description cone algorithm over primitive integer vectors;
-projections through Fourier-Motzkin elimination:
+multiples of the reduced row echelon form.  Inequality rows and equality
+systems stay primitive `int` tuples from there to the returned polytope;
+only `_null_space` scales its basis to 1 on the free column, as `Fraction`s,
+because the separation LP pivots on that basis.  Conversions run through an
+incremental double-description cone algorithm over primitive integer
+vectors; projections through Fourier-Motzkin elimination on integer rows:
 one substitution pass through the equalities, then row combination for the
-variables left, with exact-LP redundancy removal after the substitution pass
-and after each combination step.  Membership tests are LP feasibility
-problems whose answers carry certificates: explicit convex weights for inside
-points, a separating inequality (a facet, found by maximizing the violation
-over the polar) for outside points.
+variables left, deduplicating after every step, with one exact-LP
+redundancy pass over the final rows.
+Membership tests are LP feasibility problems whose answers carry
+certificates: explicit convex weights for inside points, a separating
+inequality (a facet, found by maximizing the violation over the polar) for
+outside points.
 """
 
 from __future__ import annotations
@@ -53,15 +57,20 @@ __all__ = [
 _F0 = Fraction(0)
 _F1 = Fraction(1)
 
-Equality = tuple[tuple[Fraction, ...], Fraction]
+Equality = tuple[tuple[int | Fraction, ...], int | Fraction]
 
 
 @dataclass(frozen=True)
 class LinearInequality:
-    """The half-space coeffs . x <= bound."""
+    """The half-space coeffs . x <= bound.
 
-    coeffs: tuple[Fraction, ...]
-    bound: Fraction
+    Entries are rationals; every inequality the package returns has
+    primitive `int` entries, which compare, hash and print like the equal
+    `Fraction`s.  Equalities, (coeffs, rhs) pairs, follow the same rule.
+    """
+
+    coeffs: tuple[int | Fraction, ...]
+    bound: int | Fraction
 
     def violation(self, point: Sequence[Fraction]) -> Fraction:
         """coeffs . point - bound; positive means the inequality is violated."""
@@ -78,10 +87,7 @@ def canonicalize(ineq: LinearInequality) -> LinearInequality:
     inequality.  Idempotent.  A row that is identically 0 <= 0 carries no
     information and is rejected.
     """
-    if all(c == 0 for c in ineq.coeffs) and ineq.bound == 0:
-        raise ValueError("cannot canonicalize the zero inequality")
-    ints = integerize(tuple(ineq.coeffs) + (ineq.bound,))
-    return LinearInequality(tuple(Fraction(v) for v in ints[:-1]), Fraction(ints[-1]))
+    return reduce_modulo(ineq, ())
 
 
 def reduce_modulo(
@@ -93,25 +99,36 @@ def reduce_modulo(
     multiples of the affine-hull equalities.  Zeroing the coefficients on the
     leading column of each (row-reduced) equality picks a unique
     representative, so two inequalities cut the same face iff they reduce to
-    the same canonical form.
+    the same canonical form.  The result has primitive `int` entries.
     """
-    coeffs, bound = _eliminate_leads(ineq.coeffs, ineq.bound, equalities)
-    return canonicalize(LinearInequality(tuple(coeffs), bound))
+    row = _eliminate_leads(integerize((*ineq.coeffs, ineq.bound)), equalities)
+    if not any(row):
+        raise ValueError("cannot canonicalize the zero inequality")
+    return LinearInequality(row[:-1], row[-1])
 
 
 def _eliminate_leads(
-    coeffs: Sequence[Fraction], bound: Fraction, equalities: Sequence[Equality]
-) -> tuple[list[Fraction], Fraction]:
-    """Subtract multiples of each row-reduced equality from coeffs . x <= bound
-    so that its leading column is zero; returns the new (coeffs, bound)."""
-    coeffs = list(coeffs)
+    row: tuple[int, ...], equalities: Sequence[Equality]
+) -> tuple[int, ...]:
+    """Zero the leading column of each row-reduced equality in the integer
+    row (coeffs..., bound) of coeffs . x <= bound.
+
+    Fraction-free: the row is scaled by the equality's lead made positive,
+    the equality subtracted, and the result made primitive again, so every
+    step scales the row by a positive rational.  The package's equalities
+    are integer rows; `integerize` also takes ones given as `Fraction`s.
+    """
     for e_coeffs, e_rhs in equalities:
         lead = next(j for j, c in enumerate(e_coeffs) if c != 0)
-        if coeffs[lead] != 0:
-            f = coeffs[lead] / e_coeffs[lead]
-            coeffs = [c - f * e for c, e in zip(coeffs, e_coeffs)]
-            bound -= f * e_rhs
-    return coeffs, bound
+        f = row[lead]
+        if f:
+            p = e_coeffs[lead]
+            if p < 0:
+                p, f = -p, -f
+            row = integerize(
+                [p * v - f * e for v, e in zip(row, (*e_coeffs, e_rhs))]
+            )
+    return row
 
 
 @dataclass(frozen=True)
@@ -367,7 +384,7 @@ def facet_enumeration(v: VPolytope, max_rays: int = 10**6) -> HPolytope:
     """
     vp = VPolytope.from_points(v.vertices)
     d = vp.dim
-    hom = [integerize((_F1,) + vert) for vert in vp.vertices]
+    hom = [integerize((1, *vert)) for vert in vp.vertices]
     basis, pivots = _echelon(hom)
     # y0 + y . x = 0 on the hull, i.e. y[1:] . x = -y0
     equalities = _reduce_equalities(
@@ -376,14 +393,12 @@ def facet_enumeration(v: VPolytope, max_rays: int = 10**6) -> HPolytope:
 
     facets = []
     for y in _cone_rays(hom, basis, max_rays):
-        coeffs = tuple(Fraction(-c) for c in y[1:])
-        if all(c == 0 for c in coeffs):
+        coeffs = tuple(-c for c in y[1:])
+        if not any(coeffs):
             # The trivial inequality 0 <= b appears only for 0-dimensional
             # hulls, where the affine hull already pins the point.
             continue
-        facets.append(
-            reduce_modulo(LinearInequality(coeffs, Fraction(y[0])), equalities)
-        )
+        facets.append(reduce_modulo(LinearInequality(coeffs, y[0]), equalities))
     facets = sorted(set(facets), key=lambda f: (f.coeffs, f.bound))
     return HPolytope(d, tuple(facets), equalities)
 
@@ -392,9 +407,10 @@ def vertex_enumeration(h: HPolytope, max_rays: int = 10**6) -> VPolytope:
     """Vertices of a bounded H-polytope (errors out on unbounded input)."""
     d = h.dim
     eq_rows = [[-rhs, *coeffs] for coeffs, rhs in h.equalities]
-    ineq_rows = [(ineq.bound, *(-c for c in ineq.coeffs)) for ineq in h.inequalities]
-    ineq_rows.append((_F1,) + (_F0,) * d)  # homogenization: t >= 0
-    ineq_rows = [integerize(row) for row in ineq_rows]
+    ineq_rows = [
+        integerize((ineq.bound, *(-c for c in ineq.coeffs))) for ineq in h.inequalities
+    ]
+    ineq_rows.append((1,) + (0,) * d)  # homogenization: t >= 0
 
     subspace = _null_space(*_echelon(eq_rows), d + 1)
     if not subspace:
@@ -407,7 +423,7 @@ def vertex_enumeration(h: HPolytope, max_rays: int = 10**6) -> VPolytope:
         if t == 0:
             raise ValueError("polytope is unbounded; vertex enumeration undefined")
         if t < 0:
-            raise AssertionError("homogenization constraint violated")
+            raise CertificateError("homogenization constraint violated")
         verts.append(tuple(Fraction(c, t) for c in y[1:]))
     if not verts:
         return VPolytope(d, ())
@@ -434,13 +450,12 @@ def _cone_rays(
 
 def _reduce_equalities(eqs: list[Equality], dim: int) -> tuple[Equality, ...]:
     """Independent, canonicalized presentation: the `_echelon` rows of the
-    augmented system, primitive with a positive leading coefficient."""
+    augmented system, primitive `int` rows with a positive leading
+    coefficient."""
     rows, pivots = _echelon([[*coeffs, rhs] for coeffs, rhs in eqs])
     if pivots and pivots[-1] == dim:
         raise ValueError("inconsistent equality system")
-    return tuple(
-        (tuple(Fraction(c) for c in row[:dim]), Fraction(row[dim])) for row in rows
-    )
+    return tuple((row[:dim], row[dim]) for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -455,15 +470,15 @@ def fourier_motzkin_project(
 ) -> HPolytope:
     """Project onto the coordinates in `keep` (ascending original order).
 
-    The equalities are row-reduced once with the eliminated columns ordered
+    Rows are primitive integer tuples (coeffs..., bound) throughout.  The
+    equalities are row-reduced once with the eliminated columns ordered
     first.  Each pivot on an eliminated column solves for that variable, and
     `_eliminate_leads` substitutes all of them into the inequalities in one
     pass; equalities whose pivot falls on a kept column carry over to the
     projection.  The variables left are eliminated one at a time by
-    combining positive and negative rows.  Redundant rows are removed with
-    exact LPs once after the substitution pass and once after each
-    combination step: a substitution maps the feasible set onto itself, so
-    it cannot make a row redundant.
+    combining positive and negative rows.  Every step deduplicates the rows
+    and checks `max_rows`; exact LPs remove redundant rows once, from the
+    final system.
     """
     keep = sorted(set(keep))
     if any(i < 0 or i >= h.dim for i in keep):
@@ -475,72 +490,63 @@ def fourier_motzkin_project(
         [(tuple(c[i] for i in order), r) for c, r in h.equalities], h.dim
     )
     pivots = [e for e in reduced if any(e[0][:m])]
-    eqs = [e for e in reduced if not any(e[0][:m])]
     solved = {next(j for j, c in enumerate(e[0]) if c != 0) for e in pivots}
     remaining = [j for j in range(m) if j not in solved]
 
-    def settle(rows):
-        rows = _tidy_rows(rows)
-        if len(rows) > max_rows:
-            raise CapacityError(f"projection exceeded {max_rows} rows")
-        return _prune_redundant(rows, eqs) if prune else rows
-
-    ineqs = settle(
-        _eliminate_leads([q.coeffs[i] for i in order], q.bound, pivots)
-        for q in h.inequalities
+    permuted = ([*(q.coeffs[i] for i in order), q.bound] for q in h.inequalities)
+    rows = _tidy_rows(
+        (_eliminate_leads(integerize(r), pivots) for r in permuted), max_rows
     )
     while remaining:
         var = min(
             remaining,
-            key=lambda v: sum(1 for c, _ in ineqs if c[v] > 0)
-            * sum(1 for c, _ in ineqs if c[v] < 0),
+            key=lambda v: sum(1 for r in rows if r[v] > 0)
+            * sum(1 for r in rows if r[v] < 0),
         )
         remaining.remove(var)
-        pos = [row for row in ineqs if row[0][var] > 0]
-        neg = [row for row in ineqs if row[0][var] < 0]
-        combined = [row for row in ineqs if row[0][var] == 0]
-        for (cp, bp), (cn, bn) in itertools.product(pos, neg):
-            wp, wn = -cn[var], cp[var]
-            coeffs = [wp * a + wn * b for a, b in zip(cp, cn)]
-            combined.append((coeffs, wp * bp + wn * bn))
-        ineqs = settle(combined)
+        combined = [r for r in rows if r[var] == 0]
+        for rp, rn in itertools.product(
+            [r for r in rows if r[var] > 0], [r for r in rows if r[var] < 0]
+        ):
+            wp, wn = -rn[var], rp[var]
+            combined.append(tuple(wp * a + wn * b for a, b in zip(rp, rn)))
+        rows = _tidy_rows(combined, max_rows)
 
-    kept_eqs = tuple((c[m:], r) for c, r in eqs)
-    kept_ineqs = [
-        reduce_modulo(LinearInequality(tuple(c[m:]), b), kept_eqs)
-        for c, b in ineqs
-    ]
-    kept_ineqs = sorted(set(kept_ineqs), key=lambda f: (f.coeffs, f.bound))
+    kept_eqs = tuple((c[m:], r) for c, r in reduced if not any(c[:m]))
+    rows = [(r[m:-1], r[-1]) for r in rows]
+    if prune:
+        rows = _prune_redundant(rows, kept_eqs)
+    kept_ineqs = {reduce_modulo(LinearInequality(c, b), kept_eqs) for c, b in rows}
+    kept_ineqs = sorted(kept_ineqs, key=lambda f: (f.coeffs, f.bound))
     return HPolytope(len(keep), tuple(kept_ineqs), kept_eqs)
 
 
-def _tidy_rows(rows):
-    """Canonicalize, deduplicate, drop trivial rows, detect infeasibility."""
-    seen = set()
-    out = []
-    for coeffs, rhs in rows:
-        if all(c == 0 for c in coeffs):
-            if rhs < 0:
+def _tidy_rows(rows, max_rows: int) -> list[tuple[int, ...]]:
+    """Make each integer row (coeffs..., bound) primitive, deduplicate, drop
+    trivial rows, detect infeasibility and check `max_rows`."""
+    out = {}
+    for row in rows:
+        if not any(row[:-1]):
+            if row[-1] < 0:
                 raise ValueError("projection of an empty polytope")
             continue
-        canon = canonicalize(LinearInequality(tuple(coeffs), rhs))
-        key = (canon.coeffs, canon.bound)
-        if key not in seen:
-            seen.add(key)
-            out.append((list(canon.coeffs), canon.bound))
-    return out
+        out[primitive(row)] = None
+    if len(out) > max_rows:
+        raise CapacityError(f"projection exceeded {max_rows} rows")
+    return list(out)
 
 
 def _prune_redundant(ineqs, eqs):
+    """Drop each (coeffs, bound) row that the rows still kept and the
+    equalities imply, decided by one exact LP per row."""
     rows = list(ineqs)
     idx = 0
     while idx < len(rows):
         coeffs, rhs = rows[idx]
-        others = rows[:idx] + rows[idx + 1 :]
         res = solve_lp(
             coeffs,
-            ineqs=[(c, b) for c, b in others],
-            eqs=[(c, r) for c, r in eqs],
+            ineqs=rows[:idx] + rows[idx + 1 :],
+            eqs=eqs,
             nonneg=False,
             maximize=True,
         )
@@ -625,7 +631,7 @@ def _separating_facet(
         objective, ineqs=ineq_rows, eqs=eq_rows, nonneg=False, maximize=True
     )
     if res.status is not LpStatus.OPTIMAL or res.value <= 0:
-        raise AssertionError(
+        raise CertificateError(
             "separation failed although the membership LP was infeasible"
         )
     g, beta = res.x[:-1], res.x[-1]
@@ -704,18 +710,18 @@ def no_signalling_polytope(s: Scenario) -> HPolytope:
     d = s.dim
     ineqs = []
     for i in range(d):
-        coeffs = [_F0] * d
-        coeffs[i] = Fraction(-1)
-        ineqs.append(LinearInequality(tuple(coeffs), _F0))
+        coeffs = [0] * d
+        coeffs[i] = -1
+        ineqs.append(LinearInequality(tuple(coeffs), 0))
     eqs = list(normalization_equalities(s))
     for group in s.marginal_groups():
         for first, second in zip(group, group[1:]):
-            coeffs = [_F0] * d
+            coeffs = [0] * d
             for i in first:
-                coeffs[i] = _F1
+                coeffs[i] = 1
             for i in second:
-                coeffs[i] = Fraction(-1)
-            eqs.append((tuple(coeffs), _F0))
+                coeffs[i] = -1
+            eqs.append((tuple(coeffs), 0))
     return HPolytope(d, tuple(ineqs), _reduce_equalities(eqs, d))
 
 
@@ -723,10 +729,10 @@ def normalization_equalities(s: Scenario) -> tuple[Equality, ...]:
     """One probability-sum equality per input context, row-reduced."""
     eqs = []
     for block in s.input_blocks():
-        coeffs = [_F0] * s.dim
+        coeffs = [0] * s.dim
         for i in block:
-            coeffs[i] = _F1
-        eqs.append((tuple(coeffs), _F1))
+            coeffs[i] = 1
+        eqs.append((tuple(coeffs), 1))
     return _reduce_equalities(eqs, s.dim)
 
 

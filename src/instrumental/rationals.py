@@ -1,6 +1,8 @@
 """Helpers for exact rational arithmetic.
 
-All polytope-facing data in this package is kept as `fractions.Fraction`.
+Correlation tables and LP data are `fractions.Fraction`s.  Inequalities and
+equalities built by the polytope layer have primitive Python `int` entries,
+which compare, hash and print like the equal `Fraction`s.
 Floating-point numbers appear only at the quantum-evaluation boundary and are
 converted by `quantum.rationalize_correlation` (continued fractions with a
 denominator cap) before they touch any exact computation.  The helpers here
@@ -10,24 +12,21 @@ scale rational vectors to primitive integer ones.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 __all__ = ["integerize", "primitive"]
 
 
-def integerize(vec: Sequence[Fraction]) -> tuple[int, ...]:
+def integerize(vec: Sequence[int | Fraction]) -> tuple[int, ...]:
     """Scale a rational vector by a positive factor to a primitive integer vector.
 
-    Primitive means the gcd of all entries is 1 (the zero vector stays zero).
-    The scale factor is always positive, so inequality senses are preserved.
+    Entries must be `int` or `Fraction`.  Primitive means the gcd of all
+    entries is 1 (the zero vector stays zero).  The scale factor is always
+    positive, so inequality senses are preserved.
     """
-    fracs = [Fraction(v) for v in vec]
-    lcm = 1
-    for f in fracs:
-        lcm = lcm // gcd(lcm, f.denominator) * f.denominator
-    ints = [int(f * lcm) for f in fracs]
-    return primitive(ints)
+    den = lcm(*(v.denominator for v in vec))
+    return primitive(v.numerator * (den // v.denominator) for v in vec)
 
 
 def primitive(ints: Iterable[int]) -> tuple[int, ...]:

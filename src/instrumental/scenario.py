@@ -213,13 +213,11 @@ class Correlation:
                 f"expected {self.scenario.dim} entries, got {len(self.entries)}"
             )
         kinds = {type(e) for e in self.entries}
-        if kinds <= {Fraction, int}:
-            object.__setattr__(
-                self, "entries", tuple(Fraction(e) for e in self.entries)
-            )
-        elif kinds <= {float}:
-            pass
-        else:
+        if int in kinds and kinds <= {Fraction, int}:
+            object.__setattr__(self, "entries", tuple(
+                Fraction(e) if type(e) is int else e for e in self.entries
+            ))
+        elif not (kinds <= {Fraction} or kinds <= {float}):
             raise TypeError("entries must be all rational or all float")
 
     @property

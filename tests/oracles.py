@@ -5,11 +5,19 @@ on ``sys.path``)."""
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from instrumental.errors import CapacityError
 from instrumental.inequalities import LinearExpression
-from instrumental.polytope import Equality, no_signalling_polytope, vertex_enumeration
-from instrumental.rationals import integerize
+from instrumental.polytope import (
+    Equality,
+    HPolytope,
+    VPolytope,
+    facet_enumeration,
+    no_signalling_polytope,
+    vertex_enumeration,
+)
+from instrumental.rationals import integerize, primitive
 from instrumental.scenario import (
     Correlation,
     Kind,
@@ -193,3 +201,25 @@ def postselected_strategy_columns(s: Scenario) -> list[tuple[Fraction, ...]]:
         postselect(strategy_to_correlation(d), s).entries
         for d in enumerate_deterministic_strategies(s.parent_bell())
     ]
+
+
+def fraction_integerize(vec) -> tuple[int, ...]:
+    """Primitive integer multiple of a rational vector, built through
+    `Fraction`s and a running lcm.  `rationals.integerize` reads numerators
+    and denominators instead."""
+    fracs = [Fraction(v) for v in vec]
+    lcm = 1
+    for f in fracs:
+        lcm = lcm // gcd(lcm, f.denominator) * f.denominator
+    return primitive(int(f * lcm) for f in fracs)
+
+
+def gpt_vroute(s: Scenario) -> HPolytope:
+    """The post-quantum (GPT) polytope of a wired scenario by the V-route:
+    every vertex of the parent Bell scenario's no-signalling polytope,
+    post-selected, then the hull of those tables.  `fourier_motzkin_project`
+    computes the same polytope by projecting the H-representation."""
+    bell = s.parent_bell()
+    verts = vertex_enumeration(no_signalling_polytope(bell)).vertices
+    tables = [postselect(Correlation(bell, v), s) for v in verts]
+    return facet_enumeration(VPolytope.from_points(tables))

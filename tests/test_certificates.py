@@ -13,8 +13,13 @@ import instrumental.polytope as polytope
 from instrumental import io
 from instrumental.cli import main
 from instrumental.errors import CertificateError
-from instrumental.inequalities import extension_membership
-from instrumental.linprog import LpStatus, solve_lp
+from instrumental.inequalities import (
+    extension_membership,
+    facet_orbit_classify,
+    symmetry_group,
+)
+from instrumental.linprog import LpStatus, _check_farkas, solve_lp
+from instrumental.polytope import classical_vpolytope, facet_enumeration
 from instrumental.scenario import Correlation, Scenario, postselect, pr_box
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "instrumental"
@@ -91,11 +96,35 @@ def test_failed_certificate_exits_3(
     assert "certificate:" in capsys.readouterr().err
 
 
+def test_bad_farkas_vector_raises():
+    # x0 + x1 = 1 and x0 - x1 = 3 force x1 = -1, so no x >= 0 solves them.
+    # y = (-1, 1) proves it: y . A = (0, -2) <= 0 and y . rhs = 2 > 0.
+    rows = [[Fraction(1), Fraction(1)], [Fraction(1), Fraction(-1)]]
+    rhs = [Fraction(1), Fraction(3)]
+    _check_farkas([Fraction(-1), Fraction(1)], rows, rhs)
+    for y in ([1, 1], [0, 0], [1, -1]):
+        with pytest.raises(CertificateError):
+            _check_farkas([Fraction(v) for v in y], rows, rhs)
+
+
+def test_orbit_classification_rejects_open_facet_list():
+    facets = facet_enumeration(classical_vpolytope(INSTR2)).inequalities
+    group = symmetry_group(INSTR2)
+    assert facet_orbit_classify(facets, group)
+    with pytest.raises(ValueError, match="group-closed"):
+        facet_orbit_classify(facets[1:], group)
+
+
 def test_no_assert_statements_in_package():
     found = [
         f"{path.name}:{node.lineno}"
         for path in sorted(SRC.glob("*.py"))
         for node in ast.walk(ast.parse(path.read_text()))
         if isinstance(node, ast.Assert)
+        or (
+            isinstance(node, ast.Raise)
+            and node.exc is not None
+            and "AssertionError" in ast.unparse(node.exc)
+        )
     ]
     assert not found, f"soundness checks must raise, not assert: {found}"

@@ -29,6 +29,9 @@ CASES = {
     "facets_classical_x2_json": ["facets", "--classical", "-x", "2", "--format", "json"],
     "facets_classical_x2_porta": ["facets", "--classical", "-x", "2", "--format", "porta"],
     "facets_gpt_x2_json": ["facets", "--gpt", "-x", "2", "--format", "json"],
+    "facets_gpt_x3_json": ["facets", "--gpt", "-x", "3", "--format", "json"],
+    "facets_gpt_x2_a3_json": ["facets", "--gpt", "-x", "2", "-a", "3", "--format", "json"],
+    "facets_gpt_x2_b3_json": ["facets", "--gpt", "-x", "2", "-b", "3", "--format", "json"],
     "bounds_bonet": ["bounds", "bonet"],
     "bounds_tilted_3_2_json": ["bounds", "tilted", "3/2", "--format", "json"],
     "bounds_chained_4_csv": ["bounds", "chained", "4", "--format", "csv"],

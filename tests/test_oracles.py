@@ -6,11 +6,18 @@ from fractions import Fraction
 import pytest
 
 from instrumental.inequalities import catalog, gpt_maximum, pearl_expressions
-from instrumental.polytope import _reduce_equalities, no_signalling_polytope
+from instrumental.polytope import (
+    _reduce_equalities,
+    fourier_motzkin_project,
+    no_signalling_polytope,
+)
+from instrumental.rationals import integerize
 from instrumental.scenario import Correlation, Scenario, max_signalling_residual
 
 from oracles import (
+    fraction_integerize,
     gpt_box_search,
+    gpt_vroute,
     input_blocks,
     no_signalling_equalities,
     signalling_residual,
@@ -65,3 +72,40 @@ def test_signalling_residual_matches_loops(s):
 )
 def test_input_blocks_match_loops(s):
     assert s.input_blocks() == input_blocks(s)
+
+
+def _random_rational_vector(rng, n, kind):
+    def entry():
+        num = rng.randint(-12, 12)
+        if kind == "int" or (kind == "mixed" and rng.random() < 0.5):
+            return num
+        return Fraction(num, rng.randint(1, 9))
+
+    return [entry() for _ in range(n)]
+
+
+def test_integerize_matches_fraction_oracle():
+    rng = random.Random(11)
+    vectors = [[], [0], [0, 0, 0], [-4, -6], [Fraction(-2, 3), 0, Fraction(4, 9)], [7]]
+    for kind in ("int", "fraction", "mixed"):
+        vectors += [
+            _random_rational_vector(rng, rng.randint(1, 8), kind) for _ in range(60)
+        ]
+    for vec in vectors:
+        got = integerize(vec)
+        assert got == fraction_integerize(vec)
+        assert all(type(v) is int for v in got)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [(2,), (3,), (2, 3, 2), (2, 2, 3)],
+    ids=lambda a: "instrumental-" + "".join(map(str, a)),
+)
+def test_fourier_motzkin_matches_vroute(args):
+    s = Scenario.instrumental(*args)
+    ns = no_signalling_polytope(s.parent_bell())
+    fm = fourier_motzkin_project(ns, s.wired_indices())
+    vroute = gpt_vroute(s)
+    assert fm.inequalities == vroute.inequalities
+    assert fm.equalities == vroute.equalities

@@ -321,6 +321,42 @@ def test_capacity_limits():
         fourier_motzkin_project(unit_cube(6), [0], max_rows=2, prune=False)
 
 
+# Smallest max_rows the GPT projection accepts: the largest deduplicated
+# system between two elimination steps, before the final pruning pass.
+@pytest.mark.parametrize("n, trip", [(2, 16), (3, 30)])
+def test_projection_trip_points(n, trip):
+    s = Scenario.instrumental(n)
+    ns = no_signalling_polytope(s.parent_bell())
+    fourier_motzkin_project(ns, s.wired_indices(), max_rows=trip)
+    with pytest.raises(CapacityError):
+        fourier_motzkin_project(ns, s.wired_indices(), max_rows=trip - 1)
+
+
+def _entries(h):
+    for q in h.inequalities:
+        yield from (*q.coeffs, q.bound)
+    for coeffs, rhs in h.equalities:
+        yield from (*coeffs, rhs)
+
+
+def test_returned_rows_are_ints():
+    ns = no_signalling_polytope(Scenario.bell(2, 2))
+    polytopes = [
+        ns,
+        facet_enumeration(classical_vpolytope(INSTR2)),
+        facet_enumeration(VPolytope.from_points([(F(1, 2), 0), (0, F(1, 3)), (1, 1)])),
+        fourier_motzkin_project(ns, INSTR2.wired_indices()),
+        fourier_motzkin_project(unit_cube(3), [0, 2], prune=False),
+    ]
+    rows = [
+        canonicalize(ineq([F(2, 3), F(-4, 3)], F(2))),
+        reduce_modulo(ineq([F(1, 2), 0, 1], 2), (((F1, F1, F0), F1),)),
+    ]
+    entries = [v for h in polytopes for v in _entries(h)]
+    entries += [v for q in rows for v in (*q.coeffs, q.bound)]
+    assert {type(v) for v in entries} == {int}
+
+
 def test_round_trip_recovers_extreme_points():
     rng = random.Random(2024)
     for trial in range(4):
