@@ -33,8 +33,8 @@ from .inequalities import (
     verify_identity,
 )
 from .polytope import (
+    adjacency_decomposition,
     classical_vpolytope,
-    facet_enumeration,
     fourier_motzkin_project,
     no_signalling_polytope,
     vertex_enumeration,
@@ -91,8 +91,11 @@ def _expression_str(scenario, ineq) -> str:
 
 def cmd_facets(args) -> int:
     s = Scenario.instrumental(args.x, args.a, args.b)
+    group = symmetry_group(s)
     if args.classical:
-        h = facet_enumeration(classical_vpolytope(s), max_rays=args.max_rays)
+        h = adjacency_decomposition(
+            classical_vpolytope(s), group.generators, max_rays=args.max_rays
+        )
         side = "classical"
     else:
         h = fourier_motzkin_project(
@@ -101,7 +104,7 @@ def cmd_facets(args) -> int:
             max_rows=args.max_rays,
         )
         side = "gpt"
-    orbits = facet_orbit_classify(h.inequalities, symmetry_group(s))
+    orbits = facet_orbit_classify(h.inequalities, group)
 
     fmt = args.format
     if os.environ.get("PORTA_COMPAT") == "1":

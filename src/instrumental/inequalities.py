@@ -22,6 +22,7 @@ from .polytope import (
     MembershipCertificate,
     VPolytope,
     _eliminate_leads,
+    _orbit,
     canonicalize,
     classical_vpolytope,
     maximize_linear,
@@ -651,15 +652,6 @@ class Orbit:
     members: tuple[LinearInequality, ...]
 
 
-def _permute_inequality(
-    q: LinearInequality, perm: tuple[int, ...], eqs: Sequence[Equality]
-) -> LinearInequality:
-    coeffs = [F0] * len(q.coeffs)
-    for i, c in enumerate(q.coeffs):
-        coeffs[perm[i]] = c
-    return reduce_modulo(LinearInequality(tuple(coeffs), q.bound), eqs)
-
-
 def facet_orbit_classify(
     facets: Sequence[LinearInequality], group: SymmetryGroup
 ) -> tuple[Orbit, ...]:
@@ -669,6 +661,8 @@ def facet_orbit_classify(
     expressions), bonet (the three-input representative), unknown.  The
     representative is the lexicographically smallest member.  Facets must be
     closed under the group, which holds for any group-invariant polytope.
+    Orbits are traced by `polytope._orbit`, the same walk over the group's
+    generators that `adjacency_decomposition` uses to find the facets.
     """
     s = group.scenario
     eqs = normalization_equalities(s)
@@ -691,15 +685,7 @@ def facet_orbit_classify(
     remaining = set(pool)
     while remaining:
         seed = min(remaining, key=lambda q: (q.coeffs, q.bound))
-        orbit = {seed}
-        frontier = [seed]
-        while frontier:
-            cur = frontier.pop()
-            for perm in group.generators:
-                img = _permute_inequality(cur, perm, eqs)
-                if img not in orbit:
-                    orbit.add(img)
-                    frontier.append(img)
+        orbit = _orbit(seed, group.generators, eqs)
         if not orbit <= pool:
             raise ValueError("orbit escapes the facet list; input not group-closed")
         tags = {seeds[q] for q in orbit if q in seeds}

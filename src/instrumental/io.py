@@ -60,7 +60,10 @@ def fraction_from_str(s) -> Fraction:
         return Fraction(s)
     if not isinstance(s, str):
         raise TypeError(f"expected a rational string, got {s!r}")
-    return Fraction(s)
+    try:
+        return Fraction(s)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {s!r}") from None
 
 
 def scenario_to_json(s: Scenario) -> dict[str, Any]:
@@ -256,7 +259,7 @@ def read_poi(text: str) -> VPolytope:
         elif line == "END":
             in_section = False
         elif in_section:
-            vertices.append(tuple(Fraction(tok) for tok in line.split()))
+            vertices.append(tuple(fraction_from_str(tok) for tok in line.split()))
     if dim is None:
         raise ValueError("missing DIM line")
     if any(len(v) != dim for v in vertices):
@@ -297,7 +300,7 @@ def _parse_ieq_row(line: str, dim: int):
             break
     else:
         raise ValueError(f"no relation in constraint line: {line!r}")
-    rhs = Fraction(rhs_text.strip())
+    rhs = fraction_from_str(rhs_text.strip())
     coeffs = [Fraction(0)] * dim
     matched = 0
     for m in _TERM.finditer(lhs_text):
@@ -309,7 +312,7 @@ def _parse_ieq_row(line: str, dim: int):
         elif raw == "-":
             c = Fraction(-1)
         else:
-            c = Fraction(raw)
+            c = fraction_from_str(raw)
         coeffs[var - 1] += c
         matched += 1
     if matched == 0:

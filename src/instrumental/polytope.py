@@ -13,10 +13,14 @@ systems stay primitive `int` tuples from there to the returned polytope;
 only `_null_space` scales its basis to 1 on the free column, as `Fraction`s,
 because the separation LP pivots on that basis.  Conversions run through an
 incremental double-description cone algorithm over primitive integer
-vectors; projections through Fourier-Motzkin elimination on integer rows:
-one substitution pass through the equalities, then row combination for the
-variables left, deduplicating after every step, with one exact-LP
-redundancy pass over the final rows.
+vectors.  A hull with a known symmetry group is found one orbit at a time by
+adjacency decomposition: the double description runs only on the vertices
+of each orbit representative, to find its ridges, and each ridge is rotated
+to the neighbouring facet; a check separate from the search confirms the
+answer against the vertices.  Projections run through Fourier-Motzkin
+elimination on integer rows: one substitution pass through the equalities,
+then row combination for the variables left, deduplicating after every step,
+with one exact-LP redundancy pass over the final rows.
 Membership tests are LP feasibility problems whose answers carry
 certificates: explicit convex weights for inside points, a separating
 inequality (a facet, found by maximizing the violation over the polar) for
@@ -43,6 +47,7 @@ __all__ = [
     "MembershipCertificate",
     "canonicalize",
     "facet_enumeration",
+    "adjacency_decomposition",
     "vertex_enumeration",
     "fourier_motzkin_project",
     "membership",
@@ -170,22 +175,19 @@ class VPolytope:
 
     @staticmethod
     def from_points(points: Iterable[Sequence]) -> "VPolytope":
-        """Deduplicate and sort points lexicographically."""
-        seen = set()
-        out = []
-        dim = None
-        for p in points:
-            if isinstance(p, Correlation):
-                p = p.entries
-            t = tuple(Fraction(v) for v in p)
-            dim = len(t) if dim is None else dim
-            if t not in seen:
-                seen.add(t)
-                out.append(t)
-        if dim is None:
+        """Deduplicate and sort points lexicographically.
+
+        Entries that are already `Fraction`s are kept as they are, and
+        duplicates are dropped after sorting, so no entry is hashed.
+        """
+        rows = sorted(
+            tuple(v if isinstance(v, Fraction) else Fraction(v) for v in p)
+            for p in (q.entries if isinstance(q, Correlation) else q for q in points)
+        )
+        if not rows:
             raise ValueError("no points given")
-        out.sort()
-        return VPolytope(dim, tuple(out))
+        out = [t for t, prev in zip(rows, [None, *rows]) if t != prev]
+        return VPolytope(len(rows[0]), tuple(out))
 
 
 @dataclass(frozen=True)
@@ -334,27 +336,32 @@ def _dd_pointed(
                 tm ^= low
         new_rays: list[tuple[int, ...]] = []
         new_tight: list[int] = []
-        for p, n in itertools.product(pos, neg):
-            common = tight[p] & tight[n]
-            if common.bit_count() < r - 2:
-                continue
-            # p and n are adjacent iff no third ray is tight on their
-            # common constraints.
-            pn = (1 << p) | (1 << n)
-            cand = (1 << len(rays)) - 1
-            t = common
-            while t and cand & ~pn:
-                low = t & -t
-                cand &= cols[low.bit_length() - 1]
-                t ^= low
-            if cand & ~pn:
-                continue
-            dp, dn = dots[p], dots[n]
-            combo = tuple(
-                dp * vn - dn * vp for vp, vn in zip(rays[p], rays[n])
-            )
-            new_rays.append(primitive(combo))
-            new_tight.append(common | bit)
+        neg_tight = [(n, tight[n]) for n in neg]
+        need = r - 2
+        everyone = (1 << len(rays)) - 1
+        for p in pos:
+            tp = tight[p]
+            for n, tn in neg_tight:
+                common = tp & tn
+                if common.bit_count() < need:
+                    continue
+                # p and n are adjacent iff no third ray is tight on their
+                # common constraints.  Rows inserted later are tight on fewer
+                # rays, so the highest bits rule out the others soonest.
+                others = everyone & ~((1 << p) | (1 << n))
+                t = common
+                while t and others:
+                    j = t.bit_length() - 1
+                    others &= cols[j]
+                    t ^= 1 << j
+                if others:
+                    continue
+                dp, dn = dots[p], dots[n]
+                combo = tuple(
+                    dp * vn - dn * vp for vp, vn in zip(rays[p], rays[n])
+                )
+                new_rays.append(primitive(combo))
+                new_tight.append(common | bit)
         keep_rays = [rays[i] for i in pos] + [rays[i] for i in zero]
         keep_tight = [tight[i] for i in pos] + [tight[i] | bit for i in zero]
         rays = keep_rays + new_rays
@@ -384,13 +391,7 @@ def facet_enumeration(v: VPolytope, max_rays: int = 10**6) -> HPolytope:
     """
     vp = VPolytope.from_points(v.vertices)
     d = vp.dim
-    hom = [integerize((1, *vert)) for vert in vp.vertices]
-    basis, pivots = _echelon(hom)
-    # y0 + y . x = 0 on the hull, i.e. y[1:] . x = -y0
-    equalities = _reduce_equalities(
-        [(y[1:], -y[0]) for y in _null_space(basis, pivots, d + 1)], d
-    )
-
+    hom, basis, equalities = _affine_hull(vp.vertices)
     facets = []
     for y in _cone_rays(hom, basis, max_rays):
         coeffs = tuple(-c for c in y[1:])
@@ -401,6 +402,147 @@ def facet_enumeration(v: VPolytope, max_rays: int = 10**6) -> HPolytope:
         facets.append(reduce_modulo(LinearInequality(coeffs, y[0]), equalities))
     facets = sorted(set(facets), key=lambda f: (f.coeffs, f.bound))
     return HPolytope(d, tuple(facets), equalities)
+
+
+def _affine_hull(
+    vertices: Sequence[Sequence[Fraction]],
+) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]], tuple[Equality, ...]]:
+    """The homogenized integer rows (1, v) of the vertices, the `_echelon`
+    rows that span them, and the equalities of their affine hull."""
+    d = len(vertices[0])
+    hom = [integerize((1, *vert)) for vert in vertices]
+    basis, pivots = _echelon(hom)
+    # y0 + y . x = 0 on the hull, i.e. y[1:] . x = -y0
+    equalities = _reduce_equalities(
+        [(y[1:], -y[0]) for y in _null_space(basis, pivots, d + 1)], d
+    )
+    return hom, basis, equalities
+
+
+def adjacency_decomposition(
+    v: VPolytope,
+    generators: Sequence[tuple[int, ...]],
+    max_rays: int = 10**6,
+) -> HPolytope:
+    """Facets and affine hull of the convex hull of the given vertices, found
+    one symmetry orbit at a time (Bremner, Dutour Sikirić and Schürmann,
+    arXiv:math/0702239).
+
+    `generators` are coordinate permutations that map the vertex set onto
+    itself.  The search starts from a coordinate facet -x_i <= 0 and raises
+    ValueError when there is none.  For each orbit representative F it
+    enumerates F's ridges with `facet_enumeration` on the vertices tight on F
+    (`max_rays` bounds each of those), rotates F across every ridge to the
+    neighbouring facet in integer arithmetic, and adds the orbit of each new
+    neighbour.  The facet graph is connected, so the orbits found cover every
+    facet.  The answer equals `facet_enumeration(v)`'s (a single point has
+    no facets here), and `_check_facets` checks it against the vertices
+    before it is returned.
+    """
+    d = v.dim
+    hom, basis, equalities = _affine_hull(v.vertices)
+    rank = len(basis)
+    support = _supports(hom)
+    if rank == 1:
+        return HPolytope(d, (), equalities)
+    for i in range(d):
+        start = LinearInequality(tuple(-int(j == i) for j in range(d)), 0)
+        slacks = _slacks(start, support)
+        on_face = [h for h, sv in zip(hom, slacks) if sv == 0]
+        if min(slacks) >= 0 and _rank(on_face) == rank - 1:
+            break
+    else:
+        raise ValueError("no coordinate facet -x_i <= 0 to start the search from")
+    start = reduce_modulo(start, equalities)
+    facets = _orbit(start, generators, equalities)
+    representatives = [start]
+    for f in representatives:
+        fs = _slacks(f, support)
+        tight = [vert for vert, sv in zip(v.vertices, fs) if sv == 0]
+        off_slacks = [sv for sv in fs if sv > 0]
+        off_support = [sp for sp, sv in zip(support, fs) if sv > 0]
+        # When F is one vertex (v is a segment), its ridge is the empty face,
+        # which facet_enumeration gives as 0 <= 1.
+        for r in facet_enumeration(VPolytope(d, tuple(tight)), max_rays).inequalities:
+            # The neighbour is r + t.F for the least t that keeps every
+            # vertex off F feasible: t = max -s_r(v) / s_f(v) over s_f(v) > 0.
+            num, den = None, 1
+            for sf, sr in zip(off_slacks, _slacks(r, off_support)):
+                if num is None or -sr * den > num * sf:
+                    num, den = -sr, sf
+            g = reduce_modulo(
+                LinearInequality(
+                    tuple(den * a + num * b for a, b in zip(r.coeffs, f.coeffs)),
+                    den * r.bound + num * f.bound,
+                ),
+                equalities,
+            )
+            if g not in facets:
+                facets |= _orbit(g, generators, equalities)
+                representatives.append(g)
+    facets = sorted(facets, key=lambda q: (q.coeffs, q.bound))
+    _check_facets(v.vertices, facets, representatives)
+    return HPolytope(d, tuple(facets), equalities)
+
+
+def _check_facets(
+    vertices: Sequence[Sequence[Fraction]],
+    facets: Sequence[LinearInequality],
+    representatives: Sequence[LinearInequality],
+) -> None:
+    """Raise CertificateError unless every facet has a nonnegative integer
+    slack on every vertex and every representative is a facet: one of the
+    list whose tight vertices span a hyperplane of the hull."""
+    hom = [integerize((1, *vert)) for vert in vertices]
+    support = _supports(hom)
+    rank = _rank(hom)
+    for q in facets:
+        if any(type(s) is not int or s < 0 for s in _slacks(q, support)):
+            raise CertificateError(f"a facet cuts off a vertex: {q}")
+    listed = set(facets)
+    for q in representatives:
+        tight = [h for h, s in zip(hom, _slacks(q, support)) if s == 0]
+        if q not in listed or _rank(tight) != rank - 1:
+            raise CertificateError(f"an orbit representative is not a facet: {q}")
+
+
+def _supports(hom: Sequence[Sequence[int]]) -> list[list[tuple[int, int]]]:
+    """The nonzero (index, entry) pairs of each homogenized vertex row."""
+    return [[(j, x) for j, x in enumerate(h) if x] for h in hom]
+
+
+def _slacks(
+    q: LinearInequality, support: Sequence[Sequence[tuple[int, int]]]
+) -> list[int | Fraction]:
+    """bound - coeffs . v on each vertex, scaled as its homogenized row."""
+    y = (q.bound, *(-c for c in q.coeffs))
+    return [sum(y[j] * x for j, x in sp) for sp in support]
+
+
+def _rank(rows: Sequence[Sequence[int]]) -> int:
+    return len(_echelon(rows)[1])
+
+
+def _orbit(
+    seed: LinearInequality,
+    generators: Sequence[tuple[int, ...]],
+    equalities: Sequence[Equality],
+) -> set[LinearInequality]:
+    """The images of an inequality under the group that the coordinate
+    permutations generate, each reduced modulo the (invariant) equalities."""
+    orbit = {seed}
+    frontier = [seed]
+    while frontier:
+        cur = frontier.pop()
+        for perm in generators:
+            coeffs = [0] * len(cur.coeffs)
+            for i, c in enumerate(cur.coeffs):
+                coeffs[perm[i]] = c
+            img = reduce_modulo(LinearInequality(tuple(coeffs), cur.bound), equalities)
+            if img not in orbit:
+                orbit.add(img)
+                frontier.append(img)
+    return orbit
 
 
 def vertex_enumeration(h: HPolytope, max_rays: int = 10**6) -> VPolytope:

@@ -291,18 +291,18 @@ def strategy_to_correlation(d: DeterministicStrategy) -> Correlation:
 def classical_correlations(s: Scenario) -> list[Correlation]:
     """Correlations of all deterministic strategies, without duplicates.
 
-    Distinct strategies can induce the same table (an unreachable wire value
-    makes part of beta irrelevant); those duplicates are removed, keeping
-    first occurrences in enumeration order.
+    Two strategies induce the same table exactly when they share alpha and
+    their betas differ only on wire values that no input reaches.  Of each
+    such group, the first in enumeration order is kept: the one whose beta is
+    0 on every unreached wire value.  No table is built for the others.
     """
     out: list[Correlation] = []
-    seen: set[tuple] = set()
     for d in enumerate_deterministic_strategies(s):
-        c = strategy_to_correlation(d)
-        if c.entries in seen:
-            continue
-        seen.add(c.entries)
-        out.append(c)
+        if s.kind is not Kind.BELL:
+            reached = {s.wire(a, x) for x, a in enumerate(d.alpha)}
+            if any(b and y not in reached for y, b in enumerate(d.beta)):
+                continue
+        out.append(strategy_to_correlation(d))
     return out
 
 

@@ -203,6 +203,19 @@ def postselected_strategy_columns(s: Scenario) -> list[tuple[Fraction, ...]]:
     ]
 
 
+def hashed_classical_correlations(s: Scenario) -> list[Correlation]:
+    """Deterministic tables without duplicates, found by hashing every
+    strategy's table and keeping first occurrences.  `classical_correlations`
+    skips the duplicate strategies without building their tables."""
+    out, seen = [], set()
+    for d in enumerate_deterministic_strategies(s):
+        c = strategy_to_correlation(d)
+        if c.entries not in seen:
+            seen.add(c.entries)
+            out.append(c)
+    return out
+
+
 def fraction_integerize(vec) -> tuple[int, ...]:
     """Primitive integer multiple of a rational vector, built through
     `Fraction`s and a running lcm.  `rationals.integerize` reads numerators

@@ -24,6 +24,7 @@ from instrumental.scenario import Correlation, Scenario, postselect, pr_box
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "instrumental"
 INSTR2 = Scenario.instrumental(2)
+INSTR3 = Scenario.instrumental(3)
 
 
 def wired_pr():
@@ -113,6 +114,49 @@ def test_orbit_classification_rejects_open_facet_list():
     assert facet_orbit_classify(facets, group)
     with pytest.raises(ValueError, match="group-closed"):
         facet_orbit_classify(facets[1:], group)
+
+
+def _instrumental_hull(s):
+    v = classical_vpolytope(s)
+    return v, polytope.adjacency_decomposition(v, symmetry_group(s).generators)
+
+
+def test_tampered_facet_raises(monkeypatch):
+    v, h = _instrumental_hull(INSTR3)
+    facets = list(h.inequalities)
+    polytope._check_facets(v.vertices, facets, facets[:1])
+    tightened = polytope.LinearInequality(facets[5].coeffs, facets[5].bound - 1)
+    with pytest.raises(CertificateError, match="cuts off"):
+        polytope._check_facets(v.vertices, facets[:5] + [tightened] + facets[6:], facets[:1])
+
+    # a search whose orbit step slips in a tightened copy of each seed
+    orbit = polytope._orbit
+
+    def tampered(seed, generators, equalities):
+        out = orbit(seed, generators, equalities)
+        return out | {polytope.LinearInequality(seed.coeffs, seed.bound - 1)}
+
+    monkeypatch.setattr(polytope, "_orbit", tampered)
+    with pytest.raises(CertificateError, match="cuts off"):
+        _instrumental_hull(INSTR3)
+
+
+def test_tampered_representative_raises():
+    v, h = _instrumental_hull(INSTR3)
+    facets = list(h.inequalities)
+    # valid on every vertex, but tight only where both facets are
+    merged = polytope.reduce_modulo(
+        polytope.LinearInequality(
+            tuple(a + b for a, b in zip(facets[0].coeffs, facets[-1].coeffs)),
+            facets[0].bound + facets[-1].bound,
+        ),
+        h.equalities,
+    )
+    polytope._check_facets(v.vertices, facets + [merged], facets[:1])
+    with pytest.raises(CertificateError, match="not a facet"):
+        polytope._check_facets(v.vertices, facets + [merged], [facets[0], merged])
+    with pytest.raises(CertificateError, match="not a facet"):
+        polytope._check_facets(v.vertices, facets[1:], facets[:1])
 
 
 def test_no_assert_statements_in_package():

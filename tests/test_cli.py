@@ -77,6 +77,28 @@ def test_facets_capacity_exit(capsys):
     assert "capacity" in capsys.readouterr().err
 
 
+# Smallest --max-rays `facets --classical` accepts.  It bounds each ridge
+# double description of the orbit-by-orbit search, so it sits below the
+# whole-hull trip points in test_echelon.py (58 and 340).
+@pytest.mark.parametrize("n, trip", [(3, 41), (4, 223)])
+def test_facets_classical_trip_points(capsys, n, trip):
+    argv = ["facets", "--classical", "-x", str(n), "--format", "json"]
+    assert main(argv + ["--max-rays", str(trip)]) == 0
+    assert main(argv + ["--max-rays", str(trip - 1)]) == 2
+    assert "capacity" in capsys.readouterr().err
+
+
+def test_zero_denominator_exits_1(capsys, tmp_path):
+    path = tmp_path / "bad.json"
+    doc = io.correlation_to_json(postselect(pr_box(), Scenario.instrumental(2)))
+    doc["entries"][0] = "1/0"
+    path.write_text(json.dumps(doc))
+    assert main(["membership", str(path), "--theory", "classical"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "1/0" in err
+    assert "Traceback" not in err
+
+
 def test_bounds_bonet(capsys):
     assert main(["bounds", "bonet"]) == 0
     out = capsys.readouterr().out

@@ -40,6 +40,12 @@ def test_fraction_strings():
     assert io.fraction_from_str(4) == F(4)
     with pytest.raises(TypeError):
         io.fraction_from_str(0.5)
+    with pytest.raises(ValueError, match="zero denominator"):
+        io.fraction_from_str("1/0")
+    with pytest.raises(ValueError, match="zero denominator"):
+        io.read_poi("DIM = 2\nCONV_SECTION\n1/0 1\nEND\n")
+    with pytest.raises(ValueError, match="zero denominator"):
+        io.read_ieq("DIM = 2\nINEQUALITIES_SECTION\n( 1) x1 + x2 <= 1/0\nEND\n")
 
 
 @pytest.mark.parametrize(

@@ -5,19 +5,33 @@ from fractions import Fraction
 
 import pytest
 
-from instrumental.inequalities import catalog, gpt_maximum, pearl_expressions
+from instrumental.inequalities import (
+    catalog,
+    gpt_maximum,
+    pearl_expressions,
+    symmetry_group,
+)
 from instrumental.polytope import (
     _reduce_equalities,
+    adjacency_decomposition,
+    classical_vpolytope,
+    facet_enumeration,
     fourier_motzkin_project,
     no_signalling_polytope,
 )
 from instrumental.rationals import integerize
-from instrumental.scenario import Correlation, Scenario, max_signalling_residual
+from instrumental.scenario import (
+    Correlation,
+    Scenario,
+    classical_correlations,
+    max_signalling_residual,
+)
 
 from oracles import (
     fraction_integerize,
     gpt_box_search,
     gpt_vroute,
+    hashed_classical_correlations,
     input_blocks,
     no_signalling_equalities,
     signalling_residual,
@@ -109,3 +123,33 @@ def test_fourier_motzkin_matches_vroute(args):
     vroute = gpt_vroute(s)
     assert fm.inequalities == vroute.inequalities
     assert fm.equalities == vroute.equalities
+
+
+@pytest.mark.parametrize(
+    "args",
+    [(1,), (2,), (3,), (4,), (2, 3, 3), (2, 2, 3), (2, 3, 2)],
+    ids=lambda a: "x".join(map(str, a)),
+)
+def test_adjacency_decomposition_matches_double_description(args):
+    # One double description of the whole hull is the oracle for the
+    # orbit-by-orbit search that `facets --classical` runs.
+    s = Scenario.instrumental(*args)
+    v = classical_vpolytope(s)
+    assert adjacency_decomposition(v, symmetry_group(s).generators) == facet_enumeration(v)
+
+
+@pytest.mark.parametrize(
+    "s",
+    [
+        Scenario.bell(2, 2),
+        Scenario.bell(2, 3, 3, 2),
+        Scenario.instrumental(2),
+        Scenario.instrumental(3, 3, 2),
+        Scenario.instrumental(2, 4, 4),
+        Scenario.chained(3),
+        Scenario.f_instrumental(2, 3, 2, 2, [[0, 2], [1, 1]]),
+    ],
+    ids=_name,
+)
+def test_classical_correlations_match_hashed_dedup(s):
+    assert classical_correlations(s) == hashed_classical_correlations(s)

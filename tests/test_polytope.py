@@ -8,6 +8,7 @@ from instrumental.polytope import (
     HPolytope,
     LinearInequality,
     VPolytope,
+    adjacency_decomposition,
     canonicalize,
     classical_vpolytope,
     facet_enumeration,
@@ -312,6 +313,42 @@ def test_maximize_without_argmax():
     v = VPolytope.from_points([(0, 0), (1, 0), (0, 1)])
     val, arg = maximize_linear([F1, F1], v, argmax=False)
     assert val == 1 and arg is None
+
+
+@pytest.mark.parametrize(
+    "points",
+    [
+        [(0, 1), (1, 0)],  # a segment: each facet's one ridge is the empty face
+        [(0, 0), (1, 0), (0, 1)],
+        [(F(1, 2), 0), (F(3, 2), 0), (0, F(1, 3)), (1, 1)],
+        [(0, 0, 0), (2, 0, 0), (0, 3, 0), (1, 1, 0), (F(1, 2), F(1, 2), 0)],
+        [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)],
+    ],
+    ids=["segment", "triangle", "rational", "flat", "bipyramid"],
+)
+def test_adjacency_decomposition_without_symmetry(points):
+    v = VPolytope.from_points(points)
+    assert adjacency_decomposition(v, ()) == facet_enumeration(v)
+
+
+def test_adjacency_decomposition_needs_a_coordinate_facet():
+    # x0 = 0 and x1 = 0 each cut the diamond through two vertices, but
+    # neither -x0 <= 0 nor -x1 <= 0 holds on all four
+    v = VPolytope.from_points([(0, -1), (0, 1), (1, 0), (-1, 0)])
+    with pytest.raises(ValueError, match="coordinate facet"):
+        adjacency_decomposition(v, ())
+
+
+def test_adjacency_decomposition_of_a_point_has_no_facets():
+    h = adjacency_decomposition(VPolytope.from_points([(1, 1)]), ())
+    assert h.inequalities == () and h.affine_dimension() == 0
+
+
+def test_from_points_keeps_fractions_and_drops_duplicates():
+    v = VPolytope.from_points([(F1, F0), (0, 1), (F1, F0), (F(1, 2), 1)])
+    assert v.vertices == ((F(0), F(1)), (F(1, 2), F(1)), (F(1), F(0)))
+    assert v.vertices[2][0] is F1
+    assert all(type(c) is Fraction for p in v.vertices for c in p)
 
 
 def test_capacity_limits():
