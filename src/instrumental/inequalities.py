@@ -24,8 +24,6 @@ from .polytope import (
     _eliminate_leads,
     _orbit,
     canonicalize,
-    classical_vpolytope,
-    maximize_linear,
     membership,
     no_signalling_polytope,
     normalization_equalities,
@@ -35,8 +33,10 @@ from .linprog import LpStatus, solve_lp
 from .rationals import integerize
 from .scenario import (
     Correlation,
+    DeterministicStrategy,
     Kind,
     Scenario,
+    _check_strategy_count,
     enumerate_deterministic_strategies,
     strategy_to_correlation,
     validate,
@@ -703,10 +703,44 @@ def facet_orbit_classify(
 
 
 def classical_maximum(e: LinearExpression):
-    """Exact maximum over the deterministic-strategy polytope, with the
-    lexicographically smallest maximizing vertex."""
-    v = classical_vpolytope(e.scenario)
-    return maximize_linear(e.coeffs, v, constant=e.constant)
+    """Exact maximum over deterministic strategies, by best response.
+
+    Bob's input y is free on Bell scenarios and the wire value
+    wire(alpha(x), x) on the wired kinds, so once Alice's response alpha is
+    fixed, Bob's output can be chosen separately for each y: the coefficients
+    of (x, alpha(x), b) go into the bucket of their y, and each bucket takes
+    its best b (the smallest on ties, 0 when no input reaches it).  Returns
+    (value, DeterministicStrategy) for the first alpha in lexicographic order
+    that attains the maximum.  The sums run over the coefficients scaled to
+    integers by their common denominator.
+    """
+    s = e.scenario
+    _check_strategy_count(s)
+    den = math.lcm(*(c.denominator for c in e.coeffs))
+    ints = [c.numerator * (den // c.denominator) for c in e.coeffs]
+    # rows[x, a]: (y, the coefficients of (x, y, a, b) over b) for each y
+    # that Bob can see when Alice outputs a at input x
+    rows = {}
+    for x in range(s.nX):
+        for a in range(s.nA):
+            if s.kind is Kind.BELL:
+                starts = [(y, s.index(x, y, a, 0)) for y in range(s.nY)]
+            else:
+                starts = [(s.wire(a, x), s.index(x, a, 0))]
+            rows[x, a] = [(y, ints[i : i + s.nB]) for y, i in starts]
+    best = witness = None
+    for alpha in itertools.product(range(s.nA), repeat=s.nX):
+        buckets = [[0] * s.nB for _ in range(s.nY)]
+        for x, a in enumerate(alpha):
+            for y, coeffs in rows[x, a]:
+                bucket = buckets[y]
+                for b, c in enumerate(coeffs):
+                    bucket[b] += c
+        beta = tuple(max(range(s.nB), key=bucket.__getitem__) for bucket in buckets)
+        value = sum(bucket[b] for bucket, b in zip(buckets, beta))
+        if best is None or value > best:
+            best, witness = value, DeterministicStrategy(s, alpha, beta)
+    return Fraction(best, den) + e.constant, witness
 
 
 def gpt_maximum(e: LinearExpression):

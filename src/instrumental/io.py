@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import re
 from fractions import Fraction
 from io import StringIO
@@ -79,16 +80,22 @@ def scenario_to_json(s: Scenario) -> dict[str, Any]:
     return d
 
 
+def _integer(v) -> int:
+    """A JSON cardinality or wiring entry; booleans and non-integral
+    numbers are rejected instead of truncated."""
+    if isinstance(v, bool) or (isinstance(v, float) and not v.is_integer()):
+        raise ValueError(f"expected an integer, got {v!r}")
+    return int(v)
+
+
 def scenario_from_json(d: dict[str, Any]) -> Scenario:
-    kind = Kind(d["kind"])
     wiring = d.get("wiring")
+    if wiring is not None:
+        wiring = tuple(tuple(_integer(y) for y in row) for row in wiring)
     return Scenario(
-        kind,
-        int(d["nX"]),
-        int(d["nY"]),
-        int(d["nA"]),
-        int(d["nB"]),
-        None if wiring is None else tuple(tuple(int(y) for y in row) for row in wiring),
+        Kind(d["kind"]),
+        *(_integer(d[k]) for k in ("nX", "nY", "nA", "nB")),
+        wiring,
     )
 
 
@@ -104,10 +111,14 @@ def correlation_to_json(p: Correlation) -> dict[str, Any]:
 def correlation_from_json(d: dict[str, Any]) -> Correlation:
     s = scenario_from_json(d["scenario"])
     raw = d["entries"]
+    if any(isinstance(e, bool) for e in raw):
+        raise ValueError("correlation entries must be numbers, not booleans")
     if all(isinstance(e, (str, int)) for e in raw):
         entries = tuple(fraction_from_str(e) for e in raw)
     else:
         entries = tuple(float(e) for e in raw)
+        if not all(math.isfinite(e) for e in entries):
+            raise ValueError("correlation entries must be finite")
     return Correlation(s, entries)
 
 
@@ -253,7 +264,7 @@ def read_poi(text: str) -> VPolytope:
         if not line:
             continue
         if line.startswith("DIM"):
-            dim = int(line.split("=")[1])
+            dim = int(line.partition("=")[2])
         elif line == "CONV_SECTION":
             in_section = True
         elif line == "END":
@@ -333,7 +344,7 @@ def read_ieq(text: str) -> HPolytope:
         if not line:
             continue
         if line.startswith("DIM"):
-            dim = int(line.split("=")[1])
+            dim = int(line.partition("=")[2])
         elif line == "INEQUALITIES_SECTION":
             in_section = True
         elif line == "END":

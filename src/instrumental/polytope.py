@@ -55,8 +55,6 @@ __all__ = [
     "no_signalling_polytope",
     "normalization_equalities",
     "classical_vpolytope",
-    "h_implies",
-    "h_polytopes_equal",
 ]
 
 _F0 = Fraction(0)
@@ -394,12 +392,11 @@ def facet_enumeration(v: VPolytope, max_rays: int = 10**6) -> HPolytope:
     hom, basis, equalities = _affine_hull(vp.vertices)
     facets = []
     for y in _cone_rays(hom, basis, max_rays):
-        coeffs = tuple(-c for c in y[1:])
-        if not any(coeffs):
-            # The trivial inequality 0 <= b appears only for 0-dimensional
-            # hulls, where the affine hull already pins the point.
-            continue
-        facets.append(reduce_modulo(LinearInequality(coeffs, y[0]), equalities))
+        q = reduce_modulo(LinearInequality(tuple(-c for c in y[1:]), y[0]), equalities)
+        # The trivial inequality 0 <= 1 appears only for one-point hulls,
+        # where the affine hull already pins the point.
+        if any(q.coeffs):
+            facets.append(q)
     facets = sorted(set(facets), key=lambda f: (f.coeffs, f.bound))
     return HPolytope(d, tuple(facets), equalities)
 
@@ -435,9 +432,8 @@ def adjacency_decomposition(
     (`max_rays` bounds each of those), rotates F across every ridge to the
     neighbouring facet in integer arithmetic, and adds the orbit of each new
     neighbour.  The facet graph is connected, so the orbits found cover every
-    facet.  The answer equals `facet_enumeration(v)`'s (a single point has
-    no facets here), and `_check_facets` checks it against the vertices
-    before it is returned.
+    facet.  The answer equals `facet_enumeration(v)`'s, and `_check_facets`
+    checks it against the vertices before it is returned.
     """
     d = v.dim
     hom, basis, equalities = _affine_hull(v.vertices)
@@ -461,9 +457,13 @@ def adjacency_decomposition(
         tight = [vert for vert, sv in zip(v.vertices, fs) if sv == 0]
         off_slacks = [sv for sv in fs if sv > 0]
         off_support = [sp for sp, sv in zip(support, fs) if sv > 0]
-        # When F is one vertex (v is a segment), its ridge is the empty face,
-        # which facet_enumeration gives as 0 <= 1.
-        for r in facet_enumeration(VPolytope(d, tuple(tight)), max_rays).inequalities:
+        if len(tight) == 1:
+            # F is one vertex (v is a segment): its one ridge is the empty
+            # face, valid everywhere as 0 <= 1.
+            ridges = (LinearInequality((0,) * d, 1),)
+        else:
+            ridges = facet_enumeration(VPolytope(d, tuple(tight)), max_rays).inequalities
+        for r in ridges:
             # The neighbour is r + t.F for the least t that keeps every
             # vertex off F feasible: t = max -s_r(v) / s_f(v) over s_f(v) > 0.
             num, den = None, 1
@@ -781,58 +781,18 @@ def _separating_facet(
 
 
 def maximize_linear(
-    coeffs: Sequence[Fraction],
-    over: VPolytope | HPolytope,
-    constant: Fraction = _F0,
-    argmax: bool = True,
+    coeffs: Sequence[Fraction], over: VPolytope, constant: Fraction = _F0
 ):
-    """Exact maximum of coeffs . x + constant over a polytope.
-
-    Returns (value, maximizer) or (value, None) when `argmax` is False.  Ties
-    are broken toward the lexicographically smallest optimizer (for a
-    VPolytope the smallest maximizing vertex; for an HPolytope by iterated
-    coordinate minimization over the optimal face), so both representations
-    of the same polytope yield the same answer.
-    """
-    coeffs = [Fraction(c) for c in coeffs]
-    constant = Fraction(constant)
-    if isinstance(over, VPolytope):
-        if not over.vertices:
-            raise ValueError("maximizing over an empty polytope")
-        best = None
-        best_v = None
-        for v in over.vertices:
-            val = sum(c * x for c, x in zip(coeffs, v))
-            if best is None or val > best or (val == best and v < best_v):
-                best, best_v = val, v
-        return best + constant, (best_v if argmax else None)
-    res = solve_lp(
-        coeffs,
-        ineqs=[(list(q.coeffs), q.bound) for q in over.inequalities],
-        eqs=[(list(c), r) for c, r in over.equalities],
-        nonneg=False,
-        maximize=True,
-    )
-    if res.status is LpStatus.UNBOUNDED:
-        raise ValueError("unbounded LP; the H-polytope is missing constraints")
-    if res.status is LpStatus.INFEASIBLE:
-        raise ValueError("the H-polytope is empty")
-    if not argmax:
-        return res.value + constant, None
-    eqs = [(list(c), r) for c, r in over.equalities]
-    eqs.append((list(coeffs), res.value))
-    ineq_rows = [(list(q.coeffs), q.bound) for q in over.inequalities]
-    for j in range(over.dim):
-        unit = [_F0] * over.dim
-        unit[j] = _F1
-        sub = solve_lp(
-            unit, ineqs=ineq_rows, eqs=eqs, nonneg=False, maximize=False
-        )
-        if sub.status is not LpStatus.OPTIMAL:
-            raise CertificateError("the optimal face has no lexicographic minimum")
-        eqs.append((unit, sub.value))
-    point = tuple(r for _, r in eqs[len(over.equalities) + 1 :])
-    return res.value + constant, point
+    """Exact maximum of coeffs . x + constant over the vertices of a
+    VPolytope, with the lexicographically smallest maximizing vertex."""
+    if not over.vertices:
+        raise ValueError("maximizing over an empty polytope")
+    best = best_v = None
+    for v in over.vertices:
+        val = sum(c * x for c, x in zip(coeffs, v))
+        if best is None or val > best or (val == best and v < best_v):
+            best, best_v = val, v
+    return best + constant, best_v
 
 
 # ---------------------------------------------------------------------------
@@ -881,32 +841,3 @@ def normalization_equalities(s: Scenario) -> tuple[Equality, ...]:
 def classical_vpolytope(s: Scenario) -> VPolytope:
     """Vertices of the classical (deterministic-strategy) polytope."""
     return VPolytope.from_points(classical_correlations(s))
-
-
-# ---------------------------------------------------------------------------
-# polytope comparison
-
-
-def h_implies(h: HPolytope, ineq: LinearInequality) -> bool:
-    """Whether every point of h satisfies the inequality (exact LP)."""
-    value, _ = maximize_linear(ineq.coeffs, h, argmax=False)
-    return value <= ineq.bound
-
-
-def _h_implies_equality(h: HPolytope, eq: Equality) -> bool:
-    coeffs, rhs = eq
-    hi, _ = maximize_linear(coeffs, h, argmax=False)
-    lo, _ = maximize_linear([-c for c in coeffs], h, argmax=False)
-    return hi == rhs and -lo == rhs
-
-
-def h_polytopes_equal(h1: HPolytope, h2: HPolytope) -> bool:
-    """Mutual implication of the two H-representations, checked by exact LPs."""
-    if h1.dim != h2.dim:
-        return False
-    return (
-        all(h_implies(h1, q) for q in h2.inequalities)
-        and all(_h_implies_equality(h1, e) for e in h2.equalities)
-        and all(h_implies(h2, q) for q in h1.inequalities)
-        and all(_h_implies_equality(h2, e) for e in h1.equalities)
-    )

@@ -254,6 +254,16 @@ class DeterministicStrategy:
             raise ValueError("beta values out of range")
 
 
+def _check_strategy_count(s: Scenario, limit: int = 10**7) -> None:
+    """Raise CapacityError when s has more than `limit` deterministic
+    strategies (nA^nX * nB^nY)."""
+    count = s.nA**s.nX * s.nB**s.nY
+    if count > limit:
+        raise CapacityError(
+            f"{count} deterministic strategies exceed the limit of {limit}"
+        )
+
+
 def enumerate_deterministic_strategies(
     s: Scenario, limit: int = 10**7
 ) -> list[DeterministicStrategy]:
@@ -261,11 +271,7 @@ def enumerate_deterministic_strategies(
 
     Raises CapacityError before iterating when the count exceeds `limit`.
     """
-    count = s.nA**s.nX * s.nB**s.nY
-    if count > limit:
-        raise CapacityError(
-            f"{count} deterministic strategies exceed the limit of {limit}"
-        )
+    _check_strategy_count(s, limit)
     out = []
     for alpha in itertools.product(range(s.nA), repeat=s.nX):
         for beta in itertools.product(range(s.nB), repeat=s.nY):

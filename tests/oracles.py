@@ -9,9 +9,11 @@ from math import gcd
 
 from instrumental.errors import CapacityError
 from instrumental.inequalities import LinearExpression
+from instrumental.linprog import LpStatus, solve_lp
 from instrumental.polytope import (
     Equality,
     HPolytope,
+    LinearInequality,
     VPolytope,
     facet_enumeration,
     no_signalling_polytope,
@@ -236,3 +238,40 @@ def gpt_vroute(s: Scenario) -> HPolytope:
     verts = vertex_enumeration(no_signalling_polytope(bell)).vertices
     tables = [postselect(Correlation(bell, v), s) for v in verts]
     return facet_enumeration(VPolytope.from_points(tables))
+
+
+def h_maximum(coeffs, h: HPolytope) -> Fraction:
+    """Exact maximum of coeffs . x over an H-polytope, by one LP.
+    `polytope.maximize_linear` scans a vertex list instead."""
+    res = solve_lp(
+        list(coeffs),
+        ineqs=[(list(q.coeffs), q.bound) for q in h.inequalities],
+        eqs=[(list(c), r) for c, r in h.equalities],
+        nonneg=False,
+        maximize=True,
+    )
+    if res.status is not LpStatus.OPTIMAL:
+        raise ValueError(f"no finite maximum over the H-polytope: {res.status}")
+    return res.value
+
+
+def h_implies(h: HPolytope, ineq: LinearInequality) -> bool:
+    """Whether every point of h satisfies the inequality."""
+    return h_maximum(ineq.coeffs, h) <= ineq.bound
+
+
+def _h_implies_equality(h: HPolytope, eq: Equality) -> bool:
+    coeffs, rhs = eq
+    return h_maximum(coeffs, h) == rhs == -h_maximum([-c for c in coeffs], h)
+
+
+def h_polytopes_equal(h1: HPolytope, h2: HPolytope) -> bool:
+    """Mutual implication of two H-representations, checked by exact LPs."""
+    if h1.dim != h2.dim:
+        return False
+    return (
+        all(h_implies(h1, q) for q in h2.inequalities)
+        and all(_h_implies_equality(h1, e) for e in h2.equalities)
+        and all(h_implies(h2, q) for q in h1.inequalities)
+        and all(_h_implies_equality(h2, e) for e in h1.equalities)
+    )

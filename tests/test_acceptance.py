@@ -24,7 +24,6 @@ from instrumental.polytope import (
     classical_vpolytope,
     facet_enumeration,
     fourier_motzkin_project,
-    h_polytopes_equal,
     membership,
     no_signalling_polytope,
     reduce_modulo,
@@ -52,7 +51,7 @@ from instrumental.scenario import (
     strategy_to_correlation,
 )
 
-from oracles import gpt_box_search
+from oracles import gpt_box_search, h_polytopes_equal
 
 F = Fraction
 INSTR2 = Scenario.instrumental(2)

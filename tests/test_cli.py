@@ -1,12 +1,14 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
-from instrumental import io
+from instrumental import cli, io
 from instrumental.cli import main
 from instrumental.inequalities import catalog
-from instrumental.scenario import Scenario, postselect, pr_box
+from instrumental.quantum import born_table, chsh_strategy
+from instrumental.scenario import Scenario, postselect, pr_box, uniform_box
 from oracles import gpt_box_search
 
 
@@ -97,6 +99,86 @@ def test_zero_denominator_exits_1(capsys, tmp_path):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "1/0" in err
     assert "Traceback" not in err
+
+
+# Each mutation leaves the file malformed: a bad entry, a bad cardinality,
+# a bad wiring entry, a missing key, or JSON cut short.
+BAD_ENTRIES = [float("inf"), float("-inf"), float("nan"), True, False, None,
+               [], {}, "abc", "1/0", "1/2/3", "", "Infinity"]
+BAD_COUNTS = [2.5, True, False, None, "x", -1, 0, float("inf"), [2], {}]
+BAD_WIRES = [0.5, True, -1, 7, None, "a"]
+
+
+def _malformed_documents(rng):
+    bases = [
+        postselect(pr_box(), Scenario.instrumental(2)),
+        uniform_box(Scenario.chained(2)),
+        pr_box(),
+        born_table(chsh_strategy(), Scenario.bell(2, 2)),
+    ]
+    for _ in range(60):
+        doc = io.correlation_to_json(rng.choice(bases))
+        s = doc["scenario"]
+        mutation = rng.choice(["entry", "count", "wire", "drop", "cut"])
+        if mutation == "entry":
+            doc["entries"][rng.randrange(len(doc["entries"]))] = rng.choice(BAD_ENTRIES)
+        elif mutation == "count":
+            s[rng.choice(["nX", "nY", "nA", "nB"])] = rng.choice(BAD_COUNTS)
+        elif mutation == "wire" and "wiring" in s:
+            row = rng.choice(s["wiring"])
+            row[rng.randrange(len(row))] = rng.choice(BAD_WIRES)
+        elif mutation == "drop" or mutation == "wire":
+            target = rng.choice([doc, s])
+            del target[rng.choice(sorted(target))]
+        else:
+            text = json.dumps(doc)
+            yield text[: rng.randrange(len(text) - 1)]
+            continue
+        yield json.dumps(doc)
+
+
+HAND_WRITTEN = [
+    '{"scenario": {"kind": "instrumental", "nX": 2, "nY": 2, "nA": 2, "nB": 2},'
+    ' "entries": [1e400, 0, 0, 0, 1, 0, 0, 0]}',
+    '{"scenario": {"kind": "instrumental", "nX": 2, "nY": 2, "nA": 2, "nB": 2},'
+    ' "entries": [true, 0, 0, 0, 1, 0, 0, 0]}',
+    '{"scenario": {"kind": "instrumental", "nX": 2.5, "nY": 2, "nA": 2, "nB": 2},'
+    ' "entries": ["1", "0", "0", "0", "1", "0", "0", "0"]}',
+    '{"scenario": {"kind": "f_instrumental", "nX": 2, "nY": 2, "nA": 2, "nB": 2,'
+    ' "wiring": [[0, true], [1, 0]]},'
+    ' "entries": ["1", "0", "0", "0", "1", "0", "0", "0"]}',
+    "[]",
+    "",
+]
+
+
+@pytest.mark.parametrize("theory", ["classical", "nosignalling"])
+def test_malformed_correlation_files_exit_1(capsys, tmp_path, theory):
+    path = tmp_path / "table.json"
+    texts = HAND_WRITTEN + list(_malformed_documents(random.Random(5)))
+    for text in texts:
+        path.write_text(text)
+        assert main(["membership", str(path), "--theory", theory]) == 1, text
+        captured = capsys.readouterr()
+        assert captured.out == "", text
+        assert captured.err.startswith("error:"), (text, captured.err)
+        assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "kind, count", [("chained", 33554432), ("chained_bell", 16777216)]
+)
+def test_bounds_capacity_trip(capsys, monkeypatch, kind, count):
+    def unreachable(e):
+        raise AssertionError("the capacity check must trip before any LP")
+
+    monkeypatch.setattr(cli, "gpt_maximum", unreachable)
+    assert main(["bounds", kind, "12"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"capacity: {count} deterministic strategies exceed the limit of 10000000\n"
+    )
 
 
 def test_bounds_bonet(capsys):

@@ -26,6 +26,7 @@ from instrumental.inequalities import (
 from instrumental.polytope import classical_vpolytope, facet_enumeration, reduce_modulo
 from instrumental.scenario import (
     Correlation,
+    DeterministicStrategy,
     Scenario,
     classical_correlations,
     enumerate_deterministic_strategies,
@@ -234,6 +235,9 @@ def test_classical_maxima():
     assert classical_maximum(catalog("chsh"))[0] == 2
     assert classical_maximum(catalog("tilted_chsh", alpha=2))[0] == 4
     assert classical_maximum(catalog("chained_bell", n=3))[0] == 4
+    # the witness is Alice's first maximizing response in lexicographic order
+    first = DeterministicStrategy(Scenario.bell(2, 2), (0, 0), (0, 0))
+    assert classical_maximum(catalog("chsh"))[1] == first
 
 
 def test_gpt_maxima():

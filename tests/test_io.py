@@ -1,5 +1,6 @@
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -46,6 +47,38 @@ def test_fraction_strings():
         io.read_poi("DIM = 2\nCONV_SECTION\n1/0 1\nEND\n")
     with pytest.raises(ValueError, match="zero denominator"):
         io.read_ieq("DIM = 2\nINEQUALITIES_SECTION\n( 1) x1 + x2 <= 1/0\nEND\n")
+
+
+# Tokens of the two polytope text formats, and some that do not belong.
+# They are joined by spaces and newlines only, so numbers stay small.
+POLYTOPE_TOKENS = [
+    "DIM", "=", "DIM =", "2", "3", "0", "1", "-1", "1/2", "1/0", "3/", "1e5",
+    "CONV_SECTION", "INEQUALITIES_SECTION", "END", "x1", "x2", "x9", "+x1",
+    "-2x2", "x", "<=", ">=", "==", "(", ")", "( 1)", "abc", "",
+]
+
+
+POLYTOPE_HEADERS = [
+    "", "DIM = 2\n", "DIM = 2\nCONV_SECTION\n", "DIM = 2\nINEQUALITIES_SECTION\n",
+]
+
+
+def _random_polytope_texts(rng, count):
+    for _ in range(count):
+        words = [rng.choice(POLYTOPE_TOKENS) for _ in range(rng.randint(0, 24))]
+        body = "".join(w + rng.choice([" ", " ", "\n"]) for w in words)
+        yield rng.choice(POLYTOPE_HEADERS) + body
+
+
+@pytest.mark.parametrize("reader", [io.read_poi, io.read_ieq], ids=["poi", "ieq"])
+def test_malformed_polytope_text_raises_value_error(reader):
+    texts = ["DIM\n", "DIM 2\nEND\n", "DIM = \n"]
+    texts += list(_random_polytope_texts(random.Random(3), 3000))
+    for text in texts:
+        try:
+            reader(text)
+        except ValueError:
+            pass
 
 
 @pytest.mark.parametrize(

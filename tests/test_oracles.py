@@ -6,7 +6,9 @@ from fractions import Fraction
 import pytest
 
 from instrumental.inequalities import (
+    LinearExpression,
     catalog,
+    classical_maximum,
     gpt_maximum,
     pearl_expressions,
     symmetry_group,
@@ -17,14 +19,17 @@ from instrumental.polytope import (
     classical_vpolytope,
     facet_enumeration,
     fourier_motzkin_project,
+    maximize_linear,
     no_signalling_polytope,
 )
 from instrumental.rationals import integerize
 from instrumental.scenario import (
     Correlation,
+    Kind,
     Scenario,
     classical_correlations,
     max_signalling_residual,
+    strategy_to_correlation,
 )
 
 from oracles import (
@@ -153,3 +158,53 @@ def test_adjacency_decomposition_matches_double_description(args):
 )
 def test_classical_correlations_match_hashed_dedup(s):
     assert classical_correlations(s) == hashed_classical_correlations(s)
+
+
+def _random_expressions(s, count):
+    # small numerators and many zeros, so that maxima are often tied
+    rng = random.Random(s.dim)
+    for _ in range(count):
+        coeffs = tuple(
+            Fraction(rng.choice([0, 0, rng.randint(-3, 3)]), rng.randint(1, 4))
+            for _ in range(s.dim)
+        )
+        constant = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+        yield LinearExpression(s, coeffs, constant)
+
+
+BEST_RESPONSE_CASES = {
+    "bonet": [catalog("bonet")],
+    "tilted-3/2": [catalog("tilted", alpha=Fraction(3, 2))],
+    "tilted-3": [catalog("tilted", alpha=3)],
+    "chsh": [catalog("chsh")],
+    "tilted_chsh-2": [catalog("tilted_chsh", alpha=2)],
+    **{f"chained-{n}": [catalog("chained", n=n)] for n in range(3, 7)},
+    **{f"chained_bell-{n}": [catalog("chained_bell", n=n)] for n in range(3, 7)},
+    **{
+        f"random-{_name(s)}": list(_random_expressions(s, 40))
+        for s in [
+            Scenario.bell(2, 2),
+            Scenario.bell(3, 2, 3, 2),
+            Scenario.instrumental(3),
+            Scenario.instrumental(2, 3, 2),
+            Scenario.chained(3),
+            # no (a, x) sends Bob the wire value 2
+            Scenario.f_instrumental(2, 3, 2, 2, [[0, 1], [1, 0]]),
+        ]
+    },
+}
+
+
+@pytest.mark.parametrize("case", BEST_RESPONSE_CASES)
+def test_classical_maximum_matches_vertex_scan(case):
+    # The scan over every deterministic table is the oracle for the best
+    # response that `classical_maximum` computes.
+    s = BEST_RESPONSE_CASES[case][0].scenario
+    v = classical_vpolytope(s)
+    for e in BEST_RESPONSE_CASES[case]:
+        value, witness = classical_maximum(e)
+        assert value == maximize_linear(e.coeffs, v, constant=e.constant)[0]
+        assert e.evaluate(strategy_to_correlation(witness)) == value
+        if s.kind is not Kind.BELL:
+            reached = {s.wire(a, x) for x, a in enumerate(witness.alpha)}
+            assert all(b == 0 for y, b in enumerate(witness.beta) if y not in reached)

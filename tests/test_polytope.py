@@ -13,7 +13,6 @@ from instrumental.polytope import (
     classical_vpolytope,
     facet_enumeration,
     fourier_motzkin_project,
-    h_polytopes_equal,
     maximize_linear,
     membership,
     no_signalling_polytope,
@@ -29,7 +28,7 @@ from instrumental.scenario import (
     enumerate_deterministic_strategies,
 )
 
-from oracles import canonicalize_equality
+from oracles import canonicalize_equality, h_maximum, h_polytopes_equal
 
 F = Fraction
 F0 = F(0)
@@ -298,33 +297,33 @@ def test_maximize_agrees_between_representations():
     rng = random.Random(7)
     for _ in range(12):
         coeffs = [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(8)]
-        val_v, arg_v = maximize_linear(coeffs, v)
-        val_h, arg_h = maximize_linear(coeffs, h)
-        assert val_v == val_h
-        assert arg_v == arg_h
-    # tie on purpose: the zero objective exposes the lex rule
-    val_v, arg_v = maximize_linear([F0] * 8, v, constant=F(3))
-    val_h, arg_h = maximize_linear([F0] * 8, h, constant=F(3))
-    assert val_v == val_h == 3
-    assert arg_v == arg_h == v.vertices[0]
+        assert maximize_linear(coeffs, v)[0] == h_maximum(coeffs, h)
+    assert maximize_linear([F0] * 8, v, constant=F(3))[0] == 3 + h_maximum([F0] * 8, h)
 
 
-def test_maximize_without_argmax():
+def test_maximize_returns_smallest_maximizing_vertex():
     v = VPolytope.from_points([(0, 0), (1, 0), (0, 1)])
-    val, arg = maximize_linear([F1, F1], v, argmax=False)
-    assert val == 1 and arg is None
+    assert maximize_linear([F1, F1], v) == (1, (F0, F1))
+    # the zero objective ties every vertex
+    assert maximize_linear([F0, F0], v, constant=F(3)) == (3, v.vertices[0])
+    # the tie rule does not rely on the vertex order
+    shuffled = VPolytope(2, ((F1, F0), (F0, F1), (F0, F0)))
+    assert maximize_linear([F1, F1], shuffled) == (1, (F0, F1))
 
 
 @pytest.mark.parametrize(
     "points",
     [
         [(0, 1), (1, 0)],  # a segment: each facet's one ridge is the empty face
+        [(0, 0), (1, 0)],  # the start facet is tight only at the origin
+        [(0,), (1,)],
         [(0, 0), (1, 0), (0, 1)],
         [(F(1, 2), 0), (F(3, 2), 0), (0, F(1, 3)), (1, 1)],
         [(0, 0, 0), (2, 0, 0), (0, 3, 0), (1, 1, 0), (F(1, 2), F(1, 2), 0)],
         [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)],
     ],
-    ids=["segment", "triangle", "rational", "flat", "bipyramid"],
+    ids=["segment", "segment-origin", "interval", "triangle", "rational", "flat",
+         "bipyramid"],
 )
 def test_adjacency_decomposition_without_symmetry(points):
     v = VPolytope.from_points(points)
@@ -341,6 +340,12 @@ def test_adjacency_decomposition_needs_a_coordinate_facet():
 
 def test_adjacency_decomposition_of_a_point_has_no_facets():
     h = adjacency_decomposition(VPolytope.from_points([(1, 1)]), ())
+    assert h.inequalities == () and h.affine_dimension() == 0
+
+
+@pytest.mark.parametrize("point", [(0, 0), (1, 1)])
+def test_facet_enumeration_of_a_point_has_no_facets(point):
+    h = facet_enumeration(VPolytope.from_points([point]))
     assert h.inequalities == () and h.affine_dimension() == 0
 
 
