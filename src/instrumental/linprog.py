@@ -1,9 +1,10 @@
 """Exact linear programming over the rationals.
 
-A dense two-phase tableau simplex with Bland's anti-cycling pivot rule.  All
+A dense tableau simplex with Bland's anti-cycling pivot rule.  All
 arithmetic is `Fraction`; there is no scaling, no tolerance and no big-M
-construction.  Infeasibility is certified: the returned Farkas vector is
-checked against the constraint rows before it is handed to the caller.
+construction.  Both exact answers are certified, and each certificate is
+checked against the constraint rows before it is handed to the caller: a
+Farkas vector for infeasibility, dual multipliers for an optimum.
 
 Problems are stated over free or nonnegative variables as
 
@@ -13,7 +14,11 @@ Problems are stated over free or nonnegative variables as
 
 Internally everything is reduced to standard form (equalities over
 nonnegative variables) with slack variables and, for free variables, a
-difference split.
+difference split.  An LP with no equality rows and no negative right-hand
+side starts phase 2 straight from the slack basis, which is feasible there.
+Every other LP runs two phases, with one artificial column per row.  Either
+way the duals are read off the final objective row at the starting basis's
+columns.
 """
 
 from __future__ import annotations
@@ -43,17 +48,25 @@ class LpStatus(Enum):
 class LpResult:
     """Outcome of a solve.
 
-    `x` and `value` are set for OPTIMAL.  `farkas` is set for INFEASIBLE: one
-    multiplier per constraint row (equalities first, then inequalities, in
-    input order) with y_i <= 0 on inequality rows, such that the combined
-    constraint sums to an impossibility; concretely y . A vanishes on free
-    variables, is <= 0 on nonnegative ones, and y . rhs > 0.
+    `x`, `value` and `dual` are set for OPTIMAL.  `farkas` is set for
+    INFEASIBLE.  Both hold one multiplier per constraint row, equalities
+    first, then inequalities, in input order.
+
+    `farkas` has y_i <= 0 on inequality rows, and the combined constraint
+    sums to an impossibility: y . A vanishes on free variables, is <= 0 on
+    nonnegative ones, and y . rhs > 0.
+
+    `dual` proves `value` optimal: y . A equals the objective on free
+    variables, y . rhs == value, and when maximizing y_i >= 0 on inequality
+    rows and y . A >= objective on nonnegative variables (both signs flip
+    when minimizing).
     """
 
     status: LpStatus
     x: tuple[Fraction, ...] | None = None
     value: Fraction | None = None
     farkas: tuple[Fraction, ...] | None = None
+    dual: tuple[Fraction, ...] | None = None
 
 
 def solve_lp(
@@ -91,8 +104,11 @@ def solve_lp(
     ]
     rhs = [r for _, r in eqs] + [r for _, r in ineqs]
     c_std = widen([-c for c in obj] if maximize else obj, None)
+    slacks = None
+    if not eqs and all(r >= 0 for r in rhs):
+        slacks = list(range(width - n_slack, width))
 
-    status, x_std, y = _simplex_standard(c_std, rows, rhs)
+    status, x_std, y = _simplex_standard(c_std, rows, rhs, slacks)
     if status is LpStatus.INFEASIBLE:
         return LpResult(LpStatus.INFEASIBLE, farkas=tuple(y))
     if status is LpStatus.UNBOUNDED:
@@ -102,19 +118,35 @@ def solve_lp(
     else:
         x = [x_std[j] - x_std[d + j] for j in range(d)]
     value = sum(c * v for c, v in zip(obj, x))
-    return LpResult(LpStatus.OPTIMAL, x=tuple(x), value=value)
+    # y proves min c_std . x_std; the stated problem's dual is -y when
+    # maximizing, since c_std is the negated objective there.
+    dual = tuple(-v for v in y) if maximize else tuple(y)
+    _check_dual(dual, obj, ineqs, eqs, nonneg, maximize, value)
+    return LpResult(LpStatus.OPTIMAL, x=tuple(x), value=value, dual=dual)
 
 
 def _simplex_standard(
-    c: list[Fraction], rows: list[list[Fraction]], rhs: list[Fraction]
+    c: list[Fraction],
+    rows: list[list[Fraction]],
+    rhs: list[Fraction],
+    slacks: list[int] | None = None,
 ) -> tuple[LpStatus, list[Fraction], list[Fraction] | None]:
     """min c.x s.t. rows.x = rhs, x >= 0.
 
+    `slacks`, when given, names for each row a zero-cost column that is 1 in
+    that row and 0 elsewhere, and every rhs is >= 0: those columns are a
+    feasible basis and phase 2 starts there.  Otherwise phase 1 finds a
+    feasible basis from one artificial column per row.
+
     Returns (status, x, y) where y is the Farkas certificate on INFEASIBLE
-    (y . rows <= 0 componentwise, y . rhs > 0) and None otherwise.
+    (y . rows <= 0 componentwise, y . rhs > 0), the duals on OPTIMAL
+    (y . rows <= c componentwise, y . rhs == c . x) and None on UNBOUNDED.
     """
     m, n = len(rows), len(c)
     flip = [1] * m
+    if slacks is not None:
+        tab = [list(row) + [r] for row, r in zip(rows, rhs)]
+        return _phase_two(c, tab, list(slacks), slacks, flip, n)
     tab: list[list[Fraction]] = []
     for i in range(m):
         row = list(rows[i])
@@ -154,22 +186,38 @@ def _simplex_standard(
                 _pivot(tab, basis, i, col)
     for i in reversed(drop):
         del tab[i], basis[i]
+    return _phase_two(c + [_F0] * m, tab, basis, range(n, total), flip, n)
 
-    # Phase 2 over the original cost vector; artificials never re-enter but
-    # their columns are kept so the duals stay readable.
-    obj = list(c) + [_F0] * m + [_F0]
+
+def _phase_two(
+    c: list[Fraction],
+    tab: list[list[Fraction]],
+    basis: list[int],
+    start: Sequence[int],
+    flip: list[int],
+    n: int,
+) -> tuple[LpStatus, list[Fraction], list[Fraction] | None]:
+    """Minimize c over a feasible tableau, entering only the first n columns.
+
+    `start[i]` is the zero-cost column that was the unit vector of row i,
+    sign-flipped by `flip[i]`, in the tableau before any pivot: the slacks,
+    or the artificials, which never re-enter but keep their columns so the
+    duals stay readable.  The final objective row holds 0 - y_i there.
+    """
+    obj = list(c) + [_F0]
     for i, row in enumerate(tab):
         cb = obj[basis[i]]
         if cb:
-            for j in range(total + 1):
-                if row[j]:
-                    obj[j] -= cb * row[j]
+            for j, v in enumerate(row):
+                if v:
+                    obj[j] -= cb * v
     if not _pivot_loop(tab, basis, obj, allowed=n):
         return LpStatus.UNBOUNDED, [], None
     x = [_F0] * n
     for i, bi in enumerate(basis):
         x[bi] = tab[i][-1]
-    return LpStatus.OPTIMAL, x, None
+    y = [-f * obj[j] for f, j in zip(flip, start)]
+    return LpStatus.OPTIMAL, x, y
 
 
 def _pivot_loop(
@@ -239,3 +287,30 @@ def _check_farkas(
     for j in range(n):
         if sum(y[i] * rows[i][j] for i in range(len(rows))) > 0:
             raise CertificateError("Farkas certificate violates column inequality")
+
+
+def _check_dual(
+    y: Sequence[Fraction],
+    objective: Sequence[Fraction],
+    ineqs: Sequence[Row],
+    eqs: Sequence[Row],
+    nonneg: bool,
+    maximize: bool,
+    value: Fraction,
+) -> None:
+    """Raise CertificateError unless y proves `value` optimal for the stated
+    LP: see `LpResult.dual` for the conditions."""
+    sign = 1 if maximize else -1
+    rows = [*eqs, *ineqs]
+    if len(y) != len(rows) or any(sign * v < 0 for v in y[len(eqs):]):
+        raise CertificateError("dual multipliers have the wrong sign")
+    if sum(v * r for v, (_, r) in zip(y, rows)) != value:
+        raise CertificateError("dual multipliers do not attain the optimum")
+    gaps = [-c for c in objective]  # y . A - objective, from the nonzeros
+    for v, (row, _) in zip(y, rows):
+        if v:
+            for j, a in enumerate(row):
+                if a:
+                    gaps[j] += v * a
+    if any(sign * g < 0 or (g and not nonneg) for g in gaps):
+        raise CertificateError("dual multipliers are infeasible")

@@ -20,7 +20,10 @@ to the neighbouring facet; a check separate from the search confirms the
 answer against the vertices.  Projections run through Fourier-Motzkin
 elimination on integer rows: one substitution pass through the equalities,
 then row combination for the variables left, deduplicating after every step,
-with one exact-LP redundancy pass over the final rows.
+with one exact-LP redundancy pass over the final rows.  Those LPs start from
+one feasible point and skip phase 1, and every verdict is certified: a row
+dropped by multipliers on the rows kept, a row kept by a point that violates
+it alone.
 Membership tests are LP feasibility problems whose answers carry
 certificates: explicit convex weights for inside points, a separating
 inequality (a facet, found by maximizing the violation over the polar) for
@@ -620,7 +623,9 @@ def fourier_motzkin_project(
     projection.  The variables left are eliminated one at a time by
     combining positive and negative rows.  Every step deduplicates the rows
     and checks `max_rows`; exact LPs remove redundant rows once, from the
-    final system.
+    final system (`_prune_redundant`): one feasibility LP, then one
+    phase-2-only LP per row from the slack basis, each verdict checked
+    against a certificate in the original coordinates.
     """
     keep = sorted(set(keep))
     if any(i < 0 or i >= h.dim for i in keep):
@@ -680,23 +685,74 @@ def _tidy_rows(rows, max_rows: int) -> list[tuple[int, ...]]:
 
 def _prune_redundant(ineqs, eqs):
     """Drop each (coeffs, bound) row that the rows still kept and the
-    equalities imply, decided by one exact LP per row."""
+    equalities imply, in order, decided by one exact LP per row.
+
+    `eqs` are row-reduced, as `_reduce_equalities` returns them.  One
+    feasibility LP finds a point x0 of the whole system; without one, every
+    row is kept, since no row of an infeasible system is implied by the
+    others.  The null space N of the equalities writes x = x0 + N z, and row
+    j becomes (c_j N) . z <= s_j with the slack s_j = b_j - c_j . x0 >= 0.
+    Row i's LP maximizes (c_i N) . z over the other rows left and the cap
+    (c_i N) . z <= s_i + 1: no equalities and no negative right-hand side,
+    so `solve_lp` starts it from the slack basis, and the cap bounds it.  A
+    value <= s_i drops the row, and the duals on the other rows are checked
+    to imply it (`_check_implied`); otherwise the optimal point is checked to
+    meet the others and violate row i (`_check_violated`).
+    """
     rows = list(ineqs)
+    if not rows:
+        return rows
+    d = len(rows[0][0])
+    start = solve_lp([0] * d, ineqs=rows, eqs=eqs)
+    if start.status is not LpStatus.OPTIMAL:
+        return rows
+    x0 = start.x
+    null = _null_space(*_echelon([c for c, _ in eqs]), d)
+    local = [(tuple(_dot(c, n) for n in null), b - _dot(c, x0)) for c, b in rows]
     idx = 0
     while idx < len(rows):
-        coeffs, rhs = rows[idx]
-        res = solve_lp(
-            coeffs,
-            ineqs=rows[:idx] + rows[idx + 1 :],
-            eqs=eqs,
-            nonneg=False,
-            maximize=True,
-        )
-        if res.status is LpStatus.OPTIMAL and res.value <= rhs:
-            rows.pop(idx)
+        a, s = local[idx]
+        others = rows[:idx] + rows[idx + 1 :]
+        res = solve_lp(a, ineqs=[*local[:idx], *local[idx + 1 :], (a, s + 1)])
+        if res.status is not LpStatus.OPTIMAL:
+            raise CertificateError("a capped pruning LP has no optimum")
+        if res.value <= s:
+            _check_implied(rows[idx], others, eqs, res.dual[:-1])
+            del rows[idx], local[idx]
         else:
+            x = [v + _dot(res.x, col) for v, col in zip(x0, zip(*null))]
+            _check_violated(rows[idx], others, eqs, x)
             idx += 1
     return rows
+
+
+def _check_implied(row, others, eqs, y) -> None:
+    """Raise CertificateError unless the multipliers y >= 0 on the other
+    rows prove the row implied: row - sum_j y_j others_j must reduce, by
+    `_eliminate_leads` modulo the equalities, to 0 . x <= t with t >= 0."""
+    if len(y) != len(others) or any(v < 0 for v in y):
+        raise CertificateError("pruning multipliers must be nonnegative")
+    combo = [*row[0], row[1]]
+    for v, (c, b) in zip(y, others):
+        if v:
+            for j, cj in enumerate((*c, b)):
+                combo[j] -= v * cj
+    rest = _eliminate_leads(integerize(combo), eqs)
+    if any(rest[:-1]) or rest[-1] < 0:
+        raise CertificateError(f"a pruned row is not implied by the rows kept: {row}")
+
+
+def _check_violated(row, others, eqs, x) -> None:
+    """Raise CertificateError unless the point x meets every equality and
+    every other row and violates the row, decided in integers on the
+    primitive multiple (X, D) of (x, 1)."""
+    *xs, den = integerize((*x, 1))
+    if (
+        any(_dot(c, xs) != r * den for c, r in eqs)
+        or any(_dot(c, xs) > b * den for c, b in others)
+        or _dot(row[0], xs) <= row[1] * den
+    ):
+        raise CertificateError(f"a kept row has no witness that violates it: {row}")
 
 
 # ---------------------------------------------------------------------------

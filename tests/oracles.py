@@ -240,6 +240,29 @@ def gpt_vroute(s: Scenario) -> HPolytope:
     return facet_enumeration(VPolytope.from_points(tables))
 
 
+def two_phase_prune(ineqs, eqs):
+    """Drop each (coeffs, bound) row that the rows still kept and the
+    equalities imply, decided by one two-phase LP per row in the original
+    coordinates.  `polytope._prune_redundant` keeps the same rows, in the
+    same order, with phase-2-only LPs from one feasible point."""
+    rows = list(ineqs)
+    idx = 0
+    while idx < len(rows):
+        coeffs, rhs = rows[idx]
+        res = solve_lp(
+            coeffs,
+            ineqs=rows[:idx] + rows[idx + 1 :],
+            eqs=eqs,
+            nonneg=False,
+            maximize=True,
+        )
+        if res.status is LpStatus.OPTIMAL and res.value <= rhs:
+            rows.pop(idx)
+        else:
+            idx += 1
+    return rows
+
+
 def h_maximum(coeffs, h: HPolytope) -> Fraction:
     """Exact maximum of coeffs . x over an H-polytope, by one LP.
     `polytope.maximize_linear` scans a vertex list instead."""

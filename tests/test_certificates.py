@@ -18,10 +18,12 @@ from instrumental.inequalities import (
     facet_orbit_classify,
     symmetry_group,
 )
-from instrumental.linprog import LpStatus, _check_farkas, solve_lp
+import instrumental.linprog as linprog
+from instrumental.linprog import LpStatus, _check_dual, _check_farkas, solve_lp
 from instrumental.polytope import classical_vpolytope, facet_enumeration
 from instrumental.scenario import Correlation, Scenario, postselect, pr_box
 
+F = Fraction
 SRC = Path(__file__).resolve().parent.parent / "src" / "instrumental"
 INSTR2 = Scenario.instrumental(2)
 INSTR3 = Scenario.instrumental(3)
@@ -106,6 +108,81 @@ def test_bad_farkas_vector_raises():
     for y in ([1, 1], [0, 0], [1, -1]):
         with pytest.raises(CertificateError):
             _check_farkas([Fraction(v) for v in y], rows, rhs)
+
+
+def test_bad_dual_raises():
+    # max 2x + 3y s.t. 3x + 4y <= 12, x + 3y <= 6, x, y >= 0 has the optimum
+    # 42/5, proved by the multipliers (3/5, 1/5).
+    ineqs = [([3, 4], 12), ([1, 3], 6)]
+    _check_dual([F(3, 5), F(1, 5)], [2, 3], ineqs, [], True, True, F(42, 5))
+    for y in ([F(3, 5), F(1, 4)], [F(1), F(-1, 5)], [F(3, 5)]):
+        with pytest.raises(CertificateError):
+            _check_dual(y, [2, 3], ineqs, [], True, True, F(42, 5))
+    # free variables need y . A equal to the objective, not just above it
+    with pytest.raises(CertificateError):
+        _check_dual([F(1), F(1)], [2, 3], ineqs, [], False, True, F(18))
+
+
+@pytest.mark.parametrize("eqs", [[], [([1, 1], 1)]], ids=["slack-start", "two-phase"])
+def test_tampered_lp_dual_raises(monkeypatch, eqs):
+    args = dict(ineqs=[([1, 0], 1), ([0, 1], 1)], eqs=eqs, nonneg=True)
+    assert solve_lp([1, 2], **args).dual is not None
+    simplex = linprog._simplex_standard
+
+    def tampered(*a):
+        status, x, y = simplex(*a)
+        return status, x, [v + F(1, 3) for v in y]
+
+    monkeypatch.setattr(linprog, "_simplex_standard", tampered)
+    with pytest.raises(CertificateError, match="dual"):
+        solve_lp([1, 2], **args)
+
+
+# x <= 1 and y <= 1 imply x + y <= 2; nothing implies x <= 1
+SQUARE = [((1, 0), 1), ((0, 1), 1), ((1, 1), 2)]
+
+
+def test_bad_pruning_certificates_raise():
+    polytope._check_implied(SQUARE[2], SQUARE[:2], (), [F(1), F(1)])
+    for y in ([F(1), F(1, 2)], [F(2), F(1)], [F(1)]):
+        with pytest.raises(CertificateError):
+            polytope._check_implied(SQUARE[2], SQUARE[:2], (), y)
+    # x = (x + y) - y cancels, but a negative multiplier proves nothing
+    with pytest.raises(CertificateError, match="nonnegative"):
+        polytope._check_implied(SQUARE[0], SQUARE[:0:-1], (), [F(1), F(-1)])
+    polytope._check_violated(SQUARE[0], SQUARE[1:], (), [F(2), F(0)])
+    # moved back inside x <= 1, or out of y <= 1, or off an equality
+    for x, eqs in (([F(1), F(0)], ()), ([F(3, 2), F(3, 2)], ()), ([F(2), F(0)], (((0, 1), 1),))):
+        with pytest.raises(CertificateError):
+            polytope._check_violated(SQUARE[0], SQUARE[1:], eqs, x)
+
+
+def shifted_dual(res):
+    return (res.dual[0] + Fraction(1, 2),) + res.dual[1:]
+
+
+def test_tampered_pruning_multiplier_exits_3(monkeypatch, capsys):
+    argv = ["facets", "--gpt", "-x", "2"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    tamper(monkeypatch, polytope, LpStatus.OPTIMAL, dual=shifted_dual)
+    assert main(argv) == 3
+    assert "a pruned row is not implied" in capsys.readouterr().err
+
+
+def test_kept_row_witness_inside_its_row_raises(monkeypatch):
+    ns = polytope.no_signalling_polytope(INSTR2.parent_bell())
+
+    def tampered(objective, **kwargs):
+        res = solve_lp(objective, **kwargs)
+        if kwargs.get("eqs"):  # the feasibility LP that finds x0
+            return res
+        # z = 0 maps back to x0, which meets every row
+        return dataclasses.replace(res, x=(Fraction(0),) * len(res.x))
+
+    monkeypatch.setattr(polytope, "solve_lp", tampered)
+    with pytest.raises(CertificateError, match="no witness"):
+        polytope.fourier_motzkin_project(ns, INSTR2.wired_indices())
 
 
 def test_orbit_classification_rejects_open_facet_list():

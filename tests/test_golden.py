@@ -36,6 +36,7 @@ CASES = {
     ],
     "facets_gpt_x2_json": ["facets", "--gpt", "-x", "2", "--format", "json"],
     "facets_gpt_x3_json": ["facets", "--gpt", "-x", "3", "--format", "json"],
+    "facets_gpt_x4_json": ["facets", "--gpt", "-x", "4", "--format", "json"],
     "facets_gpt_x2_a3_json": ["facets", "--gpt", "-x", "2", "-a", "3", "--format", "json"],
     "facets_gpt_x2_b3_json": ["facets", "--gpt", "-x", "2", "-b", "3", "--format", "json"],
     "bounds_bonet": ["bounds", "bonet"],

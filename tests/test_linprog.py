@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import instrumental.linprog as linprog
 from instrumental.linprog import LpStatus, solve_lp
 
 F = Fraction
@@ -31,6 +32,40 @@ def test_exact_fractional_optimum():
     assert res.status is LpStatus.OPTIMAL
     assert res.x == (F(12, 5), F(6, 5))
     assert res.value == F(42, 5)
+
+
+def test_optimum_carries_checked_duals():
+    res = solve_lp([2, 3], ineqs=[([3, 4], 12), ([1, 3], 6)], nonneg=True)
+    assert res.dual == (F(3, 5), F(1, 5))
+    # minimizing: equality multipliers first, inequality ones <= 0
+    res = solve_lp(
+        [0, 1],
+        eqs=[([1, 1], 1)],
+        ineqs=[([-1, 0], 0), ([0, -1], 0)],
+        maximize=False,
+    )
+    assert res.dual == (0, 0, -1)
+    assert solve_lp([1], ineqs=[([1], -3)]).dual == (1,)
+
+
+@pytest.mark.parametrize(
+    "ineqs, eqs, phases",
+    [
+        ([([1, 0], 1), ([0, 1], 1), ([1, 1], F(3, 2))], [], 1),
+        ([([1, 0], 1), ([0, 1], -1)], [], 2),
+        ([([1, 0], 1)], [([0, 1], 1)], 2),
+    ],
+    ids=["slack-start", "negative-rhs", "equality"],
+)
+def test_slack_basis_start_skips_phase_one(monkeypatch, ineqs, eqs, phases):
+    calls = []
+    loop = linprog._pivot_loop
+    monkeypatch.setattr(
+        linprog, "_pivot_loop", lambda *a, **k: calls.append(1) or loop(*a, **k)
+    )
+    res = solve_lp([1, 1], ineqs=ineqs, eqs=eqs)
+    assert res.status is LpStatus.OPTIMAL
+    assert len(calls) == phases
 
 
 def test_equality_constraints():

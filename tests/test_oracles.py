@@ -14,6 +14,7 @@ from instrumental.inequalities import (
     symmetry_group,
 )
 from instrumental.polytope import (
+    _prune_redundant,
     _reduce_equalities,
     adjacency_decomposition,
     classical_vpolytope,
@@ -40,6 +41,7 @@ from oracles import (
     input_blocks,
     no_signalling_equalities,
     signalling_residual,
+    two_phase_prune,
 )
 
 EXPRESSIONS = {
@@ -128,6 +130,64 @@ def test_fourier_motzkin_matches_vroute(args):
     vroute = gpt_vroute(s)
     assert fm.inequalities == vroute.inequalities
     assert fm.equalities == vroute.equalities
+
+
+def _random_h_system(rng, kind):
+    """Integer rows (coeffs, bound) and row-reduced equalities in 2-4
+    variables, built around an integer point so that every kind but
+    "infeasible" has one."""
+    d = rng.randint(2, 4)
+    point = [rng.randint(-2, 2) for _ in range(d)]
+
+    def through_point(coeffs, slack):
+        return tuple(coeffs), sum(c * v for c, v in zip(coeffs, point)) + slack
+
+    def random_coeffs():
+        # no row bounds the last variable of an "unbounded" system
+        free = int(kind == "unbounded")
+        return [rng.randint(-3, 3) for _ in range(d - free)] + [0] * free
+
+    n_rows = rng.randint(d + 1, 2 * d + 3)
+    rows = [through_point(random_coeffs(), rng.randint(0, 3)) for _ in range(n_rows)]
+    eqs = []
+    if kind in ("equalities", "constant"):
+        eqs = [through_point(random_coeffs(), 0) for _ in range(rng.randint(1, d - 1))]
+    if kind == "constant":
+        # multiples of an equality: constant on the affine hull
+        for _ in range(2):
+            k = rng.choice([-2, -1, 1, 2])
+            row = through_point([k * c for c in rng.choice(eqs)[0]], rng.randint(0, 2))
+            rows.insert(rng.randrange(len(rows) + 1), row)
+    if kind == "duplicates":
+        for _ in range(3):
+            (c1, b1), (c2, b2) = rng.choice(rows), rng.choice(rows)
+            row = rng.choice([
+                (c1, b1),
+                (tuple(2 * c for c in c1), 2 * b1),
+                (tuple(a + b for a, b in zip(c1, c2)), b1 + b2 + rng.randint(0, 1)),
+            ])
+            rows.insert(rng.randrange(len(rows) + 1), row)
+    if kind == "infeasible":
+        c, b = rows[0]
+        rows.insert(rng.randrange(len(rows) + 1), (tuple(-v for v in c), -b - 1))
+    return rows, _reduce_equalities(eqs, d)
+
+
+@pytest.mark.parametrize(
+    "kind", ["free", "equalities", "constant", "duplicates", "unbounded", "infeasible"]
+)
+def test_prune_redundant_matches_two_phase_oracle(kind):
+    rng = random.Random(f"prune-{kind}")
+    pruned = kept = 0
+    for _ in range(20):
+        rows, eqs = _random_h_system(rng, kind)
+        got = _prune_redundant(rows, eqs)
+        assert got == two_phase_prune(rows, eqs)
+        if kind == "infeasible":
+            assert got == rows
+        pruned += len(rows) - len(got)
+        kept += len(got)
+    assert kept and (pruned or kind == "infeasible")
 
 
 @pytest.mark.parametrize(

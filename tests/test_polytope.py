@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import instrumental.linprog as linprog
 from instrumental.errors import CapacityError
 from instrumental.polytope import (
     HPolytope,
@@ -372,6 +373,19 @@ def test_projection_trip_points(n, trip):
     fourier_motzkin_project(ns, s.wired_indices(), max_rows=trip)
     with pytest.raises(CapacityError):
         fourier_motzkin_project(ns, s.wired_indices(), max_rows=trip - 1)
+
+
+def test_projection_prunes_without_phase_one(monkeypatch):
+    # One two-phase feasibility LP, then phase-2-only pruning LPs: 192
+    # pivots at three inputs (46 of them finding the feasible point), against
+    # 1,497 when every pruning LP ran both phases.
+    s = Scenario.instrumental(3)
+    ns = no_signalling_polytope(s.parent_bell())
+    pivots = []
+    pivot = linprog._pivot
+    monkeypatch.setattr(linprog, "_pivot", lambda *a: pivots.append(1) or pivot(*a))
+    fourier_motzkin_project(ns, s.wired_indices())
+    assert len(pivots) <= 400
 
 
 def _entries(h):
