@@ -264,15 +264,15 @@ def _pivot(
     if piv != 1:
         inv = _F1 / piv
         tab[row_i] = prow = [v * inv for v in prow]
+    nonzeros = [(j, pv) for j, pv in enumerate(prow) if pv]
     targets = tab if obj is None else tab + [obj]
     for row in targets:
         if row is prow:
             continue
         factor = row[col]
         if factor:
-            for j, pv in enumerate(prow):
-                if pv:
-                    row[j] -= factor * pv
+            for j, pv in nonzeros:
+                row[j] -= factor * pv
     basis[row_i] = col
 
 

@@ -11,7 +11,7 @@ elimination over Python ints, `_echelon`, whose rows are the primitive integer
 multiples of the reduced row echelon form.  Inequality rows and equality
 systems stay primitive `int` tuples from there to the returned polytope;
 only `_null_space` scales its basis to 1 on the free column, as `Fraction`s,
-because the separation LP pivots on that basis.  Conversions run through an
+the coordinates the pruning LPs run in.  Conversions run through an
 incremental double-description cone algorithm over primitive integer
 vectors.  A hull with a known symmetry group is found one orbit at a time by
 adjacency decomposition: the double description runs only on the vertices
@@ -26,8 +26,10 @@ dropped by multipliers on the rows kept, a row kept by a point that violates
 it alone.
 Membership tests are LP feasibility problems whose answers carry
 certificates: explicit convex weights for inside points, a separating
-inequality (a facet, found by maximizing the violation over the polar) for
-outside points.
+inequality for outside points.  That inequality is a facet of maximal
+normalized violation, found by one LP over the polar of the centred hull
+that starts from the slack basis, and checked to be a facet by the rank of
+the vertices tight on it.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 from .errors import CapacityError, CertificateError
@@ -763,9 +766,9 @@ def membership(point, polytope: VPolytope) -> MembershipCertificate:
     """Decide whether a point is a convex combination of the vertices.
 
     Both answers are certified and the certificates are re-checked before
-    being returned: convex weights for inside, a separating facet (maximizing
-    the violation, found via the polar with an interior-point normalization)
-    for outside.
+    being returned: convex weights for inside; for outside, a separating
+    inequality that `_check_separator` confirms is a facet of the hull (or,
+    for a point off the affine hull, one of its equalities).
     """
     q = _as_point(point, polytope.dim)
     verts = polytope.vertices
@@ -788,9 +791,25 @@ def membership(point, polytope: VPolytope) -> MembershipCertificate:
         return MembershipCertificate(inside=True, weights=weights)
     sep = _separating_facet(q, VPolytope.from_points(verts).vertices)
     margin = sep.violation(q)
-    if margin <= 0 or not all(sep.satisfied_by(v) for v in verts):
-        raise CertificateError("the inequality does not separate the point")
+    _check_separator(sep, margin, verts)
     return MembershipCertificate(inside=False, separator=sep, margin=margin)
+
+
+def _check_separator(
+    sep: LinearInequality, margin: Fraction, verts: Sequence[Sequence[Fraction]]
+) -> None:
+    """Raise CertificateError unless the point's margin is positive, sep
+    holds on every vertex, and sep is either an affine-hull equality of the
+    vertices (tight on all of them) or a facet: the vertices tight on it
+    span a hyperplane of the hull, by the `_echelon` rank of their
+    homogenized rows, as in `_check_facets`."""
+    hom = [integerize((1, *v)) for v in verts]
+    slacks = _slacks(sep, _supports(hom))
+    if margin <= 0 or min(slacks) < 0:
+        raise CertificateError("the inequality does not separate the point")
+    tight = [h for h, s in zip(hom, slacks) if s == 0]
+    if len(tight) < len(hom) and _rank(tight) != _rank(hom) - 1:
+        raise CertificateError(f"the separator is not a facet of the hull: {sep}")
 
 
 def _separating_facet(
@@ -799,17 +818,35 @@ def _separating_facet(
     """A separating hyperplane for q, supporting the hull along a facet.
 
     First tries the affine hull: if q violates an equality, that equality
-    (suitably oriented) already separates.  Otherwise maximize the violation
-    g . q - beta over valid inequalities, normalized by g . c - beta = -1 for
-    a relative-interior point c and with g restricted to directions of the
-    hull; basic optimal solutions of that LP are facets.
+    (suitably oriented) already separates.  Otherwise it maximizes the
+    violation g . q - beta over valid inequalities g . x <= beta normalized
+    by beta - g . c = 1 at the centroid c, in polar form.  The `_echelon`
+    rows B of the centred vertices span the hull's directions; with
+    g = B^T w and beta = g . c + 1 the normalization holds by construction,
+    and the LP is
+
+        max w . B(q - c)  s.t.  w . B(v - c) <= 1 for every vertex v,
+
+    scaled by `scale`, the vertex count times their common denominator, to
+    integer rows.  It has no equality and no negative right-hand side, so
+    `solve_lp` starts it from the slack basis, with no phase 1; c is
+    relatively interior, so the optimum is bounded, and q is outside iff the
+    optimum exceeds 1 (`scale` after scaling).  A basic optimum is a facet
+    with maximal normalized violation (g . q - beta) / (beta - g . c).  When
+    several facets tie, the one returned is where Bland's rule ends on this
+    LP; a two-phase LP over (g, beta) may end on another of them.
     """
     d = len(q)
     n = len(verts)
-    centroid = tuple(sum(v[i] for v in verts) / n for i in range(d))
-    centered = [[v[i] - centroid[i] for i in range(d)] for v in verts]
-    normals = _null_space(*_echelon(centered), d)
-    for nvec in normals:
+    den = lcm(*(x.denominator for v in verts for x in v))
+    ints = [tuple(x.numerator * (den // x.denominator) for x in v) for v in verts]
+    total = tuple(map(sum, zip(*ints)))
+    scale = n * den
+    centroid = tuple(Fraction(t, scale) for t in total)
+    # scale . (v - c) per vertex: positive multiples of the centred vertices
+    centered = [tuple(n * x - t for x, t in zip(v, total)) for v in ints]
+    basis, pivots = _echelon(centered)
+    for nvec in _null_space(basis, pivots, d):
         # nvec . x is constant on the hull
         rhs = sum(nv * c for nv, c in zip(nvec, centroid))
         val = sum(nv * qi for nv, qi in zip(nvec, q))
@@ -819,21 +856,15 @@ def _separating_facet(
             return canonicalize(
                 LinearInequality(tuple(-c for c in nvec), -rhs)
             )
-    # variables (g, beta)
-    objective = list(q) + [Fraction(-1)]
-    ineq_rows = [(list(v) + [Fraction(-1)], _F0) for v in verts]
-    eq_rows = [(list(centroid) + [Fraction(-1)], Fraction(-1))]
-    for nvec in normals:
-        eq_rows.append((list(nvec) + [_F0], _F0))
-    res = solve_lp(
-        objective, ineqs=ineq_rows, eqs=eq_rows, nonneg=False, maximize=True
-    )
-    if res.status is not LpStatus.OPTIMAL or res.value <= 0:
+    rows = [([_dot(b, v) for b in basis], scale) for v in centered]
+    shifted = [scale * qi - t for qi, t in zip(q, total)]
+    res = solve_lp([_dot(b, shifted) for b in basis], ineqs=rows)
+    if res.status is not LpStatus.OPTIMAL or res.value <= scale:
         raise CertificateError(
             "separation failed although the membership LP was infeasible"
         )
-    g, beta = res.x[:-1], res.x[-1]
-    return canonicalize(LinearInequality(tuple(g), beta))
+    g = tuple(_dot(res.x, col) for col in zip(*basis))
+    return canonicalize(LinearInequality(g, _dot(g, centroid) + 1))
 
 
 def maximize_linear(

@@ -15,6 +15,9 @@ from instrumental.polytope import (
     HPolytope,
     LinearInequality,
     VPolytope,
+    _echelon,
+    _null_space,
+    canonicalize,
     facet_enumeration,
     no_signalling_polytope,
     vertex_enumeration,
@@ -261,6 +264,38 @@ def two_phase_prune(ineqs, eqs):
         else:
             idx += 1
     return rows
+
+
+def two_phase_separating_facet(q, verts) -> LinearInequality:
+    """A facet of the hull of the vertices that the point q violates, by one
+    two-phase LP over (g, beta) in the original coordinates: maximize
+    g . q - beta over g . v <= beta on every vertex, g . c - beta = -1 at the
+    centroid c, and g orthogonal to the hull's normals.  Its optimum is the
+    normalized violation (g . q - beta) / (beta - g . c) of the facet it
+    returns.  A point off the affine hull gets the violated equality,
+    oriented, before any LP.  `polytope._separating_facet` solves the same
+    LP in polar form from the slack basis."""
+    d = len(q)
+    n = len(verts)
+    centroid = tuple(sum(v[i] for v in verts) / n for i in range(d))
+    centered = [[v[i] - centroid[i] for i in range(d)] for v in verts]
+    normals = _null_space(*_echelon(centered), d)
+    for nvec in normals:
+        rhs = sum(nv * c for nv, c in zip(nvec, centroid))
+        val = sum(nv * qi for nv, qi in zip(nvec, q))
+        if val > rhs:
+            return canonicalize(LinearInequality(tuple(nvec), rhs))
+        if val < rhs:
+            return canonicalize(LinearInequality(tuple(-c for c in nvec), -rhs))
+    objective = list(q) + [Fraction(-1)]
+    ineq_rows = [(list(v) + [Fraction(-1)], Fraction(0)) for v in verts]
+    eq_rows = [(list(centroid) + [Fraction(-1)], Fraction(-1))]
+    for nvec in normals:
+        eq_rows.append((list(nvec) + [Fraction(0)], Fraction(0)))
+    res = solve_lp(objective, ineqs=ineq_rows, eqs=eq_rows, nonneg=False, maximize=True)
+    if res.status is not LpStatus.OPTIMAL or res.value <= 0:
+        raise ValueError("the point is not outside the hull")
+    return canonicalize(LinearInequality(tuple(res.x[:-1]), res.x[-1]))
 
 
 def h_maximum(coeffs, h: HPolytope) -> Fraction:

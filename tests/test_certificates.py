@@ -236,6 +236,54 @@ def test_tampered_representative_raises():
         polytope._check_facets(v.vertices, facets[1:], facets[:1])
 
 
+def plus_positivity(separate):
+    """`_separating_facet` returning its facet plus -x_i <= 0 at the first
+    coordinate where the point is 0: the sum of two valid rows, violated by
+    the same margin, but tight only where both are."""
+    def tampered(q, verts):
+        f = separate(q, verts)
+        coeffs = list(f.coeffs)
+        coeffs[q.index(0)] -= 1
+        return polytope.LinearInequality(tuple(coeffs), f.bound)
+
+    return tampered
+
+
+def loosened(separate):
+    """`_separating_facet` returning its facet with the bound raised by
+    less than the margin: still separating, but tight on no vertex."""
+    def tampered(q, verts):
+        f = separate(q, verts)
+        return polytope.LinearInequality(f.coeffs, f.bound + f.violation(q) / 2)
+
+    return tampered
+
+
+@pytest.mark.parametrize("change", [plus_positivity, loosened])
+def test_non_facet_separator_raises(monkeypatch, change):
+    square = polytope.VPolytope.from_points([(0, 0), (1, 0), (0, 1), (1, 1)])
+    q = (F(2), F(0))
+    cert = polytope.membership(q, square)
+    assert cert.separator == polytope.LinearInequality((1, 0), 1)
+    monkeypatch.setattr(
+        polytope, "_separating_facet", change(polytope._separating_facet)
+    )
+    with pytest.raises(CertificateError, match="not a facet"):
+        polytope.membership(q, square)
+
+
+def test_non_facet_separator_exits_3(monkeypatch, tmp_path, capsys):
+    path = tmp_path / "pr.json"
+    io.save_correlation(pr_box(), path)
+    argv = ["membership", str(path), "--theory", "classical", "--with-local-processing"]
+    assert main(argv) == 0
+    monkeypatch.setattr(
+        polytope, "_separating_facet", plus_positivity(polytope._separating_facet)
+    )
+    assert main(argv) == 3
+    assert "not a facet" in capsys.readouterr().err
+
+
 def test_no_assert_statements_in_package():
     found = [
         f"{path.name}:{node.lineno}"

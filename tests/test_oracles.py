@@ -14,6 +14,7 @@ from instrumental.inequalities import (
     symmetry_group,
 )
 from instrumental.polytope import (
+    VPolytope,
     _prune_redundant,
     _reduce_equalities,
     adjacency_decomposition,
@@ -21,7 +22,9 @@ from instrumental.polytope import (
     facet_enumeration,
     fourier_motzkin_project,
     maximize_linear,
+    membership,
     no_signalling_polytope,
+    reduce_modulo,
 )
 from instrumental.rationals import integerize
 from instrumental.scenario import (
@@ -42,6 +45,7 @@ from oracles import (
     no_signalling_equalities,
     signalling_residual,
     two_phase_prune,
+    two_phase_separating_facet,
 )
 
 EXPRESSIONS = {
@@ -188,6 +192,69 @@ def test_prune_redundant_matches_two_phase_oracle(kind):
         pruned += len(rows) - len(got)
         kept += len(got)
     assert kept and (pruned or kind == "infeasible")
+
+
+def _random_separation_case(rng, flat):
+    """Vertices of a random small polytope and a random point, with every
+    coordinate in halves.  A flat polytope is the image of one of dimension
+    m under an integer affine map into m + 1 or m + 2 dimensions; its point
+    lies on that image, or off it when `flat == "off"`."""
+    def coord(lo, hi):
+        return Fraction(rng.randint(2 * lo, 2 * hi), 2)
+
+    if not flat:
+        d = rng.randint(2, 4)
+        pts = [tuple(coord(-2, 2) for _ in range(d)) for _ in range(rng.randint(d + 1, d + 5))]
+        return pts, tuple(coord(-4, 4) for _ in range(d))
+    m = rng.randint(1, 2)
+    d = m + rng.randint(1, 2)
+    a = [[rng.randint(-2, 2) for _ in range(m)] for _ in range(d)]
+    t = [rng.randint(-2, 2) for _ in range(d)]
+
+    def embed(y):
+        return tuple(sum(r * yi for r, yi in zip(row, y)) + ti for row, ti in zip(a, t))
+
+    pts = [embed([coord(-2, 2) for _ in range(m)]) for _ in range(rng.randint(m + 1, m + 4))]
+    q = embed([coord(-4, 4) for _ in range(m)])
+    if flat == "off":
+        q = tuple(x + rng.randint(-1, 1) for x in q)
+    return pts, q
+
+
+def _normalized_violation(sep, q, verts):
+    centroid = [sum(col) / len(verts) for col in zip(*verts)]
+    slack = sep.bound - sum(g * c for g, c in zip(sep.coeffs, centroid))
+    return sep.violation(q) / slack
+
+
+@pytest.mark.parametrize("flat", [None, "on", "off"])
+def test_separating_facet_matches_two_phase_oracle(flat):
+    # The polar LP may pick another facet than the two-phase LP when several
+    # tie, but never one with a smaller normalized violation.  A point off
+    # the affine hull gets the same oriented equality, byte for byte.
+    rng = random.Random(f"separate-{flat}")
+    by_lp = by_equality = 0
+    for _ in range(40):
+        pts, q = _random_separation_case(rng, flat)
+        v = VPolytope.from_points(pts)
+        cert = membership(q, v)
+        if cert.inside:
+            continue
+        h = facet_enumeration(v)
+        sep, oracle = cert.separator, two_phase_separating_facet(q, v.vertices)
+        if any(sum(c * x for c, x in zip(coeffs, q)) != rhs for coeffs, rhs in h.equalities):
+            assert repr(sep) == repr(oracle)
+            by_equality += 1
+        else:
+            assert reduce_modulo(sep, h.equalities) in h.inequalities
+            assert _normalized_violation(sep, q, v.vertices) == _normalized_violation(
+                oracle, q, v.vertices
+            )
+            by_lp += 1
+    if flat == "off":
+        assert by_equality
+    else:
+        assert by_lp >= 10
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,9 @@ from fractions import Fraction
 import pytest
 
 import instrumental.linprog as linprog
+import instrumental.polytope as polytope
 from instrumental.errors import CapacityError
+from instrumental.inequalities import extension_membership
 from instrumental.polytope import (
     HPolytope,
     LinearInequality,
@@ -23,6 +25,7 @@ from instrumental.polytope import (
 from instrumental.scenario import (
     Correlation,
     Scenario,
+    dummy_input_extension,
     postselect,
     pr_box,
     strategy_to_correlation,
@@ -386,6 +389,31 @@ def test_projection_prunes_without_phase_one(monkeypatch):
     monkeypatch.setattr(linprog, "_pivot", lambda *a: pivots.append(1) or pivot(*a))
     fourier_motzkin_project(ns, s.wired_indices())
     assert len(pivots) <= 400
+
+
+def test_separation_runs_without_phase_one(monkeypatch):
+    # The separation LP for the PR box with a dummy third input starts from
+    # the slack basis: 16 pivots, against 93 when it ran both phases.
+    p = postselect(dummy_input_extension(pr_box()), INSTR3)
+    pivots, inside = [], []
+    pivot, separate = linprog._pivot, polytope._separating_facet
+
+    def counted_pivot(*args):
+        if inside:
+            pivots.append(1)
+        return pivot(*args)
+
+    def counted_separate(*args):
+        inside.append(1)
+        try:
+            return separate(*args)
+        finally:
+            inside.clear()
+
+    monkeypatch.setattr(linprog, "_pivot", counted_pivot)
+    monkeypatch.setattr(polytope, "_separating_facet", counted_separate)
+    assert not extension_membership(p, "classical").inside
+    assert inside == [] and 0 < len(pivots) <= 40
 
 
 def _entries(h):
