@@ -1,137 +1,24 @@
 """Exact analysis of classical, quantum and no-signalling correlations
-in instrumental causal scenarios."""
+in instrumental causal scenarios.
 
-from .errors import CapacityError, CertificateError, ConvergenceError
-from .scenario import (
-    Correlation,
-    DeterministicStrategy,
-    Kind,
-    Scenario,
-    append_dummy_input,
-    classical_correlations,
-    dummy_input_extension,
-    enumerate_deterministic_strategies,
-    max_signalling_residual,
-    mix_correlations,
-    postselect,
-    pr_box,
-    random_mixture,
-    strategy_to_correlation,
-    uniform_box,
-    validate,
-)
-from .polytope import (
-    HPolytope,
-    LinearInequality,
-    MembershipCertificate,
-    VPolytope,
-    adjacency_decomposition,
-    classical_vpolytope,
-    facet_enumeration,
-    fourier_motzkin_project,
-    maximize_linear,
-    membership,
-    no_signalling_polytope,
-    reduce_modulo,
-    vertex_enumeration,
-)
-from .inequalities import (
-    BoundsTriple,
-    ExactValue,
-    LinearExpression,
-    Orbit,
-    SymmetryGroup,
-    bounds,
-    catalog,
-    classical_maximum,
-    correlator,
-    extension_membership,
-    facet_orbit_classify,
-    gpt_maximum,
-    identity_check,
-    lift_to_bell,
-    pearl_expressions,
-    relabel_correlation,
-    relabel_expression,
-    symmetry_group,
-    verify_identity,
-)
-from .quantum import (
-    Observable2,
-    QuantumStrategy,
-    SeeSawResult,
-    TwoQubitState,
-    bonet_strategy,
-    born_table,
-    chained_strategy,
-    chsh_strategy,
-    rationalize_correlation,
-    tilted_search,
-)
+The package republishes the `__all__` of each module below; a name is made
+public by listing it in its own module.
+"""
+
+from . import errors, inequalities, polytope, quantum, scenario
+from .errors import *  # noqa: F401,F403
+from .scenario import *  # noqa: F401,F403
+from .polytope import *  # noqa: F401,F403
+from .inequalities import *  # noqa: F401,F403
+from .quantum import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CapacityError",
-    "CertificateError",
-    "ConvergenceError",
-    "Kind",
-    "Scenario",
-    "Correlation",
-    "DeterministicStrategy",
-    "enumerate_deterministic_strategies",
-    "strategy_to_correlation",
-    "classical_correlations",
-    "postselect",
-    "dummy_input_extension",
-    "append_dummy_input",
-    "validate",
-    "max_signalling_residual",
-    "mix_correlations",
-    "random_mixture",
-    "pr_box",
-    "uniform_box",
-    "LinearInequality",
-    "HPolytope",
-    "VPolytope",
-    "MembershipCertificate",
-    "reduce_modulo",
-    "facet_enumeration",
-    "adjacency_decomposition",
-    "vertex_enumeration",
-    "fourier_motzkin_project",
-    "membership",
-    "maximize_linear",
-    "no_signalling_polytope",
-    "classical_vpolytope",
-    "LinearExpression",
-    "ExactValue",
-    "BoundsTriple",
-    "Orbit",
-    "SymmetryGroup",
-    "catalog",
-    "bounds",
-    "correlator",
-    "pearl_expressions",
-    "lift_to_bell",
-    "identity_check",
-    "verify_identity",
-    "classical_maximum",
-    "gpt_maximum",
-    "extension_membership",
-    "facet_orbit_classify",
-    "symmetry_group",
-    "relabel_expression",
-    "relabel_correlation",
-    "Observable2",
-    "TwoQubitState",
-    "QuantumStrategy",
-    "SeeSawResult",
-    "born_table",
-    "chsh_strategy",
-    "bonet_strategy",
-    "chained_strategy",
-    "tilted_search",
-    "rationalize_correlation",
+    *dict.fromkeys(
+        name
+        for module in (errors, scenario, polytope, inequalities, quantum)
+        for name in module.__all__
+    ),
     "__version__",
 ]

@@ -51,6 +51,7 @@ __all__ = [
     "pearl_expressions",
     "catalog",
     "bounds",
+    "correlator",
     "lift_to_bell",
     "identity_check",
     "identity_residual_expression",
@@ -69,6 +70,11 @@ __all__ = [
 
 F0 = Fraction(0)
 F1 = Fraction(1)
+
+# Most deterministic strategies the classical extension test takes as LP
+# columns, checked before any is built: the LP's time grows far faster than
+# its column count.  4,096 admits every binary table with up to 10 inputs.
+_MEMBERSHIP_STRATEGY_LIMIT = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -114,9 +120,6 @@ class LinearExpression:
 
     def __sub__(self, other: "LinearExpression") -> "LinearExpression":
         return self._binary(other, -1)
-
-    def __neg__(self) -> "LinearExpression":
-        return self * -1
 
     def __mul__(self, scale) -> "LinearExpression":
         q = Fraction(scale)
@@ -277,15 +280,11 @@ class ExactValue:
             self.rational + Fraction(q), self.coefficient, self.surd, self.divisor
         )
 
-    __radd__ = __add__
-
     def __mul__(self, q) -> "ExactValue":
         q = Fraction(q)
         return ExactValue(
             self.rational * q, self.coefficient * q, self.surd, self.divisor
         )
-
-    __rmul__ = __mul__
 
     def __str__(self) -> str:
         if self.coefficient == 0:
@@ -404,24 +403,24 @@ def catalog(kind: str, *, alpha=None, n=None) -> LinearExpression:
 def bounds(kind: str, *, alpha=None, n=None) -> BoundsTriple:
     """Closed-form tight values for a catalog expression.
 
-    The quantum entries for the Instrumental families follow from the lifting
-    identities: a quarter of the Bell quantum value plus the constant shift,
-    with the leftover coordinate sent to zero by the dummy-input construction.
+    Only the Bell families are written out.  An Instrumental row follows
+    from its Bell row through the lifting identity: a quarter of the Bell
+    value plus the identity's constant shift, since the penalty term it
+    subtracts is nonnegative and sent to zero by the dummy-input
+    construction.
     """
     alpha, n = check_catalog_params(kind, alpha, n)
     if kind == "bonet":
         return bounds("tilted", alpha=1)
-    if kind == "tilted":
+    if kind in ("tilted", "chained"):
+        parent = "tilted_chsh" if kind == "tilted" else "chained_bell"
+        bell = bounds(parent, alpha=alpha, n=n)
+        shift = _identity_rhs(kind, alpha, n).constant
+        quarter = Fraction(1, 4)
         return BoundsTriple(
-            ExactValue.of(1 + alpha),
-            ExactValue.root(alpha * alpha + 1, Fraction(1, 2), (2 + alpha) / 2),
-            ExactValue.of(Fraction(3, 2) + alpha),
-        )
-    if kind == "chained":
-        return BoundsTriple(
-            ExactValue.of(n),
-            ExactValue.cosine(2 * n, Fraction(n, 2), Fraction(n + 1, 2)),
-            ExactValue.of(Fraction(2 * n + 1, 2)),
+            bell.classical * quarter + shift,
+            bell.quantum * quarter + shift,
+            bell.gpt * quarter + shift,
         )
     if kind == "chsh":
         return bounds("tilted_chsh", alpha=1)
@@ -774,7 +773,8 @@ def extension_membership(p: Correlation, theory: str) -> MembershipCertificate:
     of the projected polytope certifies outside).  theory "nosignalling": an
     exact LP over Bell boxes with the wired coordinates pinned to p; inside
     returns the extension, outside a valid inequality separating p from every
-    post-selected no-signalling box.
+    post-selected no-signalling box.  The classical test raises CapacityError
+    when s has more than `_MEMBERSHIP_STRATEGY_LIMIT` deterministic strategies.
     """
     s = p.scenario
     if s.kind is Kind.BELL:
@@ -783,6 +783,7 @@ def extension_membership(p: Correlation, theory: str) -> MembershipCertificate:
         raise TypeError("exact membership needs rational entries")
     bell = s.parent_bell()
     if theory == "classical":
+        _check_strategy_count(s, _MEMBERSHIP_STRATEGY_LIMIT)
         # One column per strategy, duplicates kept: s and its parent Bell
         # scenario enumerate the same (alpha, beta), so the weights line up
         # with enumerate_deterministic_strategies(bell).

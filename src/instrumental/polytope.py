@@ -52,6 +52,7 @@ __all__ = [
     "VPolytope",
     "MembershipCertificate",
     "canonicalize",
+    "reduce_modulo",
     "facet_enumeration",
     "adjacency_decomposition",
     "vertex_enumeration",
@@ -566,7 +567,7 @@ def vertex_enumeration(h: HPolytope, max_rays: int = 10**6) -> VPolytope:
     basis = [integerize(vec) for vec in subspace]
 
     verts = []
-    for y in _cone_rays(ineq_rows, basis, max_rays, sort=True):
+    for y in _cone_rays(ineq_rows, basis, max_rays):
         t = y[0]
         if t == 0:
             raise ValueError("polytope is unbounded; vertex enumeration undefined")
@@ -582,16 +583,13 @@ def _cone_rays(
     rows: list[tuple[int, ...]],
     basis: list[Sequence[int]],
     max_rays: int,
-    sort: bool = False,
 ) -> list[list[int]]:
     """Extreme rays of {y in span(basis) : row . y >= 0 for every row}.
 
-    The rows are restricted to coordinates on the basis (and sorted when
-    asked), handed to `_dd_pointed`, and its rays mapped back to y.
+    The rows are restricted to coordinates on the basis, handed to
+    `_dd_pointed`, and its rays mapped back to y.
     """
     restricted = [tuple(_dot(w, q) for q in basis) for w in rows]
-    if sort:
-        restricted.sort()
     cols = list(zip(*basis))
     return [[_dot(col, u) for col in cols] for u in _dd_pointed(restricted, max_rays)]
 

@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from instrumental import cli, io
+from instrumental import cli, inequalities, io
 from instrumental.cli import main
-from instrumental.inequalities import catalog
+from instrumental.errors import ConvergenceError
+from instrumental.inequalities import catalog, gpt_maximum
 from instrumental.quantum import born_table, chsh_strategy
 from instrumental.scenario import Scenario, postselect, pr_box, uniform_box
 from oracles import gpt_box_search
@@ -179,6 +180,44 @@ def test_bounds_capacity_trip(capsys, monkeypatch, kind, count):
     assert captured.err == (
         f"capacity: {count} deterministic strategies exceed the limit of 10000000\n"
     )
+
+
+def test_membership_classical_capacity_trip(capsys, monkeypatch, tmp_path):
+    def unreachable(s, limit=None):
+        raise AssertionError("the capacity check must trip before any strategy")
+
+    monkeypatch.setattr(inequalities, "enumerate_deterministic_strategies", unreachable)
+    path = tmp_path / "wide.json"
+    io.save_correlation(uniform_box(Scenario.instrumental(21)), path)
+    assert main(["membership", str(path), "--theory", "classical"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "capacity: 8388608 deterministic strategies exceed the limit of 4096\n"
+    )
+
+
+def test_bounds_mismatch_exits_3(capsys, monkeypatch):
+    def wrong(e):
+        value, witness = gpt_maximum(e)
+        return value + 1, witness
+
+    monkeypatch.setattr(cli, "gpt_maximum", wrong)
+    assert main(["bounds", "chsh"]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert "all three bounds verified" not in lines
+    assert lines[-1] == "MISMATCH gpt: expected 4, no-signalling maximum 5"
+
+
+def test_see_saw_convergence_failure_exits_3(capsys, monkeypatch):
+    def stuck(alpha):
+        raise ConvergenceError("see-saw did not converge")
+
+    monkeypatch.setattr(cli, "tilted_search", stuck)
+    assert main(["bounds", "tilted_chsh", "2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "no convergence: see-saw did not converge\n"
 
 
 def test_bounds_bonet(capsys):

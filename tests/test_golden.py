@@ -19,11 +19,12 @@ import pytest
 
 from instrumental import io
 from instrumental.cli import main
+from instrumental.quantum import born_table, chsh_strategy
 from instrumental.scenario import Scenario, postselect, pr_box
 
 GOLDEN = Path(__file__).parent / "golden"
 
-# name -> argv; "{pr}" and "{wired_pr}" stand for the two table files
+# name -> argv; "{pr}", "{wired_pr}" and "{chsh}" stand for the table files
 CASES = {
     "facets_classical_x2": ["facets", "--classical", "-x", "2"],
     "facets_classical_x2_json": ["facets", "--classical", "-x", "2", "--format", "json"],
@@ -42,7 +43,10 @@ CASES = {
     "bounds_bonet": ["bounds", "bonet"],
     "bounds_tilted_3_2_json": ["bounds", "tilted", "3/2", "--format", "json"],
     "bounds_chained_4_csv": ["bounds", "chained", "4", "--format", "csv"],
+    "bounds_tilted_chsh_2_json": ["bounds", "tilted_chsh", "2", "--format", "json"],
+    "bounds_chained_bell_4": ["bounds", "chained_bell", "4"],
     "identity_bonet_20": ["identity", "bonet", "--trials", "20"],
+    "identity_chained_3_5": ["identity", "chained", "--n", "3", "--trials", "5"],
     "membership_wired_pr": ["membership", "{wired_pr}", "--theory", "classical"],
     "membership_wired_pr_local": [
         "membership", "{wired_pr}", "--theory", "classical", "--with-local-processing",
@@ -51,13 +55,22 @@ CASES = {
     "membership_bell_pr_local": [
         "membership", "{pr}", "--theory", "classical", "--with-local-processing",
     ],
+    "membership_bell_pr_json": [
+        "membership", "{pr}", "--theory", "classical", "--format", "json",
+    ],
+    "membership_wired_pr_nosignalling_json": [
+        "membership", "{wired_pr}", "--theory", "nosignalling", "--format", "json",
+    ],
+    "membership_bell_chsh_born": ["membership", "{chsh}", "--theory", "classical"],
 }
 
 
 def _tables(directory: Path) -> dict[str, str]:
-    paths = {"pr": directory / "pr.json", "wired_pr": directory / "wired_pr.json"}
+    paths = {name: directory / f"{name}.json" for name in ("pr", "wired_pr", "chsh")}
     io.save_correlation(pr_box(), paths["pr"])
     io.save_correlation(postselect(pr_box(), Scenario.instrumental(2)), paths["wired_pr"])
+    # a float Born table, which membership rationalizes before its exact test
+    io.save_correlation(born_table(chsh_strategy(), Scenario.bell(2, 2)), paths["chsh"])
     return {k: str(v) for k, v in paths.items()}
 
 

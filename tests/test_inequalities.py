@@ -136,6 +136,19 @@ def test_bounds_tables():
     assert cb.classical == ExactValue.of(6)
     assert cb.quantum == ExactValue.cosine(8, 8)
     assert cb.gpt == ExactValue.of(8)
+    # the Instrumental rows, derived from the Bell rows, equal the closed forms
+    for alpha in (F(3, 2), F(3), F(10)):
+        assert bounds("tilted", alpha=alpha) == BoundsTriple(
+            ExactValue.of(1 + alpha),
+            ExactValue.root(alpha * alpha + 1, F(1, 2), (2 + alpha) / 2),
+            ExactValue.of(F(3, 2) + alpha),
+        )
+    for n in (2, 5, 8):
+        assert bounds("chained", n=n) == BoundsTriple(
+            ExactValue.of(n),
+            ExactValue.cosine(2 * n, F(n, 2), F(n + 1, 2)),
+            ExactValue.of(F(2 * n + 1, 2)),
+        )
 
 
 def test_bounds_ordering_enforced():
