@@ -13,7 +13,6 @@ import json
 import os
 import random
 import sys
-from fractions import Fraction
 
 from . import io
 from .errors import CapacityError, CertificateError, ConvergenceError
@@ -37,7 +36,6 @@ from .polytope import (
     classical_vpolytope,
     fourier_motzkin_project,
     no_signalling_polytope,
-    vertex_enumeration,
 )
 from .quantum import (
     bonet_strategy,
@@ -48,14 +46,13 @@ from .quantum import (
     tilted_search,
 )
 from .scenario import (
-    Correlation,
     Kind,
     Scenario,
     append_dummy_input,
     classical_correlations,
     dummy_input_extension,
     postselect,
-    random_mixture,
+    random_mixture_terms,
 )
 
 USAGE_ERROR = 1
@@ -310,21 +307,18 @@ def cmd_identity(args) -> int:
     params = dict(alpha=args.alpha, n=args.n)
     bell = identity_residual_expression(args.kind, **params).scenario
     symbolic = verify_identity(args.kind, **params)
+    # The residual is affine and the deterministic boxes span the no-signalling
+    # affine hull, so its values on them decide the identity on every box, and
+    # a sampled mixture's residual is the same mixture of those values.
+    residuals = [
+        identity_check(args.kind, p, **params) for p in classical_correlations(bell)
+    ]
     rng = random.Random(args.seed)
-    # mix over true extremal boxes where the enumeration stays small, over
-    # deterministic ones (the same affine span; no two Bell strategies share
-    # a table, so this is random_mixture's default pool) otherwise
-    if bell.dim <= 32:
-        pool = [
-            Correlation(bell, v)
-            for v in vertex_enumeration(no_signalling_polytope(bell)).vertices
-        ]
-    else:
-        pool = classical_correlations(bell)
-    worst = Fraction(0)
-    for _ in range(args.trials):
-        q = random_mixture(bell, rng, pool=pool)
-        worst = max(worst, abs(identity_check(args.kind, q, **params)))
+    samples = [
+        sum(w * residuals[i] for w, i in random_mixture_terms(rng, len(residuals)))
+        for _ in range(args.trials)
+    ]
+    worst = max(abs(r) for r in residuals + samples)
     doc = {
         "kind": args.kind,
         "symbolic": symbolic,
@@ -397,10 +391,12 @@ def _build_parser() -> _Parser:
     return parser
 
 
+_PARSER = _build_parser()  # once: each parser leaves reference cycles behind
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR

@@ -168,14 +168,20 @@ def _sum_terms(s: Scenario, coords_list: Iterable[tuple]) -> LinearExpression:
 
 def correlator(s: Scenario, x: int, y: int) -> LinearExpression:
     """<A_x B_y> = sum_ab (-1)^(a+b) p(ab|xy); outcome 0 maps to eigenvalue +1."""
+    return _correlator_sum(s, [(F1, x, y)])
+
+
+def _correlator_sum(s: Scenario, terms: Iterable[tuple]) -> LinearExpression:
+    """sum of w * <A_x B_y> over the (w, x, y) terms, written entry by entry."""
     if s.kind is not Kind.BELL:
         raise ValueError("correlators index Bell contexts")
     if s.nA != 2 or s.nB != 2:
         raise ValueError("correlators need binary outcomes")
     coeffs = [F0] * s.dim
-    for a in range(2):
-        for b in range(2):
-            coeffs[s.index(x, y, a, b)] = Fraction((-1) ** (a + b))
+    for w, x, y in terms:
+        for a in range(2):
+            for b in range(2):
+                coeffs[s.index(x, y, a, b)] += w if a == b else -w
     return LinearExpression(s, tuple(coeffs))
 
 
@@ -385,19 +391,15 @@ def catalog(kind: str, *, alpha=None, n=None) -> LinearExpression:
     if kind == "chsh":
         return catalog("tilted_chsh", alpha=1)
     if kind == "tilted_chsh":
-        s = Scenario.bell(2, 2)
-        return (
-            alpha * correlator(s, 0, 0)
-            + correlator(s, 0, 1)
-            + alpha * correlator(s, 1, 0)
-            - correlator(s, 1, 1)
+        return _correlator_sum(
+            Scenario.bell(2, 2),
+            [(alpha, 0, 0), (F1, 0, 1), (alpha, 1, 0), (-F1, 1, 1)],
         )
     # chained_bell
-    s = Scenario.bell(n, n)
-    e = correlator(s, 0, 0) - correlator(s, 0, n - 1)
+    terms = [(F1, 0, 0), (-F1, 0, n - 1)]
     for j in range(1, n):
-        e = e + correlator(s, j, j) + correlator(s, j, j - 1)
-    return e
+        terms += [(F1, j, j), (F1, j, j - 1)]
+    return _correlator_sum(Scenario.bell(n, n), terms)
 
 
 def bounds(kind: str, *, alpha=None, n=None) -> BoundsTriple:
@@ -814,12 +816,9 @@ def extension_membership(p: Correlation, theory: str) -> MembershipCertificate:
     # no-signalling maximum certifies the separation.
     if res.farkas is None:
         raise CertificateError("infeasible extension LP without a Farkas vector")
-    mult = res.farkas[len(eq_rows):]
-    coeffs = [F0] * s.dim
-    for i, m in enumerate(mult):
-        coeffs[i] = m
-    bound, _ = gpt_maximum(LinearExpression(s, tuple(coeffs)))
-    sep = canonicalize(LinearInequality(tuple(coeffs), bound))
+    coeffs = tuple(res.farkas[len(eq_rows):])
+    bound, _ = gpt_maximum(LinearExpression(s, coeffs))
+    sep = canonicalize(LinearInequality(coeffs, bound))
     margin = sep.violation(p.entries)
     if margin <= 0:
         raise CertificateError("Farkas functional does not separate the table")

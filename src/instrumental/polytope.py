@@ -901,7 +901,7 @@ def no_signalling_polytope(s: Scenario) -> HPolytope:
         coeffs[i] = -1
         ineqs.append(LinearInequality(tuple(coeffs), 0))
     eqs = list(normalization_equalities(s))
-    for group in s.marginal_groups():
+    for group in s.marginal_groups:
         for first, second in zip(group, group[1:]):
             coeffs = [0] * d
             for i in first:

@@ -17,6 +17,7 @@ output); the two are never mixed inside one table.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from enum import Enum
@@ -41,6 +42,7 @@ __all__ = [
     "max_signalling_residual",
     "mix_correlations",
     "random_mixture",
+    "random_mixture_terms",
     "pr_box",
     "uniform_box",
 ]
@@ -175,8 +177,10 @@ class Scenario:
         k = self.nA * self.nB
         return [list(range(i, i + k)) for i in range(0, self.dim, k)]
 
-    def marginal_groups(self) -> list[list[list[int]]]:
-        """The no-signalling conditions of a Bell scenario as index groups.
+    @functools.cached_property
+    def marginal_groups(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """The no-signalling conditions of a Bell scenario as index groups,
+        built once per scenario object (each Bell `validate` reads them).
 
         Each group holds one index block per context, and the block sums are
         one party's marginal there: Alice's p(a|x) across y for every (x, a),
@@ -187,16 +191,16 @@ class Scenario:
             raise ValueError("marginal conditions apply to Bell scenarios")
         idx = self.index
         nX, nY, nA, nB = self.nX, self.nY, self.nA, self.nB
-        alice = [
-            [[idx(x, y, a, b) for b in range(nB)] for y in range(nY)]
+        alice = tuple(
+            tuple(tuple(idx(x, y, a, b) for b in range(nB)) for y in range(nY))
             for x in range(nX)
             for a in range(nA)
-        ]
-        bob = [
-            [[idx(x, y, a, b) for a in range(nA)] for x in range(nX)]
+        )
+        bob = tuple(
+            tuple(tuple(idx(x, y, a, b) for a in range(nA)) for x in range(nX))
             for y in range(nY)
             for b in range(nB)
-        ]
+        )
         return alice + bob
 
 
@@ -405,8 +409,8 @@ def validate(p: Correlation, atol: float = 1e-9) -> ValidationReport:
         return value < 0 if exact else value < -atol
 
     nonneg = True
-    for coords in s.coords():
-        if bad(p.entries[s.index(*coords)]):
+    for coords, value in zip(s.coords(), p.entries):
+        if bad(value):
             nonneg = False
             first = first or ("nonnegative", coords)
             break
@@ -440,7 +444,7 @@ def max_signalling_residual(p: Correlation):
     if s.kind is not Kind.BELL:
         raise ValueError("signalling residuals apply to Bell correlations")
     worst = _F0 if p.exact else 0.0
-    for group in s.marginal_groups():
+    for group in s.marginal_groups:
         first, *rest = (sum(p.entries[i] for i in block) for block in group)
         for m in rest:
             worst = max(worst, abs(m - first))
@@ -461,8 +465,21 @@ def mix_correlations(pairs: Iterable[tuple[Fraction, Correlation]]) -> Correlati
     for w, c in pairs:
         w = Fraction(w)
         for i, e in enumerate(c.entries):
-            entries[i] += w * e
+            if e:
+                entries[i] += w * e
     return Correlation(s, tuple(entries))
+
+
+def random_mixture_terms(rng, size: int) -> list[tuple[Fraction, int]]:
+    """The (weight, pool index) terms of a random mixture of four points of a
+    pool of `size`, drawn from `rng`.  The weights sum to one and are
+    multiples of 1/d for one denominator d <= 1000."""
+    d = rng.randint(1, 1000)
+    cuts = sorted(rng.randint(0, d) for _ in range(3))
+    return [
+        (Fraction(hi - lo, d), rng.randrange(size))
+        for lo, hi in zip([0, *cuts], [*cuts, d])
+    ]
 
 
 def random_mixture(
@@ -471,10 +488,8 @@ def random_mixture(
     *,
     pool: Sequence[Correlation] | None = None,
 ) -> Correlation:
-    """A random rational mixture of four extreme points, drawn from `rng`.
-
-    All weights are multiples of 1/d for one denominator d <= 1000, so the
-    result has small exact entries.  The default pool is the deterministic
+    """A random rational mixture of four extreme points, drawn from `rng`
+    through `random_mixture_terms`.  The default pool is the deterministic
     strategies of `s`; pass a precomputed `pool` to avoid re-enumeration or to
     mix over other extreme points.
     """
@@ -483,28 +498,17 @@ def random_mixture(
             strategy_to_correlation(d)
             for d in enumerate_deterministic_strategies(s)
         ]
-    parts = 4
-    d = rng.randint(1, 1000)
-    cuts = sorted(rng.randint(0, d) for _ in range(parts - 1))
-    weights = [
-        Fraction(hi - lo, d) for lo, hi in zip([0, *cuts], [*cuts, d])
-    ]
-    picks = [rng.choice(pool) for _ in range(parts)]
-    return mix_correlations(list(zip(weights, picks)))
+    terms = random_mixture_terms(rng, len(pool))
+    return mix_correlations((w, pool[i]) for w, i in terms)
 
 
 def pr_box() -> Correlation:
     """The extremal no-signalling box with a + b = x*y (mod 2), all marginals 1/2."""
     s = Scenario.bell(2, 2)
     half = Fraction(1, 2)
-    entries = [_F0] * s.dim
-    for x in range(2):
-        for y in range(2):
-            for a in range(2):
-                for b in range(2):
-                    if (a + b) % 2 == (x * y) % 2:
-                        entries[s.index(x, y, a, b)] = half
-    return Correlation(s, tuple(entries))
+    return Correlation(s, tuple(
+        half if (a + b) % 2 == x * y else _F0 for x, y, a, b in s.coords()
+    ))
 
 
 def uniform_box(s: Scenario) -> Correlation:

@@ -64,6 +64,35 @@ def gpt_box_search(expression: LinearExpression):
     return best_value, Correlation(s, best_entries)
 
 
+def _dense_correlator(s: Scenario, x: int, y: int) -> LinearExpression:
+    coeffs = [Fraction(0)] * s.dim
+    for a in range(2):
+        for b in range(2):
+            coeffs[s.index(x, y, a, b)] = Fraction((-1) ** (a + b))
+    return LinearExpression(s, tuple(coeffs))
+
+
+def correlator_sum(kind: str, *, alpha=None, n=None) -> LinearExpression:
+    """The Bell catalog expressions summed one dense correlator expression at
+    a time, O(n) additions of length-n^2 vectors for the chain.  `catalog`
+    writes the same coefficients entry by entry."""
+    if kind == "tilted_chsh":
+        s = Scenario.bell(2, 2)
+        return (
+            alpha * _dense_correlator(s, 0, 0)
+            + _dense_correlator(s, 0, 1)
+            + alpha * _dense_correlator(s, 1, 0)
+            - _dense_correlator(s, 1, 1)
+        )
+    if kind != "chained_bell":
+        raise ValueError(f"{kind!r} is not a correlator expression")
+    s = Scenario.bell(n, n)
+    e = _dense_correlator(s, 0, 0) - _dense_correlator(s, 0, n - 1)
+    for j in range(1, n):
+        e = e + _dense_correlator(s, j, j) + _dense_correlator(s, j, j - 1)
+    return e
+
+
 def input_blocks(s: Scenario) -> list[list[int]]:
     """Coordinate indices per input context, built through `Scenario.index`.
     `Scenario.input_blocks` reads the same blocks off the flat layout."""

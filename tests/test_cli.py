@@ -330,6 +330,34 @@ def test_identity_is_seed_deterministic(capsys):
     assert capsys.readouterr().out == first
 
 
+@pytest.mark.parametrize("trials", [0, 5])
+def test_identity_pool_check_catches_a_wrong_residual(monkeypatch, capsys, trials):
+    # p(00|00) added to the bonet residual: 1 on every deterministic box with
+    # a = b = 0 at x = y = 0, 0 on the others.  The symbolic proof is stubbed
+    # out so that only the check on the pool can fail.
+    right = inequalities.identity_residual_expression("bonet")
+    coeffs = list(right.coeffs)
+    coeffs[right.scenario.index(0, 0, 0, 0)] += 1
+    wrong = inequalities.LinearExpression(right.scenario, tuple(coeffs), right.constant)
+    monkeypatch.setattr(inequalities, "identity_residual_expression",
+                        lambda kind, **params: wrong)
+    monkeypatch.setattr(cli, "verify_identity", lambda kind, **params: True)
+    argv = ["identity", "bonet", "--trials", str(trials), "--format", "json"]
+    assert main(argv) == 3
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["symbolic"] is True and doc["max_abs_residual"] == "1"
+
+
+def test_main_reuses_one_parser(monkeypatch, capsys):
+    def rebuilt():
+        raise AssertionError("main built a new parser")
+
+    monkeypatch.setattr(cli, "_build_parser", rebuilt)
+    assert main(["bounds", "chsh"]) == 0
+    assert main(["bounds"]) == 1
+    capsys.readouterr()
+
+
 def test_identity_usage_errors(capsys):
     assert main(["identity", "tilted", "--trials", "5"]) == 1
     assert main(["identity", "bonet", "--alpha", "2"]) == 1

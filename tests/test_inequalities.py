@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from instrumental import inequalities
 from instrumental.inequalities import (
     BoundsTriple,
     ExactValue,
@@ -23,7 +24,13 @@ from instrumental.inequalities import (
     symmetry_group,
     verify_identity,
 )
-from instrumental.polytope import classical_vpolytope, facet_enumeration, reduce_modulo
+from instrumental.polytope import (
+    _echelon,
+    classical_vpolytope,
+    facet_enumeration,
+    no_signalling_polytope,
+    reduce_modulo,
+)
 from instrumental.scenario import (
     Correlation,
     DeterministicStrategy,
@@ -33,9 +40,12 @@ from instrumental.scenario import (
     mix_correlations,
     postselect,
     pr_box,
+    random_mixture,
+    random_mixture_terms,
     strategy_to_correlation,
     uniform_box,
 )
+from oracles import correlator_sum, no_signalling_equalities
 
 F = Fraction
 
@@ -238,6 +248,48 @@ def test_identity_check_rejects_bad_input():
         identity_check("bonet", Correlation(BELL32, (1 / 24.0,) * 24))
     with pytest.raises(ValueError):
         verify_identity("chsh")
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_deterministic_boxes_span_the_no_signalling_hull(n):
+    # Why the identity command's deterministic pool decides the identity: an
+    # affine residual zero on these points is zero on the whole affine hull.
+    bell = Scenario.bell(n + 1, n)
+    points = [(*p.entries, 1) for p in classical_correlations(bell)]
+    _, point_pivots = _echelon(points)
+    _, eq_pivots = _echelon([c for c, _ in no_signalling_equalities(bell)])
+    assert len(point_pivots) - 1 == bell.dim - len(eq_pivots)
+    assert len(eq_pivots) == len(no_signalling_polytope(bell).equalities)
+
+
+def test_sampled_residual_is_the_mixture_of_pool_residuals(monkeypatch):
+    # A deliberately wrong residual, nonzero on the pool, so the comparison
+    # is not between zeros.  Any affine functional mixes the same way.
+    rng = random.Random(5)
+    wrong = LinearExpression(
+        BELL32, tuple(F(rng.randint(-9, 9), 7) for _ in range(BELL32.dim)), F(1, 3)
+    )
+    monkeypatch.setattr(inequalities, "identity_residual_expression",
+                        lambda kind, **params: wrong)
+    pool = classical_correlations(BELL32)
+    residuals = [identity_check("bonet", p) for p in pool]
+    assert any(residuals)
+    for seed in range(25):
+        terms = random_mixture_terms(random.Random(seed), len(pool))
+        assert sum(w for w, _ in terms) == 1
+        q = random_mixture(BELL32, random.Random(seed), pool=pool)
+        assert sum(w * residuals[i] for w, i in terms) == identity_check("bonet", q)
+
+
+@pytest.mark.parametrize(
+    "kind, params",
+    [("chained_bell", dict(n=n)) for n in range(2, 11)]
+    + [("tilted_chsh", dict(alpha=a)) for a in (F(1), F(3, 2), F(7))],
+)
+def test_correlator_catalog_matches_dense_sum(kind, params):
+    e = catalog(kind, **params)
+    assert e == correlator_sum(kind, **params)
+    assert all(type(c) is Fraction for c in e.coeffs)
 
 
 def test_classical_maxima():
