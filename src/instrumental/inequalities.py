@@ -17,7 +17,6 @@ from typing import Iterable, Sequence
 
 from .errors import CertificateError
 from .polytope import (
-    Equality,
     LinearInequality,
     MembershipCertificate,
     VPolytope,
@@ -97,7 +96,7 @@ class LinearExpression:
         """Exact Fraction on exact tables, float on Born tables."""
         if p.scenario != self.scenario:
             raise ValueError("correlation scenario does not match the expression")
-        total = sum(c * v for c, v in zip(self.coeffs, p.entries) if c != 0)
+        total = sum(c * v for c, v in zip(self.coeffs, p.entries) if c and v)
         if p.exact:
             return self.constant + total
         return float(self.constant) + total
@@ -391,10 +390,8 @@ def catalog(kind: str, *, alpha=None, n=None) -> LinearExpression:
     if kind == "chsh":
         return catalog("tilted_chsh", alpha=1)
     if kind == "tilted_chsh":
-        return _correlator_sum(
-            Scenario.bell(2, 2),
-            [(alpha, 0, 0), (F1, 0, 1), (alpha, 1, 0), (-F1, 1, 1)],
-        )
+        terms = [(alpha, 0, 0), (F1, 0, 1), (alpha, 1, 0), (-F1, 1, 1)]
+        return _correlator_sum(Scenario.bell(2, 2), terms)
     # chained_bell
     terms = [(F1, 0, 0), (-F1, 0, n - 1)]
     for j in range(1, n):
@@ -816,9 +813,12 @@ def extension_membership(p: Correlation, theory: str) -> MembershipCertificate:
     # no-signalling maximum certifies the separation.
     if res.farkas is None:
         raise CertificateError("infeasible extension LP without a Farkas vector")
-    coeffs = tuple(res.farkas[len(eq_rows):])
-    bound, _ = gpt_maximum(LinearExpression(s, coeffs))
-    sep = canonicalize(LinearInequality(coeffs, bound))
+    mult = res.farkas[len(eq_rows):]
+    coeffs = [F0] * s.dim
+    for i, m in enumerate(mult):
+        coeffs[i] = m
+    bound, _ = gpt_maximum(LinearExpression(s, tuple(coeffs)))
+    sep = canonicalize(LinearInequality(tuple(coeffs), bound))
     margin = sep.violation(p.entries)
     if margin <= 0:
         raise CertificateError("Farkas functional does not separate the table")

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -42,7 +43,6 @@ __all__ = [
     "max_signalling_residual",
     "mix_correlations",
     "random_mixture",
-    "random_mixture_terms",
     "pr_box",
     "uniform_box",
 ]
@@ -179,8 +179,7 @@ class Scenario:
 
     @functools.cached_property
     def marginal_groups(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        """The no-signalling conditions of a Bell scenario as index groups,
-        built once per scenario object (each Bell `validate` reads them).
+        """The no-signalling conditions of a Bell scenario as index groups.
 
         Each group holds one index block per context, and the block sums are
         one party's marginal there: Alice's p(a|x) across y for every (x, a),
@@ -399,39 +398,51 @@ class ValidationReport:
 def validate(p: Correlation, atol: float = 1e-9) -> ValidationReport:
     """Check nonnegativity, per-context normalization and (Bell) no-signalling.
 
-    Exact tables are checked exactly; float tables within `atol`.
+    Exact tables are checked exactly, in integers; float tables within `atol`.
     """
     s = p.scenario
-    exact = p.exact
+    values, one = _scaled_entries(p)
+    get = values.__getitem__
+    tol = 0 if p.exact else atol
     first: tuple[str, tuple] | None = None
 
-    def bad(value) -> bool:
-        return value < 0 if exact else value < -atol
+    neg = next((i for i, v in enumerate(values) if v < -tol), None)
+    nonneg = neg is None
+    if not nonneg:
+        first = ("nonnegative", next(itertools.islice(s.coords(), neg, None)))
 
-    nonneg = True
-    for coords, value in zip(s.coords(), p.entries):
-        if bad(value):
-            nonneg = False
-            first = first or ("nonnegative", coords)
-            break
-
-    normalized = True
-    for bi, block in enumerate(s.input_blocks()):
-        total = sum(p.entries[i] for i in block)
-        ok = total == 1 if exact else abs(total - 1) <= atol
-        if not ok:
-            normalized = False
-            first = first or ("normalized", (bi,))
-            break
+    unnormalized = next((bi for bi, block in enumerate(s.input_blocks())
+                         if not abs(sum(map(get, block)) - one) <= tol), None)
+    normalized = unnormalized is None
+    if not normalized:
+        first = first or ("normalized", (unnormalized,))
 
     nosig: bool | None = None
     if s.kind is Kind.BELL:
-        nosig = True
-        residual = max_signalling_residual(p)
-        if (residual != 0) if exact else (residual > atol):
-            nosig = False
+        nosig = not _marginal_gap(s, values) > tol
+        if not nosig:
             first = first or ("no_signalling", ())
     return ValidationReport(nonneg, normalized, nosig, first)
+
+
+def _scaled_entries(p: Correlation) -> tuple[Sequence, int | float]:
+    """Entries as integers over their common denominator, and it (floats: 1.0)."""
+    if not p.exact:
+        return p.entries, 1.0
+    den = math.lcm(*(e.denominator for e in p.entries))
+    if den == 1:
+        return [e.numerator for e in p.entries], 1
+    return [e.numerator * (den // e.denominator) for e in p.entries], den
+
+
+def _marginal_gap(s: Scenario, values: Sequence):
+    """Largest absolute marginal mismatch of `values` across contexts."""
+    get = values.__getitem__
+    worst = 0
+    for group in s.marginal_groups:
+        sums = [sum(map(get, block)) for block in group]
+        worst = max(worst, max(sums) - sums[0], sums[0] - min(sums))
+    return worst
 
 
 def max_signalling_residual(p: Correlation):
@@ -443,12 +454,9 @@ def max_signalling_residual(p: Correlation):
     s = p.scenario
     if s.kind is not Kind.BELL:
         raise ValueError("signalling residuals apply to Bell correlations")
-    worst = _F0 if p.exact else 0.0
-    for group in s.marginal_groups:
-        first, *rest = (sum(p.entries[i] for i in block) for block in group)
-        for m in rest:
-            worst = max(worst, abs(m - first))
-    return worst
+    values, one = _scaled_entries(p)
+    gap = _marginal_gap(s, values)
+    return Fraction(gap, one) if p.exact else float(gap)
 
 
 def mix_correlations(pairs: Iterable[tuple[Fraction, Correlation]]) -> Correlation:
@@ -465,21 +473,8 @@ def mix_correlations(pairs: Iterable[tuple[Fraction, Correlation]]) -> Correlati
     for w, c in pairs:
         w = Fraction(w)
         for i, e in enumerate(c.entries):
-            if e:
-                entries[i] += w * e
+            entries[i] += w * e
     return Correlation(s, tuple(entries))
-
-
-def random_mixture_terms(rng, size: int) -> list[tuple[Fraction, int]]:
-    """The (weight, pool index) terms of a random mixture of four points of a
-    pool of `size`, drawn from `rng`.  The weights sum to one and are
-    multiples of 1/d for one denominator d <= 1000."""
-    d = rng.randint(1, 1000)
-    cuts = sorted(rng.randint(0, d) for _ in range(3))
-    return [
-        (Fraction(hi - lo, d), rng.randrange(size))
-        for lo, hi in zip([0, *cuts], [*cuts, d])
-    ]
 
 
 def random_mixture(
@@ -488,8 +483,10 @@ def random_mixture(
     *,
     pool: Sequence[Correlation] | None = None,
 ) -> Correlation:
-    """A random rational mixture of four extreme points, drawn from `rng`
-    through `random_mixture_terms`.  The default pool is the deterministic
+    """A random rational mixture of four extreme points, drawn from `rng`.
+
+    All weights are multiples of 1/d for one denominator d <= 1000, so the
+    result has small exact entries.  The default pool is the deterministic
     strategies of `s`; pass a precomputed `pool` to avoid re-enumeration or to
     mix over other extreme points.
     """
@@ -498,17 +495,28 @@ def random_mixture(
             strategy_to_correlation(d)
             for d in enumerate_deterministic_strategies(s)
         ]
-    terms = random_mixture_terms(rng, len(pool))
-    return mix_correlations((w, pool[i]) for w, i in terms)
+    parts = 4
+    d = rng.randint(1, 1000)
+    cuts = sorted(rng.randint(0, d) for _ in range(parts - 1))
+    weights = [
+        Fraction(hi - lo, d) for lo, hi in zip([0, *cuts], [*cuts, d])
+    ]
+    picks = [rng.choice(pool) for _ in range(parts)]
+    return mix_correlations(list(zip(weights, picks)))
 
 
 def pr_box() -> Correlation:
     """The extremal no-signalling box with a + b = x*y (mod 2), all marginals 1/2."""
     s = Scenario.bell(2, 2)
     half = Fraction(1, 2)
-    return Correlation(s, tuple(
-        half if (a + b) % 2 == x * y else _F0 for x, y, a, b in s.coords()
-    ))
+    entries = [_F0] * s.dim
+    for x in range(2):
+        for y in range(2):
+            for a in range(2):
+                for b in range(2):
+                    if (a + b) % 2 == (x * y) % 2:
+                        entries[s.index(x, y, a, b)] = half
+    return Correlation(s, tuple(entries))
 
 
 def uniform_box(s: Scenario) -> Correlation:

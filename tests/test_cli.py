@@ -346,6 +346,10 @@ def test_identity_pool_check_catches_a_wrong_residual(monkeypatch, capsys, trial
     assert main(argv) == 3
     doc = json.loads(capsys.readouterr().out)
     assert doc["symbolic"] is True and doc["max_abs_residual"] == "1"
+    assert main(argv[:-2]) == 3
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "max |residual| over every deterministic box: 1"
+    )
 
 
 def test_main_reuses_one_parser(monkeypatch, capsys):

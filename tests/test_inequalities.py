@@ -41,7 +41,6 @@ from instrumental.scenario import (
     postselect,
     pr_box,
     random_mixture,
-    random_mixture_terms,
     strategy_to_correlation,
     uniform_box,
 )
@@ -263,8 +262,11 @@ def test_deterministic_boxes_span_the_no_signalling_hull(n):
 
 
 def test_sampled_residual_is_the_mixture_of_pool_residuals(monkeypatch):
-    # A deliberately wrong residual, nonzero on the pool, so the comparison
-    # is not between zeros.  Any affine functional mixes the same way.
+    # Why the identity command needs no sampled mixtures: the residual is
+    # affine, so a mixture's residual is the same mixture of the pool
+    # residuals and never exceeds the largest of them.  The residual is
+    # deliberately wrong, nonzero on the pool, so the comparison is not
+    # between zeros.  Any affine functional mixes the same way.
     rng = random.Random(5)
     wrong = LinearExpression(
         BELL32, tuple(F(rng.randint(-9, 9), 7) for _ in range(BELL32.dim)), F(1, 3)
@@ -273,12 +275,19 @@ def test_sampled_residual_is_the_mixture_of_pool_residuals(monkeypatch):
                         lambda kind, **params: wrong)
     pool = classical_correlations(BELL32)
     residuals = [identity_check("bonet", p) for p in pool]
-    assert any(residuals)
+    worst = max(abs(r) for r in residuals)
+    assert worst > 0
     for seed in range(25):
-        terms = random_mixture_terms(random.Random(seed), len(pool))
-        assert sum(w for w, _ in terms) == 1
+        draw = random.Random(seed)
+        picks = [draw.randrange(len(pool)) for _ in range(4)]
+        raw = [draw.randint(1, 9) for _ in picks]
+        weights = [F(w, sum(raw)) for w in raw]
+        q = mix_correlations(zip(weights, (pool[i] for i in picks)))
+        r = identity_check("bonet", q)
+        assert r == sum(w * residuals[i] for w, i in zip(weights, picks))
+        assert abs(r) <= worst
         q = random_mixture(BELL32, random.Random(seed), pool=pool)
-        assert sum(w * residuals[i] for w, i in terms) == identity_check("bonet", q)
+        assert abs(identity_check("bonet", q)) <= worst
 
 
 @pytest.mark.parametrize(

@@ -33,7 +33,9 @@ from instrumental.scenario import (
     Scenario,
     classical_correlations,
     max_signalling_residual,
+    mix_correlations,
     strategy_to_correlation,
+    validate,
 )
 
 from oracles import (
@@ -88,6 +90,29 @@ def test_signalling_residual_matches_loops(s):
         floats = Correlation(s, tuple(rng.random() for _ in range(s.dim)))
         for p in (exact, floats):
             assert max_signalling_residual(p) == signalling_residual(p)
+
+
+@pytest.mark.parametrize("s", NS_SCENARIOS, ids=_name)
+def test_exact_validation_matches_fraction_loops(s):
+    # validate and max_signalling_residual check exact tables in integers over
+    # one common denominator; mixed denominators exercise that scaling.
+    rng = random.Random(s.dim + 1)
+    pool = classical_correlations(s)
+    for _ in range(5):
+        p = Correlation(s, tuple(
+            Fraction(rng.randint(-1, 5), rng.randint(1, 12)) for _ in range(s.dim)
+        ))
+        rep = validate(p)
+        assert max_signalling_residual(p) == signalling_residual(p)
+        assert rep.no_signalling is (signalling_residual(p) == 0)
+        assert rep.nonnegative is all(e >= 0 for e in p.entries)
+        assert rep.normalized is all(
+            sum(p.entries[i] for i in block) == 1 for block in input_blocks(s)
+        )
+        weights = [Fraction(1, rng.randint(4, 9)) for _ in range(3)]
+        q = mix_correlations(zip([*weights, 1 - sum(weights)], rng.sample(pool, 4)))
+        assert validate(q).ok and max_signalling_residual(q) == 0
+        assert max(e.denominator for e in q.entries) > 1
 
 
 @pytest.mark.parametrize(
