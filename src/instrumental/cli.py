@@ -14,7 +14,7 @@ import os
 import sys
 
 from . import io
-from .errors import CapacityError, CertificateError, ConvergenceError
+from .errors import CapacityError, CertificateError
 from .inequalities import (
     CATALOG_KINDS,
     LinearExpression,
@@ -37,10 +37,8 @@ from .polytope import (
     no_signalling_polytope,
 )
 from .quantum import (
-    bonet_strategy,
     born_table,
     chained_strategy,
-    chsh_strategy,
     rationalize_correlation,
     tilted_search,
 )
@@ -142,23 +140,16 @@ def cmd_facets(args) -> int:
 
 
 def _quantum_value(kind, alpha, n) -> tuple[float, float]:
-    """The value the named strategy actually reaches, and its tolerance."""
-    if kind in ("bonet",) or (kind == "tilted" and alpha == 1):
-        t = born_table(bonet_strategy(), Scenario.instrumental(3))
-        return catalog("bonet").evaluate(t), 1e-9
-    if kind == "tilted":
-        return tilted_search(alpha).instrumental_value, 1e-6
-    if kind == "chained":
+    """The value the family's optimal strategy actually reaches, and its
+    tolerance."""
+    if kind in ("chained", "chained_bell"):
         t = born_table(chained_strategy(n), Scenario.bell(n, n))
-        wired = postselect(append_dummy_input(t, fixed_a=1), Scenario.chained(n))
-        return catalog("chained", n=n).evaluate(wired), 1e-9
-    if kind == "chsh" or (kind == "tilted_chsh" and alpha == 1):
-        t = born_table(chsh_strategy(), Scenario.bell(2, 2))
-        return catalog("chsh").evaluate(t), 1e-9
-    if kind == "tilted_chsh":
-        return tilted_search(alpha).bell_value, 1e-6
-    t = born_table(chained_strategy(n), Scenario.bell(n, n))
-    return catalog("chained_bell", n=n).evaluate(t), 1e-9
+        if kind == "chained":
+            t = postselect(append_dummy_input(t, fixed_a=1), Scenario.chained(n))
+        return catalog(kind, n=n).evaluate(t), 1e-9
+    r = tilted_search(alpha or 1)
+    value = r.bell_value if kind in ("chsh", "tilted_chsh") else r.instrumental_value
+    return value, 1e-9 if alpha in (None, 1) else 1e-6
 
 
 def cmd_bounds(args) -> int:
@@ -396,9 +387,6 @@ def main(argv=None) -> int:
     except CapacityError as exc:
         print(f"capacity: {exc}", file=sys.stderr)
         return CAPACITY_ERROR
-    except ConvergenceError as exc:
-        print(f"no convergence: {exc}", file=sys.stderr)
-        return MISMATCH_ERROR
     except CertificateError as exc:
         print(f"certificate: {exc}", file=sys.stderr)
         return MISMATCH_ERROR

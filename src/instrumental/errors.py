@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-__all__ = ["CapacityError", "CertificateError", "ConvergenceError"]
+__all__ = ["CapacityError", "CertificateError"]
 
 
 class CapacityError(RuntimeError):
@@ -17,7 +17,3 @@ class CapacityError(RuntimeError):
 class CertificateError(RuntimeError):
     """An answer's certificate (convex weights, a separating inequality, an
     optimal face) failed its exact check; a correct solver never raises it."""
-
-
-class ConvergenceError(RuntimeError):
-    """An iterative numerical search failed to converge within its cap."""

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import CertificateError
+from .errors import CapacityError, CertificateError
 from .polytope import (
     LinearInequality,
     MembershipCertificate,
@@ -74,6 +74,10 @@ F1 = Fraction(1)
 # columns, checked before any is built: the LP's time grows far faster than
 # its column count.  4,096 admits every binary table with up to 10 inputs.
 _MEMBERSHIP_STRATEGY_LIMIT = 4096
+
+# Largest trial divisor `_square_free` tries.  A cofactor that still needs a
+# larger one exceeds 10^18.
+_TRIAL_DIVISOR_LIMIT = 10**6
 
 
 # ---------------------------------------------------------------------------
@@ -189,14 +193,30 @@ def _correlator_sum(s: Scenario, terms: Iterable[tuple]) -> LinearExpression:
 
 
 def _square_free(n: int) -> tuple[int, int]:
-    """n = m^2 * k with k square-free; returns (m, k)."""
-    m, k, d = 1, n, 2
-    while d * d <= k:
-        while k % (d * d) == 0:
-            k //= d * d
-            m *= d
+    """n = m^2 * k with k square-free; returns (m, k).
+
+    Primes are divided out only while d^3 <= the cofactor c.  Every prime
+    factor left in c then exceeds the cube root of c, so c is 1, p, p^2 or
+    p*q, and only p^2 is a square.
+    """
+    m, k, c, d = 1, 1, n, 2
+    while d * d * d <= c:
+        if d > _TRIAL_DIVISOR_LIMIT:
+            raise CapacityError(
+                f"square-free part of {n}: trial division passed "
+                f"{_TRIAL_DIVISOR_LIMIT} with cofactor {c} left"
+            )
+        e = 0
+        while c % d == 0:
+            c //= d
+            e += 1
+        m *= d ** (e // 2)
+        k *= d ** (e % 2)
         d += 1
-    return m, k
+    r = math.isqrt(c)
+    if c > 1 and r * r == c:
+        return m * r, k
+    return m, k * c
 
 
 @dataclass(frozen=True)

@@ -8,14 +8,12 @@ which is enough for every extremal two-input/two-output correlation.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import ConvergenceError
 from .inequalities import catalog
 from .scenario import (
     Correlation,
@@ -208,7 +206,7 @@ def chained_strategy(n: int) -> QuantumStrategy:
 
 @dataclass(frozen=True)
 class SeeSawResult:
-    """Outcome of the alternating closed-form optimization."""
+    """The optimal tilted strategy and the values it reaches."""
 
     bell_value: float
     instrumental_value: float
@@ -216,70 +214,33 @@ class SeeSawResult:
     iterations: int
 
 
-def tilted_search(
-    alpha,
-    *,
-    max_iterations: int = 10**4,
-) -> SeeSawResult:
-    """Alternate exact single-party updates on the weighted correlator test.
+def tilted_search(alpha) -> SeeSawResult:
+    """The strategy reaching 2*sqrt(alpha^2 + 1) on the weighted correlator
+    test alpha*(E00 + E10) + E01 - E11, and its value on the tilted
+    Instrumental expression.
 
-    Each half step replaces one party's angles by the closed-form argmax
-    given the other party's, so the value never decreases.  Stops when an
-    iteration improves by less than 1e-12; the result must land within 1e-6
-    of 2*sqrt(alpha^2 + 1) or a ConvergenceError is raised.
+    Tsirelson's vector form gives the optimum in closed form: with
+    h = atan(1/alpha), Alice measures at 0 and 2h, Bob at h and h - pi/2.
+    Both values are read off the Born table, the Instrumental one through
+    the dummy-input extension.  Nothing is iterated, so `iterations` is 0.
     """
     a = float(alpha)
     if a < 1.0:
         raise ValueError("the weight must satisfy alpha >= 1")
-
-    def value(a0, a1, b0, b1):
-        return (
-            a * math.cos(a0 - b0)
-            + math.cos(a0 - b1)
-            + a * math.cos(a1 - b0)
-            - math.cos(a1 - b1)
-        )
-
-    def arg(z, fallback):
-        return cmath.phase(z) if abs(z) > 0.0 else fallback
-
-    a0, a1 = 0.0, math.pi / 2
-    b0, b1 = math.pi / 4, -math.pi / 4
-    best = value(a0, a1, b0, b1)
-    iterations = 0
-    while True:
-        iterations += 1
-        if iterations > max_iterations:
-            raise ConvergenceError(
-                f"no convergence after {max_iterations} iterations"
-            )
-        eb0, eb1 = cmath.exp(1j * b0), cmath.exp(1j * b1)
-        a0 = arg(a * eb0 + eb1, a0)
-        a1 = arg(a * eb0 - eb1, a1)
-        ea0, ea1 = cmath.exp(1j * a0), cmath.exp(1j * a1)
-        b0 = arg(ea0 + ea1, b0)
-        b1 = arg(ea0 - ea1, b1)
-        current = value(a0, a1, b0, b1)
-        if current - best < 1e-12:
-            best = max(best, current)
-            break
-        best = current
-
-    target = 2.0 * math.sqrt(a * a + 1.0)
-    if best < target - 1e-6:
-        raise ConvergenceError(
-            f"stalled at {best}, expected {target} within 1e-6"
-        )
+    h = math.atan(1.0 / a)
     strategy = QuantumStrategy(
         TwoQubitState.phi_plus(),
-        (Observable2.from_angle(a0), Observable2.from_angle(a1)),
-        (Observable2.from_angle(b0), Observable2.from_angle(b1)),
+        (Observable2.from_angle(0.0), Observable2.from_angle(2 * h)),
+        (Observable2.from_angle(h), Observable2.from_angle(h - math.pi / 2)),
     )
     bell = born_table(strategy, Scenario.bell(2, 2))
-    extended = dummy_input_extension(bell)
-    wired = postselect(extended, Scenario.instrumental(3))
-    instrumental_value = catalog("tilted", alpha=alpha).evaluate(wired)
-    return SeeSawResult(best, instrumental_value, strategy, iterations)
+    wired = postselect(dummy_input_extension(bell), Scenario.instrumental(3))
+    return SeeSawResult(
+        catalog("tilted_chsh", alpha=alpha).evaluate(bell),
+        catalog("tilted", alpha=alpha).evaluate(wired),
+        strategy,
+        0,
+    )
 
 
 def rationalize_correlation(

@@ -93,6 +93,19 @@ def correlator_sum(kind: str, *, alpha=None, n=None) -> LinearExpression:
     return e
 
 
+def square_free(n: int) -> tuple[int, int]:
+    """n = m^2 * k with k square-free; returns (m, k).  Trial-divides squares
+    up to the square root of n.  `_square_free` stops at the cube root and
+    classifies the cofactor left over."""
+    m, k, d = 1, n, 2
+    while d * d <= k:
+        while k % (d * d) == 0:
+            k //= d * d
+            m *= d
+        d += 1
+    return m, k
+
+
 def input_blocks(s: Scenario) -> list[list[int]]:
     """Coordinate indices per input context, built through `Scenario.index`.
     `Scenario.input_blocks` reads the same blocks off the flat layout."""

@@ -6,7 +6,6 @@ import pytest
 
 from instrumental import cli, inequalities, io
 from instrumental.cli import main
-from instrumental.errors import ConvergenceError
 from instrumental.inequalities import catalog, gpt_maximum
 from instrumental.quantum import born_table, chsh_strategy
 from instrumental.scenario import Scenario, postselect, pr_box, uniform_box
@@ -209,15 +208,12 @@ def test_bounds_mismatch_exits_3(capsys, monkeypatch):
     assert lines[-1] == "MISMATCH gpt: expected 4, no-signalling maximum 5"
 
 
-def test_see_saw_convergence_failure_exits_3(capsys, monkeypatch):
-    def stuck(alpha):
-        raise ConvergenceError("see-saw did not converge")
-
-    monkeypatch.setattr(cli, "tilted_search", stuck)
-    assert main(["bounds", "tilted_chsh", "2"]) == 3
+def test_bounds_radicand_past_trial_division_limit_exits_2(capsys):
+    # 10^24 + 1 keeps a cofactor above 10^18 once trial division passes 10^6
+    assert main(["bounds", "tilted_chsh", "1000000000000"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "no convergence: see-saw did not converge\n"
+    assert captured.err.startswith("capacity: square-free part of ")
 
 
 def test_bounds_bonet(capsys):

@@ -41,6 +41,8 @@ CASES = {
     "facets_gpt_x2_a3_json": ["facets", "--gpt", "-x", "2", "-a", "3", "--format", "json"],
     "facets_gpt_x2_b3_json": ["facets", "--gpt", "-x", "2", "-b", "3", "--format", "json"],
     "bounds_bonet": ["bounds", "bonet"],
+    "bounds_bonet_json": ["bounds", "bonet", "--format", "json"],
+    "bounds_chsh_json": ["bounds", "chsh", "--format", "json"],
     "bounds_tilted_3_2_json": ["bounds", "tilted", "3/2", "--format", "json"],
     "bounds_chained_4_csv": ["bounds", "chained", "4", "--format", "csv"],
     "bounds_tilted_chsh_2_json": ["bounds", "tilted_chsh", "2", "--format", "json"],

@@ -7,6 +7,7 @@ import pytest
 
 from instrumental.inequalities import (
     LinearExpression,
+    _square_free,
     catalog,
     classical_maximum,
     gpt_maximum,
@@ -46,6 +47,7 @@ from oracles import (
     input_blocks,
     no_signalling_equalities,
     signalling_residual,
+    square_free,
     two_phase_prune,
     two_phase_separating_facet,
 )
@@ -113,6 +115,21 @@ def test_exact_validation_matches_fraction_loops(s):
         q = mix_correlations(zip([*weights, 1 - sum(weights)], rng.sample(pool, 4)))
         assert validate(q).ok and max_signalling_residual(q) == 0
         assert max(e.denominator for e in q.entries) > 1
+
+
+def test_square_free_matches_trial_division_oracle():
+    rng = random.Random(13)
+    primes = [7919, 10007, 10009]
+    radicands = list(range(200)) + [p * q for p in primes for q in primes]
+    for _ in range(500):
+        radicands += [
+            rng.randrange(10**7),
+            rng.randrange(1, 10**4) ** 2 * rng.randrange(1, 10**4),
+            rng.randrange(1, 300) ** 3 * rng.randrange(1, 10**5),
+            rng.choice(primes) ** 2 * rng.randrange(1, 50),
+        ]
+    for n in radicands:
+        assert _square_free(n) == square_free(n), n
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from instrumental.errors import CapacityError, ConvergenceError
+from instrumental.errors import CapacityError
 from instrumental.inequalities import catalog, pearl_expressions
 from instrumental.quantum import (
     Observable2,
@@ -115,7 +115,7 @@ def test_chained_strategy_values(n):
     assert abs(value - expected) < 1e-9
 
 
-@pytest.mark.parametrize("alpha", [1, F(3, 2), 2, 5])
+@pytest.mark.parametrize("alpha", [1, F(3, 2), 2, F(7, 3), 5, 10, 100])
 def test_tilted_search(alpha):
     r = tilted_search(alpha)
     a = float(alpha)
@@ -123,13 +123,16 @@ def test_tilted_search(alpha):
     induced = (2 + a + math.sqrt(a * a + 1)) / 2
     assert abs(r.instrumental_value - induced) < 1e-6
     assert len(r.strategy.alice) == 2 and len(r.strategy.bob) == 2
+    assert r.iterations == 0
+
+
+def test_tilted_search_at_weight_one_is_the_chsh_strategy():
+    assert tilted_search(1).strategy == chsh_strategy()
 
 
 def test_tilted_search_guards():
     with pytest.raises(ValueError):
         tilted_search(F(1, 2))
-    with pytest.raises(ConvergenceError):
-        tilted_search(3, max_iterations=0)
 
 
 def test_gpt_box_search_bonet():
