@@ -293,6 +293,8 @@ def cmd_membership(args) -> int:
 
 
 def cmd_identity(args) -> int:
+    if args.trials < 0:
+        raise ValueError(f"--trials takes a count >= 0, got {args.trials}")
     params = dict(alpha=args.alpha, n=args.n)
     bell = identity_residual_expression(args.kind, **params).scenario
     symbolic = verify_identity(args.kind, **params)

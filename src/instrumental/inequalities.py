@@ -362,7 +362,10 @@ def check_catalog_params(kind: str, alpha, n) -> tuple[Fraction | None, int | No
     if kind in ("tilted", "tilted_chsh"):
         if alpha is None:
             raise ValueError(f"{kind} needs a weight alpha")
-        alpha = Fraction(alpha)
+        try:
+            alpha = Fraction(alpha)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {kind} weight {alpha!r}") from None
         if alpha < 1:
             raise ValueError(f"{kind} needs a weight alpha >= 1")
         return alpha, None
@@ -761,27 +764,66 @@ def classical_maximum(e: LinearExpression):
     return Fraction(best, den) + e.constant, witness
 
 
+def _collins_gisin(bell: Scenario) -> tuple[list[tuple[dict, int]], int]:
+    """Each Bell entry p(ab|xy), in flat order, as an affine form
+    ({coordinate: coefficient}, constant) in the Collins-Gisin coordinates
+    p_A(a|x), p_B(b|y), p(ab|xy) for a < nA-1, b < nB-1 (Collins and Gisin,
+    J. Phys. A 37, 1775 (2004)); and the number of coordinates.  A last
+    outcome is one minus the others, so each entry expands as a product."""
+    la, lb = bell.nA - 1, bell.nB - 1
+    na, nb = bell.nX * la, bell.nY * lb
+
+    def side(o: int, last: int):  # one party's outcome as (terms, constant)
+        return ([(o, 1)], 0) if o < last else ([(k, -1) for k in range(last)], 1)
+
+    forms = []
+    for x, y, a, b in bell.coords():
+        (ta, ka), (tb, kb) = side(a, la), side(b, lb)
+        form = {x * la + i: s * kb for i, s in ta}
+        form.update({na + y * lb + j: t * ka for j, t in tb})
+        joint = na + nb + (x * bell.nY + y) * la * lb
+        form.update({joint + i * lb + j: s * t for i, s in ta for j, t in tb})
+        forms.append(({k: m for k, m in form.items() if m}, ka * kb))
+    return forms, na + nb + bell.nX * bell.nY * la * lb
+
+
 def gpt_maximum(e: LinearExpression):
     """Exact maximum over post-selections of no-signalling boxes.
 
     Instrumental expressions are lifted first; the maximum over the projected
     set equals the maximum of the lift over the no-signalling polytope because
-    post-selection is onto.  Returns (value, witness Bell box).
+    post-selection is onto.  Returns (value, witness Bell box).  The LP runs
+    in Collins-Gisin coordinates, where that polytope is positivity rows
+    alone with right-hand sides 0 or 1, so it starts from the slack basis.
     """
     if e.scenario.kind is Kind.BELL:
         lifted, bell = e, e.scenario
     else:
         lifted = lift_to_bell(e)
         bell = lifted.scenario
-    res = solve_lp(
-        list(lifted.coeffs),
-        eqs=no_signalling_polytope(bell).equalities,
-        nonneg=True,
-        maximize=True,
-    )
+    forms, width = _collins_gisin(bell)
+    objective = [F0] * width
+    offset = lifted.constant
+    rows = []
+    for c, (form, const) in zip(lifted.coeffs, forms):
+        offset += c * const
+        for j, m in form.items():
+            objective[j] += c * m
+        if len(form) > 1 or const:  # a lone joint coordinate is its sign
+            row = [0] * width
+            for j, m in form.items():
+                row[j] = -m
+            rows.append((row, const))
+    res = solve_lp(objective, ineqs=rows, nonneg=True, maximize=True)
     if res.status is not LpStatus.OPTIMAL:
         raise CertificateError("the no-signalling polytope is compact and nonempty")
-    return res.value + lifted.constant, Correlation(bell, tuple(res.x))
+    box = Correlation(bell, tuple(
+        const + sum(m * res.x[j] for j, m in form.items()) for form, const in forms
+    ))
+    value = res.value + offset
+    if lifted.evaluate(box) != value:
+        raise CertificateError("the witness box does not attain the no-signalling maximum")
+    return value, box
 
 
 def extension_membership(p: Correlation, theory: str) -> MembershipCertificate:

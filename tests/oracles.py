@@ -8,7 +8,7 @@ from fractions import Fraction
 from math import gcd
 
 from instrumental.errors import CapacityError
-from instrumental.inequalities import LinearExpression
+from instrumental.inequalities import LinearExpression, lift_to_bell
 from instrumental.linprog import LpStatus, solve_lp
 from instrumental.polytope import (
     Equality,
@@ -62,6 +62,30 @@ def gpt_box_search(expression: LinearExpression):
         ):
             best_value, best_entries = val, p.entries
     return best_value, Correlation(s, best_entries)
+
+
+def two_phase_gpt_maximum(expression: LinearExpression):
+    """Exact maximum of an expression (lifted first when wired) over the
+    no-signalling polytope, by one two-phase LP over every Bell entry with the
+    normalization and no-signalling equalities.  `gpt_maximum` solves the
+    same LP in Collins-Gisin coordinates from the slack basis.
+
+    Returns (value, witness Bell box).
+    """
+    if expression.scenario.kind is Kind.BELL:
+        lifted = expression
+    else:
+        lifted = lift_to_bell(expression)
+    bell = lifted.scenario
+    res = solve_lp(
+        list(lifted.coeffs),
+        eqs=no_signalling_polytope(bell).equalities,
+        nonneg=True,
+        maximize=True,
+    )
+    if res.status is not LpStatus.OPTIMAL:
+        raise ValueError(f"no finite no-signalling maximum: {res.status}")
+    return res.value + lifted.constant, Correlation(bell, tuple(res.x))
 
 
 def _dense_correlator(s: Scenario, x: int, y: int) -> LinearExpression:

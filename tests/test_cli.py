@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -208,6 +209,32 @@ def test_bounds_mismatch_exits_3(capsys, monkeypatch):
     assert lines[-1] == "MISMATCH gpt: expected 4, no-signalling maximum 5"
 
 
+def test_bounds_tampered_gpt_witness_exits_3(capsys, monkeypatch):
+    solve = inequalities.solve_lp
+
+    def tampered(*args, **kwargs):
+        res = solve(*args, **kwargs)
+        return dataclasses.replace(res, x=tuple(0 * v for v in res.x))
+
+    monkeypatch.setattr(inequalities, "solve_lp", tampered)
+    assert main(["bounds", "chsh"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "certificate: the witness box does not attain the no-signalling maximum\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv", [["bounds", "tilted", "1/0"], ["identity", "tilted", "--alpha", "1/0"]]
+)
+def test_zero_denominator_weight_exits_1(capsys, argv):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: zero denominator in tilted weight '1/0'\n"
+
+
 def test_bounds_radicand_past_trial_division_limit_exits_2(capsys):
     # 10^24 + 1 keeps a cofactor above 10^18 once trial division passes 10^6
     assert main(["bounds", "tilted_chsh", "1000000000000"]) == 2
@@ -362,6 +389,17 @@ def test_identity_usage_errors(capsys):
     assert main(["identity", "tilted", "--trials", "5"]) == 1
     assert main(["identity", "bonet", "--alpha", "2"]) == 1
     capsys.readouterr()
+
+
+def test_identity_rejects_negative_trials(capsys):
+    assert main(["identity", "bonet", "--trials", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --trials takes a count >= 0, got -1\n"
+    assert main(["identity", "bonet", "--trials", "0"]) == 0
+    assert capsys.readouterr().out.endswith(
+        "max |residual| over 0 sampled no-signalling points: 0\n"
+    )
 
 
 def test_output_file(tmp_path):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from instrumental import inequalities
+from instrumental import inequalities, linprog
 from instrumental.inequalities import (
     BoundsTriple,
     ExactValue,
@@ -325,6 +325,28 @@ def test_gpt_maxima():
     # every pearl expression is tight at 1 over the projected set
     for e in pearl_expressions(INSTR2):
         assert gpt_maximum(e)[0] == 1
+
+
+def test_gpt_maximum_runs_without_phase_one(monkeypatch):
+    # In Collins-Gisin coordinates the LP has no equality rows, so it starts
+    # from the slack basis: 48 pivots, against 355 over every Bell entry with
+    # the no-signalling equalities.
+    calls, pivots = [], []
+    solve, pivot = inequalities.solve_lp, linprog._pivot
+
+    def recorded_solve(*args, **kwargs):
+        calls.append(kwargs)
+        return solve(*args, **kwargs)
+
+    def counted_pivot(*args):
+        pivots.append(1)
+        return pivot(*args)
+
+    monkeypatch.setattr(inequalities, "solve_lp", recorded_solve)
+    monkeypatch.setattr(linprog, "_pivot", counted_pivot)
+    assert gpt_maximum(catalog("chained", n=10))[0] == F(21, 2)
+    assert len(calls) == 1 and not calls[0].get("eqs")
+    assert 0 < len(pivots) <= 80
 
 
 def test_orbit_classification_instr2():

@@ -11,6 +11,7 @@ from instrumental.inequalities import (
     catalog,
     classical_maximum,
     gpt_maximum,
+    lift_to_bell,
     pearl_expressions,
     symmetry_group,
 )
@@ -48,6 +49,7 @@ from oracles import (
     no_signalling_equalities,
     signalling_residual,
     square_free,
+    two_phase_gpt_maximum,
     two_phase_prune,
     two_phase_separating_facet,
 )
@@ -68,6 +70,34 @@ def test_vertex_scan_matches_gpt_maximum(name):
 
 def _name(s):
     return f"{s.kind.value}-{s.nX}{s.nY}{s.nA}{s.nB}"
+
+
+GPT_ORACLE_SCENARIOS = [
+    Scenario.bell(2, 2),
+    Scenario.bell(3, 2),
+    Scenario.bell(2, 3),
+    Scenario.bell(2, 2, 3, 3),
+    Scenario.bell(3, 2, 3, 2),
+    Scenario.instrumental(2),
+    Scenario.instrumental(3),
+    Scenario.instrumental(2, 3, 2),
+    Scenario.chained(3),
+    Scenario.f_instrumental(2, 3, 2, 2, [[0, 2], [1, 1]]),
+]
+
+
+@pytest.mark.parametrize("s", GPT_ORACLE_SCENARIOS, ids=_name)
+def test_gpt_maximum_matches_two_phase_oracle(s):
+    rng = random.Random(13)
+    lift = (lambda e: e) if s.kind is Kind.BELL else lift_to_bell
+    for _ in range(3):
+        coeffs = tuple(Fraction(rng.randint(-3, 3)) for _ in range(s.dim))
+        e = LinearExpression(s, coeffs, Fraction(rng.randint(-2, 2), 3))
+        value, box = gpt_maximum(e)
+        assert value == two_phase_gpt_maximum(e)[0]
+        report = validate(box)
+        assert report.nonnegative and report.normalized and report.no_signalling
+        assert lift(e).evaluate(box) == value
 
 
 NS_SCENARIOS = [
