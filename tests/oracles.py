@@ -5,6 +5,7 @@ on ``sys.path``)."""
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 
 from instrumental.errors import CapacityError
@@ -262,6 +263,24 @@ def rref_equalities(eqs, dim: int) -> tuple[tuple[tuple[Fraction, ...], Fraction
             continue
         out.append(canonicalize_equality((tuple(coeffs), rhs)))
     return tuple(out)
+
+
+def brute_force_extreme_rays(rows) -> set[tuple[int, ...]]:
+    """Extreme rays of the pointed cone {u : row . u >= 0 for every row},
+    one per (r-1)-subset of rows of rank r-1: the primitive null vector of
+    the subset, of either sign, kept if every row is >= 0 on it.
+    `polytope._dd_pointed` inserts the rows one at a time instead."""
+    r = len(rows[0])
+    rays = set()
+    for subset in combinations(rows, r - 1):
+        basis = rref_null_space(list(subset), r)
+        if len(basis) != 1:
+            continue
+        u = fraction_integerize(basis[0])
+        for ray in (u, tuple(-v for v in u)):
+            if all(sum(a * b for a, b in zip(row, ray)) >= 0 for row in rows):
+                rays.add(ray)
+    return rays
 
 
 def postselected_strategy_columns(s: Scenario) -> list[tuple[Fraction, ...]]:

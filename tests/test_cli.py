@@ -82,13 +82,19 @@ def test_facets_capacity_exit(capsys):
 
 # Smallest --max-rays `facets --classical` accepts.  It bounds each ridge
 # double description of the orbit-by-orbit search, so it sits below the
-# whole-hull trip points in test_echelon.py (58 and 340).
+# whole-hull trip points in test_echelon.py (58 and 340).  The message says
+# how far the double description got (the row it was inserting) and in which
+# ridge DD of the search.
 @pytest.mark.parametrize("n, trip", [(3, 41), (4, 223)])
 def test_facets_classical_trip_points(capsys, n, trip):
     argv = ["facets", "--classical", "-x", str(n), "--format", "json"]
     assert main(argv + ["--max-rays", str(trip)]) == 0
     assert main(argv + ["--max-rays", str(trip - 1)]) == 2
-    assert "capacity" in capsys.readouterr().err
+    row = {3: "19 of 21", 4: "41 of 45"}[n]
+    assert capsys.readouterr().err == (
+        f"capacity: double description exceeded {trip - 1} intermediate rays"
+        f" at row {row}, in the ridge DD of representative 1 (1 found so far)\n"
+    )
 
 
 def test_zero_denominator_exits_1(capsys, tmp_path):

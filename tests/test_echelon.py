@@ -114,7 +114,8 @@ def test_no_signalling_reduction_matches_rref(s):
 def test_double_description_trip_points(n, trip):
     v = classical_vpolytope(Scenario.instrumental(n))
     facet_enumeration(v, max_rays=trip)
-    with pytest.raises(CapacityError):
+    row = {3: "26 of 28", 4: "56 of 60"}[n]
+    with pytest.raises(CapacityError, match=f"{trip - 1} intermediate rays at row {row}$"):
         facet_enumeration(v, max_rays=trip - 1)
 
 

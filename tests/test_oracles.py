@@ -17,6 +17,7 @@ from instrumental.inequalities import (
 )
 from instrumental.polytope import (
     VPolytope,
+    _dd_pointed,
     _prune_redundant,
     _reduce_equalities,
     adjacency_decomposition,
@@ -41,12 +42,14 @@ from instrumental.scenario import (
 )
 
 from oracles import (
+    brute_force_extreme_rays,
     fraction_integerize,
     gpt_box_search,
     gpt_vroute,
     hashed_classical_correlations,
     input_blocks,
     no_signalling_equalities,
+    rref,
     signalling_residual,
     square_free,
     two_phase_gpt_maximum,
@@ -327,6 +330,48 @@ def test_separating_facet_matches_two_phase_oracle(flat):
         assert by_equality
     else:
         assert by_lp >= 10
+
+
+def _random_cone(rng, r, zero_one):
+    """Rows of a pointed cone in dimension r: small random integer rows, or
+    the homogenized rows (1, v) of random 0/1 points, whose cone (the valid
+    inequalities of their hull) is degenerate: many rays share each row."""
+    while True:
+        if zero_one:
+            pts = rng.sample(range(2 ** (r - 1)), rng.randint(r, min(2 ** (r - 1), r + 5)))
+            rows = [(1, *((pt >> j) & 1 for j in range(r - 1))) for pt in pts]
+        else:
+            rows = [
+                tuple(rng.randint(-3, 3) for _ in range(r))
+                for _ in range(rng.randint(r, r + 5))
+            ]
+        if len(rref(rows)[1]) == r:
+            return rows
+
+
+@pytest.mark.parametrize("zero_one", [False, True], ids=["integer", "zero-one"])
+@pytest.mark.parametrize("r", [3, 4, 5, 6])
+def test_double_description_matches_brute_force(r, zero_one):
+    found = 0
+    for seed in range(10):
+        rows = _random_cone(random.Random(1000 * r + seed), r, zero_one)
+        rays = _dd_pointed(rows, 10**6)
+        assert sorted(rays) == sorted(brute_force_extreme_rays(rows))
+        found += len(rays)
+    assert found >= 10
+
+
+def test_double_description_skips_the_pair_itself_as_witness():
+    # A cached witness against (p, m') may be the negative ray m of a later
+    # pair (p, m); m is tight on all their common rows, so taking it as a
+    # third ray drops the adjacent pair and loses the ray (-1, 1, -1).
+    rows = [
+        (-2, 2, 0), (-3, -1, 1), (-3, 1, 0), (-3, -3, -1),
+        (2, 2, -1), (0, 0, 0), (2, 3, 1), (-2, 1, 3),
+    ]
+    want = {(-1, 1, 0), (-5, 4, -2), (-8, 11, -9), (-1, 1, -1)}
+    assert brute_force_extreme_rays(rows) == want
+    assert sorted(_dd_pointed(rows, 10**6)) == sorted(want)
 
 
 @pytest.mark.parametrize(

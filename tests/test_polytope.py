@@ -6,11 +6,12 @@ import pytest
 import instrumental.linprog as linprog
 import instrumental.polytope as polytope
 from instrumental.errors import CapacityError
-from instrumental.inequalities import extension_membership
+from instrumental.inequalities import extension_membership, symmetry_group
 from instrumental.polytope import (
     HPolytope,
     LinearInequality,
     VPolytope,
+    _reduce_equalities,
     adjacency_decomposition,
     canonicalize,
     classical_vpolytope,
@@ -459,3 +460,56 @@ def test_round_trip_recovers_extreme_points():
             assert all(q.satisfied_by(p) for q in h.inequalities)
         back = vertex_enumeration(h)
         assert set(back.vertices) == extreme
+
+
+def _convex_position_points(rng, d):
+    """Random points that are all vertices of their hull: a subset of the
+    0/1 cube (often lower-dimensional), or integer points on the paraboloid
+    x_d = |x|^2."""
+    if rng.random() < 0.5:
+        corners = rng.sample(range(2**d), rng.randint(1, 2**d))
+        return [tuple((c >> j) & 1 for j in range(d)) for c in corners]
+    count, points = rng.randint(d + 1, min(d + 6, 7 ** (d - 1))), set()
+    while len(points) < count:
+        x = tuple(rng.randint(-3, 3) for _ in range(d - 1))
+        points.add((*x, sum(c * c for c in x)))
+    return sorted(points)
+
+
+def test_double_description_round_trip_on_random_polytopes():
+    rng = random.Random(314)
+    for _ in range(24):
+        v = VPolytope.from_points(_convex_position_points(rng, rng.randint(2, 4)))
+        assert vertex_enumeration(facet_enumeration(v)) == v
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_facets_invariant_under_relabelled_coordinates(seed):
+    # Relabel the coordinates of the three-input hull by a random
+    # permutation (conjugating the symmetry generators to match), find the
+    # facets again and map them back: the list must not change.  The search
+    # inserts the vertices in another order and may start from another
+    # coordinate facet.
+    s = Scenario.instrumental(3)
+    v = classical_vpolytope(s)
+    generators = symmetry_group(s).generators
+    h = adjacency_decomposition(v, generators)
+    perm = list(range(v.dim))
+    random.Random(seed).shuffle(perm)
+    moved = VPolytope.from_points(
+        [tuple(p[perm.index(i)] for i in range(v.dim)) for p in v.vertices]
+    )
+    conjugated = [tuple(perm[g[perm.index(i)]] for i in range(v.dim)) for g in generators]
+    h_moved = adjacency_decomposition(moved, conjugated)
+    back = {
+        reduce_modulo(
+            LinearInequality(tuple(q.coeffs[perm[i]] for i in range(v.dim)), q.bound),
+            h.equalities,
+        )
+        for q in h_moved.inequalities
+    }
+    assert back == set(h.inequalities)
+    assert _reduce_equalities(
+        [(tuple(c[perm[i]] for i in range(v.dim)), rhs) for c, rhs in h_moved.equalities],
+        v.dim,
+    ) == h.equalities
