@@ -676,7 +676,8 @@ def fourier_motzkin_project(
 
     permuted = ([*(q.coeffs[i] for i in order), q.bound] for q in h.inequalities)
     rows = _tidy_rows(
-        (_eliminate_leads(integerize(r), pivots) for r in permuted), max_rows
+        (_eliminate_leads(integerize(r), pivots) for r in permuted),
+        max_rows, len(solved), m,
     )
     while remaining:
         var = min(
@@ -691,7 +692,7 @@ def fourier_motzkin_project(
         ):
             wp, wn = -rn[var], rp[var]
             combined.append(tuple(wp * a + wn * b for a, b in zip(rp, rn)))
-        rows = _tidy_rows(combined, max_rows)
+        rows = _tidy_rows(combined, max_rows, m - len(remaining), m)
 
     kept_eqs = tuple((c[m:], r) for c, r in reduced if not any(c[:m]))
     rows = [(r[m:-1], r[-1]) for r in rows]
@@ -702,9 +703,10 @@ def fourier_motzkin_project(
     return HPolytope(len(keep), tuple(kept_ineqs), kept_eqs)
 
 
-def _tidy_rows(rows, max_rows: int) -> list[tuple[int, ...]]:
+def _tidy_rows(rows, max_rows: int, done: int, m: int) -> list[tuple[int, ...]]:
     """Make each integer row (coeffs..., bound) primitive, deduplicate, drop
-    trivial rows, detect infeasibility and check `max_rows`."""
+    trivial rows, detect infeasibility and check `max_rows`; `done` of the
+    `m` variables to eliminate are gone from the rows."""
     out = {}
     for row in rows:
         if not any(row[:-1]):
@@ -713,7 +715,10 @@ def _tidy_rows(rows, max_rows: int) -> list[tuple[int, ...]]:
             continue
         out[primitive(row)] = None
     if len(out) > max_rows:
-        raise CapacityError(f"projection exceeded {max_rows} rows")
+        raise CapacityError(
+            f"projection exceeded {max_rows} rows ({len(out)} rows after"
+            f" eliminating {done} of {m} variables)"
+        )
     return list(out)
 
 

@@ -8,9 +8,9 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
-from instrumental.errors import CapacityError
+from instrumental.errors import CapacityError, CertificateError
 from instrumental.inequalities import LinearExpression, lift_to_bell
-from instrumental.linprog import LpStatus, solve_lp
+from instrumental.linprog import LpResult, LpStatus, _check_dual, _check_farkas, solve_lp
 from instrumental.polytope import (
     Equality,
     HPolytope,
@@ -418,3 +418,165 @@ def h_polytopes_equal(h1: HPolytope, h2: HPolytope) -> bool:
         and all(h_implies(h2, q) for q in h1.inequalities)
         and all(_h_implies_equality(h2, e) for e in h1.equalities)
     )
+
+
+# ---------------------------------------------------------------------------
+# The simplex over a `Fraction` tableau.  `linprog.solve_lp` runs the same
+# Bland pivots on reduced int pairs; this is the tableau it replaced.
+
+_F0 = Fraction(0)
+_F1 = Fraction(1)
+
+
+def fraction_solve_lp(
+    objective, *, ineqs=(), eqs=(), nonneg=False, maximize=True
+) -> LpResult:
+    """`linprog.solve_lp` with one `Fraction` per tableau cell: the same
+    standard form, start basis, pivots and certificate checks."""
+    d = len(objective)
+    obj = [Fraction(c) for c in objective]
+    ineqs = [([Fraction(c) for c in row], Fraction(rhs)) for row, rhs in ineqs]
+    eqs = [([Fraction(c) for c in row], Fraction(rhs)) for row, rhs in eqs]
+    for row, _ in ineqs + eqs:
+        if len(row) != d:
+            raise ValueError("constraint length does not match the objective")
+
+    n_slack = len(ineqs)
+    width = (d if nonneg else 2 * d) + n_slack
+
+    def widen(coeffs, slack):
+        if nonneg:
+            out = list(coeffs)
+        else:
+            out = list(coeffs) + [-c for c in coeffs]
+        out += [_F0] * n_slack
+        if slack is not None:
+            out[-n_slack + slack] = _F1
+        return out
+
+    rows = [widen(c, None) for c, _ in eqs] + [
+        widen(c, i) for i, (c, _) in enumerate(ineqs)
+    ]
+    rhs = [r for _, r in eqs] + [r for _, r in ineqs]
+    c_std = widen([-c for c in obj] if maximize else obj, None)
+    slacks = None
+    if not eqs and all(r >= 0 for r in rhs):
+        slacks = list(range(width - n_slack, width))
+
+    status, x_std, y = _simplex_standard(c_std, rows, rhs, slacks)
+    if status is LpStatus.INFEASIBLE:
+        return LpResult(LpStatus.INFEASIBLE, farkas=tuple(y))
+    if status is LpStatus.UNBOUNDED:
+        return LpResult(LpStatus.UNBOUNDED)
+    if nonneg:
+        x = x_std[:d]
+    else:
+        x = [x_std[j] - x_std[d + j] for j in range(d)]
+    value = sum(c * v for c, v in zip(obj, x))
+    dual = tuple(-v for v in y) if maximize else tuple(y)
+    _check_dual(dual, obj, ineqs, eqs, nonneg, maximize, value)
+    return LpResult(LpStatus.OPTIMAL, x=tuple(x), value=value, dual=dual)
+
+
+def _simplex_standard(c, rows, rhs, slacks=None):
+    """min c.x s.t. rows.x = rhs, x >= 0; returns (status, x, y) as
+    `linprog._simplex_standard` does, checking a Farkas y here."""
+    m, n = len(rows), len(c)
+    flip = [1] * m
+    if slacks is not None:
+        tab = [list(row) + [r] for row, r in zip(rows, rhs)]
+        return _phase_two(c, tab, list(slacks), slacks, flip, n)
+    tab = []
+    for i in range(m):
+        row = list(rows[i])
+        r = rhs[i]
+        if r < 0:
+            flip[i] = -1
+            row = [-v for v in row]
+            r = -r
+        art = [_F0] * m
+        art[i] = _F1
+        tab.append(row + art + [r])
+    basis = [n + i for i in range(m)]
+    total = n + m
+
+    obj = [_F0] * n + [_F1] * m + [_F0]
+    for row in tab:
+        for j in range(total + 1):
+            if row[j]:
+                obj[j] -= row[j]
+    if not _pivot_loop(tab, basis, obj, allowed=total):
+        raise CertificateError("phase 1 cannot be unbounded")
+    if -obj[-1] > 0:
+        y = [flip[i] * (_F1 - obj[n + i]) for i in range(m)]
+        _check_farkas(y, rows, rhs)
+        return LpStatus.INFEASIBLE, [], y
+
+    drop = []
+    for i in range(m):
+        if basis[i] >= n:
+            col = next((j for j in range(n) if tab[i][j] != 0), None)
+            if col is None:
+                drop.append(i)
+            else:
+                _pivot(tab, basis, i, col)
+    for i in reversed(drop):
+        del tab[i], basis[i]
+    return _phase_two(c + [_F0] * m, tab, basis, range(n, total), flip, n)
+
+
+def _phase_two(c, tab, basis, start, flip, n):
+    obj = list(c) + [_F0]
+    for i, row in enumerate(tab):
+        cb = obj[basis[i]]
+        if cb:
+            for j, v in enumerate(row):
+                if v:
+                    obj[j] -= cb * v
+    if not _pivot_loop(tab, basis, obj, allowed=n):
+        return LpStatus.UNBOUNDED, [], None
+    x = [_F0] * n
+    for i, bi in enumerate(basis):
+        x[bi] = tab[i][-1]
+    y = [-f * obj[j] for f, j in zip(flip, start)]
+    return LpStatus.OPTIMAL, x, y
+
+
+def _pivot_loop(tab, basis, obj, allowed):
+    while True:
+        enter = next((j for j in range(allowed) if obj[j] < 0), None)
+        if enter is None:
+            return True
+        leave = None
+        best = None
+        for i, row in enumerate(tab):
+            coef = row[enter]
+            if coef > 0:
+                ratio = row[-1] / coef
+                if (
+                    best is None
+                    or ratio < best
+                    or (ratio == best and basis[i] < basis[leave])
+                ):
+                    best, leave = ratio, i
+        if leave is None:
+            return False
+        _pivot(tab, basis, leave, enter, obj)
+
+
+def _pivot(tab, basis, row_i, col, obj=None):
+    prow = tab[row_i]
+    piv = prow[col]
+    if piv != 1:
+        inv = _F1 / piv
+        tab[row_i] = prow = [v * inv for v in prow]
+    nonzeros = [(j, pv) for j, pv in enumerate(prow) if pv]
+    targets = tab if obj is None else tab + [obj]
+    for row in targets:
+        if row is prow:
+            continue
+        factor = row[col]
+        if factor:
+            for j, pv in nonzeros:
+                row[j] -= factor * pv
+    basis[row_i] = col

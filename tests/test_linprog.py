@@ -1,4 +1,5 @@
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -160,3 +161,17 @@ def test_random_lps_agree_with_vertex_scan():
 def test_zero_objective_reports_feasibility():
     res = solve_lp([0, 0], eqs=[([1, 1], 1)], nonneg=True)
     assert res.status is LpStatus.OPTIMAL and res.value == 0
+
+
+def test_accepts_what_fraction_accepts():
+    # ints and Fractions go into the tableau as they are; anything else that
+    # Fraction() takes is converted, and the answer is the same
+    plain = solve_lp([2, 3], ineqs=[([3, 4], 12), ([1, 3], 6)], nonneg=True)
+    mixed = solve_lp(
+        ["2", 3.0],
+        ineqs=[([Decimal(3), F(4)], "12"), ([True, "3/1"], 6.0)],
+        nonneg=True,
+    )
+    assert mixed == plain
+    with pytest.raises(ValueError, match="length"):
+        solve_lp([1, 1], ineqs=[([1], 1)])

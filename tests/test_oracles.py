@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import instrumental.linprog as linprog
 from instrumental.inequalities import (
     LinearExpression,
     _square_free,
@@ -15,6 +16,7 @@ from instrumental.inequalities import (
     pearl_expressions,
     symmetry_group,
 )
+from instrumental.linprog import LpStatus
 from instrumental.polytope import (
     VPolytope,
     _dd_pointed,
@@ -41,9 +43,11 @@ from instrumental.scenario import (
     validate,
 )
 
+import oracles
 from oracles import (
     brute_force_extreme_rays,
     fraction_integerize,
+    fraction_solve_lp,
     gpt_box_search,
     gpt_vroute,
     hashed_classical_correlations,
@@ -452,3 +456,98 @@ def test_classical_maximum_matches_vertex_scan(case):
         if s.kind is not Kind.BELL:
             reached = {s.wire(a, x) for x, a in enumerate(witness.alpha)}
             assert all(b == 0 for y, b in enumerate(witness.beta) if y not in reached)
+
+
+
+# Random LPs for the pair tableau against the Fraction tableau: each family
+# forces one feature of the standard form or one outcome.
+LP_FAMILIES = (
+    "free", "nonneg", "equalities", "negative-rhs",
+    "degenerate", "redundant", "infeasible", "unbounded",
+)
+_LP_COEFFS = (0, 0, 0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4))
+
+
+def _random_lp(rng, family):
+    """(objective, ineqs, eqs, nonneg, maximize) of one LP of the family.
+
+    Every family but "infeasible" is feasible at a random point x, and every
+    family but "unbounded" bounds each variable from both sides."""
+    d = rng.randint(1, 5)
+    nonneg = family in ("nonneg", "unbounded") or (
+        family != "free" and rng.random() < 0.5
+    )
+
+    def row():
+        return [rng.choice(_LP_COEFFS) for _ in range(d)]
+
+    def at(coeffs):
+        return sum(c * v for c, v in zip(coeffs, x))
+
+    x = [Fraction(rng.randint(0 if nonneg else -2, 2), rng.randint(1, 3)) for _ in range(d)]
+    slack = (0, 1, Fraction(1, 2))
+    if family == "degenerate":  # every random row tight at the origin
+        x, slack = [0] * d, (0,)
+    rows = [row() for _ in range(rng.randint(1, 5))]
+    if family == "unbounded":  # x_0 only loosens every row
+        for r in rows:
+            r[0] = -abs(r[0])
+    ineqs = [(r, at(r) + rng.choice(slack)) for r in rows]
+    if family != "unbounded":
+        for i in range(d):
+            unit = [int(i == j) for j in range(d)]
+            ineqs += [(unit, 3), ([-u for u in unit], 3)]
+    if family == "negative-rhs":
+        x[0] = Fraction(rng.randint(1, 2))
+        ineqs = [(r, at(r) + 1) for r, _ in ineqs]
+        ineqs.append(([-1] + [0] * (d - 1), -1))
+    eqs = []
+    if family in ("equalities", "redundant"):
+        eqs = [(r, at(r)) for r in (row() for _ in range(rng.randint(1, 3)))]
+    if family == "redundant":
+        k = rng.choice((2, -1, Fraction(1, 3)))
+        eqs.append(([k * c for c in eqs[0][0]], k * eqs[0][1]))
+        (r, b), (s, c) = eqs[0], eqs[-2]
+        eqs.append(([u + v for u, v in zip(r, s)], b + c))
+    if family == "infeasible":
+        r = row()
+        r[rng.randrange(d)] = 1
+        b = rng.randint(-2, 2)
+        ineqs += [(r, b), ([-c for c in r], -b - 1)]
+        rng.shuffle(ineqs)
+    if family == "unbounded":
+        return [1] + row()[1:], ineqs, eqs, True, True
+    return row(), ineqs, eqs, nonneg, rng.random() < 0.5
+
+
+def _traced_bases(monkeypatch, module):
+    """Record the basis after every pivot of the module's tableau."""
+    bases = []
+    pivot = module._pivot
+
+    def traced(*args):
+        pivot(*args)
+        bases.append(list(args[1]))
+
+    monkeypatch.setattr(module, "_pivot", traced)
+    return bases
+
+
+@pytest.mark.parametrize("family", LP_FAMILIES)
+def test_pair_tableau_matches_fraction_oracle(monkeypatch, family):
+    rng = random.Random(LP_FAMILIES.index(family))
+    pair_bases = _traced_bases(monkeypatch, linprog)
+    fraction_bases = _traced_bases(monkeypatch, oracles)
+    statuses = set()
+    for _ in range(25):
+        objective, ineqs, eqs, nonneg, maximize = _random_lp(rng, family)
+        kwargs = dict(ineqs=ineqs, eqs=eqs, nonneg=nonneg, maximize=maximize)
+        got = linprog.solve_lp(objective, **kwargs)
+        want = fraction_solve_lp(objective, **kwargs)
+        assert got == want
+        assert pair_bases == fraction_bases
+        statuses.add(got.status)
+    expected = {
+        "infeasible": LpStatus.INFEASIBLE, "unbounded": LpStatus.UNBOUNDED
+    }.get(family, LpStatus.OPTIMAL)
+    assert statuses == {expected}

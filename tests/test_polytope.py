@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -364,8 +365,18 @@ def test_from_points_keeps_fractions_and_drops_duplicates():
 def test_capacity_limits():
     with pytest.raises(CapacityError):
         facet_enumeration(classical_vpolytope(INSTR2), max_rays=3)
-    with pytest.raises(CapacityError):
+    # the trip says how far the projection got
+    with pytest.raises(CapacityError, match=re.escape(
+        "projection exceeded 2 rows (12 rows after eliminating 0 of 5 variables)"
+    )):
         fourier_motzkin_project(unit_cube(6), [0], max_rows=2, prune=False)
+    s = Scenario.instrumental(2)
+    with pytest.raises(CapacityError, match=re.escape(
+        "projection exceeded 15 rows (16 rows after eliminating 6 of 8 variables)"
+    )):
+        fourier_motzkin_project(
+            no_signalling_polytope(s.parent_bell()), s.wired_indices(), max_rows=15
+        )
 
 
 # Smallest max_rows the GPT projection accepts: the largest deduplicated
