@@ -33,6 +33,7 @@ from .inequalities import (
 from .polytope import (
     adjacency_decomposition,
     classical_vpolytope,
+    facet_orbits,
     fourier_motzkin_project,
     no_signalling_polytope,
 )
@@ -86,7 +87,7 @@ def cmd_facets(args) -> int:
     s = Scenario.instrumental(args.x, args.a, args.b)
     group = symmetry_group(s)
     if args.classical:
-        h = adjacency_decomposition(
+        h, orbits = adjacency_decomposition(
             classical_vpolytope(s), group.generators, max_rays=args.max_rays
         )
         side = "classical"
@@ -96,8 +97,9 @@ def cmd_facets(args) -> int:
             s.wired_indices(),
             max_rows=args.max_rays,
         )
+        orbits = facet_orbits(h, group.generators)
         side = "gpt"
-    orbits = facet_orbit_classify(h.inequalities, group)
+    orbits = facet_orbit_classify(orbits, group)
 
     fmt = args.format
     if os.environ.get("PORTA_COMPAT") == "1":

@@ -21,8 +21,6 @@ from .polytope import (
     MembershipCertificate,
     VPolytope,
     _eliminate_leads,
-    _orbit,
-    canonicalize,
     membership,
     no_signalling_polytope,
     normalization_equalities,
@@ -674,16 +672,15 @@ class Orbit:
 
 
 def facet_orbit_classify(
-    facets: Sequence[LinearInequality], group: SymmetryGroup
+    orbits: Iterable[frozenset[LinearInequality]], group: SymmetryGroup
 ) -> tuple[Orbit, ...]:
-    """Partition facets into relabelling orbits and tag each one.
-
-    Tags: positivity (a single coordinate bounded below), pearl (choice-sum
-    expressions), bonet (the three-input representative), unknown.  The
-    representative is the lexicographically smallest member.  Facets must be
-    closed under the group, which holds for any group-invariant polytope.
-    Orbits are traced by `polytope._orbit`, the same walk over the group's
-    generators that `adjacency_decomposition` uses to find the facets.
+    """Tag the relabelling orbits of facets that `adjacency_decomposition`
+    or `facet_orbits` returns and sort them by representative, the
+    lexicographically smallest member.  Tags: positivity (a single
+    coordinate bounded below), pearl (choice-sum expressions), bonet (the
+    three-input representative), unknown.  Members must be reduced modulo
+    `normalization_equalities`, as the tag seeds are: the affine hull of
+    every instrumental hull and projection.
     """
     s = group.scenario
     eqs = normalization_equalities(s)
@@ -701,22 +698,15 @@ def facet_orbit_classify(
             seeds.setdefault(
                 reduce_modulo(catalog("bonet").as_inequality(2), eqs), "bonet"
             )
-    pool = {reduce_modulo(q, eqs) for q in facets}
-    orbits = []
-    remaining = set(pool)
-    while remaining:
-        seed = min(remaining, key=lambda q: (q.coeffs, q.bound))
-        orbit = _orbit(seed, group.generators, eqs)
-        if not orbit <= pool:
-            raise ValueError("orbit escapes the facet list; input not group-closed")
+    tagged = []
+    for orbit in orbits:
         tags = {seeds[q] for q in orbit if q in seeds}
         if len(tags) > 1:
             raise CertificateError("one orbit matched two different families")
         members = tuple(sorted(orbit, key=lambda q: (q.coeffs, q.bound)))
-        orbits.append(Orbit(tags.pop() if tags else "unknown", members[0], members))
-        remaining -= orbit
-    orbits.sort(key=lambda o: (o.representative.coeffs, o.representative.bound))
-    return tuple(orbits)
+        tagged.append(Orbit(tags.pop() if tags else "unknown", members[0], members))
+    tagged.sort(key=lambda o: (o.representative.coeffs, o.representative.bound))
+    return tuple(tagged)
 
 
 # ---------------------------------------------------------------------------
@@ -880,7 +870,7 @@ def extension_membership(p: Correlation, theory: str) -> MembershipCertificate:
     for i, m in enumerate(mult):
         coeffs[i] = m
     bound, _ = gpt_maximum(LinearExpression(s, tuple(coeffs)))
-    sep = canonicalize(LinearInequality(tuple(coeffs), bound))
+    sep = reduce_modulo(LinearInequality(tuple(coeffs), bound), ())
     margin = sep.violation(p.entries)
     if margin <= 0:
         raise CertificateError("Farkas functional does not separate the table")

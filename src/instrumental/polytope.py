@@ -17,7 +17,8 @@ vectors.  A hull with a known symmetry group is found one orbit at a time by
 adjacency decomposition: the double description runs only on the vertices
 of each orbit representative, to find its ridges, and each ridge is rotated
 to the neighbouring facet; a check separate from the search confirms the
-answer against the vertices.  Projections run through Fourier-Motzkin
+answer against the vertices.  The search returns the orbits it walked, and
+`facet_orbits` walks a projection's.  Projections run through Fourier-Motzkin
 elimination on integer rows: one substitution pass through the equalities,
 then row combination for the variables left, deduplicating after every step,
 with one exact-LP redundancy pass over the final rows.  Those LPs start from
@@ -51,10 +52,10 @@ __all__ = [
     "HPolytope",
     "VPolytope",
     "MembershipCertificate",
-    "canonicalize",
     "reduce_modulo",
     "facet_enumeration",
     "adjacency_decomposition",
+    "facet_orbits",
     "vertex_enumeration",
     "fourier_motzkin_project",
     "membership",
@@ -90,16 +91,6 @@ class LinearInequality:
         return self.violation(point) <= 0
 
 
-def canonicalize(ineq: LinearInequality) -> LinearInequality:
-    """Scale by a positive rational to primitive integers (gcd 1).
-
-    Only positive scales are allowed: flipping the sign would reverse the
-    inequality.  Idempotent.  A row that is identically 0 <= 0 carries no
-    information and is rejected.
-    """
-    return reduce_modulo(ineq, ())
-
-
 def reduce_modulo(
     ineq: LinearInequality, equalities: Sequence[Equality]
 ) -> LinearInequality:
@@ -109,7 +100,7 @@ def reduce_modulo(
     multiples of the affine-hull equalities.  Zeroing the coefficients on the
     leading column of each (row-reduced) equality picks a unique
     representative, so two inequalities cut the same face iff they reduce to
-    the same canonical form.  The result has primitive `int` entries.
+    the same canonical form: primitive `int` entries, positive scales only.
     """
     row = _eliminate_leads(integerize((*ineq.coeffs, ineq.bound)), equalities)
     if not any(row):
@@ -454,10 +445,10 @@ def adjacency_decomposition(
     v: VPolytope,
     generators: Sequence[tuple[int, ...]],
     max_rays: int = 10**6,
-) -> HPolytope:
+) -> tuple[HPolytope, list[frozenset[LinearInequality]]]:
     """Facets and affine hull of the convex hull of the given vertices, found
     one symmetry orbit at a time (Bremner, Dutour Sikirić and Schürmann,
-    arXiv:math/0702239).
+    arXiv:math/0702239), and the facet orbits the search walked.
 
     `generators` are coordinate permutations that map the vertex set onto
     itself.  The search starts from a coordinate facet -x_i <= 0 and raises
@@ -466,15 +457,16 @@ def adjacency_decomposition(
     (`max_rays` bounds each of those), rotates F across every ridge to the
     neighbouring facet in integer arithmetic, and adds the orbit of each new
     neighbour.  The facet graph is connected, so the orbits found cover every
-    facet.  The answer equals `facet_enumeration(v)`'s, and `_check_facets`
-    checks it against the vertices before it is returned.
+    facet.  The hull equals `facet_enumeration(v)`'s, and `_check_facets`
+    checks it against the vertices before it is returned.  The orbits, in
+    the order found, partition the facets as `facet_orbits` would.
     """
     d = v.dim
     hom, basis, equalities = _affine_hull(v.vertices)
     rank = len(basis)
     support = _supports(hom)
     if rank == 1:
-        return HPolytope(d, (), equalities)
+        return HPolytope(d, (), equalities), []
     for i in range(d):
         start = LinearInequality(tuple(-int(j == i) for j in range(d)), 0)
         slacks = _slacks(start, support)
@@ -484,7 +476,7 @@ def adjacency_decomposition(
     else:
         raise ValueError("no coordinate facet -x_i <= 0 to start the search from")
     start = reduce_modulo(start, equalities)
-    facets = _orbit(start, generators, equalities)
+    orbits = [_orbit(start, generators, equalities)]
     representatives = [start]
     for i, f in enumerate(representatives, 1):
         fs = _slacks(f, support)
@@ -517,12 +509,29 @@ def adjacency_decomposition(
                 ),
                 equalities,
             )
-            if g not in facets:
-                facets |= _orbit(g, generators, equalities)
+            if not any(g in o for o in orbits):
+                orbits.append(_orbit(g, generators, equalities))
                 representatives.append(g)
-    facets = sorted(facets, key=lambda q: (q.coeffs, q.bound))
+    facets = sorted(itertools.chain(*orbits), key=lambda q: (q.coeffs, q.bound))
     _check_facets(v.vertices, facets, representatives)
-    return HPolytope(d, tuple(facets), equalities)
+    return HPolytope(d, tuple(facets), equalities), orbits
+
+
+def facet_orbits(
+    h: HPolytope, generators: Sequence[tuple[int, ...]]
+) -> list[frozenset[LinearInequality]]:
+    """Partition h's facets into orbits of the group that the coordinate
+    permutations generate, modulo h's (invariant) equalities; ValueError
+    unless the facet list is closed under the group."""
+    pool = {reduce_modulo(q, h.equalities) for q in h.inequalities}
+    orbits = []
+    while pool:
+        seed = min(pool, key=lambda q: (q.coeffs, q.bound))
+        orbits.append(_orbit(seed, generators, h.equalities))
+        if not orbits[-1] <= pool:
+            raise ValueError("orbit escapes the facet list; input not group-closed")
+        pool -= orbits[-1]
+    return orbits
 
 
 def _check_facets(
@@ -567,7 +576,7 @@ def _orbit(
     seed: LinearInequality,
     generators: Sequence[tuple[int, ...]],
     equalities: Sequence[Equality],
-) -> set[LinearInequality]:
+) -> frozenset[LinearInequality]:
     """The images of an inequality under the group that the coordinate
     permutations generate, each reduced modulo the (invariant) equalities."""
     orbit = {seed}
@@ -582,7 +591,7 @@ def _orbit(
             if img not in orbit:
                 orbit.add(img)
                 frontier.append(img)
-    return orbit
+    return frozenset(orbit)
 
 
 def vertex_enumeration(h: HPolytope, max_rays: int = 10**6) -> VPolytope:
@@ -887,11 +896,9 @@ def _separating_facet(
         rhs = sum(nv * c for nv, c in zip(nvec, centroid))
         val = sum(nv * qi for nv, qi in zip(nvec, q))
         if val > rhs:
-            return canonicalize(LinearInequality(tuple(nvec), rhs))
+            return reduce_modulo(LinearInequality(tuple(nvec), rhs), ())
         if val < rhs:
-            return canonicalize(
-                LinearInequality(tuple(-c for c in nvec), -rhs)
-            )
+            return reduce_modulo(LinearInequality(tuple(-c for c in nvec), -rhs), ())
     rows = [([_dot(b, v) for b in basis], scale) for v in centered]
     shifted = [scale * qi - t for qi, t in zip(q, total)]
     res = solve_lp([_dot(b, shifted) for b in basis], ineqs=rows)
@@ -900,7 +907,7 @@ def _separating_facet(
             "separation failed although the membership LP was infeasible"
         )
     g = tuple(_dot(res.x, col) for col in zip(*basis))
-    return canonicalize(LinearInequality(g, _dot(g, centroid) + 1))
+    return reduce_modulo(LinearInequality(g, _dot(g, centroid) + 1), ())
 
 
 def maximize_linear(

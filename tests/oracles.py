@@ -18,9 +18,9 @@ from instrumental.polytope import (
     VPolytope,
     _echelon,
     _null_space,
-    canonicalize,
     facet_enumeration,
     no_signalling_polytope,
+    reduce_modulo,
     vertex_enumeration,
 )
 from instrumental.rationals import integerize, primitive
@@ -369,9 +369,9 @@ def two_phase_separating_facet(q, verts) -> LinearInequality:
         rhs = sum(nv * c for nv, c in zip(nvec, centroid))
         val = sum(nv * qi for nv, qi in zip(nvec, q))
         if val > rhs:
-            return canonicalize(LinearInequality(tuple(nvec), rhs))
+            return reduce_modulo(LinearInequality(tuple(nvec), rhs), ())
         if val < rhs:
-            return canonicalize(LinearInequality(tuple(-c for c in nvec), -rhs))
+            return reduce_modulo(LinearInequality(tuple(-c for c in nvec), -rhs), ())
     objective = list(q) + [Fraction(-1)]
     ineq_rows = [(list(v) + [Fraction(-1)], Fraction(0)) for v in verts]
     eq_rows = [(list(centroid) + [Fraction(-1)], Fraction(-1))]
@@ -380,7 +380,7 @@ def two_phase_separating_facet(q, verts) -> LinearInequality:
     res = solve_lp(objective, ineqs=ineq_rows, eqs=eq_rows, nonneg=False, maximize=True)
     if res.status is not LpStatus.OPTIMAL or res.value <= 0:
         raise ValueError("the point is not outside the hull")
-    return canonicalize(LinearInequality(tuple(res.x[:-1]), res.x[-1]))
+    return reduce_modulo(LinearInequality(tuple(res.x[:-1]), res.x[-1]), ())
 
 
 def h_maximum(coeffs, h: HPolytope) -> Fraction:

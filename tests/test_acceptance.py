@@ -23,6 +23,7 @@ from instrumental.polytope import (
     LinearInequality,
     classical_vpolytope,
     facet_enumeration,
+    facet_orbits,
     fourier_motzkin_project,
     membership,
     no_signalling_polytope,
@@ -97,13 +98,13 @@ def test_criterion_02_three_input_separation():
     hull = facet_enumeration(classical_vpolytope(INSTR3))
     classical_orbits = sorted(
         (o.tag, len(o.members))
-        for o in facet_orbit_classify(hull.inequalities, group)
+        for o in facet_orbit_classify(facet_orbits(hull, group.generators), group)
     )
     assert classical_orbits == [("bonet", 24), ("pearl", 12), ("positivity", 12)]
     projection = wired_projection(INSTR3)
     gpt_orbits = sorted(
         (o.tag, len(o.members))
-        for o in facet_orbit_classify(projection.inequalities, group)
+        for o in facet_orbit_classify(facet_orbits(projection, group.generators), group)
     )
     assert gpt_orbits == [("pearl", 12), ("positivity", 12)]
 
@@ -115,7 +116,8 @@ def test_criterion_03_larger_outcome_classification(nout):
     # several orbits may share a tag (choice functions with different numbers
     # of ones split at nB = 4), so tally facets per tag
     tally: dict[str, int] = {}
-    for o in facet_orbit_classify(hull.inequalities, symmetry_group(s)):
+    group = symmetry_group(s)
+    for o in facet_orbit_classify(facet_orbits(hull, group.generators), group):
         tally[o.tag] = tally.get(o.tag, 0) + len(o.members)
     expected_pearl = (2**nout - 2) * nout
     expected_positivity = 2 * nout * nout

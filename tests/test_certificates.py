@@ -13,14 +13,10 @@ import instrumental.polytope as polytope
 from instrumental import io
 from instrumental.cli import main
 from instrumental.errors import CertificateError
-from instrumental.inequalities import (
-    extension_membership,
-    facet_orbit_classify,
-    symmetry_group,
-)
+from instrumental.inequalities import extension_membership, symmetry_group
 import instrumental.linprog as linprog
 from instrumental.linprog import LpStatus, _check_dual, _check_farkas, solve_lp
-from instrumental.polytope import classical_vpolytope, facet_enumeration
+from instrumental.polytope import classical_vpolytope, facet_enumeration, facet_orbits
 from instrumental.scenario import Correlation, Scenario, postselect, pr_box
 
 F = Fraction
@@ -186,16 +182,16 @@ def test_kept_row_witness_inside_its_row_raises(monkeypatch):
 
 
 def test_orbit_classification_rejects_open_facet_list():
-    facets = facet_enumeration(classical_vpolytope(INSTR2)).inequalities
-    group = symmetry_group(INSTR2)
-    assert facet_orbit_classify(facets, group)
+    h = facet_enumeration(classical_vpolytope(INSTR2))
+    generators = symmetry_group(INSTR2).generators
+    assert facet_orbits(h, generators)
     with pytest.raises(ValueError, match="group-closed"):
-        facet_orbit_classify(facets[1:], group)
+        facet_orbits(dataclasses.replace(h, inequalities=h.inequalities[1:]), generators)
 
 
 def _instrumental_hull(s):
     v = classical_vpolytope(s)
-    return v, polytope.adjacency_decomposition(v, symmetry_group(s).generators)
+    return v, polytope.adjacency_decomposition(v, symmetry_group(s).generators)[0]
 
 
 def test_tampered_facet_raises(monkeypatch):

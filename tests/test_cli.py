@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from instrumental import cli, inequalities, io
+from instrumental import cli, inequalities, io, polytope
 from instrumental.cli import main
 from instrumental.inequalities import catalog, gpt_maximum
 from instrumental.quantum import born_table, chsh_strategy
@@ -95,6 +95,24 @@ def test_facets_classical_trip_points(capsys, n, trip):
         f"capacity: double description exceeded {trip - 1} intermediate rays"
         f" at row {row}, in the ridge DD of representative 1 (1 found so far)\n"
     )
+
+
+@pytest.mark.parametrize("side, orbits", [("--classical", 3), ("--gpt", 2)])
+def test_facets_walks_each_orbit_once(monkeypatch, capsys, side, orbits):
+    # The classical route classifies the orbits its adjacency decomposition
+    # walked; the gpt route partitions the projection's facets once.
+    seeds = []
+    walk = polytope._orbit
+
+    def counted(seed, generators, equalities):
+        seeds.append(seed)
+        return walk(seed, generators, equalities)
+
+    # patched in every module that could bind it, so no walk goes uncounted
+    for module in (polytope, inequalities, cli):
+        monkeypatch.setattr(module, "_orbit", counted, raising=False)
+    assert main(["facets", side, "-x", "3", "--format", "json"]) == 0
+    assert len(seeds) == len(json.loads(capsys.readouterr().out)["orbits"]) == orbits
 
 
 def test_zero_denominator_exits_1(capsys, tmp_path):

@@ -30,8 +30,12 @@ CASES = {
     "facets_classical_x2_json": ["facets", "--classical", "-x", "2", "--format", "json"],
     "facets_classical_x2_porta": ["facets", "--classical", "-x", "2", "--format", "porta"],
     "facets_classical_x3": ["facets", "--classical", "-x", "3"],
+    "facets_classical_x3_json": ["facets", "--classical", "-x", "3", "--format", "json"],
     "facets_classical_x4_json": ["facets", "--classical", "-x", "4", "--format", "json"],
     "facets_classical_x5_json": ["facets", "--classical", "-x", "5", "--format", "json"],
+    "facets_classical_x2_a3_b3_json": [
+        "facets", "--classical", "-x", "2", "-a", "3", "-b", "3", "--format", "json",
+    ],
     "facets_classical_x2_a4_b4_json": [
         "facets", "--classical", "-x", "2", "-a", "4", "-b", "4", "--format", "json",
     ],

@@ -28,6 +28,7 @@ from instrumental.polytope import (
     _echelon,
     classical_vpolytope,
     facet_enumeration,
+    facet_orbits,
     no_signalling_polytope,
     reduce_modulo,
 )
@@ -351,7 +352,8 @@ def test_gpt_maximum_runs_without_phase_one(monkeypatch):
 
 def test_orbit_classification_instr2():
     h = facet_enumeration(classical_vpolytope(INSTR2))
-    orbits = facet_orbit_classify(h.inequalities, symmetry_group(INSTR2))
+    group = symmetry_group(INSTR2)
+    orbits = facet_orbit_classify(facet_orbits(h, group.generators), group)
     assert sorted((o.tag, len(o.members)) for o in orbits) == [
         ("pearl", 4),
         ("positivity", 8),
@@ -360,7 +362,8 @@ def test_orbit_classification_instr2():
 
 def test_orbit_classification_instr3():
     h = facet_enumeration(classical_vpolytope(INSTR3))
-    orbits = facet_orbit_classify(h.inequalities, symmetry_group(INSTR3))
+    group = symmetry_group(INSTR3)
+    orbits = facet_orbit_classify(facet_orbits(h, group.generators), group)
     assert sorted((o.tag, len(o.members)) for o in orbits) == [
         ("bonet", 24),
         ("pearl", 12),

@@ -25,10 +25,12 @@ from instrumental.polytope import (
     adjacency_decomposition,
     classical_vpolytope,
     facet_enumeration,
+    facet_orbits,
     fourier_motzkin_project,
     maximize_linear,
     membership,
     no_signalling_polytope,
+    normalization_equalities,
     reduce_modulo,
 )
 from instrumental.rationals import integerize
@@ -212,7 +214,7 @@ def test_fourier_motzkin_matches_vroute(args):
     fm = fourier_motzkin_project(ns, s.wired_indices())
     vroute = gpt_vroute(s)
     assert fm.inequalities == vroute.inequalities
-    assert fm.equalities == vroute.equalities
+    assert fm.equalities == vroute.equalities == normalization_equalities(s)
 
 
 def _random_h_system(rng, kind):
@@ -385,10 +387,19 @@ def test_double_description_skips_the_pair_itself_as_witness():
 )
 def test_adjacency_decomposition_matches_double_description(args):
     # One double description of the whole hull is the oracle for the
-    # orbit-by-orbit search that `facets --classical` runs.
+    # orbit-by-orbit search that `facets --classical` runs, and a partition
+    # of its facets the oracle for the orbits the search walked.
     s = Scenario.instrumental(*args)
     v = classical_vpolytope(s)
-    assert adjacency_decomposition(v, symmetry_group(s).generators) == facet_enumeration(v)
+    generators = symmetry_group(s).generators
+    h, orbits = adjacency_decomposition(v, generators)
+    assert h == facet_enumeration(v)
+    assert sum(map(len, orbits)) == len(h.inequalities)
+    assert frozenset().union(*orbits) == set(h.inequalities)
+    assert set(orbits) == set(facet_orbits(h, generators))
+    # facet_orbit_classify tags these orbits with seeds reduced modulo the
+    # normalization equalities
+    assert h.equalities == normalization_equalities(s)
 
 
 @pytest.mark.parametrize(

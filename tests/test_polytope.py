@@ -14,7 +14,6 @@ from instrumental.polytope import (
     VPolytope,
     _reduce_equalities,
     adjacency_decomposition,
-    canonicalize,
     classical_vpolytope,
     facet_enumeration,
     fourier_motzkin_project,
@@ -70,12 +69,14 @@ def pearl_inequality(s, a, choice):
 
 
 def test_canonicalize_scales_to_primitive_integers():
-    q = canonicalize(ineq([F(2, 3), F(-4, 3)], F(2)))
+    # with no equalities, reduce_modulo is the primitive positive multiple
+    q = reduce_modulo(ineq([F(2, 3), F(-4, 3)], F(2)), ())
     assert q == ineq([1, -2], 3)
+    assert reduce_modulo(q, ()) == q
     # positive scale only: orientation is part of the data
-    assert canonicalize(ineq([-2, 0], 4)) == ineq([-1, 0], 2)
+    assert reduce_modulo(ineq([-2, 0], 4), ()) == ineq([-1, 0], 2)
     with pytest.raises(ValueError):
-        canonicalize(ineq([0, 0], 0))
+        reduce_modulo(ineq([0, 0], 0), ())
     e = canonicalize_equality(((F(-2), F(4)), F(6)))
     assert e == ((F1, F(-2)), F(-3))
 
@@ -333,7 +334,9 @@ def test_maximize_returns_smallest_maximizing_vertex():
 )
 def test_adjacency_decomposition_without_symmetry(points):
     v = VPolytope.from_points(points)
-    assert adjacency_decomposition(v, ()) == facet_enumeration(v)
+    h, orbits = adjacency_decomposition(v, ())
+    assert h == facet_enumeration(v)
+    assert set(orbits) == {frozenset({q}) for q in h.inequalities}
 
 
 def test_adjacency_decomposition_needs_a_coordinate_facet():
@@ -345,8 +348,8 @@ def test_adjacency_decomposition_needs_a_coordinate_facet():
 
 
 def test_adjacency_decomposition_of_a_point_has_no_facets():
-    h = adjacency_decomposition(VPolytope.from_points([(1, 1)]), ())
-    assert h.inequalities == () and h.affine_dimension() == 0
+    h, orbits = adjacency_decomposition(VPolytope.from_points([(1, 1)]), ())
+    assert h.inequalities == () and orbits == [] and h.affine_dimension() == 0
 
 
 @pytest.mark.parametrize("point", [(0, 0), (1, 1)])
@@ -445,7 +448,7 @@ def test_returned_rows_are_ints():
         fourier_motzkin_project(unit_cube(3), [0, 2], prune=False),
     ]
     rows = [
-        canonicalize(ineq([F(2, 3), F(-4, 3)], F(2))),
+        reduce_modulo(ineq([F(2, 3), F(-4, 3)], F(2)), ()),
         reduce_modulo(ineq([F(1, 2), 0, 1], 2), (((F1, F1, F0), F1),)),
     ]
     entries = [v for h in polytopes for v in _entries(h)]
@@ -504,14 +507,14 @@ def test_facets_invariant_under_relabelled_coordinates(seed):
     s = Scenario.instrumental(3)
     v = classical_vpolytope(s)
     generators = symmetry_group(s).generators
-    h = adjacency_decomposition(v, generators)
+    h, _ = adjacency_decomposition(v, generators)
     perm = list(range(v.dim))
     random.Random(seed).shuffle(perm)
     moved = VPolytope.from_points(
         [tuple(p[perm.index(i)] for i in range(v.dim)) for p in v.vertices]
     )
     conjugated = [tuple(perm[g[perm.index(i)]] for i in range(v.dim)) for g in generators]
-    h_moved = adjacency_decomposition(moved, conjugated)
+    h_moved, _ = adjacency_decomposition(moved, conjugated)
     back = {
         reduce_modulo(
             LinearInequality(tuple(q.coeffs[perm[i]] for i in range(v.dim)), q.bound),
