@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import io
@@ -84,6 +83,8 @@ def _expression_str(scenario, ineq) -> str:
 
 
 def cmd_facets(args) -> int:
+    if args.max_rays < 1:
+        raise ValueError(f"--max-rays takes a count >= 1, got {args.max_rays}")
     s = Scenario.instrumental(args.x, args.a, args.b)
     group = symmetry_group(s)
     if args.classical:
@@ -101,12 +102,9 @@ def cmd_facets(args) -> int:
         side = "gpt"
     orbits = facet_orbit_classify(orbits, group)
 
-    fmt = args.format
-    if os.environ.get("PORTA_COMPAT") == "1":
-        fmt = "porta"
-    if fmt == "porta":
+    if args.format == "porta":
         _emit(io.write_ieq(h), args)
-    elif fmt == "json":
+    elif args.format == "json":
         doc = {
             "scenario": io.scenario_to_json(s),
             "side": side,

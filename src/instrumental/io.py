@@ -1,9 +1,9 @@
-"""JSON and PORTA-style text formats for tables, expressions and polytopes.
+"""The formats the command line reads and writes: correlation JSON, facet
+lists as JSON or PORTA-style inequality text, and bound tables.
 
 Rationals travel as "p/q" strings so that nothing is lost in transit; float
-tables (Born probabilities) keep plain JSON numbers.  The text formats cover
-the classic polytope-file subset: a vertex file lists one point per line, an
-inequality file one constraint per line with 1-based variables x1..xd.
+tables (Born probabilities) keep plain JSON numbers.  An inequality file lists
+one constraint per line with 1-based variables x1..xd.
 """
 
 from __future__ import annotations
@@ -16,12 +16,8 @@ from fractions import Fraction
 from io import StringIO
 from typing import Any
 
-import numpy as np
-
-from .inequalities import LinearExpression
-from .polytope import HPolytope, LinearInequality, VPolytope
-from .quantum import Observable2, QuantumStrategy, TwoQubitState
-from .scenario import Correlation, DeterministicStrategy, Kind, Scenario
+from .polytope import HPolytope, LinearInequality
+from .scenario import Correlation, Kind, Scenario
 
 __all__ = [
     "fraction_to_str",
@@ -32,19 +28,9 @@ __all__ = [
     "correlation_from_json",
     "load_correlation",
     "save_correlation",
-    "deterministic_strategy_to_json",
-    "deterministic_strategy_from_json",
-    "expression_to_json",
-    "expression_from_json",
-    "quantum_strategy_to_json",
-    "quantum_strategy_from_json",
-    "vpolytope_to_json",
-    "vpolytope_from_json",
     "hpolytope_to_json",
     "row_to_json",
     "hpolytope_from_json",
-    "write_poi",
-    "read_poi",
     "write_ieq",
     "read_ieq",
     "format_bounds_table",
@@ -57,7 +43,7 @@ def fraction_to_str(f: Fraction) -> str:
 
 
 def fraction_from_str(s) -> Fraction:
-    if isinstance(s, int):
+    if isinstance(s, int) and not isinstance(s, bool):
         return Fraction(s)
     if not isinstance(s, str):
         raise TypeError(f"expected a rational string, got {s!r}")
@@ -81,7 +67,7 @@ def scenario_to_json(s: Scenario) -> dict[str, Any]:
 
 
 def _integer(v) -> int:
-    """A JSON cardinality or wiring entry; booleans and non-integral
+    """A JSON cardinality, dimension or wiring entry; booleans and non-integral
     numbers are rejected instead of truncated."""
     if isinstance(v, bool) or (isinstance(v, float) and not v.is_integer()):
         raise ValueError(f"expected an integer, got {v!r}")
@@ -133,86 +119,6 @@ def save_correlation(p: Correlation, path) -> None:
         fh.write("\n")
 
 
-def deterministic_strategy_to_json(d: DeterministicStrategy) -> dict[str, Any]:
-    return {
-        "scenario": scenario_to_json(d.scenario),
-        "alpha": list(d.alpha),
-        "beta": list(d.beta),
-    }
-
-
-def deterministic_strategy_from_json(d: dict[str, Any]) -> DeterministicStrategy:
-    return DeterministicStrategy(
-        scenario_from_json(d["scenario"]),
-        tuple(int(a) for a in d["alpha"]),
-        tuple(int(b) for b in d["beta"]),
-    )
-
-
-def expression_to_json(e: LinearExpression, label: str | None = None) -> dict[str, Any]:
-    d: dict[str, Any] = {
-        "scenario": scenario_to_json(e.scenario),
-        "coeffs": [fraction_to_str(c) for c in e.coeffs],
-        "constant": fraction_to_str(e.constant),
-    }
-    if label is not None:
-        d["label"] = label
-    return d
-
-
-def expression_from_json(d: dict[str, Any]) -> LinearExpression:
-    return LinearExpression(
-        scenario_from_json(d["scenario"]),
-        tuple(fraction_from_str(c) for c in d["coeffs"]),
-        fraction_from_str(d.get("constant", "0")),
-    )
-
-
-def quantum_strategy_to_json(q: QuantumStrategy) -> dict[str, Any]:
-    rho = q.state.matrix
-    if q.state == TwoQubitState.phi_plus():
-        state: Any = "phi_plus"
-    else:
-        state = [[float(z.real), float(z.imag)] for z in rho.flatten()]
-    return {
-        "state": state,
-        "alice": [[o.vx, o.vz] for o in q.alice],
-        "bob": [[o.vx, o.vz] for o in q.bob],
-    }
-
-
-def quantum_strategy_from_json(d: dict[str, Any]) -> QuantumStrategy:
-    raw = d["state"]
-    if raw == "phi_plus":
-        state = TwoQubitState.phi_plus()
-    else:
-        if len(raw) != 16:
-            raise ValueError("a general state needs 16 complex entries")
-        flat = np.array([complex(re, im) for re, im in raw])
-        state = TwoQubitState(flat.reshape(4, 4))
-    return QuantumStrategy(
-        state,
-        tuple(Observable2(vx, vz) for vx, vz in d["alice"]),
-        tuple(Observable2(vx, vz) for vx, vz in d["bob"]),
-    )
-
-
-def vpolytope_to_json(v: VPolytope) -> dict[str, Any]:
-    return {
-        "dim": v.dim,
-        "vertices": [[fraction_to_str(c) for c in vert] for vert in v.vertices],
-    }
-
-
-def vpolytope_from_json(d: dict[str, Any]) -> VPolytope:
-    return VPolytope(
-        int(d["dim"]),
-        tuple(
-            tuple(fraction_from_str(c) for c in vert) for vert in d["vertices"]
-        ),
-    )
-
-
 def row_to_json(coeffs, bound) -> dict[str, Any]:
     """One inequality or equality row: its coefficients and right-hand side."""
     return {
@@ -234,7 +140,7 @@ def hpolytope_from_json(d: dict[str, Any]) -> HPolytope:
         return tuple(fraction_from_str(c) for c in entry["coeffs"])
 
     return HPolytope(
-        int(d["dim"]),
+        _integer(d["dim"]),
         tuple(
             LinearInequality(row(e), fraction_from_str(e["bound"]))
             for e in d["inequalities"]
@@ -245,37 +151,6 @@ def hpolytope_from_json(d: dict[str, Any]) -> HPolytope:
 
 _ROW_PREFIX = re.compile(r"^\(\s*\d+\s*\)\s*")
 _TERM = re.compile(r"([+-]?\s*(?:\d+(?:/\d+)?)?)\s*x(\d+)")
-
-
-def write_poi(v: VPolytope) -> str:
-    lines = [f"DIM = {v.dim}", "", "CONV_SECTION"]
-    for vert in v.vertices:
-        lines.append(" ".join(fraction_to_str(c) for c in vert))
-    lines.append("END")
-    return "\n".join(lines) + "\n"
-
-
-def read_poi(text: str) -> VPolytope:
-    dim: int | None = None
-    vertices: list[tuple[Fraction, ...]] = []
-    in_section = False
-    for raw in text.splitlines():
-        line = _ROW_PREFIX.sub("", raw.strip())
-        if not line:
-            continue
-        if line.startswith("DIM"):
-            dim = int(line.partition("=")[2])
-        elif line == "CONV_SECTION":
-            in_section = True
-        elif line == "END":
-            in_section = False
-        elif in_section:
-            vertices.append(tuple(fraction_from_str(tok) for tok in line.split()))
-    if dim is None:
-        raise ValueError("missing DIM line")
-    if any(len(v) != dim for v in vertices):
-        raise ValueError("vertex length does not match DIM")
-    return VPolytope(dim, tuple(vertices))
 
 
 def _ieq_lhs(coeffs) -> str:

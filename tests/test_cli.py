@@ -63,16 +63,21 @@ def test_facets_json_round_trips(capsys):
     assert len(h.inequalities) == 12
 
 
-def test_facets_porta_formats(capsys, monkeypatch):
+def test_facets_porta_formats(capsys):
     assert main(["facets", "--classical", "-x", "2", "--format", "porta"]) == 0
     direct = capsys.readouterr().out
     assert direct.startswith("DIM = 8")
     assert "INEQUALITIES_SECTION" in direct
-    monkeypatch.setenv("PORTA_COMPAT", "1")
-    assert main(["facets", "--classical", "-x", "2"]) == 0
-    assert capsys.readouterr().out == direct
     parsed = io.read_ieq(direct)
     assert len(parsed.inequalities) == 12 and len(parsed.equalities) == 2
+
+
+@pytest.mark.parametrize("rays", [0, -1])
+def test_facets_rejects_max_rays_below_one(capsys, rays):
+    assert main(["facets", "--classical", "-x", "2", "--max-rays", str(rays)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --max-rays takes a count >= 1, got {rays}\n"
 
 
 def test_facets_capacity_exit(capsys):

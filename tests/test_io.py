@@ -2,36 +2,22 @@ import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from instrumental import io
-from instrumental.inequalities import catalog
 from instrumental.polytope import (
     HPolytope,
     LinearInequality,
-    VPolytope,
     classical_vpolytope,
     facet_enumeration,
 )
-import numpy as np
-
-from instrumental.quantum import (
-    QuantumStrategy,
-    TwoQubitState,
-    bonet_strategy,
-    born_table,
-    chsh_strategy,
-)
-from instrumental.scenario import (
-    Correlation,
-    DeterministicStrategy,
-    Scenario,
-    postselect,
-    pr_box,
-)
+from instrumental.quantum import born_table, chsh_strategy
+from instrumental.scenario import Scenario, postselect, pr_box
 
 F = Fraction
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def test_fraction_strings():
@@ -39,17 +25,16 @@ def test_fraction_strings():
     assert io.fraction_to_str(F(-3)) == "-3"
     assert io.fraction_from_str("7/3") == F(7, 3)
     assert io.fraction_from_str(4) == F(4)
-    with pytest.raises(TypeError):
-        io.fraction_from_str(0.5)
+    for bad in (0.5, True, False):
+        with pytest.raises(TypeError):
+            io.fraction_from_str(bad)
     with pytest.raises(ValueError, match="zero denominator"):
         io.fraction_from_str("1/0")
-    with pytest.raises(ValueError, match="zero denominator"):
-        io.read_poi("DIM = 2\nCONV_SECTION\n1/0 1\nEND\n")
     with pytest.raises(ValueError, match="zero denominator"):
         io.read_ieq("DIM = 2\nINEQUALITIES_SECTION\n( 1) x1 + x2 <= 1/0\nEND\n")
 
 
-# Tokens of the two polytope text formats, and some that do not belong.
+# Tokens of the inequality text format, and some that do not belong.
 # They are joined by spaces and newlines only, so numbers stay small.
 POLYTOPE_TOKENS = [
     "DIM", "=", "DIM =", "2", "3", "0", "1", "-1", "1/2", "1/0", "3/", "1e5",
@@ -70,7 +55,7 @@ def _random_polytope_texts(rng, count):
         yield rng.choice(POLYTOPE_HEADERS) + body
 
 
-@pytest.mark.parametrize("reader", [io.read_poi, io.read_ieq], ids=["poi", "ieq"])
+@pytest.mark.parametrize("reader", [io.read_ieq], ids=["ieq"])
 def test_malformed_polytope_text_raises_value_error(reader):
     texts = ["DIM\n", "DIM 2\nEND\n", "DIM = \n"]
     texts += list(_random_polytope_texts(random.Random(3), 3000))
@@ -114,55 +99,39 @@ def test_correlation_round_trip_float():
     assert not back.exact and back.entries == t.entries
 
 
-def test_deterministic_strategy_round_trip():
-    d = DeterministicStrategy(Scenario.instrumental(3), (0, 1, 0), (1, 0))
-    assert io.deterministic_strategy_from_json(io.deterministic_strategy_to_json(d)) == d
-
-
-def test_expression_round_trip():
-    e = catalog("tilted", alpha=F(5, 2))
-    d = io.expression_to_json(e, label="tilted-5/2")
-    assert d["label"] == "tilted-5/2"
-    assert io.expression_from_json(d) == e
-    del d["constant"]
-    assert io.expression_from_json(d).constant == e.constant == 0
-
-
-def test_quantum_strategy_round_trip():
-    q = bonet_strategy()
-    d = io.quantum_strategy_to_json(q)
-    assert d["state"] == "phi_plus"
-    back = io.quantum_strategy_from_json(d)
-    assert back.alice == q.alice and back.bob == q.bob
-    assert born_table(back, Scenario.instrumental(3)).entries == born_table(
-        q, Scenario.instrumental(3)
-    ).entries
-    # a general state goes through the 16-entry form
-    blurred = TwoQubitState(0.5 * q.state.matrix + 0.5 * np.eye(4) / 4)
-    d2 = io.quantum_strategy_to_json(QuantumStrategy(blurred, q.alice, q.bob))
-    assert len(d2["state"]) == 16
-    mixed = io.quantum_strategy_from_json(d2)
-    assert mixed.state.matrix[0, 0] == pytest.approx(0.375)
-
-
 def test_polytope_json_round_trip():
-    v = classical_vpolytope(Scenario.instrumental(2))
-    assert io.vpolytope_from_json(io.vpolytope_to_json(v)) == v
-    h = facet_enumeration(v)
+    h = facet_enumeration(classical_vpolytope(Scenario.instrumental(2)))
     h2 = io.hpolytope_from_json(io.hpolytope_to_json(h))
     assert h2.inequalities == h.inequalities and h2.equalities == h.equalities
 
 
-def test_poi_round_trip():
-    v = VPolytope(3, ((F(0), F(0), F(1)), (F(1, 2), F(-1, 3), F(0))))
-    text = io.write_poi(v)
-    assert "DIM = 3" in text and "CONV_SECTION" in text and "1/2 -1/3 0" in text
-    assert io.read_poi(text) == v
-    # numbered rows from other tools parse too
-    numbered = text.replace("1/2 -1/3 0", "( 2) 1/2 -1/3 0")
-    assert io.read_poi(numbered) == v
-    with pytest.raises(ValueError):
-        io.read_poi("CONV_SECTION\n1 2\nEND\n")
+def test_readers_reject_booleans_and_fractional_counts():
+    good = {"dim": 2, "inequalities": [{"coeffs": ["1", "1"], "bound": "1"}],
+            "equalities": []}
+    assert io.hpolytope_from_json(good).dim == 2
+    with pytest.raises(ValueError, match="expected an integer"):
+        io.hpolytope_from_json({**good, "dim": 2.9})
+    with pytest.raises(ValueError, match="expected an integer"):
+        io.hpolytope_from_json({**good, "dim": True})
+    bool_coeff = {**good, "inequalities": [{"coeffs": ["1", True], "bound": "1"}]}
+    with pytest.raises(TypeError, match="True"):
+        io.hpolytope_from_json(bool_coeff)
+
+
+@pytest.mark.parametrize(
+    "path", sorted(GOLDEN.glob("facets_*_json.stdout")), ids=lambda p: p.stem
+)
+def test_facet_goldens_parse(path):
+    # The readers accept what `facets` writes: every orbit member is listed.
+    doc = json.loads(path.read_text())
+    h = io.hpolytope_from_json(doc["polytope"])
+    assert len(h.inequalities) == sum(o["size"] for o in doc["orbits"])
+
+
+def test_porta_golden_parses_to_the_json_polytope():
+    text = (GOLDEN / "facets_classical_x2_porta.stdout").read_text()
+    doc = json.loads((GOLDEN / "facets_classical_x2_json.stdout").read_text())
+    assert io.read_ieq(text) == io.hpolytope_from_json(doc["polytope"])
 
 
 def test_ieq_round_trip():
