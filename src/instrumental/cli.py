@@ -368,8 +368,12 @@ def _build_parser() -> _Parser:
     i.add_argument("kind", choices=["bonet", "tilted", "chained"])
     i.add_argument("--alpha", help="weight for the tilted family")
     i.add_argument("--n", type=int, help="length for the chained family")
-    i.add_argument("--trials", type=int, default=500)
-    i.add_argument("--seed", type=int, default=0)
+    i.add_argument("--trials", type=int, default=500,
+                   help="not used: every deterministic box is checked; the "
+                        "count is only echoed in the output")
+    i.add_argument("--seed", type=int, default=0,
+                   help="not used: nothing is sampled; accepted so existing "
+                        "command lines still parse")
     i.add_argument("--format", choices=["table", "json"], default="table")
     i.add_argument("--output")
     i.set_defaults(func=cmd_identity)

@@ -139,6 +139,8 @@ class HPolytope:
     equalities: tuple[Equality, ...] = ()
 
     def __post_init__(self) -> None:
+        if self.dim < 0:
+            raise ValueError(f"dimension must be nonnegative, got {self.dim}")
         for ineq in self.inequalities:
             if len(ineq.coeffs) != self.dim:
                 raise ValueError("inequality length does not match dimension")
@@ -290,9 +292,8 @@ def _dd_pointed(
     equals the ambient dimension (a pointed cone), and CapacityError, naming
     the row being inserted, once more than `max_rays` rays are held.
     """
-    # Imported here, not with the module: the package loads numpy later
-    # (io, quantum), and loading it from here first raised the benchmark's
-    # peak RSS by 0.2-0.3 MB on workloads that never run a DD.
+    # Imported here, not with the module: the DD is the package's only numpy
+    # user, so commands that run no DD never load it.
     import numpy as np
 
     r = len(rows[0])

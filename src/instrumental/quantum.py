@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .inequalities import catalog
 from .scenario import (
     Correlation,
@@ -25,7 +23,6 @@ from .scenario import (
 
 __all__ = [
     "Observable2",
-    "TwoQubitState",
     "QuantumStrategy",
     "born_table",
     "chsh_strategy",
@@ -36,12 +33,7 @@ __all__ = [
     "rationalize_correlation",
 ]
 
-_SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-_SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-_I2 = np.eye(2, dtype=complex)
-
 _UNIT_TOL = 1e-12
-_CLIP_TOL = 1e-12
 _SNAP_TOL = 1e-9  # largest move rationalization may make to an entry or total
 
 
@@ -58,7 +50,7 @@ class Observable2:
 
     def __post_init__(self) -> None:
         norm = math.hypot(self.vx, self.vz)
-        if abs(norm - 1.0) > _UNIT_TOL:
+        if not abs(norm - 1.0) <= _UNIT_TOL:  # also rejects nan
             raise ValueError(f"direction must have unit length, got {norm!r}")
 
     @classmethod
@@ -70,80 +62,18 @@ class Observable2:
     def angle(self) -> float:
         return math.atan2(self.vx, self.vz)
 
-    def matrix(self) -> np.ndarray:
-        return self.vx * _SX + self.vz * _SZ
-
-    def projector(self, outcome: int) -> np.ndarray:
-        if outcome not in (0, 1):
-            raise ValueError("outcome must be 0 or 1")
-        sign = 1.0 if outcome == 0 else -1.0
-        return (_I2 + sign * self.matrix()) / 2.0
-
-
-class TwoQubitState:
-    """A validated 4x4 density matrix."""
-
-    __slots__ = ("matrix",)
-
-    def __init__(self, matrix) -> None:
-        rho = np.asarray(matrix, dtype=complex)
-        if rho.shape != (4, 4):
-            raise ValueError("a two-qubit state is a 4x4 matrix")
-        if np.linalg.norm(rho - rho.conj().T) > 1e-12:
-            raise ValueError("density matrix must be hermitian")
-        if abs(np.trace(rho) - 1.0) > 1e-12:
-            raise ValueError("density matrix must have unit trace")
-        if np.linalg.eigvalsh(rho).min() < -1e-12:
-            raise ValueError("density matrix must be positive semidefinite")
-        self.matrix = rho
-        self.matrix.flags.writeable = False
-
-    @classmethod
-    def phi_plus(cls) -> "TwoQubitState":
-        """The maximally entangled state (|00> + |11>)/sqrt(2)."""
-        v = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / math.sqrt(2.0)
-        return cls(np.outer(v, v.conj()))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TwoQubitState):
-            return NotImplemented
-        return np.array_equal(self.matrix, other.matrix)
-
-    def __repr__(self) -> str:
-        return f"TwoQubitState({self.matrix!r})"
-
 
 @dataclass(frozen=True)
 class QuantumStrategy:
-    """A shared state with one planar observable per input on each side."""
+    """One planar observable per input on each side of the maximally
+    entangled state |Phi+> = (|00> + |11>)/sqrt(2)."""
 
-    state: TwoQubitState
     alice: tuple[Observable2, ...]
     bob: tuple[Observable2, ...]
 
     def __post_init__(self) -> None:
         if not self.alice or not self.bob:
             raise ValueError("each side needs at least one observable")
-
-
-def _bell_entries(strategy: QuantumStrategy, nx: int, ny: int) -> list[float]:
-    rho = strategy.state.matrix
-    entries: list[float] = []
-    for x in range(nx):
-        pa = [strategy.alice[x].projector(a) for a in (0, 1)]
-        for y in range(ny):
-            pb = [strategy.bob[y].projector(b) for b in (0, 1)]
-            for a in (0, 1):
-                for b in (0, 1):
-                    val = float(np.trace(rho @ np.kron(pa[a], pb[b])).real)
-                    if val < 0.0:
-                        if val < -_CLIP_TOL:
-                            raise ValueError(
-                                f"Born probability {val} below tolerance"
-                            )
-                        val = 0.0
-                    entries.append(val)
-    return entries
 
 
 def born_table(strategy: QuantumStrategy, scenario: Scenario) -> Correlation:
@@ -158,7 +88,14 @@ def born_table(strategy: QuantumStrategy, scenario: Scenario) -> Correlation:
         raise ValueError("need one observable per input x")
     if len(strategy.bob) != scenario.nY:
         raise ValueError("need one observable per wire value")
-    entries = _bell_entries(strategy, scenario.nX, scenario.nY)
+    # p(ab|xy) = (1 + (-1)^(a+b) u_x.w_y)/4 on |Phi+>, in Bell index order.
+    # Directions are unit to within 1e-12, so a negative entry is rounding.
+    entries: list[float] = []
+    for u in strategy.alice:
+        for w in strategy.bob:
+            c = u.vx * w.vx + u.vz * w.vz
+            same, differ = max((1.0 + c) / 4.0, 0.0), max((1.0 - c) / 4.0, 0.0)
+            entries += (same, differ, differ, same)
     if scenario.kind is Kind.BELL:
         return Correlation(scenario, tuple(entries))
     return postselect(Correlation(scenario.parent_bell(), tuple(entries)), scenario)
@@ -167,7 +104,6 @@ def born_table(strategy: QuantumStrategy, scenario: Scenario) -> Correlation:
 def chsh_strategy() -> QuantumStrategy:
     """Angles reaching 2*sqrt(2) on the two-input correlator test."""
     return QuantumStrategy(
-        TwoQubitState.phi_plus(),
         (Observable2.from_angle(0.0), Observable2.from_angle(math.pi / 2)),
         (Observable2.from_angle(math.pi / 4), Observable2.from_angle(-math.pi / 4)),
     )
@@ -182,14 +118,13 @@ def bonet_strategy() -> QuantumStrategy:
     """
     r = 1.0 / math.sqrt(2.0)
     return QuantumStrategy(
-        TwoQubitState.phi_plus(),
         (Observable2(1.0, 0.0), Observable2(0.0, 1.0), Observable2(-r, -r)),
         (Observable2(r, r), Observable2(r, -r)),
     )
 
 
 def chained_strategy(n: int) -> QuantumStrategy:
-    """Optimal n-input chain over the shared singlet plane.
+    """Optimal n-input chain in the x-z plane.
 
     Alice's directions sit at angles pi*j/n, Bob's halfway between
     consecutive ones; every chained correlator term then equals
@@ -201,7 +136,7 @@ def chained_strategy(n: int) -> QuantumStrategy:
     bob = tuple(
         Observable2.from_angle(math.pi * (2 * j + 1) / (2 * n)) for j in range(n)
     )
-    return QuantumStrategy(TwoQubitState.phi_plus(), alice, bob)
+    return QuantumStrategy(alice, bob)
 
 
 @dataclass(frozen=True)
@@ -229,7 +164,6 @@ def tilted_search(alpha) -> SeeSawResult:
         raise ValueError("the weight must satisfy alpha >= 1")
     h = math.atan(1.0 / a)
     strategy = QuantumStrategy(
-        TwoQubitState.phi_plus(),
         (Observable2.from_angle(0.0), Observable2.from_angle(2 * h)),
         (Observable2.from_angle(h), Observable2.from_angle(h - math.pi / 2)),
     )

@@ -8,6 +8,8 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
+import numpy as np
+
 from instrumental.errors import CapacityError, CertificateError
 from instrumental.inequalities import LinearExpression, lift_to_bell
 from instrumental.linprog import LpResult, LpStatus, _check_dual, _check_farkas, solve_lp
@@ -87,6 +89,32 @@ def two_phase_gpt_maximum(expression: LinearExpression):
     if res.status is not LpStatus.OPTIMAL:
         raise ValueError(f"no finite no-signalling maximum: {res.status}")
     return res.value + lifted.constant, Correlation(bell, tuple(res.x))
+
+
+def density_matrix_born_table(strategy, scenario: Scenario) -> Correlation:
+    """Float table of a planar qubit strategy by the Born rule on density
+    matrices: p(ab|xy) = tr(rho (P_a^x (x) P_b^y)) with rho = |Phi+><Phi+| and
+    P_a = (I + (-1)^a (vx sigma_x + vz sigma_z))/2, wired by post-selection
+    when the scenario is instrumental.  `born_table` uses the closed form
+    (1 + (-1)^(a+b) u_x.w_y)/4 instead."""
+    sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    sz = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+    phi = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / np.sqrt(2.0)
+    rho = np.outer(phi, phi.conj())
+
+    def projectors(o):
+        m = o.vx * sx + o.vz * sz
+        return [(np.eye(2) + m) / 2.0, (np.eye(2) - m) / 2.0]
+
+    entries = []
+    for u in strategy.alice:
+        for w in strategy.bob:
+            for pa in projectors(u):
+                for pb in projectors(w):
+                    entries.append(max(float(np.trace(rho @ np.kron(pa, pb)).real), 0.0))
+    bell = Scenario.bell(len(strategy.alice), len(strategy.bob))
+    table = Correlation(bell, tuple(entries))
+    return table if scenario.kind is Kind.BELL else postselect(table, scenario)
 
 
 def _dense_correlator(s: Scenario, x: int, y: int) -> LinearExpression:

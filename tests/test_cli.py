@@ -1,7 +1,11 @@
 import dataclasses
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -442,3 +446,34 @@ def test_usage_exit_codes(capsys):
     assert main(["facets", "--classical"]) == 1  # missing -x
     assert main(["facets", "-x", "2"]) == 1  # missing side
     capsys.readouterr()
+
+
+NUMPY_PROBE = """
+import contextlib, io as stdio, json, sys
+from instrumental import cli, io
+from instrumental.quantum import born_table, chsh_strategy
+from instrumental.scenario import Scenario
+io.save_correlation(born_table(chsh_strategy(), Scenario.bell(2, 2)), sys.argv[1])
+runs = [["bounds", "chsh"], ["bounds", "chained", "4"], ["identity", "bonet"],
+        ["facets", "--gpt", "-x", "2"],
+        ["membership", sys.argv[1], "--theory", "nosignalling", "--with-local-processing"],
+        ["facets", "--classical", "-x", "3"]]
+loaded = ["numpy" in sys.modules]
+for argv in runs:
+    with contextlib.redirect_stdout(stdio.StringIO()):
+        code = cli.main(argv)
+    loaded.append([code, "numpy" in sys.modules])
+print(json.dumps(loaded))
+"""
+
+
+def test_numpy_loads_only_for_the_double_description(tmp_path):
+    # The DD in `facets --classical` is the package's only numpy user.
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-c", NUMPY_PROBE, str(tmp_path / "born.json")],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    loaded = json.loads(done.stdout)
+    assert loaded == [False] + [[0, False]] * 5 + [[0, True]]

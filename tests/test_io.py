@@ -118,6 +118,14 @@ def test_readers_reject_booleans_and_fractional_counts():
         io.hpolytope_from_json(bool_coeff)
 
 
+def test_readers_reject_negative_dimension():
+    with pytest.raises(ValueError, match="nonnegative"):
+        io.read_ieq("DIM = -2\n")
+    with pytest.raises(ValueError, match="nonnegative"):
+        io.hpolytope_from_json({"dim": -1, "inequalities": [], "equalities": []})
+    assert io.read_ieq("DIM = 0\n").dim == 0
+
+
 @pytest.mark.parametrize(
     "path", sorted(GOLDEN.glob("facets_*_json.stdout")), ids=lambda p: p.stem
 )

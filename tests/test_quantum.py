@@ -1,7 +1,6 @@
 import math
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from instrumental.errors import CapacityError
@@ -9,7 +8,6 @@ from instrumental.inequalities import catalog, pearl_expressions
 from instrumental.quantum import (
     Observable2,
     QuantumStrategy,
-    TwoQubitState,
     bonet_strategy,
     born_table,
     chained_strategy,
@@ -28,43 +26,47 @@ from instrumental.scenario import (
     validate,
 )
 
-from oracles import gpt_box_search
+from oracles import density_matrix_born_table, gpt_box_search
 
 F = Fraction
 INSTR3 = Scenario.instrumental(3)
 
 
 def test_observable_validation():
-    with pytest.raises(ValueError):
-        Observable2(1.0, 1.0)
+    for direction in [(1.0, 1.0), (math.nan, 1.0), (math.inf, 0.0)]:
+        with pytest.raises(ValueError):
+            Observable2(*direction)
     o = Observable2.from_angle(0.3)
     assert o.angle == pytest.approx(0.3)
-    assert np.allclose(o.projector(0) + o.projector(1), np.eye(2))
-    # outcome 0 is the +1 eigenspace
-    z = Observable2(0.0, 1.0)
-    assert np.allclose(z.projector(0), np.diag([1.0, 0.0]))
-    with pytest.raises(ValueError):
-        z.projector(2)
 
 
-def test_state_validation():
-    rho = TwoQubitState.phi_plus().matrix
-    assert abs(np.trace(rho) - 1.0) < 1e-15
-    assert np.linalg.eigvalsh(rho).min() > -1e-15
+def test_strategy_validation():
     with pytest.raises(ValueError):
-        TwoQubitState(np.eye(3))
-    with pytest.raises(ValueError):
-        TwoQubitState(np.eye(4))  # trace 4
-    bad = np.zeros((4, 4), dtype=complex)
-    bad[0, 1] = 1.0
-    bad[0, 0] = 1.0
-    with pytest.raises(ValueError):
-        TwoQubitState(bad)
-    neg = np.diag([1.5, -0.5, 0.0, 0.0])
-    with pytest.raises(ValueError):
-        TwoQubitState(neg)
-    with pytest.raises(ValueError):
-        QuantumStrategy(TwoQubitState.phi_plus(), (), ())
+        QuantumStrategy((), ())
+
+
+@pytest.mark.parametrize(
+    "strategy, scenario",
+    [
+        pytest.param(chsh_strategy(), Scenario.bell(2, 2), id="chsh"),
+        pytest.param(chsh_strategy(), Scenario.instrumental(2), id="chsh-wired"),
+        pytest.param(bonet_strategy(), Scenario.bell(3, 2), id="bonet-bell"),
+        pytest.param(bonet_strategy(), INSTR3, id="bonet"),
+    ]
+    + [
+        pytest.param(chained_strategy(n), Scenario.bell(n, n), id=f"chained-{n}")
+        for n in range(2, 11)
+    ]
+    + [
+        pytest.param(tilted_search(alpha).strategy, Scenario.bell(2, 2), id=f"tilted-{alpha}")
+        for alpha in (1, F(3, 2), 2, 3, 10, 100)
+    ],
+)
+def test_born_table_matches_density_matrices(strategy, scenario):
+    table = born_table(strategy, scenario)
+    oracle = density_matrix_born_table(strategy, scenario)
+    assert table.scenario == oracle.scenario
+    assert all(abs(e - o) <= 1e-15 for e, o in zip(table.entries, oracle.entries, strict=True))
 
 
 def test_born_table_is_no_signalling():
