@@ -13,7 +13,12 @@ systems stay primitive `int` tuples from there to the returned polytope;
 only `_null_space` scales its basis to 1 on the free column, as `Fraction`s,
 the coordinates the pruning LPs run in.  Conversions run through an
 incremental double-description cone algorithm over primitive integer
-vectors.  A hull with a known symmetry group is found one orbit at a time by
+vectors.  Its dense integer arithmetic (row . ray dots, new rays, the
+restriction to and from the cone's coordinates), the slacks of the orbit
+search and those of its final check run as numpy products, in int64 where a
+bound on the operands proves that every value stays below 2**63 and on
+Python ints (dtype=object) otherwise; numpy is imported on that path only.
+A hull with a known symmetry group is found one orbit at a time by
 adjacency decomposition: the double description runs only on the vertices
 of each orbit representative, to find its ridges, and each ridge is rotated
 to the neighbouring facet; a check separate from the search confirms the
@@ -277,6 +282,33 @@ def _dot(a: Sequence[int], b: Sequence[int]) -> int:
     return sum(x * y for x, y in zip(a, b))
 
 
+def _exact_dtype(bound: int):
+    """The numpy dtype for integer arithmetic in which no value exceeds
+    `bound` in magnitude: int64 below 2**63, where it is exact, and Python
+    ints (dtype=object) otherwise.  Both run the same numpy code."""
+    import numpy as np
+
+    return np.int64 if bound < 2**63 else object
+
+
+def _max_abs(rows: Iterable[Sequence[int]]) -> int:
+    return max(map(abs, itertools.chain.from_iterable(rows)), default=0)
+
+
+def _exact_product(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]):
+    """The matrix product a . b^T of two nonempty lists of int rows, as a
+    numpy array; no sum it takes exceeds len(b[0]) * max|a| * max|b|."""
+    import numpy as np
+
+    dtype = _exact_dtype(len(b[0]) * _max_abs(a) * _max_abs(b))
+    return np.array(a, dtype) @ np.array(b, dtype).T
+
+
+# The pair prefilter takes as many positive rays per block as keep its
+# positives x negatives x mask words temporary near 2**16 uint64s (512 kB).
+_PAIR_BLOCK = 1 << 16
+
+
 def _dd_pointed(
     rows: list[tuple[int, ...]], max_rays: int
 ) -> list[tuple[int, ...]]:
@@ -291,6 +323,15 @@ def _dd_pointed(
     tries them before the full test.  Raises ValueError unless rank(rows)
     equals the ambient dimension (a pointed cone), and CapacityError, naming
     the row being inserted, once more than `max_rays` rays are held.
+
+    The rays are one integer array, so each insertion takes its row . ray
+    dots, and the new rays dp R[m] - dm R[p] of its adjacent pairs, as a few
+    array operations.  They are exact in the dtype `_exact_dtype` picks from
+    2 r max|row| max|ray|^2, the largest value they reach.  The necessary
+    condition |tight[p] & tight[m]| >= r - 2 is counted for a block of
+    (positive, negative) pairs at once on uint64 mask words; the pairs that
+    pass meet the witnesses and the full test one at a time, in (p, then m)
+    order, so the rays after every insertion are those of a pair-by-pair run.
     """
     # Imported here, not with the module: the DD is the package's only numpy
     # user, so commands that run no DD never load it.
@@ -307,39 +348,35 @@ def _dd_pointed(
     if chosen[-1] >= n:
         raise ValueError("cone is not pointed (rank-deficient constraint matrix)")
 
-    rays: list[tuple[int, ...]] = []
-    tight: list[int] = []
-    for k in range(r):
-        rays.append(primitive(ech[k][n:]))
-        mask = 0
-        for j, idx in enumerate(chosen):
-            if j != k:
-                mask |= 1 << idx
-        tight.append(mask)
+    rays = np.array([primitive(e[n:]) for e in ech], dtype=object)
+    full = sum(1 << idx for idx in chosen)
+    tight = [full ^ (1 << idx) for idx in chosen]
 
     chosen_set = set(chosen)
-    row_bytes = (n + 7) // 8
+    words = (n + 63) // 64
+    need = r - 2
     for idx, row in enumerate(rows):
         if idx in chosen_set:
             continue
-        dots = [_dot(row, ray) for ray in rays]
-        neg = [i for i, dv in enumerate(dots) if dv < 0]
-        if not neg:
-            for i, dv in enumerate(dots):
-                if dv == 0:
-                    tight[i] |= 1 << idx
-            continue
-        pos = [i for i, dv in enumerate(dots) if dv > 0]
-        zero = [i for i, dv in enumerate(dots) if dv == 0]
+        bound = 2 * r * _max_abs([row]) * int(np.abs(rays).max()) ** 2
+        rays = rays.astype(_exact_dtype(bound), copy=False)
+        dots = rays @ np.array(row, rays.dtype)
         bit = 1 << idx
+        neg = np.flatnonzero(dots < 0)
+        zero = np.flatnonzero(dots == 0)
+        if not len(neg):
+            for i in zero.tolist():
+                tight[i] |= bit
+            continue
+        pos = np.flatnonzero(dots > 0)
         # Ray bitmask per constraint: which current rays are tight on it.
         # The adjacency test ANDs these columns, which runs at word speed
         # instead of scanning the ray list per candidate pair.  They are the
         # transpose of the tight masks as a 0/1 matrix, built in one step:
         # one byte row per ray, unpacked, transposed and packed again.
-        masks = b"".join(t.to_bytes(row_bytes, "little") for t in tight)
+        masks = b"".join(t.to_bytes(8 * words, "little") for t in tight)
         bits = np.unpackbits(
-            np.frombuffer(masks, np.uint8).reshape(len(tight), row_bytes),
+            np.frombuffer(masks, np.uint8).reshape(len(tight), 8 * words),
             axis=1,
             bitorder="little",
         )
@@ -349,18 +386,23 @@ def _dd_pointed(
             int.from_bytes(packed[j * col_bytes : (j + 1) * col_bytes], "little")
             for j in range(n)
         ]
-        new_rays: list[tuple[int, ...]] = []
+        mask_words = np.frombuffer(masks, "<u8").reshape(len(tight), words)
+        neg_words = mask_words[neg]
+        block = max(1, _PAIR_BLOCK // (len(neg) * words))
+        adjacent: list[tuple[int, int]] = []
         new_tight: list[int] = []
-        neg_tight = [(m, tight[m]) for m in neg]
-        need = r - 2
-        everyone = (1 << len(rays)) - 1
-        for p in pos:
-            tp = tight[p]
-            witnesses: list[tuple[int, int]] = []
-            for m, tm in neg_tight:
-                common = tp & tm
-                if common.bit_count() < need:
-                    continue
+        everyone = (1 << len(tight)) - 1
+        for b in range(0, len(pos), block):
+            ps = pos[b : b + block]
+            common_bits = np.bitwise_count(mask_words[ps, None] & neg_words).sum(
+                axis=2, dtype=np.int32
+            )
+            pi, mi = np.nonzero(common_bits >= need)
+            last = None
+            for p, m in zip(ps[pi].tolist(), neg[mi].tolist()):
+                if p != last:
+                    last, tp, witnesses = p, tight[p], []
+                common = tp & tight[m]
                 # A ray other than p and m that is tight on all of common
                 # proves the pair not adjacent; m itself is tight on it.
                 for k, not_tk in witnesses:
@@ -379,25 +421,26 @@ def _dd_pointed(
                         k = others.bit_length() - 1
                         witnesses.append((k, ~tight[k]))
                     else:
-                        dp, dm = dots[p], dots[m]
-                        combo = tuple(
-                            dp * vm - dm * vp for vp, vm in zip(rays[p], rays[m])
-                        )
-                        new_rays.append(primitive(combo))
+                        adjacent.append((p, m))
                         new_tight.append(common | bit)
-        keep_rays = [rays[i] for i in pos] + [rays[i] for i in zero]
-        keep_tight = [tight[i] for i in pos] + [tight[i] | bit for i in zero]
-        rays = keep_rays + new_rays
-        tight = keep_tight + new_tight
+        p_idx, m_idx = np.array(adjacent, dtype=np.intp).reshape(-1, 2).T
+        new = dots[p_idx, None] * rays[m_idx] - dots[m_idx, None] * rays[p_idx]
+        new //= np.maximum(np.gcd.reduce(new, axis=1), 1)[:, None]
+        tight = (
+            [tight[i] for i in pos.tolist()]
+            + [tight[i] | bit for i in zero.tolist()]
+            + new_tight
+        )
+        rays = np.concatenate((rays[pos], rays[zero], new))
         if len(rays) > max_rays:
             raise CapacityError(
                 f"double description exceeded {max_rays} intermediate rays"
                 f" at row {idx + 1} of {n}"
             )
-        if not rays:
+        if not len(rays):
             return []
     # Degenerate duplicates cannot arise from adjacent pairs, but stay safe.
-    return list(dict.fromkeys(rays))
+    return list(dict.fromkeys(map(tuple, rays.tolist())))
 
 
 # ---------------------------------------------------------------------------
@@ -465,25 +508,24 @@ def adjacency_decomposition(
     d = v.dim
     hom, basis, equalities = _affine_hull(v.vertices)
     rank = len(basis)
-    support = _supports(hom)
     if rank == 1:
         return HPolytope(d, (), equalities), []
+    # The slack of -x_i <= 0 on a homogenized vertex row h is h[i + 1].
     for i in range(d):
-        start = LinearInequality(tuple(-int(j == i) for j in range(d)), 0)
-        slacks = _slacks(start, support)
-        on_face = [h for h, sv in zip(hom, slacks) if sv == 0]
-        if min(slacks) >= 0 and _rank(on_face) == rank - 1:
+        on_face = [h for h in hom if h[i + 1] == 0]
+        if min(h[i + 1] for h in hom) >= 0 and _rank(on_face) == rank - 1:
             break
     else:
         raise ValueError("no coordinate facet -x_i <= 0 to start the search from")
+    start = LinearInequality(tuple(-int(j == i) for j in range(d)), 0)
     start = reduce_modulo(start, equalities)
     orbits = [_orbit(start, generators, equalities)]
     representatives = [start]
     for i, f in enumerate(representatives, 1):
-        fs = _slacks(f, support)
+        fs = _exact_product([_slack_row(f)], hom)[0].tolist()
         tight = [vert for vert, sv in zip(v.vertices, fs) if sv == 0]
         off_slacks = [sv for sv in fs if sv > 0]
-        off_support = [sp for sp, sv in zip(support, fs) if sv > 0]
+        off_hom = [h for h, sv in zip(hom, fs) if sv > 0]
         if len(tight) == 1:
             # F is one vertex (v is a segment): its one ridge is the empty
             # face, valid everywhere as 0 <= 1.
@@ -496,11 +538,12 @@ def adjacency_decomposition(
                     f"{exc}, in the ridge DD of representative {i}"
                     f" ({len(representatives)} found so far)"
                 ) from exc
-        for r in ridges:
+        ridge_slacks = _exact_product([_slack_row(r) for r in ridges], off_hom)
+        for r, rs in zip(ridges, ridge_slacks.tolist()):
             # The neighbour is r + t.F for the least t that keeps every
             # vertex off F feasible: t = max -s_r(v) / s_f(v) over s_f(v) > 0.
             num, den = None, 1
-            for sf, sr in zip(off_slacks, _slacks(r, off_support)):
+            for sf, sr in zip(off_slacks, rs):
                 if num is None or -sr * den > num * sf:
                     num, den = -sr, sf
             g = reduce_modulo(
@@ -542,31 +585,31 @@ def _check_facets(
 ) -> None:
     """Raise CertificateError unless every facet has a nonnegative integer
     slack on every vertex and every representative is a facet: one of the
-    list whose tight vertices span a hyperplane of the hull."""
+    list whose tight vertices span a hyperplane of the hull.  The slacks are
+    one exact product of the facet rows and the homogenized vertices."""
     hom = [integerize((1, *vert)) for vert in vertices]
-    support = _supports(hom)
     rank = _rank(hom)
-    for q in facets:
-        if any(type(s) is not int or s < 0 for s in _slacks(q, support)):
+    rows = [_slack_row(q) for q in facets]
+    for q, row in zip(facets, rows):
+        if any(type(c) is not int for c in row):
             raise CertificateError(f"a facet cuts off a vertex: {q}")
-    listed = set(facets)
+    slacks = _exact_product(rows, hom)
+    cut = (slacks < 0).any(axis=1)
+    if cut.any():
+        q = facets[int(cut.argmax())]
+        raise CertificateError(f"a facet cuts off a vertex: {q}")
+    listed = {q: i for i, q in enumerate(facets)}
     for q in representatives:
-        tight = [h for h, s in zip(hom, _slacks(q, support)) if s == 0]
-        if q not in listed or _rank(tight) != rank - 1:
+        i = listed.get(q)
+        tight = [] if i is None else [h for h, s in zip(hom, slacks[i]) if s == 0]
+        if i is None or _rank(tight) != rank - 1:
             raise CertificateError(f"an orbit representative is not a facet: {q}")
 
 
-def _supports(hom: Sequence[Sequence[int]]) -> list[list[tuple[int, int]]]:
-    """The nonzero (index, entry) pairs of each homogenized vertex row."""
-    return [[(j, x) for j, x in enumerate(h) if x] for h in hom]
-
-
-def _slacks(
-    q: LinearInequality, support: Sequence[Sequence[tuple[int, int]]]
-) -> list[int | Fraction]:
-    """bound - coeffs . v on each vertex, scaled as its homogenized row."""
-    y = (q.bound, *(-c for c in q.coeffs))
-    return [sum(y[j] * x for j, x in sp) for sp in support]
+def _slack_row(q: LinearInequality) -> tuple[int | Fraction, ...]:
+    """(bound, -coeffs): its dot with a homogenized vertex row (1, v), scaled
+    by a positive factor, is bound - coeffs . v scaled by the same factor."""
+    return (q.bound, *(-c for c in q.coeffs))
 
 
 def _rank(rows: Sequence[Sequence[int]]) -> int:
@@ -630,11 +673,10 @@ def _cone_rays(
     """Extreme rays of {y in span(basis) : row . y >= 0 for every row}.
 
     The rows are restricted to coordinates on the basis, handed to
-    `_dd_pointed`, and its rays mapped back to y.
+    `_dd_pointed`, and its rays mapped back to y, each by one exact product.
     """
-    restricted = [tuple(_dot(w, q) for q in basis) for w in rows]
-    cols = list(zip(*basis))
-    return [[_dot(col, u) for col in cols] for u in _dd_pointed(restricted, max_rays)]
+    rays = _dd_pointed(_exact_product(rows, basis).tolist(), max_rays)
+    return _exact_product(rays, list(zip(*basis))).tolist() if rays else []
 
 
 def _reduce_equalities(eqs: list[Equality], dim: int) -> tuple[Equality, ...]:
@@ -850,7 +892,8 @@ def _check_separator(
     span a hyperplane of the hull, by the `_echelon` rank of their
     homogenized rows, as in `_check_facets`."""
     hom = [integerize((1, *v)) for v in verts]
-    slacks = _slacks(sep, _supports(hom))
+    y = _slack_row(sep)
+    slacks = [_dot(y, h) for h in hom]
     if margin <= 0 or min(slacks) < 0:
         raise CertificateError("the inequality does not separate the point")
     tight = [h for h, s in zip(hom, slacks) if s == 0]

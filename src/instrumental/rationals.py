@@ -23,8 +23,11 @@ def integerize(vec: Sequence[int | Fraction]) -> tuple[int, ...]:
 
     Entries must be `int` or `Fraction`.  Primitive means the gcd of all
     entries is 1 (the zero vector stays zero).  The scale factor is always
-    positive, so inequality senses are preserved.
+    positive, so inequality senses are preserved.  An all-`int` vector
+    needs no common denominator and goes straight to `primitive`.
     """
+    if all(type(v) is int for v in vec):
+        return primitive(vec)
     den = lcm(*(v.denominator for v in vec))
     return primitive(v.numerator * (den // v.denominator) for v in vec)
 

@@ -311,6 +311,127 @@ def brute_force_extreme_rays(rows) -> set[tuple[int, ...]]:
     return rays
 
 
+def python_dd_pointed(
+    rows: list[tuple[int, ...]], max_rays: int
+) -> list[tuple[int, ...]]:
+    """Extreme rays of the pointed cone {u : row . u >= 0 for every row}, in
+    the order `polytope._dd_pointed` returns them, from the same insertions
+    with every ray a tuple of Python ints and every pair tested one at a time.
+
+    Incremental insertion in the given row order; adjacency of rays is decided
+    combinatorially from tight-constraint bitmasks (Fukuda and Prodon, "Double
+    description method revisited", 1996): rays p and m are adjacent iff no
+    third ray is tight on every constraint both are tight on.  Any such third
+    ray is a witness against the pair, and one found for (p, m) often rules
+    out (p, m') too, so each positive ray keeps the witnesses it has met and
+    tries them before the full test.  Raises ValueError unless rank(rows)
+    equals the ambient dimension (a pointed cone), and CapacityError, naming
+    the row being inserted, once more than `max_rays` rays are held.
+    """
+    r = len(rows[0])
+    # Initial simplicial cone from the first r independent rows A.  Echelon
+    # of [rows^T | I] is [E | (A^-1)^T]: its pivots pick A, and the identity
+    # block carries the columns of A^-1, each tight on all of A but one row.
+    n = len(rows)
+    ech, chosen = _echelon(
+        [list(col) + [int(j == k) for j in range(r)] for k, col in enumerate(zip(*rows))]
+    )
+    if chosen[-1] >= n:
+        raise ValueError("cone is not pointed (rank-deficient constraint matrix)")
+
+    rays: list[tuple[int, ...]] = []
+    tight: list[int] = []
+    for k in range(r):
+        rays.append(primitive(ech[k][n:]))
+        mask = 0
+        for j, idx in enumerate(chosen):
+            if j != k:
+                mask |= 1 << idx
+        tight.append(mask)
+
+    chosen_set = set(chosen)
+    row_bytes = (n + 7) // 8
+    for idx, row in enumerate(rows):
+        if idx in chosen_set:
+            continue
+        dots = [sum(a * b for a, b in zip(row, ray)) for ray in rays]
+        neg = [i for i, dv in enumerate(dots) if dv < 0]
+        if not neg:
+            for i, dv in enumerate(dots):
+                if dv == 0:
+                    tight[i] |= 1 << idx
+            continue
+        pos = [i for i, dv in enumerate(dots) if dv > 0]
+        zero = [i for i, dv in enumerate(dots) if dv == 0]
+        bit = 1 << idx
+        # Ray bitmask per constraint: which current rays are tight on it.
+        # The adjacency test ANDs these columns, which runs at word speed
+        # instead of scanning the ray list per candidate pair.  They are the
+        # transpose of the tight masks as a 0/1 matrix, built in one step:
+        # one byte row per ray, unpacked, transposed and packed again.
+        masks = b"".join(t.to_bytes(row_bytes, "little") for t in tight)
+        bits = np.unpackbits(
+            np.frombuffer(masks, np.uint8).reshape(len(tight), row_bytes),
+            axis=1,
+            bitorder="little",
+        )
+        packed = np.packbits(bits.T, axis=1, bitorder="little").tobytes()
+        col_bytes = (len(tight) + 7) // 8
+        cols = [
+            int.from_bytes(packed[j * col_bytes : (j + 1) * col_bytes], "little")
+            for j in range(n)
+        ]
+        new_rays: list[tuple[int, ...]] = []
+        new_tight: list[int] = []
+        neg_tight = [(m, tight[m]) for m in neg]
+        need = r - 2
+        everyone = (1 << len(rays)) - 1
+        for p in pos:
+            tp = tight[p]
+            witnesses: list[tuple[int, int]] = []
+            for m, tm in neg_tight:
+                common = tp & tm
+                if common.bit_count() < need:
+                    continue
+                # A ray other than p and m that is tight on all of common
+                # proves the pair not adjacent; m itself is tight on it.
+                for k, not_tk in witnesses:
+                    if not common & not_tk and k != m:
+                        break
+                else:
+                    # Rows inserted later are tight on fewer rays, so the
+                    # highest bits rule out the others soonest.
+                    others = everyone & ~((1 << p) | (1 << m))
+                    t = common
+                    while t and others:
+                        j = t.bit_length() - 1
+                        others &= cols[j]
+                        t ^= 1 << j
+                    if others:
+                        k = others.bit_length() - 1
+                        witnesses.append((k, ~tight[k]))
+                    else:
+                        dp, dm = dots[p], dots[m]
+                        combo = tuple(
+                            dp * vm - dm * vp for vp, vm in zip(rays[p], rays[m])
+                        )
+                        new_rays.append(primitive(combo))
+                        new_tight.append(common | bit)
+        keep_rays = [rays[i] for i in pos] + [rays[i] for i in zero]
+        keep_tight = [tight[i] for i in pos] + [tight[i] | bit for i in zero]
+        rays = keep_rays + new_rays
+        tight = keep_tight + new_tight
+        if len(rays) > max_rays:
+            raise CapacityError(
+                f"double description exceeded {max_rays} intermediate rays"
+                f" at row {idx + 1} of {n}"
+            )
+        if not rays:
+            return []
+    # Degenerate duplicates cannot arise from adjacent pairs, but stay safe.
+    return list(dict.fromkeys(rays))
+
+
 def postselected_strategy_columns(s: Scenario) -> list[tuple[Fraction, ...]]:
     """Wired tables of the parent Bell scenario's deterministic strategies,
     one per strategy in enumeration order, each built as a Bell table and

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 import instrumental.linprog as linprog
+import instrumental.polytope as polytope
 from instrumental.inequalities import (
     LinearExpression,
     _square_free,
@@ -18,6 +19,8 @@ from instrumental.inequalities import (
 )
 from instrumental.linprog import LpStatus
 from instrumental.polytope import (
+    HPolytope,
+    LinearInequality,
     VPolytope,
     _dd_pointed,
     _prune_redundant,
@@ -55,6 +58,7 @@ from oracles import (
     hashed_classical_correlations,
     input_blocks,
     no_signalling_equalities,
+    python_dd_pointed,
     rref,
     signalling_residual,
     square_free,
@@ -378,6 +382,126 @@ def test_double_description_skips_the_pair_itself_as_witness():
     want = {(-1, 1, 0), (-5, 4, -2), (-8, 11, -9), (-1, 1, -1)}
     assert brute_force_extreme_rays(rows) == want
     assert sorted(_dd_pointed(rows, 10**6)) == sorted(want)
+
+
+@pytest.mark.parametrize("block", [None, 1], ids=["one-block", "one-ray-blocks"])
+@pytest.mark.parametrize("zero_one", [False, True], ids=["integer", "zero-one"])
+@pytest.mark.parametrize("r", [3, 4, 5, 6])
+def test_array_double_description_matches_python_ints(monkeypatch, r, zero_one, block):
+    # Same rays in the same order: the block prefilter only drops pairs the
+    # pair-by-pair popcount drops, and the new rays come out in (p, m) order,
+    # also when each block of the prefilter holds a single positive ray.
+    if block:
+        monkeypatch.setattr(polytope, "_PAIR_BLOCK", block)
+    for seed in range(10):
+        rows = _random_cone(random.Random(1000 * r + seed), r, zero_one)
+        assert _dd_pointed(rows, 10**6) == python_dd_pointed(rows, 10**6)
+
+
+def _recorded_ridge_dds(monkeypatch, s):
+    """(rows, max_rays, rays) of every ridge DD that the adjacency
+    decomposition of s's classical polytope runs."""
+    calls = []
+    run = polytope._dd_pointed
+
+    def recorded(rows, max_rays):
+        calls.append((rows, max_rays, run(rows, max_rays)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(polytope, "_dd_pointed", recorded)
+    adjacency_decomposition(classical_vpolytope(s), symmetry_group(s).generators)
+    return calls
+
+
+@pytest.mark.parametrize("args", [(3,), (2, 3, 3)], ids=lambda a: "x".join(map(str, a)))
+def test_ridge_double_descriptions_match_python_ints(monkeypatch, args):
+    calls = _recorded_ridge_dds(monkeypatch, Scenario.instrumental(*args))
+    assert calls
+    for rows, max_rays, rays in calls:
+        assert rays == python_dd_pointed(rows, max_rays)
+
+
+def _spy_dtypes(monkeypatch):
+    picked = []
+    pick = polytope._exact_dtype
+
+    def spy(bound):
+        picked.append(pick(bound))
+        return picked[-1]
+
+    monkeypatch.setattr(polytope, "_exact_dtype", spy)
+    return picked
+
+
+@pytest.mark.parametrize("zero_one", [False, True], ids=["integer", "zero-one"])
+def test_double_description_past_int64_runs_on_python_ints(monkeypatch, zero_one):
+    # Rows scaled by 2**60 cut out the same cone, so the rays are the same;
+    # every bound 2 r max|row| max|ray|^2 now passes 2**63.
+    picked = _spy_dtypes(monkeypatch)
+    for r in range(3, 7):
+        for seed in range(3):
+            rows = _random_cone(random.Random(1000 * r + seed), r, zero_one)
+            scaled = [tuple(v << 60 for v in row) for row in rows]
+            rays = _dd_pointed(scaled, 10**6)
+            assert rays == python_dd_pointed(scaled, 10**6) == _dd_pointed(rows, 10**6)
+    assert object in picked
+
+
+def test_facets_of_scaled_vertices_run_on_python_ints(monkeypatch):
+    # The -x 3 classical vertices scaled by 2**30: the same facets with the
+    # bounds (and the normalization right-hand sides) scaled by 2**30.
+    scale = 2**30
+    v = classical_vpolytope(Scenario.instrumental(3))
+    h = facet_enumeration(v)
+    picked = _spy_dtypes(monkeypatch)
+    big = facet_enumeration(
+        VPolytope(v.dim, tuple(tuple(scale * x for x in p) for p in v.vertices))
+    )
+    assert object in picked
+    eqs = _reduce_equalities([(c, scale * b) for c, b in h.equalities], v.dim)
+    facets = {
+        reduce_modulo(LinearInequality(q.coeffs, scale * q.bound), eqs)
+        for q in h.inequalities
+    }
+    assert big == HPolytope(
+        v.dim, tuple(sorted(facets, key=lambda q: (q.coeffs, q.bound))), eqs
+    )
+
+
+def test_facet_lists_are_invariant_under_relabelling():
+    # Relabelling the coordinates of the vertices relabels the facets and the
+    # equalities, up to the canonical form modulo the new equalities.
+    rng = random.Random(19)
+    cases = [
+        classical_vpolytope(Scenario.instrumental(2)),
+        classical_vpolytope(Scenario.bell(2, 2)),
+    ]
+    cases += [
+        VPolytope.from_points(
+            {tuple(rng.randint(0, 1) for _ in range(5)) for _ in range(rng.randint(2, 12))}
+        )
+        for _ in range(6)
+    ]
+    for v in cases:
+        h = facet_enumeration(v)
+        for _ in range(3):
+            perm = list(range(v.dim))
+            rng.shuffle(perm)
+
+            def moved(c):
+                out = [0] * v.dim
+                for i, x in enumerate(c):
+                    out[perm[i]] = x
+                return tuple(out)
+
+            g = facet_enumeration(VPolytope.from_points(moved(p) for p in v.vertices))
+            assert g.equalities == _reduce_equalities(
+                [(moved(c), b) for c, b in h.equalities], v.dim
+            )
+            assert set(g.inequalities) == {
+                reduce_modulo(LinearInequality(moved(q.coeffs), q.bound), g.equalities)
+                for q in h.inequalities
+            }
 
 
 @pytest.mark.parametrize(

@@ -497,6 +497,40 @@ def test_double_description_round_trip_on_random_polytopes():
         assert vertex_enumeration(facet_enumeration(v)) == v
 
 
+def test_exact_dtype_switches_to_python_ints_at_two_to_the_63():
+    import numpy as np
+
+    assert polytope._exact_dtype(2**63 - 1) is np.int64
+    assert polytope._exact_dtype(2**63) is object
+    # one product of magnitude 2**63 - 2**32 fits int64; 2**63 does not
+    below = polytope._exact_product([[2**31 - 1]], [[2**32]])
+    above = polytope._exact_product([[2**31]], [[2**32]])
+    assert below.dtype == np.int64 and below.tolist() == [[2**63 - 2**32]]
+    assert above.dtype == object and above.tolist() == [[2**63]]
+
+
+def test_double_description_round_trip_on_hypothesis_polytopes():
+    # facets, then vertices, then facets again: the vertices come back as a
+    # subset of the points whose hull has the same facets.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    points = st.integers(1, 3).flatmap(
+        lambda d: st.lists(st.tuples(*[st.integers(-2, 2)] * d), min_size=1, max_size=8)
+    )
+
+    @hypothesis.settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(points)
+    def round_trip(pts):
+        v = VPolytope.from_points(pts)
+        h = facet_enumeration(v)
+        back = vertex_enumeration(h)
+        assert set(back.vertices) <= set(v.vertices)
+        assert all(h.contains(p) for p in v.vertices)
+        assert facet_enumeration(back) == h
+
+    round_trip()
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_facets_invariant_under_relabelled_coordinates(seed):
     # Relabel the coordinates of the three-input hull by a random
