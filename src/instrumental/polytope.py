@@ -711,7 +711,12 @@ def fourier_motzkin_project(
     and checks `max_rows`; exact LPs remove redundant rows once, from the
     final system (`_prune_redundant`): one feasibility LP, then one
     phase-2-only LP per row from the slack basis, each verdict checked
-    against a certificate in the original coordinates.
+    against a certificate in the original coordinates.  Those LPs run on
+    integer rows: local coordinates z over a feasible point X / D and
+    primitive integer null-space vectors N, x = (X + N z) / D.  Against the
+    `Fraction` coordinates x0 + N' z' they scale each z column and every
+    right-hand side by a positive constant, so Bland's rule takes the same
+    pivots and the duals that prune rows are the same.
     """
     keep = sorted(set(keep))
     if any(i < 0 or i >= h.dim for i in keep):
@@ -781,14 +786,22 @@ def _prune_redundant(ineqs, eqs):
     `eqs` are row-reduced, as `_reduce_equalities` returns them.  One
     feasibility LP finds a point x0 of the whole system; without one, every
     row is kept, since no row of an infeasible system is implied by the
-    others.  The null space N of the equalities writes x = x0 + N z, and row
-    j becomes (c_j N) . z <= s_j with the slack s_j = b_j - c_j . x0 >= 0.
+    others.  The LPs then run on integer rows: x0 = X / D with X integer and
+    D > 0, N holds the primitive integer multiples of the null-space vectors
+    of the equalities, and x = (X + N z) / D.  Row j becomes
+    (c_j N) . z <= s_j with the scaled slack s_j = D b_j - c_j . X >= 0.
     Row i's LP maximizes (c_i N) . z over the other rows left and the cap
-    (c_i N) . z <= s_i + 1: no equalities and no negative right-hand side,
+    (c_i N) . z <= s_i + D: no equalities and no negative right-hand side,
     so `solve_lp` starts it from the slack basis, and the cap bounds it.  A
     value <= s_i drops the row, and the duals on the other rows are checked
-    to imply it (`_check_implied`); otherwise the optimal point is checked to
-    meet the others and violate row i (`_check_violated`).
+    to imply it (`_check_implied`); otherwise the point (X + N z) / D is
+    checked to meet the others and violate row i (`_check_violated`).
+
+    Against the same LPs over x = x0 + N' z' with the `Fraction` null space
+    N', each z column is scaled by a positive constant and every right-hand
+    side by D.  Bland's entering column reads only reduced-cost signs and the
+    ratio test's minimum and ties scale uniformly, so each LP pivots through
+    the same bases and returns the same duals; only its value scales by D.
     """
     rows = list(ineqs)
     if not rows:
@@ -797,21 +810,25 @@ def _prune_redundant(ineqs, eqs):
     start = solve_lp([0] * d, ineqs=rows, eqs=eqs)
     if start.status is not LpStatus.OPTIMAL:
         return rows
-    x0 = start.x
-    null = _null_space(*_echelon([c for c, _ in eqs]), d)
-    local = [(tuple(_dot(c, n) for n in null), b - _dot(c, x0)) for c, b in rows]
+    *xs, den = integerize((*start.x, 1))
+    null = [integerize(n) for n in _null_space(*_echelon([c for c, _ in eqs]), d)]
+    local = [(tuple(_dot(c, n) for n in null), den * b - _dot(c, xs)) for c, b in rows]
     idx = 0
     while idx < len(rows):
         a, s = local[idx]
         others = rows[:idx] + rows[idx + 1 :]
-        res = solve_lp(a, ineqs=[*local[:idx], *local[idx + 1 :], (a, s + 1)])
+        res = solve_lp(a, ineqs=[*local[:idx], *local[idx + 1 :], (a, s + den)])
         if res.status is not LpStatus.OPTIMAL:
             raise CertificateError("a capped pruning LP has no optimum")
         if res.value <= s:
             _check_implied(rows[idx], others, eqs, res.dual[:-1])
             del rows[idx], local[idx]
         else:
-            x = [v + _dot(res.x, col) for v, col in zip(x0, zip(*null))]
+            *z, zden = integerize((*res.x, 1))
+            x = [
+                Fraction(zden * v + _dot(z, col), zden * den)
+                for v, col in zip(xs, zip(*null))
+            ]
             _check_violated(rows[idx], others, eqs, x)
             idx += 1
     return rows

@@ -75,7 +75,8 @@ class Scenario:
     wiring: tuple[tuple[int, ...], ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.nX < 1 or self.nY < 1:
+        # An instrumental nY is Bob's copy of nA, an output count checked below.
+        if self.nX < 1 or (self.nY < 1 and self.kind is not Kind.INSTRUMENTAL):
             raise ValueError("input cardinalities must be >= 1")
         if self.nA < 2 or self.nB < 2:
             raise ValueError("output cardinalities must be >= 2")

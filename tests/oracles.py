@@ -18,6 +18,9 @@ from instrumental.polytope import (
     HPolytope,
     LinearInequality,
     VPolytope,
+    _check_implied,
+    _check_violated,
+    _dot,
     _echelon,
     _null_space,
     facet_enumeration,
@@ -496,6 +499,42 @@ def two_phase_prune(ineqs, eqs):
         if res.status is LpStatus.OPTIMAL and res.value <= rhs:
             rows.pop(idx)
         else:
+            idx += 1
+    return rows
+
+
+def fraction_prune(ineqs, eqs):
+    """Drop each (coeffs, bound) row that the rows still kept and the
+    equalities imply, by the phase-2-only LPs of `polytope._prune_redundant`
+    in `Fraction` coordinates: x = x0 + N z over the `_null_space` vectors N
+    as they come and the feasible point x0 as the LP returns it, row j as
+    (c_j N) . z <= b_j - c_j . x0 and the cap on row i at s_i + 1.
+    `_prune_redundant` scales each z column and every right-hand side by
+    positive constants to reach integer rows; its LPs pivot alike and give
+    the same duals."""
+    rows = list(ineqs)
+    if not rows:
+        return rows
+    d = len(rows[0][0])
+    start = solve_lp([0] * d, ineqs=rows, eqs=eqs)
+    if start.status is not LpStatus.OPTIMAL:
+        return rows
+    x0 = start.x
+    null = _null_space(*_echelon([c for c, _ in eqs]), d)
+    local = [(tuple(_dot(c, n) for n in null), b - _dot(c, x0)) for c, b in rows]
+    idx = 0
+    while idx < len(rows):
+        a, s = local[idx]
+        others = rows[:idx] + rows[idx + 1 :]
+        res = solve_lp(a, ineqs=[*local[:idx], *local[idx + 1 :], (a, s + 1)])
+        if res.status is not LpStatus.OPTIMAL:
+            raise CertificateError("a capped pruning LP has no optimum")
+        if res.value <= s:
+            _check_implied(rows[idx], others, eqs, res.dual[:-1])
+            del rows[idx], local[idx]
+        else:
+            x = [v + _dot(res.x, col) for v, col in zip(x0, zip(*null))]
+            _check_violated(rows[idx], others, eqs, x)
             idx += 1
     return rows
 

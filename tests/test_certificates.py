@@ -166,17 +166,30 @@ def test_tampered_pruning_multiplier_exits_3(monkeypatch, capsys):
     assert "a pruned row is not implied" in capsys.readouterr().err
 
 
-def test_kept_row_witness_inside_its_row_raises(monkeypatch):
-    ns = polytope.no_signalling_polytope(INSTR2.parent_bell())
-
+def zero_pruning_points(monkeypatch):
+    """Pruning LPs that return z = 0, which maps back to x0 and so meets
+    every row; the feasibility LP that finds x0 is left alone."""
     def tampered(objective, **kwargs):
         res = solve_lp(objective, **kwargs)
         if kwargs.get("eqs"):  # the feasibility LP that finds x0
             return res
-        # z = 0 maps back to x0, which meets every row
         return dataclasses.replace(res, x=(Fraction(0),) * len(res.x))
 
     monkeypatch.setattr(polytope, "solve_lp", tampered)
+
+
+def test_tampered_pruning_witness_exits_3(monkeypatch, capsys):
+    argv = ["facets", "--gpt", "-x", "2"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    zero_pruning_points(monkeypatch)
+    assert main(argv) == 3
+    assert "a kept row has no witness" in capsys.readouterr().err
+
+
+def test_kept_row_witness_inside_its_row_raises(monkeypatch):
+    ns = polytope.no_signalling_polytope(INSTR2.parent_bell())
+    zero_pruning_points(monkeypatch)
     with pytest.raises(CertificateError, match="no witness"):
         polytope.fourier_motzkin_project(ns, INSTR2.wired_indices())
 

@@ -84,6 +84,14 @@ def test_facets_rejects_max_rays_below_one(capsys, rays):
     assert captured.err == f"error: --max-rays takes a count >= 1, got {rays}\n"
 
 
+@pytest.mark.parametrize("flag", ["-a", "-b"])
+def test_facets_zero_outputs_named_as_outputs(capsys, flag):
+    assert main(["facets", "--gpt", "-x", "2", flag, "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: output cardinalities must be >= 2\n"
+
+
 def test_facets_capacity_exit(capsys):
     assert main(["facets", "--classical", "-x", "2", "--max-rays", "3"]) == 2
     assert "capacity" in capsys.readouterr().err

@@ -52,6 +52,7 @@ import oracles
 from oracles import (
     brute_force_extreme_rays,
     fraction_integerize,
+    fraction_prune,
     fraction_solve_lp,
     gpt_box_search,
     gpt_vroute,
@@ -277,6 +278,72 @@ def test_prune_redundant_matches_two_phase_oracle(kind):
         pruned += len(rows) - len(got)
         kept += len(got)
     assert kept and (pruned or kind == "infeasible")
+
+
+def _pruning_trace(monkeypatch, prune, module, rows, eqs):
+    """The rows `prune` keeps and, for each LP it solves through
+    `module.solve_lp`, in order: the status, the duals and the (row, column)
+    of every pivot."""
+    lps, pivots = [], []
+    pivot, solve = linprog._pivot, module.solve_lp
+
+    def recorded_pivot(tab, basis, row_i, col, *obj):
+        pivots.append((row_i, col))
+        return pivot(tab, basis, row_i, col, *obj)
+
+    def recorded_solve(*args, **kwargs):
+        res = solve(*args, **kwargs)
+        lps.append((res.status, res.dual, tuple(pivots)))
+        pivots.clear()
+        return res
+
+    with monkeypatch.context() as m:
+        m.setattr(linprog, "_pivot", recorded_pivot)
+        m.setattr(module, "solve_lp", recorded_solve)
+        return prune(rows, eqs), lps
+
+
+def _gpt_pruning_input(monkeypatch, s):
+    """The (rows, equalities) that the GPT projection of s hands to
+    `_prune_redundant`."""
+    seen = []
+    prune = polytope._prune_redundant
+
+    def recorded(rows, eqs):
+        seen.append((list(rows), eqs))
+        return prune(rows, eqs)
+
+    with monkeypatch.context() as m:
+        m.setattr(polytope, "_prune_redundant", recorded)
+        fourier_motzkin_project(no_signalling_polytope(s.parent_bell()), s.wired_indices())
+    (case,) = seen
+    return case
+
+
+def _assert_same_pruning(monkeypatch, rows, eqs):
+    # Integer local coordinates scale each LP's columns and right-hand sides
+    # by positive constants: the same kept rows, duals and pivots.
+    got = _pruning_trace(monkeypatch, _prune_redundant, polytope, rows, eqs)
+    assert got == _pruning_trace(monkeypatch, fraction_prune, oracles, rows, eqs)
+    lps = got[1]
+    assert len(lps) == 1 + (len(rows) if lps[0][0] is LpStatus.OPTIMAL else 0)
+
+
+@pytest.mark.parametrize(
+    "args", [(2,), (3,), (2, 3, 3)], ids=lambda a: "instrumental-" + "".join(map(str, a))
+)
+def test_gpt_pruning_matches_fraction_oracle(monkeypatch, args):
+    rows, eqs = _gpt_pruning_input(monkeypatch, Scenario.instrumental(*args))
+    _assert_same_pruning(monkeypatch, rows, eqs)
+
+
+@pytest.mark.parametrize(
+    "kind", ["free", "equalities", "constant", "duplicates", "unbounded", "infeasible"]
+)
+def test_pruning_matches_fraction_oracle(monkeypatch, kind):
+    rng = random.Random(f"prune-{kind}")
+    for _ in range(20):
+        _assert_same_pruning(monkeypatch, *_random_h_system(rng, kind))
 
 
 def _random_separation_case(rng, flat):

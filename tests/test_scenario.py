@@ -41,6 +41,15 @@ def test_scenario_validation():
         Scenario(Kind.BELL, 2, 2, 2, 2, wiring=((0, 0), (0, 0)))
 
 
+@pytest.mark.parametrize("nA", [0, -1])
+def test_instrumental_output_count_named_as_output(nA):
+    # Bob's input count is nA too, but the input check must not report it.
+    with pytest.raises(ValueError, match="output cardinalities must be >= 2"):
+        Scenario.instrumental(2, nA)
+    with pytest.raises(ValueError, match="input cardinalities must be >= 1"):
+        Scenario.instrumental(0, nA)
+
+
 def test_index_flattening_order():
     s = Scenario.bell(2, 3, 2, 2)
     # ((x*nY + y)*nA + a)*nB + b
