@@ -48,14 +48,10 @@ __all__ = [
     "pearl_expressions",
     "catalog",
     "bounds",
-    "correlator",
     "lift_to_bell",
     "identity_check",
     "identity_residual_expression",
     "verify_identity",
-    "normalization_equalities",
-    "relabel_expression",
-    "relabel_correlation",
     "symmetry_group",
     "facet_orbit_classify",
     "extension_membership",
@@ -167,17 +163,9 @@ def _sum_terms(s: Scenario, coords_list: Iterable[tuple]) -> LinearExpression:
     return LinearExpression(s, tuple(coeffs))
 
 
-def correlator(s: Scenario, x: int, y: int) -> LinearExpression:
-    """<A_x B_y> = sum_ab (-1)^(a+b) p(ab|xy); outcome 0 maps to eigenvalue +1."""
-    return _correlator_sum(s, [(F1, x, y)])
-
-
 def _correlator_sum(s: Scenario, terms: Iterable[tuple]) -> LinearExpression:
-    """sum of w * <A_x B_y> over the (w, x, y) terms, written entry by entry."""
-    if s.kind is not Kind.BELL:
-        raise ValueError("correlators index Bell contexts")
-    if s.nA != 2 or s.nB != 2:
-        raise ValueError("correlators need binary outcomes")
+    """sum of w * <A_x B_y> over the (w, x, y) terms, written entry by entry;
+    <A_x B_y> = sum_ab (-1)^(a+b) p(ab|xy) on a binary Bell scenario s."""
     coeffs = [F0] * s.dim
     for w, x, y in terms:
         for a in range(2):
@@ -593,34 +581,6 @@ def _relabelling_map(
                     x_perm[x], a_perms[x][a], b_perms[y][b]
                 )
     return tuple(out)
-
-
-def relabel_expression(
-    e: LinearExpression,
-    target: Scenario,
-    x_perm: Sequence[int],
-    a_perms: Sequence[Sequence[int]],
-    b_perms: Sequence[Sequence[int]],
-) -> LinearExpression:
-    perm = _relabelling_map(e.scenario, target, x_perm, a_perms, b_perms)
-    coeffs = [F0] * target.dim
-    for i, c in enumerate(e.coeffs):
-        coeffs[perm[i]] = c
-    return LinearExpression(target, tuple(coeffs), e.constant)
-
-
-def relabel_correlation(
-    p: Correlation,
-    target: Scenario,
-    x_perm: Sequence[int],
-    a_perms: Sequence[Sequence[int]],
-    b_perms: Sequence[Sequence[int]],
-) -> Correlation:
-    perm = _relabelling_map(p.scenario, target, x_perm, a_perms, b_perms)
-    entries = [p.entries[0]] * target.dim
-    for i, v in enumerate(p.entries):
-        entries[perm[i]] = v
-    return Correlation(target, tuple(entries))
 
 
 @dataclass(frozen=True)

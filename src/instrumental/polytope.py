@@ -92,9 +92,6 @@ class LinearInequality:
         """coeffs . point - bound; positive means the inequality is violated."""
         return sum(c * p for c, p in zip(self.coeffs, point)) - self.bound
 
-    def satisfied_by(self, point: Sequence[Fraction]) -> bool:
-        return self.violation(point) <= 0
-
 
 def reduce_modulo(
     ineq: LinearInequality, equalities: Sequence[Equality]
@@ -152,18 +149,6 @@ class HPolytope:
         for coeffs, _ in self.equalities:
             if len(coeffs) != self.dim:
                 raise ValueError("equality length does not match dimension")
-
-    def contains(self, point: Sequence[Fraction]) -> bool:
-        point = _as_point(point, self.dim)
-        if any(not ineq.satisfied_by(point) for ineq in self.inequalities):
-            return False
-        return all(
-            sum(c * p for c, p in zip(coeffs, point)) == rhs
-            for coeffs, rhs in self.equalities
-        )
-
-    def affine_dimension(self) -> int:
-        return self.dim - len(_echelon([c for c, _ in self.equalities])[1])
 
 
 @dataclass(frozen=True)
@@ -697,7 +682,6 @@ def fourier_motzkin_project(
     h: HPolytope,
     keep: Iterable[int],
     max_rows: int = 10**6,
-    prune: bool = True,
 ) -> HPolytope:
     """Project onto the coordinates in `keep` (ascending original order).
 
@@ -753,8 +737,7 @@ def fourier_motzkin_project(
 
     kept_eqs = tuple((c[m:], r) for c, r in reduced if not any(c[:m]))
     rows = [(r[m:-1], r[-1]) for r in rows]
-    if prune:
-        rows = _prune_redundant(rows, kept_eqs)
+    rows = _prune_redundant(rows, kept_eqs)
     kept_ineqs = {reduce_modulo(LinearInequality(c, b), kept_eqs) for c, b in rows}
     kept_ineqs = sorted(kept_ineqs, key=lambda f: (f.coeffs, f.bound))
     return HPolytope(len(keep), tuple(kept_ineqs), kept_eqs)

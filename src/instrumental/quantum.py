@@ -1,9 +1,12 @@
 """Two-qubit measurement strategies and their probability tables.
 
-Floating point lives here and nowhere else: Born probabilities come out as
-floats, and `rationalize_correlation` is the only bridge back into the exact
-layer.  All observables are restricted to the x-z plane of the Bloch sphere,
-which is enough for every extremal two-input/two-output correlation.
+Born probabilities come out as floats.  Float tables are checked within a
+tolerance by `scenario.validate` and evaluated by
+`LinearExpression.evaluate`, and `cli` compares the resulting quantum values
+with their closed forms within a tolerance.  `rationalize_correlation` is the
+only bridge from a float table into the exact layer (facets, LPs,
+membership).  All observables are restricted to the x-z plane of the Bloch
+sphere, which is enough for every extremal two-input/two-output correlation.
 """
 
 from __future__ import annotations
@@ -25,8 +28,6 @@ __all__ = [
     "Observable2",
     "QuantumStrategy",
     "born_table",
-    "chsh_strategy",
-    "bonet_strategy",
     "chained_strategy",
     "SeeSawResult",
     "tilted_search",
@@ -57,10 +58,6 @@ class Observable2:
     def from_angle(cls, theta: float) -> "Observable2":
         """Direction at angle theta from the z axis, in the x-z plane."""
         return cls(math.sin(theta), math.cos(theta))
-
-    @property
-    def angle(self) -> float:
-        return math.atan2(self.vx, self.vz)
 
 
 @dataclass(frozen=True)
@@ -99,28 +96,6 @@ def born_table(strategy: QuantumStrategy, scenario: Scenario) -> Correlation:
     if scenario.kind is Kind.BELL:
         return Correlation(scenario, tuple(entries))
     return postselect(Correlation(scenario.parent_bell(), tuple(entries)), scenario)
-
-
-def chsh_strategy() -> QuantumStrategy:
-    """Angles reaching 2*sqrt(2) on the two-input correlator test."""
-    return QuantumStrategy(
-        (Observable2.from_angle(0.0), Observable2.from_angle(math.pi / 2)),
-        (Observable2.from_angle(math.pi / 4), Observable2.from_angle(-math.pi / 4)),
-    )
-
-
-def bonet_strategy() -> QuantumStrategy:
-    """Three-input strategy whose wired table reaches (3 + sqrt(2))/2.
-
-    The first two inputs play the optimal correlator game; the third points
-    opposite Bob's first direction, so the penalized joint outcome never
-    occurs.
-    """
-    r = 1.0 / math.sqrt(2.0)
-    return QuantumStrategy(
-        (Observable2(1.0, 0.0), Observable2(0.0, 1.0), Observable2(-r, -r)),
-        (Observable2(r, r), Observable2(r, -r)),
-    )
 
 
 def chained_strategy(n: int) -> QuantumStrategy:

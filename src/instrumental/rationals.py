@@ -3,10 +3,13 @@
 Correlation tables and LP data are `fractions.Fraction`s.  Inequalities and
 equalities built by the polytope layer have primitive Python `int` entries,
 which compare, hash and print like the equal `Fraction`s.
-Floating-point numbers appear only at the quantum-evaluation boundary and are
-converted by `quantum.rationalize_correlation` (continued fractions with a
-denominator cap) before they touch any exact computation.  The helpers here
-scale rational vectors to primitive integer ones.
+Floating-point numbers appear in Born tables and their values (`quantum`),
+in `scenario.validate`'s tolerance on float tables, in
+`inequalities.BoundsTriple`, which orders its three bounds in floats, and in
+`cli`, which checks a quantum value against its closed form within a
+tolerance.  A float table reaches an exact computation only through
+`quantum.rationalize_correlation` (continued fractions with a denominator
+cap).  The helpers here scale rational vectors to primitive integer ones.
 """
 
 from __future__ import annotations

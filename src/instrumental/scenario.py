@@ -40,11 +40,8 @@ __all__ = [
     "dummy_input_extension",
     "append_dummy_input",
     "validate",
-    "max_signalling_residual",
     "mix_correlations",
     "random_mixture",
-    "pr_box",
-    "uniform_box",
 ]
 
 _F0 = Fraction(0)
@@ -391,10 +388,6 @@ class ValidationReport:
     no_signalling: bool | None
     first_violation: tuple[str, tuple] | None
 
-    @property
-    def ok(self) -> bool:
-        return self.nonnegative and self.normalized and self.no_signalling is not False
-
 
 def validate(p: Correlation, atol: float = 1e-9) -> ValidationReport:
     """Check nonnegativity, per-context normalization and (Bell) no-signalling.
@@ -446,20 +439,6 @@ def _marginal_gap(s: Scenario, values: Sequence):
     return worst
 
 
-def max_signalling_residual(p: Correlation):
-    """Largest absolute marginal mismatch across contexts of a Bell table.
-
-    Zero (exactly, or numerically small for float tables) iff no party's
-    marginal depends on the other party's input.
-    """
-    s = p.scenario
-    if s.kind is not Kind.BELL:
-        raise ValueError("signalling residuals apply to Bell correlations")
-    values, one = _scaled_entries(p)
-    gap = _marginal_gap(s, values)
-    return Fraction(gap, one) if p.exact else float(gap)
-
-
 def mix_correlations(pairs: Iterable[tuple[Fraction, Correlation]]) -> Correlation:
     """Convex (or affine) combination of exact correlations over one scenario."""
     pairs = list(pairs)
@@ -505,22 +484,3 @@ def random_mixture(
     picks = [rng.choice(pool) for _ in range(parts)]
     return mix_correlations(list(zip(weights, picks)))
 
-
-def pr_box() -> Correlation:
-    """The extremal no-signalling box with a + b = x*y (mod 2), all marginals 1/2."""
-    s = Scenario.bell(2, 2)
-    half = Fraction(1, 2)
-    entries = [_F0] * s.dim
-    for x in range(2):
-        for y in range(2):
-            for a in range(2):
-                for b in range(2):
-                    if (a + b) % 2 == (x * y) % 2:
-                        entries[s.index(x, y, a, b)] = half
-    return Correlation(s, tuple(entries))
-
-
-def uniform_box(s: Scenario) -> Correlation:
-    """The maximally mixed table: every outcome pair equally likely."""
-    w = Fraction(1, s.nA * s.nB)
-    return Correlation(s, tuple([w] * s.dim))

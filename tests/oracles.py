@@ -1,23 +1,26 @@
 """Second routes to quantities the package computes one way, kept as test
-oracles.  Import with ``from oracles import ...`` (pytest puts this directory
-on ``sys.path``)."""
+oracles, and the fixtures and small helpers that only the tests use.  Import
+with ``from oracles import ...`` (pytest puts this directory on
+``sys.path``)."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import atan2, gcd, sqrt
+from typing import Sequence
 
 import numpy as np
 
 from instrumental.errors import CapacityError, CertificateError
-from instrumental.inequalities import LinearExpression, lift_to_bell
+from instrumental.inequalities import LinearExpression, _relabelling_map, lift_to_bell
 from instrumental.linprog import LpResult, LpStatus, _check_dual, _check_farkas, solve_lp
 from instrumental.polytope import (
     Equality,
     HPolytope,
     LinearInequality,
     VPolytope,
+    _as_point,
     _check_implied,
     _check_violated,
     _dot,
@@ -28,11 +31,13 @@ from instrumental.polytope import (
     reduce_modulo,
     vertex_enumeration,
 )
+from instrumental.quantum import Observable2, QuantumStrategy
 from instrumental.rationals import integerize, primitive
 from instrumental.scenario import (
     Correlation,
     Kind,
     Scenario,
+    ValidationReport,
     enumerate_deterministic_strategies,
     postselect,
     strategy_to_correlation,
@@ -120,7 +125,9 @@ def density_matrix_born_table(strategy, scenario: Scenario) -> Correlation:
     return table if scenario.kind is Kind.BELL else postselect(table, scenario)
 
 
-def _dense_correlator(s: Scenario, x: int, y: int) -> LinearExpression:
+def dense_correlator(s: Scenario, x: int, y: int) -> LinearExpression:
+    """<A_x B_y> = sum_ab (-1)^(a+b) p(ab|xy) on a binary Bell scenario;
+    outcome 0 maps to eigenvalue +1."""
     coeffs = [Fraction(0)] * s.dim
     for a in range(2):
         for b in range(2):
@@ -135,17 +142,17 @@ def correlator_sum(kind: str, *, alpha=None, n=None) -> LinearExpression:
     if kind == "tilted_chsh":
         s = Scenario.bell(2, 2)
         return (
-            alpha * _dense_correlator(s, 0, 0)
-            + _dense_correlator(s, 0, 1)
-            + alpha * _dense_correlator(s, 1, 0)
-            - _dense_correlator(s, 1, 1)
+            alpha * dense_correlator(s, 0, 0)
+            + dense_correlator(s, 0, 1)
+            + alpha * dense_correlator(s, 1, 0)
+            - dense_correlator(s, 1, 1)
         )
     if kind != "chained_bell":
         raise ValueError(f"{kind!r} is not a correlator expression")
     s = Scenario.bell(n, n)
-    e = _dense_correlator(s, 0, 0) - _dense_correlator(s, 0, n - 1)
+    e = dense_correlator(s, 0, 0) - dense_correlator(s, 0, n - 1)
     for j in range(1, n):
-        e = e + _dense_correlator(s, j, j) + _dense_correlator(s, j, j - 1)
+        e = e + dense_correlator(s, j, j) + dense_correlator(s, j, j - 1)
     return e
 
 
@@ -768,3 +775,97 @@ def _pivot(tab, basis, row_i, col, obj=None):
             for j, pv in nonzeros:
                 row[j] -= factor * pv
     basis[row_i] = col
+
+
+# ---------------------------------------------------------------------------
+# fixtures and helpers that only the tests use
+
+
+def pr_box() -> Correlation:
+    """The extremal no-signalling box with a + b = x*y (mod 2), all marginals 1/2."""
+    s = Scenario.bell(2, 2)
+    half = Fraction(1, 2)
+    entries = [Fraction(0)] * s.dim
+    for x in range(2):
+        for y in range(2):
+            for a in range(2):
+                for b in range(2):
+                    if (a + b) % 2 == (x * y) % 2:
+                        entries[s.index(x, y, a, b)] = half
+    return Correlation(s, tuple(entries))
+
+
+def uniform_box(s: Scenario) -> Correlation:
+    """The maximally mixed table: every outcome pair equally likely."""
+    w = Fraction(1, s.nA * s.nB)
+    return Correlation(s, tuple([w] * s.dim))
+
+
+def bonet_strategy() -> QuantumStrategy:
+    """Three-input strategy whose wired table reaches (3 + sqrt(2))/2.
+
+    The first two inputs play the optimal correlator game; the third points
+    opposite Bob's first direction, so the penalized joint outcome never
+    occurs.
+    """
+    r = 1.0 / sqrt(2.0)
+    return QuantumStrategy(
+        (Observable2(1.0, 0.0), Observable2(0.0, 1.0), Observable2(-r, -r)),
+        (Observable2(r, r), Observable2(r, -r)),
+    )
+
+
+def angle(o: Observable2) -> float:
+    """The angle of o's direction from the z axis, as `from_angle` takes it."""
+    return atan2(o.vx, o.vz)
+
+
+def report_ok(report: ValidationReport) -> bool:
+    """Nonnegative, normalized and, for Bell tables, no-signalling."""
+    return report.nonnegative and report.normalized and report.no_signalling is not False
+
+
+def satisfied_by(ineq: LinearInequality, point: Sequence[Fraction]) -> bool:
+    return ineq.violation(point) <= 0
+
+
+def contains(h: HPolytope, point: Sequence[Fraction]) -> bool:
+    point = _as_point(point, h.dim)
+    if any(not satisfied_by(ineq, point) for ineq in h.inequalities):
+        return False
+    return all(
+        sum(c * p for c, p in zip(coeffs, point)) == rhs
+        for coeffs, rhs in h.equalities
+    )
+
+
+def affine_dimension(h: HPolytope) -> int:
+    return h.dim - len(_echelon([c for c, _ in h.equalities])[1])
+
+
+def relabel_expression(
+    e: LinearExpression,
+    target: Scenario,
+    x_perm: Sequence[int],
+    a_perms: Sequence[Sequence[int]],
+    b_perms: Sequence[Sequence[int]],
+) -> LinearExpression:
+    perm = _relabelling_map(e.scenario, target, x_perm, a_perms, b_perms)
+    coeffs = [Fraction(0)] * target.dim
+    for i, c in enumerate(e.coeffs):
+        coeffs[perm[i]] = c
+    return LinearExpression(target, tuple(coeffs), e.constant)
+
+
+def relabel_correlation(
+    p: Correlation,
+    target: Scenario,
+    x_perm: Sequence[int],
+    a_perms: Sequence[Sequence[int]],
+    b_perms: Sequence[Sequence[int]],
+) -> Correlation:
+    perm = _relabelling_map(p.scenario, target, x_perm, a_perms, b_perms)
+    entries = [p.entries[0]] * target.dim
+    for i, v in enumerate(p.entries):
+        entries[perm[i]] = v
+    return Correlation(target, tuple(entries))

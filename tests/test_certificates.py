@@ -17,7 +17,9 @@ from instrumental.inequalities import extension_membership, symmetry_group
 import instrumental.linprog as linprog
 from instrumental.linprog import LpStatus, _check_dual, _check_farkas, solve_lp
 from instrumental.polytope import classical_vpolytope, facet_enumeration, facet_orbits
-from instrumental.scenario import Correlation, Scenario, postselect, pr_box
+from instrumental.scenario import Correlation, Scenario, postselect
+
+from oracles import pr_box
 
 F = Fraction
 SRC = Path(__file__).resolve().parent.parent / "src" / "instrumental"

@@ -12,9 +12,9 @@ import pytest
 from instrumental import cli, inequalities, io, polytope
 from instrumental.cli import main
 from instrumental.inequalities import catalog, gpt_maximum
-from instrumental.quantum import born_table, chsh_strategy
-from instrumental.scenario import Scenario, postselect, pr_box, uniform_box
-from oracles import gpt_box_search
+from instrumental.quantum import born_table, tilted_search
+from instrumental.scenario import Scenario, postselect
+from oracles import gpt_box_search, pr_box, uniform_box
 
 
 @pytest.fixture(scope="module")
@@ -156,7 +156,7 @@ def _malformed_documents(rng):
         postselect(pr_box(), Scenario.instrumental(2)),
         uniform_box(Scenario.chained(2)),
         pr_box(),
-        born_table(chsh_strategy(), Scenario.bell(2, 2)),
+        born_table(tilted_search(1).strategy, Scenario.bell(2, 2)),
     ]
     for _ in range(60):
         doc = io.correlation_to_json(rng.choice(bases))
@@ -459,9 +459,9 @@ def test_usage_exit_codes(capsys):
 NUMPY_PROBE = """
 import contextlib, io as stdio, json, sys
 from instrumental import cli, io
-from instrumental.quantum import born_table, chsh_strategy
+from instrumental.quantum import born_table, tilted_search
 from instrumental.scenario import Scenario
-io.save_correlation(born_table(chsh_strategy(), Scenario.bell(2, 2)), sys.argv[1])
+io.save_correlation(born_table(tilted_search(1).strategy, Scenario.bell(2, 2)), sys.argv[1])
 runs = [["bounds", "chsh"], ["bounds", "chained", "4"], ["identity", "bonet"],
         ["facets", "--gpt", "-x", "2"],
         ["membership", sys.argv[1], "--theory", "nosignalling", "--with-local-processing"],

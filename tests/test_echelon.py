@@ -21,7 +21,13 @@ from instrumental.polytope import (
 from instrumental.rationals import integerize
 from instrumental.scenario import Scenario
 
-from oracles import no_signalling_equalities, rref, rref_equalities, rref_null_space
+from oracles import (
+    affine_dimension,
+    no_signalling_equalities,
+    rref,
+    rref_equalities,
+    rref_null_space,
+)
 
 F = Fraction
 
@@ -105,7 +111,7 @@ def test_no_signalling_reduction_matches_rref(s):
     eqs = no_signalling_equalities(s)
     reduced = _reduce_equalities(eqs, s.dim)
     assert reduced == rref_equalities(eqs, s.dim)
-    assert no_signalling_polytope(s).affine_dimension() == s.dim - len(reduced)
+    assert affine_dimension(no_signalling_polytope(s)) == s.dim - len(reduced)
 
 
 # Smallest max_rays each hull accepts; they depend on the starting cone and

@@ -19,8 +19,10 @@ import pytest
 
 from instrumental import io
 from instrumental.cli import main
-from instrumental.quantum import born_table, chsh_strategy
-from instrumental.scenario import Scenario, postselect, pr_box
+from instrumental.quantum import born_table, tilted_search
+from instrumental.scenario import Scenario, postselect
+
+from oracles import pr_box
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -76,7 +78,7 @@ def _tables(directory: Path) -> dict[str, str]:
     io.save_correlation(pr_box(), paths["pr"])
     io.save_correlation(postselect(pr_box(), Scenario.instrumental(2)), paths["wired_pr"])
     # a float Born table, which membership rationalizes before its exact test
-    io.save_correlation(born_table(chsh_strategy(), Scenario.bell(2, 2)), paths["chsh"])
+    io.save_correlation(born_table(tilted_search(1).strategy, Scenario.bell(2, 2)), paths["chsh"])
     return {k: str(v) for k, v in paths.items()}
 
 

@@ -11,16 +11,12 @@ from instrumental.inequalities import (
     bounds,
     catalog,
     classical_maximum,
-    correlator,
     extension_membership,
     facet_orbit_classify,
     gpt_maximum,
     identity_check,
     lift_to_bell,
-    normalization_equalities,
     pearl_expressions,
-    relabel_correlation,
-    relabel_expression,
     symmetry_group,
     verify_identity,
 )
@@ -30,6 +26,7 @@ from instrumental.polytope import (
     facet_enumeration,
     facet_orbits,
     no_signalling_polytope,
+    normalization_equalities,
     reduce_modulo,
 )
 from instrumental.scenario import (
@@ -40,12 +37,18 @@ from instrumental.scenario import (
     enumerate_deterministic_strategies,
     mix_correlations,
     postselect,
-    pr_box,
     random_mixture,
     strategy_to_correlation,
+)
+from oracles import (
+    correlator_sum,
+    dense_correlator,
+    no_signalling_equalities,
+    pr_box,
+    relabel_correlation,
+    relabel_expression,
     uniform_box,
 )
-from oracles import correlator_sum, no_signalling_equalities
 
 F = Fraction
 
@@ -106,8 +109,8 @@ def test_correlator_convention():
     d = strategy_to_correlation(
         enumerate_deterministic_strategies(s)[0]
     )  # all-zero outputs
-    assert correlator(s, 0, 0).evaluate(d) == 1
-    assert correlator(s, 1, 1).evaluate(d) == 1
+    assert dense_correlator(s, 0, 0).evaluate(d) == 1
+    assert dense_correlator(s, 1, 1).evaluate(d) == 1
 
 
 def test_exact_value_normalization():

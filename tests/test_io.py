@@ -13,8 +13,10 @@ from instrumental.polytope import (
     classical_vpolytope,
     facet_enumeration,
 )
-from instrumental.quantum import born_table, chsh_strategy
-from instrumental.scenario import Scenario, postselect, pr_box
+from instrumental.quantum import born_table, tilted_search
+from instrumental.scenario import Scenario, postselect
+
+from oracles import pr_box
 
 F = Fraction
 GOLDEN = Path(__file__).parent / "golden"
@@ -92,7 +94,7 @@ def test_correlation_round_trip_exact(tmp_path):
 
 
 def test_correlation_round_trip_float():
-    t = born_table(chsh_strategy(), Scenario.bell(2, 2))
+    t = born_table(tilted_search(1).strategy, Scenario.bell(2, 2))
     d = io.correlation_to_json(t)
     assert isinstance(d["entries"][0], float)
     back = io.correlation_from_json(d)

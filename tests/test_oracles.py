@@ -42,7 +42,6 @@ from instrumental.scenario import (
     Kind,
     Scenario,
     classical_correlations,
-    max_signalling_residual,
     mix_correlations,
     strategy_to_correlation,
     validate,
@@ -60,6 +59,7 @@ from oracles import (
     input_blocks,
     no_signalling_equalities,
     python_dd_pointed,
+    report_ok,
     rref,
     signalling_residual,
     square_free,
@@ -135,13 +135,23 @@ def test_signalling_residual_matches_loops(s):
         exact = Correlation(s, tuple(Fraction(rng.randint(0, 5), 7) for _ in range(s.dim)))
         floats = Correlation(s, tuple(rng.random() for _ in range(s.dim)))
         for p in (exact, floats):
-            assert max_signalling_residual(p) == signalling_residual(p)
+            assert validate(p).no_signalling is (signalling_residual(p) == 0)
+    # A float table is no-signalling within validate's default 1e-9: move
+    # `gap` of Alice's weight from a = 0 to a = 1 in context (x, y) = (0, 0).
+    for gap, within in ((5e-10, True), (2e-9, False)):
+        entries = [1.0 / (s.nA * s.nB)] * s.dim
+        entries[s.index(0, 0, 0, 0)] -= gap
+        entries[s.index(0, 0, 1, 0)] += gap
+        p = Correlation(s, tuple(entries))
+        assert signalling_residual(p) == pytest.approx(gap)
+        report = validate(p)
+        assert report.normalized and report.no_signalling is within
 
 
 @pytest.mark.parametrize("s", NS_SCENARIOS, ids=_name)
 def test_exact_validation_matches_fraction_loops(s):
-    # validate and max_signalling_residual check exact tables in integers over
-    # one common denominator; mixed denominators exercise that scaling.
+    # validate checks exact tables in integers over one common denominator;
+    # mixed denominators exercise that scaling.
     rng = random.Random(s.dim + 1)
     pool = classical_correlations(s)
     for _ in range(5):
@@ -149,7 +159,6 @@ def test_exact_validation_matches_fraction_loops(s):
             Fraction(rng.randint(-1, 5), rng.randint(1, 12)) for _ in range(s.dim)
         ))
         rep = validate(p)
-        assert max_signalling_residual(p) == signalling_residual(p)
         assert rep.no_signalling is (signalling_residual(p) == 0)
         assert rep.nonnegative is all(e >= 0 for e in p.entries)
         assert rep.normalized is all(
@@ -157,7 +166,7 @@ def test_exact_validation_matches_fraction_loops(s):
         )
         weights = [Fraction(1, rng.randint(4, 9)) for _ in range(3)]
         q = mix_correlations(zip([*weights, 1 - sum(weights)], rng.sample(pool, 4)))
-        assert validate(q).ok and max_signalling_residual(q) == 0
+        assert report_ok(validate(q)) and signalling_residual(q) == 0
         assert max(e.denominator for e in q.entries) > 1
 
 

@@ -8,10 +8,8 @@ from instrumental.inequalities import catalog, pearl_expressions
 from instrumental.quantum import (
     Observable2,
     QuantumStrategy,
-    bonet_strategy,
     born_table,
     chained_strategy,
-    chsh_strategy,
     rationalize_correlation,
     tilted_search,
 )
@@ -20,16 +18,22 @@ from instrumental.scenario import (
     Scenario,
     append_dummy_input,
     dummy_input_extension,
-    max_signalling_residual,
     postselect,
-    pr_box,
     validate,
 )
 
-from oracles import density_matrix_born_table, gpt_box_search
+from oracles import (
+    angle,
+    bonet_strategy,
+    density_matrix_born_table,
+    gpt_box_search,
+    pr_box,
+    signalling_residual,
+)
 
 F = Fraction
 INSTR3 = Scenario.instrumental(3)
+CHSH = tilted_search(1).strategy
 
 
 def test_observable_validation():
@@ -37,7 +41,7 @@ def test_observable_validation():
         with pytest.raises(ValueError):
             Observable2(*direction)
     o = Observable2.from_angle(0.3)
-    assert o.angle == pytest.approx(0.3)
+    assert angle(o) == pytest.approx(0.3)
 
 
 def test_strategy_validation():
@@ -48,8 +52,8 @@ def test_strategy_validation():
 @pytest.mark.parametrize(
     "strategy, scenario",
     [
-        pytest.param(chsh_strategy(), Scenario.bell(2, 2), id="chsh"),
-        pytest.param(chsh_strategy(), Scenario.instrumental(2), id="chsh-wired"),
+        pytest.param(CHSH, Scenario.bell(2, 2), id="chsh"),
+        pytest.param(CHSH, Scenario.instrumental(2), id="chsh-wired"),
         pytest.param(bonet_strategy(), Scenario.bell(3, 2), id="bonet-bell"),
         pytest.param(bonet_strategy(), INSTR3, id="bonet"),
     ]
@@ -70,15 +74,15 @@ def test_born_table_matches_density_matrices(strategy, scenario):
 
 
 def test_born_table_is_no_signalling():
-    t = born_table(chsh_strategy(), Scenario.bell(2, 2))
+    t = born_table(CHSH, Scenario.bell(2, 2))
     assert not t.exact
     report = validate(t, atol=1e-12)
     assert report.nonnegative and report.normalized and report.no_signalling
-    assert max_signalling_residual(t) < 1e-12
+    assert signalling_residual(t) < 1e-12
 
 
 def test_born_table_shape_checks():
-    s = chsh_strategy()
+    s = CHSH
     with pytest.raises(ValueError):
         born_table(s, Scenario.bell(3, 2))
     with pytest.raises(ValueError):
@@ -88,7 +92,7 @@ def test_born_table_shape_checks():
 
 
 def test_chsh_value():
-    t = born_table(chsh_strategy(), Scenario.bell(2, 2))
+    t = born_table(CHSH, Scenario.bell(2, 2))
     assert catalog("chsh").evaluate(t) == pytest.approx(2 * math.sqrt(2), abs=1e-12)
 
 
@@ -99,7 +103,7 @@ def test_bonet_strategy_value():
 
 
 def test_dummy_extension_routes():
-    bell = born_table(chsh_strategy(), Scenario.bell(2, 2))
+    bell = born_table(CHSH, Scenario.bell(2, 2))
     wired = postselect(dummy_input_extension(bell), INSTR3)
     assert abs(catalog("bonet").evaluate(wired) - (3 + math.sqrt(2)) / 2) < 1e-9
     boxed = postselect(dummy_input_extension(pr_box()), INSTR3)
@@ -129,7 +133,10 @@ def test_tilted_search(alpha):
 
 
 def test_tilted_search_at_weight_one_is_the_chsh_strategy():
-    assert tilted_search(1).strategy == chsh_strategy()
+    assert tilted_search(1).strategy == QuantumStrategy(
+        (Observable2.from_angle(0.0), Observable2.from_angle(math.pi / 2)),
+        (Observable2.from_angle(math.pi / 4), Observable2.from_angle(-math.pi / 4)),
+    )
 
 
 def test_tilted_search_guards():
@@ -161,7 +168,7 @@ def test_rationalize_correlation():
     snapped = rationalize_correlation(blurred)
     assert snapped.exact and snapped.entries == exact.entries
     assert rationalize_correlation(exact) is exact
-    awkward = born_table(chsh_strategy(), Scenario.bell(2, 2))
+    awkward = born_table(CHSH, Scenario.bell(2, 2))
     with pytest.raises(ValueError):
         rationalize_correlation(awkward, max_denominator=10)
     ok = rationalize_correlation(awkward)

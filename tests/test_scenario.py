@@ -13,14 +13,13 @@ from instrumental.scenario import (
     classical_correlations,
     dummy_input_extension,
     enumerate_deterministic_strategies,
-    max_signalling_residual,
     mix_correlations,
     postselect,
-    pr_box,
     strategy_to_correlation,
-    uniform_box,
     validate,
 )
+
+from oracles import pr_box, report_ok, signalling_residual, uniform_box
 
 F = Fraction
 HALF = F(1, 2)
@@ -165,7 +164,7 @@ def test_postselect_of_deterministic_bell_is_deterministic_instrumental():
 def test_dummy_input_extension_of_pr():
     ext = dummy_input_extension(pr_box())
     assert ext.scenario.nX == 3
-    assert validate(ext).ok
+    assert report_ok(validate(ext))
     # Original blocks untouched; new block pins a = 0 with Bob's old marginal.
     assert ext.entries[: BELL22.dim] == pr_box().entries
     for y in range(2):
@@ -199,11 +198,12 @@ def test_validate_flags_each_failure():
     rep = validate(unnorm)
     assert rep.nonnegative and not rep.normalized
     assert rep.no_signalling is None  # meaningless without a free y
-    assert validate(postselect(pr_box(), INSTR2)).ok
+    assert report_ok(validate(postselect(pr_box(), INSTR2)))
 
 
-def test_max_signalling_residual_exact_zero_on_pr():
-    assert max_signalling_residual(pr_box()) == 0
+def test_signalling_residual_exact_zero_on_pr():
+    assert signalling_residual(pr_box()) == 0
+    assert validate(pr_box()).no_signalling is True
 
 
 def test_mix_requires_common_scenario():

@@ -25,7 +25,7 @@ from instrumental.scenario import (
     validate,
 )
 
-from oracles import postselected_strategy_columns
+from oracles import postselected_strategy_columns, report_ok
 
 F = Fraction
 INSTR2 = Scenario.instrumental(2)
@@ -62,7 +62,7 @@ def test_wired_indices_match_postselect_and_lift(s):
     exprs = [random_expression(s, rng) for _ in range(3)]
     for _ in range(10):
         q = random_mixture(bell, rng, pool=pool)
-        assert validate(q).ok
+        assert report_ok(validate(q))
         p = postselect(q, s)
         assert p.entries == tuple(q.entries[i] for i in keep)
         for e in exprs:
