@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import io
 from .errors import CapacityError, CertificateError
@@ -74,6 +75,29 @@ def _emit(text: str, args) -> None:
         sys.stdout.write(text)
 
 
+def _json_text(value, indent: str = "") -> str:
+    """`json.dumps(value, indent=2)` for string-keyed documents, built from
+    the encodings of the scalar leaves: strings through the function
+    `json.dumps` uses for them, anything else through `json.dumps`.  json's
+    own indenting encoder runs in pure Python and leaves reference cycles
+    behind on every call; this leaves none."""
+    if type(value) is str:
+        return encode_basestring_ascii(value)
+    if isinstance(value, (dict, list, tuple)) and value:
+        inner = indent + "  "
+        if isinstance(value, dict):
+            items = [
+                f"{encode_basestring_ascii(k)}: {_json_text(v, inner)}"
+                for k, v in value.items()
+            ]
+            open_, close = "{", "}"
+        else:
+            items = [_json_text(v, inner) for v in value]
+            open_, close = "[", "]"
+        return f"{open_}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{close}"
+    return json.dumps(value)
+
+
 def _expression_str(scenario, ineq) -> str:
     lhs = LinearExpression(scenario, ineq.coeffs)
     return f"{lhs} <= {io.fraction_to_str(ineq.bound)}"
@@ -120,7 +144,7 @@ def cmd_facets(args) -> int:
             ],
             "polytope": io.hpolytope_to_json(h),
         }
-        _emit(json.dumps(doc, indent=2) + "\n", args)
+        _emit(_json_text(doc) + "\n", args)
     else:
         lines = [
             f"scenario: instrumental nX={s.nX} nA={s.nA} nB={s.nB} ({side} side)",
@@ -207,7 +231,7 @@ def cmd_bounds(args) -> int:
                 for name, val, ok, how in checks
             ],
         }
-        _emit(json.dumps(doc, indent=2) + "\n", args)
+        _emit(_json_text(doc) + "\n", args)
     else:
         text = io.format_bounds_table(rows)
         if verified:
@@ -265,7 +289,7 @@ def cmd_membership(args) -> int:
             doc["margin"] = io.fraction_to_str(cert.margin)
         if caveat:
             doc["caveat"] = _CAVEAT
-        _emit(json.dumps(doc, indent=2) + "\n", args)
+        _emit(_json_text(doc) + "\n", args)
     else:
         lines = [f"{args.theory}: {'inside' if cert.inside else 'outside'}"]
         if cert.inside and cert.weights is not None:
@@ -313,7 +337,7 @@ def cmd_identity(args) -> int:
     where = (f"{args.trials} sampled no-signalling points" if worst == 0
              else "every deterministic box")  # zero keeps the old wording
     if args.format == "json":
-        _emit(json.dumps(doc, indent=2) + "\n", args)
+        _emit(_json_text(doc) + "\n", args)
     else:
         _emit(
             f"symbolic reduction to zero: {'yes' if symbolic else 'NO'}\n"

@@ -27,7 +27,7 @@ from .polytope import (
     reduce_modulo,
 )
 from .linprog import LpStatus, solve_lp
-from .rationals import integerize
+from .rationals import integerize, over_common_denominator
 from .scenario import (
     Correlation,
     DeterministicStrategy,
@@ -764,13 +764,15 @@ def gpt_maximum(e: LinearExpression):
             for j, m in form.items():
                 row[j] = -m
             rows.append((row, const))
+    # an integer objective, times den > 0: the same pivots and x
+    den, (objective,) = over_common_denominator([objective])
     res = solve_lp(objective, ineqs=rows, nonneg=True, maximize=True)
     if res.status is not LpStatus.OPTIMAL:
         raise CertificateError("the no-signalling polytope is compact and nonempty")
     box = Correlation(bell, tuple(
         const + sum(m * res.x[j] for j, m in form.items()) for form, const in forms
     ))
-    value = res.value + offset
+    value = res.value / den + offset
     if lifted.evaluate(box) != value:
         raise CertificateError("the witness box does not attain the no-signalling maximum")
     return value, box
@@ -805,14 +807,20 @@ def extension_membership(p: Correlation, theory: str) -> MembershipCertificate:
         return membership(p, VPolytope(s.dim, tuple(columns)))
     if theory != "nosignalling":
         raise ValueError("theory must be 'classical' or 'nosignalling'")
-    eq_rows = list(no_signalling_polytope(bell).equalities)
+    # Every row times one den > 0, the table's common denominator: the same
+    # pivots and Farkas vector as the rational rows (see `linprog`).
+    den, (pins,) = over_common_denominator([p.entries])
+    eq_rows = [
+        ([den * c for c in coeffs], den * r)
+        for coeffs, r in no_signalling_polytope(bell).equalities
+    ]
     pin_rows = []
-    for i, v in zip(s.wired_indices(), p.entries):
-        coeffs = [F0] * bell.dim
-        coeffs[i] = F1
+    for i, v in zip(s.wired_indices(), pins):
+        coeffs = [0] * bell.dim
+        coeffs[i] = den
         pin_rows.append((coeffs, v))
     res = solve_lp(
-        [F0] * bell.dim,
+        [0] * bell.dim,
         eqs=eq_rows + pin_rows,
         nonneg=True,
         maximize=False,

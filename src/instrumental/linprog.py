@@ -1,14 +1,18 @@
 """Exact linear programming over the rationals.
 
-A dense tableau simplex with Bland's anti-cycling pivot rule; there is no
-scaling, no tolerance and no big-M construction.  Inputs are anything
-`Fraction()` accepts; outputs and certificates are `Fraction`s.  Inside,
-each tableau cell is a reduced pair of `int`s (numerator, denominator > 0;
-zero is (0, 1)): the values a `Fraction` tableau would hold, without a
-`Fraction` object per cell operation.  Both exact answers are certified,
-and each certificate is checked in `Fraction`s against the caller's rows
-before it is handed to the caller: a Farkas vector for infeasibility, dual
-multipliers for an optimum.
+A simplex with Bland's anti-cycling pivot rule on a condensed (Tucker)
+tableau; there is no scaling, no tolerance and no big-M construction.
+Inputs are `int`s; outputs and certificates are `Fraction`s.  Inside, each
+tableau cell is a reduced pair of `int`s (numerator, denominator > 0; zero
+is (0, 1)).  Both exact answers are certified, and each certificate is
+checked in integers against the caller's rows before it is handed to the
+caller: a Farkas vector for infeasibility, dual multipliers for an optimum.
+
+A caller with rational data scales its objective by one c > 0 and all its
+rows by one r > 0.  That scales each slack and artificial by r and every
+reduced cost by c, so no sign and no ratio-test order moves: the pivots and
+x stay, the value scales by c, the duals by c / r, and a Farkas vector stays
+as it is.  One factor per row would reweigh phase 1 and move its pivots.
 
 Problems are stated over free or nonnegative variables as
 
@@ -18,11 +22,19 @@ Problems are stated over free or nonnegative variables as
 
 Internally everything is reduced to standard form (equalities over
 nonnegative variables) with slack variables and, for free variables, a
-difference split.  An LP with no equality rows and no negative right-hand
-side starts phase 2 straight from the slack basis, which is feasible there.
-Every other LP runs two phases, with one artificial column per row.  Either
-way the duals are read off the final objective row at the starting basis's
-columns.
+difference split.  Every variable has a label, its column in the full
+tableau: the n_vars structural columns, then slack n_vars + k for inequality
+k, then artificial n + i for row i.  The tableau stores only the nonbasic
+columns; a basic variable is the label of its row, and its unit column is
+never built.  A pivot stores the leaving variable's column where the
+entering one was.  Each stored cell equals the full tableau's cell, so
+Bland's rule (the lowest label with a negative reduced cost enters) and the
+ratio test take the same pivots.
+
+An LP with no equality rows and no negative right-hand side starts phase 2
+from the slack basis.  Every other LP runs two phases from one artificial
+per row.  The duals are the final reduced costs of the starting basis, 0 on
+a variable still basic.
 """
 
 from __future__ import annotations
@@ -30,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Sequence
 
 from .errors import CertificateError
@@ -39,11 +51,10 @@ __all__ = ["LpStatus", "LpResult", "solve_lp"]
 
 _F0 = Fraction(0)
 
-Row = tuple[Sequence[Fraction], Fraction]  # (coefficients, right-hand side)
+Row = tuple[Sequence[int], int]  # (coefficients, right-hand side)
 Pair = tuple[int, int]  # a reduced tableau cell: (numerator, denominator > 0)
 
 _ZERO: Pair = (0, 1)
-_ONE: Pair = (1, 1)
 
 
 class LpStatus(Enum):
@@ -78,73 +89,47 @@ class LpResult:
 
 
 def solve_lp(
-    objective: Sequence[Fraction],
+    objective: Sequence[int],
     *,
     ineqs: Sequence[Row] = (),
     eqs: Sequence[Row] = (),
     nonneg: bool = False,
     maximize: bool = True,
 ) -> LpResult:
-    """Solve an exact LP; see the module docstring for the problem form."""
+    """Solve an exact LP over `int` data; see the module docstring."""
     d = len(objective)
-    obj = _exact(objective)
-    ineqs = [(_exact(row), *_exact([rhs])) for row, rhs in ineqs]
-    eqs = [(_exact(row), *_exact([rhs])) for row, rhs in eqs]
-    stated = eqs + ineqs  # the order of the multipliers
+    stated = [*eqs, *ineqs]  # the order of the multipliers
     for row, _ in stated:
         if len(row) != d:
             raise ValueError("constraint length does not match the objective")
 
-    n_slack = len(ineqs)
-    width = (d if nonneg else 2 * d) + n_slack
-    no_slack = [_ZERO] * n_slack
+    def cells(coeffs: Sequence[int]) -> list[Pair]:
+        out = [(a, 1) for a in coeffs]
+        return out if nonneg else out + [(-a, 1) for a in coeffs]
 
-    def widen(coeffs: list[Fraction], slack: int | None) -> list[Pair]:
-        out = _pairs(coeffs)
-        if not nonneg:
-            out += [(-a, b) for a, b in out]
-        out += no_slack
-        if slack is not None:
-            out[-n_slack + slack] = _ONE
-        return out
-
-    rows = [widen(c, None) for c, _ in eqs] + [
-        widen(c, i) for i, (c, _) in enumerate(ineqs)
-    ]
-    rhs = _pairs([r for _, r in stated])
-    c_std = widen([-c for c in obj] if maximize else obj, None)
-    slacks = None
-    if not eqs and all(a >= 0 for a, _ in rhs):
-        slacks = list(range(width - n_slack, width))
-
-    status, x_std, y = _simplex_standard(c_std, rows, rhs, slacks)
-    if status is LpStatus.INFEASIBLE:
-        _check_farkas(
-            y, [c for c, _ in stated], [r for _, r in stated], len(eqs), nonneg
-        )
-        return LpResult(LpStatus.INFEASIBLE, farkas=tuple(y))
+    cost = cells([-c for c in objective] if maximize else objective)
+    rhs = [r for _, r in stated]
+    rows = [cells(c) for c, _ in stated]
+    status, x_std, y = _simplex_standard(cost, rows, rhs, len(eqs))
     if status is LpStatus.UNBOUNDED:
         return LpResult(LpStatus.UNBOUNDED)
-    if nonneg:
-        x = x_std[:d]
-    else:
-        x = [x_std[j] - x_std[d + j] for j in range(d)]
-    value = sum(c * v for c, v in zip(obj, x))
-    # y proves min c_std . x_std; the stated problem's dual is -y when
-    # maximizing, since c_std is the negated objective there.
-    dual = tuple(-v for v in y) if maximize else tuple(y)
-    _check_dual(dual, obj, ineqs, eqs, nonneg, maximize, value)
-    return LpResult(LpStatus.OPTIMAL, x=tuple(x), value=value, dual=dual)
+    if status is LpStatus.INFEASIBLE:
+        farkas = _fractions(y)
+        _check_farkas(farkas, [c for c, _ in stated], rhs, len(eqs), nonneg)
+        return LpResult(LpStatus.INFEASIBLE, farkas=farkas)
+    if not nonneg:
+        x_std = [_sub(p, m) for p, m in zip(x_std, x_std[d:])]
+    den = lcm(*(b for _, b in x_std))
+    value = Fraction(sum(c * a * (den // b) for c, (a, b) in zip(objective, x_std)), den)
+    # y proves min cost . x_std; the stated problem's dual is -y when
+    # maximizing, since the cost is the negated objective there.
+    dual = _fractions([(-a, b) for a, b in y] if maximize else y)
+    _check_dual(dual, objective, ineqs, eqs, nonneg, maximize, value)
+    return LpResult(LpStatus.OPTIMAL, x=_fractions(x_std), value=value, dual=dual)
 
 
-def _exact(values: Sequence) -> list:
-    """The values as `int`s and `Fraction`s, converting only other types."""
-    return [c if type(c) is int or type(c) is Fraction else Fraction(c) for c in values]
-
-
-def _pairs(values: Sequence) -> list[Pair]:
-    """`int`s and `Fraction`s as reduced (numerator, denominator) pairs."""
-    return [(c, 1) if type(c) is int else c.as_integer_ratio() for c in values]
+def _fractions(pairs: Sequence[Pair]) -> tuple[Fraction, ...]:
+    return tuple(Fraction(a, b) if a else _F0 for a, b in pairs)
 
 
 def _reduced(num: int, den: int) -> Pair:
@@ -157,121 +142,121 @@ def _sub(a: Pair, b: Pair) -> Pair:
 
 
 def _simplex_standard(
-    c: list[Pair],
-    rows: list[list[Pair]],
-    rhs: list[Pair],
-    slacks: list[int] | None = None,
-) -> tuple[LpStatus, list[Fraction], list[Fraction] | None]:
-    """min c.x s.t. rows.x = rhs, x >= 0, over reduced pairs.
+    cost: list[Pair], rows: list[list[Pair]], rhs: list[int], n_eqs: int
+) -> tuple[LpStatus, list[Pair], list[Pair] | None]:
+    """min cost . x s.t. rows . x (+ slack) = rhs, x >= 0, over reduced pairs.
 
-    `slacks`, when given, names for each row a zero-cost column that is 1 in
-    that row and 0 elsewhere, and every rhs is >= 0: those columns are a
-    feasible basis and phase 2 starts there.  Otherwise phase 1 finds a
-    feasible basis from one artificial column per row.
+    `cost` and `rows` cover the structural columns; the rows after the first
+    `n_eqs` get a slack each.  With no equality and every rhs >= 0 the slacks
+    are a feasible basis and phase 2 starts there.  Otherwise phase 1 finds a
+    feasible basis from one artificial per row.
 
-    Returns (status, x, y) in `Fraction`s, where y is the Farkas certificate
-    on INFEASIBLE (y . rows <= 0 componentwise, y . rhs > 0), the duals on
-    OPTIMAL (y . rows <= c componentwise, y . rhs == c . x) and None on
-    UNBOUNDED.
+    Returns (status, x, y), x over the structural columns, where y is the
+    Farkas certificate on INFEASIBLE (y . rows <= 0 componentwise, with the
+    slacks, and y . rhs > 0), the duals on OPTIMAL (y . rows <= cost,
+    y . rhs == cost . x) and None on UNBOUNDED.
     """
-    m, n = len(rows), len(c)
+    m, n_vars = len(rows), len(cost)
+    n = n_vars + m - n_eqs
     flip = [1] * m
-    if slacks is not None:
-        tab = [row + [r] for row, r in zip(rows, rhs)]
-        return _phase_two(c, tab, list(slacks), slacks, flip, n)
-    tab: list[list[Pair]] = []
-    for i in range(m):
-        row = rows[i]
-        r = rhs[i]
-        if r[0] < 0:
+    if not n_eqs and all(r >= 0 for r in rhs):
+        tab = [row + [(r, 1)] for row, r in zip(rows, rhs)]
+        slacks = list(range(n_vars, n))
+        return _phase_two(cost, tab, slacks[:], list(range(n_vars)), slacks, flip, n)
+    tab = []
+    for i, (row, r) in enumerate(zip(rows, rhs)):
+        slack = [_ZERO] * (m - n_eqs)
+        if i >= n_eqs:
+            slack[i - n_eqs] = (1, 1)
+        row = row + slack + [(r, 1)]
+        if r < 0:
             flip[i] = -1
             row = [(-a, b) for a, b in row]
-            r = (-r[0], r[1])
-        # columns: n originals, m artificials, rhs
-        art = [_ZERO] * m
-        art[i] = _ONE
-        tab.append(row + art + [r])
+        tab.append(row)
     basis = [n + i for i in range(m)]
-    total = n + m
+    cols = list(range(n))
 
-    # Phase 1: minimize the sum of artificials.
-    obj = [_ZERO] * n + [_ONE] * m + [_ZERO]
-    for row in tab:
-        for j in range(total + 1):
-            if row[j][0]:
-                obj[j] = _sub(obj[j], row[j])
-    if not _pivot_loop(tab, basis, obj, allowed=total):
+    # Phase 1: minimize the sum of artificials; every cell is still an int.
+    obj = [(-sum(a for a, _ in col), 1) for col in zip(*tab)]
+    if not _pivot_loop(tab, basis, cols, obj, allowed=n + m):
         raise CertificateError("phase 1 cannot be unbounded")
     if obj[-1][0] < 0:  # leftover artificial mass: infeasible
-        # y_i = flip_i (1 - obj_{n+i}), with obj_{n+i} = a / b
-        y = [Fraction(f * (b - a), b) for f, (a, b) in zip(flip, obj[n:total])]
-        return LpStatus.INFEASIBLE, [], y
+        # y_i = flip_i (1 - r_i) for the reduced cost r_i of artificial i
+        costs = _final_costs(cols, obj, range(n, n + m))
+        return LpStatus.INFEASIBLE, [], [
+            _reduced(f * (b - a), b) for f, (a, b) in zip(flip, costs)
+        ]
 
     # Drive remaining artificials out of the basis (degenerate rows).
     drop: list[int] = []
     for i in range(m):
         if basis[i] >= n:
-            col = next((j for j in range(n) if tab[i][j][0]), None)
-            if col is None:
-                drop.append(i)  # redundant constraint
+            nonzero = [(c, p) for p, c in enumerate(cols) if c < n and tab[i][p][0]]
+            if nonzero:
+                _pivot(tab, basis, cols, i, min(nonzero)[1])
             else:
-                _pivot(tab, basis, i, col)
+                drop.append(i)  # redundant constraint
     for i in reversed(drop):
         del tab[i], basis[i]
-    return _phase_two(c + [_ZERO] * m, tab, basis, range(n, total), flip, n)
+    return _phase_two(cost, tab, basis, cols, range(n, n + m), flip, n)
 
 
 def _phase_two(
-    c: list[Pair],
-    tab: list[list[Pair]],
-    basis: list[int],
-    start: Sequence[int],
-    flip: list[int],
-    n: int,
-) -> tuple[LpStatus, list[Fraction], list[Fraction] | None]:
-    """Minimize c over a feasible tableau, entering only the first n columns.
+    cost: list[Pair], tab: list[list[Pair]], basis: list[int], cols: list[int],
+    start: Sequence[int], flip: list[int], n: int,
+) -> tuple[LpStatus, list[Pair], list[Pair] | None]:
+    """Minimize the cost over a feasible tableau, entering only labels < n.
 
-    `start[i]` is the zero-cost column that was the unit vector of row i,
-    sign-flipped by `flip[i]`, in the tableau before any pivot: the slacks,
-    or the artificials, which never re-enter but keep their columns so the
-    duals stay readable.  The final objective row holds 0 - y_i there.
+    `start[i]` is the variable of row i in the starting basis, whose column
+    was that row's unit vector, sign-flipped by `flip[i]`: the slacks, or
+    the artificials, which never re-enter but keep their stored columns so
+    the duals stay readable.  Its final reduced cost is 0 - y_i.
     """
-    obj = list(c) + [_ZERO]
+    n_vars = len(cost)
+    obj = [cost[c] if c < n_vars else _ZERO for c in cols] + [_ZERO]
     for i, row in enumerate(tab):
-        cn, cd = obj[basis[i]]
-        if cn:
-            for j, (a, b) in enumerate(row):
-                if a:
-                    obj[j] = _sub(obj[j], (cn * a, cd * b))
-    if not _pivot_loop(tab, basis, obj, allowed=n):
+        if basis[i] < n_vars:
+            cn, cd = cost[basis[i]]
+            if cn:
+                for p, (a, b) in enumerate(row):
+                    if a:
+                        obj[p] = _sub(obj[p], (cn * a, cd * b))
+    if not _pivot_loop(tab, basis, cols, obj, allowed=n):
         return LpStatus.UNBOUNDED, [], None
-    x = [_F0] * n
-    for i, bi in enumerate(basis):
-        x[bi] = Fraction(*tab[i][-1])
-    y = [Fraction(-f * obj[j][0], obj[j][1]) for f, j in zip(flip, start)]
-    return LpStatus.OPTIMAL, x, y
+    x = [_ZERO] * n_vars
+    for i, b in enumerate(basis):
+        if b < n_vars:
+            x[b] = tab[i][-1]
+    costs = _final_costs(cols, obj, start)
+    return LpStatus.OPTIMAL, x, [(-f * a, b) for f, (a, b) in zip(flip, costs)]
+
+
+def _final_costs(cols: list[int], obj: list[Pair], labels: Sequence[int]) -> list[Pair]:
+    """The reduced cost of each label: its stored cell, 0 while it is basic."""
+    stored = dict(zip(cols, obj))
+    return [stored.get(label, _ZERO) for label in labels]
 
 
 def _pivot_loop(
-    tab: list[list[Pair]],
-    basis: list[int],
-    obj: list[Pair],
-    allowed: int,
+    tab: list[list[Pair]], basis: list[int], cols: list[int], obj: list[Pair], allowed: int
 ) -> bool:
     """Run Bland pivots until optimal (True) or unbounded (False).
 
-    `allowed` bounds the entering-column search; columns beyond it (the
-    artificials in phase 2) are frozen.  The ratio test compares
-    rhs / coef across rows by cross-multiplying; ties go to the lowest
-    basis label.
+    Only labels below `allowed` enter; the others (the artificials in phase
+    2) are frozen.  The ratio test compares rhs / coef across rows by
+    cross-multiplying; ties go to the lowest basis label.
     """
     while True:
-        enter = next((j for j in range(allowed) if obj[j][0] < 0), None)
+        enter = min(
+            ((c, p) for p, c in enumerate(cols) if c < allowed and obj[p][0] < 0),
+            default=None,
+        )
         if enter is None:
             return True
+        col = enter[1]
         leave = None
         for i, row in enumerate(tab):
-            cn, cd = row[enter]
+            cn, cd = row[col]
             if cn > 0:
                 rn, rd = row[-1]
                 num, den = rn * cd, rd * cn  # rhs / coef, den > 0
@@ -283,22 +268,24 @@ def _pivot_loop(
                     best_num, best_den, leave = num, den, i
         if leave is None:
             return False
-        _pivot(tab, basis, leave, enter, obj)
+        _pivot(tab, basis, cols, leave, col, obj)
 
 
 def _pivot(
-    tab: list[list[Pair]],
-    basis: list[int],
-    row_i: int,
-    col: int,
+    tab: list[list[Pair]], basis: list[int], cols: list[int], row_i: int, col: int,
     obj: list[Pair] | None = None,
 ) -> None:
+    """Exchange row_i's basic variable with the nonbasic one stored at
+    position `col`, whose cell in that row is the pivot a.  The leaving
+    variable's column takes position `col`: 1/a in the pivot row and -f/a
+    in a row whose entering-column cell was f."""
     prow = tab[row_i]
     pn, pd = prow[col]
     if pn != pd:  # the pivot is not 1: scale the row by its inverse pd / pn
         if pn < 0:
             pn, pd = -pn, -pd
         prow = [_reduced(a * pd, b * pn) if a else _ZERO for a, b in prow]
+        prow[col] = (pd, pn)
         tab[row_i] = prow
     nonzeros = [(j, a, b) for j, (a, b) in enumerate(prow) if a]
     targets = tab if obj is None else tab + [obj]
@@ -307,6 +294,7 @@ def _pivot(
             continue
         fn, fd = row[col]
         if fn:
+            row[col] = _ZERO
             # row[j] -= (fn / fd) * (a / b), reduced
             for j, a, b in nonzeros:
                 rn, rd = row[j]
@@ -318,60 +306,70 @@ def _pivot(
                 den = rd * td
                 g = gcd(num, den)
                 row[j] = (num // g, den // g)
-    basis[row_i] = col
+    basis[row_i], cols[col] = cols[col], basis[row_i]
 
 
 def _check_farkas(
-    y: Sequence[Fraction],
-    rows: Sequence[Sequence[Fraction]],
-    rhs: Sequence[Fraction],
-    n_eqs: int | None = None,
-    nonneg: bool = True,
+    y: Sequence[Fraction], rows: Sequence[Sequence[int | Fraction]],
+    rhs: Sequence[int | Fraction], n_eqs: int | None = None, nonneg: bool = True,
 ) -> None:
     """Raise CertificateError unless y proves that no x meets the rows: see
     `LpResult.farkas` for the conditions.  The first `n_eqs` rows (all of
     them by default) are equalities, the rest inequalities; x is
-    nonnegative when `nonneg`, else free."""
+    nonnegative when `nonneg`, else free.  Decided in integers (`_combine`)."""
     # Internal soundness guard: a bad certificate means a solver bug, so fail
     # loudly rather than hand it to a caller that will build a proof from it.
     if n_eqs is None:
         n_eqs = len(rows)
-    if len(y) != len(rows) or any(v > 0 for v in y[n_eqs:]):
+    if len(y) != len(rows) or any(v.numerator > 0 for v in y[n_eqs:]):
         raise CertificateError("Farkas certificate has the wrong sign")
-    if sum(v * r for v, r in zip(y, rhs)) <= 0:
+    _, combo, total = _combine(y, rows, rhs)
+    if total <= 0:
         raise CertificateError("Farkas certificate does not witness infeasibility")
-    combo = [0] * (len(rows[0]) if rows else 0)  # y . A, from the nonzeros
-    for v, row in zip(y, rows):
-        if v:
-            for j, a in enumerate(row):
-                if a:
-                    combo[j] += v * a
     if any(g > 0 or (g and not nonneg) for g in combo):
         raise CertificateError("Farkas certificate violates column inequality")
 
 
 def _check_dual(
-    y: Sequence[Fraction],
-    objective: Sequence[Fraction],
-    ineqs: Sequence[Row],
-    eqs: Sequence[Row],
-    nonneg: bool,
-    maximize: bool,
-    value: Fraction,
+    y: Sequence[Fraction], objective: Sequence[int | Fraction], ineqs: Sequence[Row],
+    eqs: Sequence[Row], nonneg: bool, maximize: bool, value: int | Fraction,
 ) -> None:
     """Raise CertificateError unless y proves `value` optimal for the stated
-    LP: see `LpResult.dual` for the conditions."""
+    LP: see `LpResult.dual` for the conditions.  Decided in integers
+    (`_combine`)."""
     sign = 1 if maximize else -1
     rows = [*eqs, *ineqs]
-    if len(y) != len(rows) or any(sign * v < 0 for v in y[len(eqs):]):
+    if len(y) != len(rows) or any(sign * v.numerator < 0 for v in y[len(eqs):]):
         raise CertificateError("dual multipliers have the wrong sign")
-    if sum(v * r for v, (_, r) in zip(y, rows)) != value:
+    scale, combo, total = _combine(y, [c for c, _ in rows], [r for _, r in rows], objective)
+    if total * value.denominator != scale * value.numerator:
         raise CertificateError("dual multipliers do not attain the optimum")
-    gaps = [-c for c in objective]  # y . A - objective, from the nonzeros
-    for v, (row, _) in zip(y, rows):
-        if v:
-            for j, a in enumerate(row):
-                if a:
-                    gaps[j] += v * a
+    # y . A - objective, scaled
+    gaps = [g - scale * c.numerator // c.denominator for g, c in zip(combo, objective)]
     if any(sign * g < 0 or (g and not nonneg) for g in gaps):
         raise CertificateError("dual multipliers are infeasible")
+
+
+def _combine(y, rows, rhs, objective=()):
+    """y . rows and y . rhs in integers, scaled by one positive factor.
+
+    y is scaled by the lcm L of its denominators; the rows with a nonzero
+    multiplier, their right-hand sides and the objective by the lcm R of
+    their denominators (1 on `int` data), so L R times an objective entry is
+    an integer too.  Returns (L R, L R (y . rows), L R (y . rhs)).
+    """
+    used = [(v, row, r) for v, row, r in zip(y, rows, rhs) if v]
+    den = lcm(*(v.denominator for v, _, _ in used))
+    scale = lcm(
+        *(a.denominator for _, row, r in used for a in (*row, r)),
+        *(c.denominator for c in objective),
+    )
+    combo = [0] * len(rows[0] if rows else objective)
+    total = 0
+    for v, row, r in used:
+        f = v.numerator * (den // v.denominator) * scale
+        for j, a in enumerate(row):
+            if a:
+                combo[j] += f * a.numerator // a.denominator
+        total += f * r.numerator // r.denominator
+    return den * scale, combo, total

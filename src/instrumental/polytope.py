@@ -42,14 +42,14 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Iterable, Sequence
 
 from .errors import CapacityError, CertificateError
 from .linprog import LpStatus, solve_lp
-from .rationals import integerize, primitive
+from .rationals import integerize, over_common_denominator, primitive
 from .scenario import Correlation, Kind, Scenario, classical_correlations
 
 __all__ = [
@@ -264,7 +264,7 @@ def _null_space(
 
 
 def _dot(a: Sequence[int], b: Sequence[int]) -> int:
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(operator.mul, a, b))
 
 
 def _exact_dtype(bound: int):
@@ -820,15 +820,18 @@ def _prune_redundant(ineqs, eqs):
 def _check_implied(row, others, eqs, y) -> None:
     """Raise CertificateError unless the multipliers y >= 0 on the other
     rows prove the row implied: row - sum_j y_j others_j must reduce, by
-    `_eliminate_leads` modulo the equalities, to 0 . x <= t with t >= 0."""
-    if len(y) != len(others) or any(v < 0 for v in y):
+    `_eliminate_leads` modulo the equalities, to 0 . x <= t with t >= 0.
+    Decided in integers, on the integer rows and y times the lcm of its
+    denominators."""
+    den, (ys,) = over_common_denominator([y])
+    if len(y) != len(others) or any(v < 0 for v in ys):
         raise CertificateError("pruning multipliers must be nonnegative")
-    combo = [*row[0], row[1]]
-    for v, (c, b) in zip(y, others):
+    combo = [den * v for v in (*row[0], row[1])]
+    for v, (c, b) in zip(ys, others):
         if v:
             for j, cj in enumerate((*c, b)):
                 combo[j] -= v * cj
-    rest = _eliminate_leads(integerize(combo), eqs)
+    rest = _eliminate_leads(primitive(combo), eqs)
     if any(rest[:-1]) or rest[-1] < 0:
         raise CertificateError(f"a pruned row is not implied by the rows kept: {row}")
 
@@ -862,21 +865,20 @@ def membership(point, polytope: VPolytope) -> MembershipCertificate:
     verts = polytope.vertices
     if not verts:
         raise ValueError("membership against an empty vertex set")
-    d = polytope.dim
-    eq_rows = [
-        ([v[i] for v in verts], q[i]) for i in range(d)
-    ]
-    eq_rows.append(([_F1] * len(verts), _F1))
-    res = solve_lp(
-        [_F0] * len(verts), eqs=eq_rows, nonneg=True, maximize=False
-    )
+    # Every row times one D > 0: the same pivots and weights as the rational
+    # rows (see `linprog`), and the weights are checked in integers.
+    den, (qs, *vs) = over_common_denominator([q, *verts])
+    n = len(vs)
+    eq_rows = [([v[i] for v in vs], qs[i]) for i in range(polytope.dim)]
+    eq_rows.append(([den] * n, den))
+    res = solve_lp([0] * n, eqs=eq_rows, nonneg=True, maximize=False)
     if res.status is LpStatus.OPTIMAL:
-        weights = res.x
-        if any(w < 0 for w in weights) or sum(weights) != 1 or any(
-            sum(w * v[i] for w, v in zip(weights, verts)) != q[i] for i in range(d)
+        wden, (ws,) = over_common_denominator([res.x])
+        if any(w < 0 for w in ws) or any(
+            _dot(ws, row) != r * wden for row, r in eq_rows
         ):
             raise CertificateError("weights are not a convex mix of the point")
-        return MembershipCertificate(inside=True, weights=weights)
+        return MembershipCertificate(inside=True, weights=res.x)
     sep = _separating_facet(q, VPolytope.from_points(verts).vertices)
     margin = sep.violation(q)
     _check_separator(sep, margin, verts)
@@ -917,18 +919,18 @@ def _separating_facet(
         max w . B(q - c)  s.t.  w . B(v - c) <= 1 for every vertex v,
 
     scaled by `scale`, the vertex count times their common denominator, to
-    integer rows.  It has no equality and no negative right-hand side, so
-    `solve_lp` starts it from the slack basis, with no phase 1; c is
-    relatively interior, so the optimum is bounded, and q is outside iff the
-    optimum exceeds 1 (`scale` after scaling).  A basic optimum is a facet
+    integer rows, and its objective by q's common denominator qden too.  It
+    has no equality and no negative right-hand side, so `solve_lp` starts it
+    from the slack basis, with no phase 1; c is relatively interior, so the
+    optimum is bounded, and q is outside iff the optimum exceeds 1
+    (`scale` qden after scaling).  A basic optimum is a facet
     with maximal normalized violation (g . q - beta) / (beta - g . c).  When
     several facets tie, the one returned is where Bland's rule ends on this
     LP; a two-phase LP over (g, beta) may end on another of them.
     """
     d = len(q)
     n = len(verts)
-    den = lcm(*(x.denominator for v in verts for x in v))
-    ints = [tuple(x.numerator * (den // x.denominator) for x in v) for v in verts]
+    den, ints = over_common_denominator(verts)
     total = tuple(map(sum, zip(*ints)))
     scale = n * den
     centroid = tuple(Fraction(t, scale) for t in total)
@@ -944,9 +946,12 @@ def _separating_facet(
         if val < rhs:
             return reduce_modulo(LinearInequality(tuple(-c for c in nvec), -rhs), ())
     rows = [([_dot(b, v) for b in basis], scale) for v in centered]
-    shifted = [scale * qi - t for qi, t in zip(q, total)]
+    # qden . scale . (q - c), with qden the denominator of q: the objective
+    # times qden > 0, which keeps the pivots and x
+    qden, (qs,) = over_common_denominator([q])
+    shifted = [scale * qi - qden * t for qi, t in zip(qs, total)]
     res = solve_lp([_dot(b, shifted) for b in basis], ineqs=rows)
-    if res.status is not LpStatus.OPTIMAL or res.value <= scale:
+    if res.status is not LpStatus.OPTIMAL or res.value <= scale * qden:
         raise CertificateError(
             "separation failed although the membership LP was infeasible"
         )

@@ -157,22 +157,27 @@ def rationalize_correlation(
 ) -> Correlation:
     """Snap a float table to nearby small rationals and renormalize exactly.
 
-    Raises if any entry moves by more than 1e-9, or if a context's total is
-    too far from one for the exact renormalization to be faithful.
+    Raises if an entry lies outside [0, 1] by more than 1e-9, if any entry
+    moves by more than 1e-9, or if a context's total is too far from one for
+    the exact renormalization to be faithful.  Each is decided exactly: e - 1
+    is exact for a float e in [1/2, 2], and the rest on the floats' rational
+    values.
     """
     if p.exact:
         return p
+    if not all(-_SNAP_TOL <= e and e - 1 <= _SNAP_TOL for e in p.entries):
+        raise ValueError("table entries must lie in [0, 1]")
     s = p.scenario
     approx = [Fraction(e).limit_denominator(max_denominator) for e in p.entries]
     entries = list(approx)
     for block in s.input_blocks():
         total = sum(entries[i] for i in block)
-        if abs(float(total) - 1.0) > _SNAP_TOL:
+        if abs(total - 1) > _SNAP_TOL:
             raise ValueError(f"context total {float(total)} too far from one")
         if total != 1:
             for i in block:
                 entries[i] /= total
-    drift = max(abs(float(f) - e) for f, e in zip(entries, p.entries))
+    drift = max(abs(f - Fraction(e)) for f, e in zip(entries, p.entries))
     if drift > _SNAP_TOL:
-        raise ValueError(f"rationalization moved an entry by {drift}")
+        raise ValueError(f"rationalization moved an entry by {float(drift)}")
     return Correlation(s, tuple(entries))

@@ -88,7 +88,7 @@ def two_phase_gpt_maximum(expression: LinearExpression):
     else:
         lifted = lift_to_bell(expression)
     bell = lifted.scenario
-    res = solve_lp(
+    res = fraction_solve_lp(
         list(lifted.coeffs),
         eqs=no_signalling_polytope(bell).equalities,
         nonneg=True,
@@ -515,7 +515,8 @@ def fraction_prune(ineqs, eqs):
     equalities imply, by the phase-2-only LPs of `polytope._prune_redundant`
     in `Fraction` coordinates: x = x0 + N z over the `_null_space` vectors N
     as they come and the feasible point x0 as the LP returns it, row j as
-    (c_j N) . z <= b_j - c_j . x0 and the cap on row i at s_i + 1.
+    (c_j N) . z <= b_j - c_j . x0 and the cap on row i at s_i + 1.  Every LP
+    runs on the `Fraction` tableau of `fraction_solve_lp`.
     `_prune_redundant` scales each z column and every right-hand side by
     positive constants to reach integer rows; its LPs pivot alike and give
     the same duals."""
@@ -523,7 +524,7 @@ def fraction_prune(ineqs, eqs):
     if not rows:
         return rows
     d = len(rows[0][0])
-    start = solve_lp([0] * d, ineqs=rows, eqs=eqs)
+    start = fraction_solve_lp([0] * d, ineqs=rows, eqs=eqs)
     if start.status is not LpStatus.OPTIMAL:
         return rows
     x0 = start.x
@@ -533,7 +534,7 @@ def fraction_prune(ineqs, eqs):
     while idx < len(rows):
         a, s = local[idx]
         others = rows[:idx] + rows[idx + 1 :]
-        res = solve_lp(a, ineqs=[*local[:idx], *local[idx + 1 :], (a, s + 1)])
+        res = fraction_solve_lp(a, ineqs=[*local[:idx], *local[idx + 1 :], (a, s + 1)])
         if res.status is not LpStatus.OPTIMAL:
             raise CertificateError("a capped pruning LP has no optimum")
         if res.value <= s:
@@ -572,16 +573,19 @@ def two_phase_separating_facet(q, verts) -> LinearInequality:
     eq_rows = [(list(centroid) + [Fraction(-1)], Fraction(-1))]
     for nvec in normals:
         eq_rows.append((list(nvec) + [Fraction(0)], Fraction(0)))
-    res = solve_lp(objective, ineqs=ineq_rows, eqs=eq_rows, nonneg=False, maximize=True)
+    res = fraction_solve_lp(
+        objective, ineqs=ineq_rows, eqs=eq_rows, nonneg=False, maximize=True
+    )
     if res.status is not LpStatus.OPTIMAL or res.value <= 0:
         raise ValueError("the point is not outside the hull")
     return reduce_modulo(LinearInequality(tuple(res.x[:-1]), res.x[-1]), ())
 
 
 def h_maximum(coeffs, h: HPolytope) -> Fraction:
-    """Exact maximum of coeffs . x over an H-polytope, by one LP.
-    `polytope.maximize_linear` scans a vertex list instead."""
-    res = solve_lp(
+    """Exact maximum of coeffs . x over an H-polytope, by one LP on the
+    `Fraction` tableau.  `polytope.maximize_linear` scans a vertex list
+    instead."""
+    res = fraction_solve_lp(
         list(coeffs),
         ineqs=[(list(q.coeffs), q.bound) for q in h.inequalities],
         eqs=[(list(c), r) for c, r in h.equalities],
@@ -616,8 +620,10 @@ def h_polytopes_equal(h1: HPolytope, h2: HPolytope) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# The simplex over a `Fraction` tableau.  `linprog.solve_lp` runs the same
-# Bland pivots on reduced int pairs; this is the tableau it replaced.
+# The simplex over a full `Fraction` tableau, every slack and artificial
+# column stored.  `linprog.solve_lp` runs the same Bland pivots on reduced
+# int pairs and stores only the nonbasic columns.  This takes anything
+# `Fraction()` accepts.
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)

@@ -121,6 +121,68 @@ def test_bad_dual_raises():
         _check_dual([F(1), F(1)], [2, 3], ineqs, [], False, True, F(18))
 
 
+# x0 + x1 = 1 (an equality) and x0 + x1 <= 0 cannot both hold.  y = (1/2,
+# -1/2, 0) proves it, tight in every condition: the multiplier of x1 <= 5
+# is 0, y . rhs is one unit (1/2) above 0 and y . A is 0.
+FARKAS = ([[1, 1], [1, 1], [0, 1]], [1, 0, 5], [F(1, 2), F(-1, 2), 0])
+
+
+@pytest.mark.parametrize("rows_as", [1, F(1, 3)], ids=["int-rows", "fraction-rows"])
+@pytest.mark.parametrize("y_as", [1, 2], ids=["fraction-y", "int-y"])
+@pytest.mark.parametrize(
+    "entry, step, nonneg, message",
+    [
+        (2, 1, True, "wrong sign"),
+        (0, -1, True, "does not witness"),
+        (0, 1, True, "column inequality"),
+        (1, -1, False, "column inequality"),  # y . A < 0 is enough only for x >= 0
+    ],
+    ids=["sign", "rhs", "columns", "free-columns"],
+)
+def test_farkas_check_fails_one_unit_off(rows_as, y_as, entry, step, nonneg, message):
+    rows, rhs, y = FARKAS
+    rows = [[a * rows_as for a in row] for row in rows]
+    rhs = [b * rows_as for b in rhs]
+    y = [v * y_as for v in y]
+    _check_farkas(y, rows, rhs, 1, nonneg)
+    y[entry] += step * F(y_as, 2)  # one unit of y
+    if entry == 1:
+        _check_farkas(y, rows, rhs, 1, True)
+    with pytest.raises(CertificateError, match=message):
+        _check_farkas(y, rows, rhs, 1, nonneg)
+
+
+# max 2x + 3y s.t. 3x + 4y <= 12, x + 3y <= 6, x <= 10 over x, y >= 0 has
+# the optimum 42/5, proved by y = (3/5, 1/5, 0), tight in every condition:
+# the multiplier of x <= 10 is 0 and y . A equals the objective.  One unit
+# of y is 1/5.
+DUAL = ([2, 3], [([3, 4], 12), ([1, 3], 6), ([1, 0], 10)], [F(3, 5), F(1, 5), 0])
+
+
+@pytest.mark.parametrize("rows_as", [1, F(1, 3)], ids=["int-rows", "fraction-rows"])
+@pytest.mark.parametrize(
+    "change, nonneg, message",
+    [
+        (("y", 2, -1), True, "wrong sign"),
+        (("y", 0, 1), True, "do not attain"),
+        (("objective", 1, 1), True, "infeasible"),
+        (("objective", 1, -1), False, "infeasible"),  # free x needs y . A == objective
+    ],
+    ids=["sign", "attainment", "feasibility", "free-feasibility"],
+)
+def test_dual_check_fails_one_unit_off(rows_as, change, nonneg, message):
+    objective, ineqs, y = DUAL
+    ineqs = [([a * rows_as for a in c], b * rows_as) for c, b in ineqs]
+    y = [F(v) / rows_as for v in y]  # rows times k take the multipliers over k
+    objective = list(objective)
+    _check_dual(y, objective, ineqs, [], nonneg, True, F(42, 5))
+    which, entry, step = change
+    target = y if which == "y" else objective
+    target[entry] += step * F(1, 5)  # one unit
+    with pytest.raises(CertificateError, match=message):
+        _check_dual(y, objective, ineqs, [], nonneg, True, F(42, 5))
+
+
 @pytest.mark.parametrize("eqs", [[], [([1, 1], 1)]], ids=["slack-start", "two-phase"])
 def test_tampered_lp_dual_raises(monkeypatch, eqs):
     args = dict(ineqs=[([1, 0], 1), ([0, 1], 1)], eqs=eqs, nonneg=True)
@@ -128,8 +190,8 @@ def test_tampered_lp_dual_raises(monkeypatch, eqs):
     simplex = linprog._simplex_standard
 
     def tampered(*a):
-        status, x, y = simplex(*a)
-        return status, x, [v + F(1, 3) for v in y]
+        status, x, y = simplex(*a)  # y as (numerator, denominator) pairs
+        return status, x, [(3 * n + d, 3 * d) for n, d in y]  # y + 1/3
 
     monkeypatch.setattr(linprog, "_simplex_standard", tampered)
     with pytest.raises(CertificateError, match="dual"):

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import json
 import os
 import random
@@ -191,6 +192,11 @@ HAND_WRITTEN = [
     ' "entries": ["1", "0", "0", "0", "1", "0", "0", "0"]}',
     "[]",
     "",
+    # entries far outside [0, 1]: their context total overflows a float
+    '{"scenario": {"kind": "instrumental", "nX": 2, "nY": 2, "nA": 2, "nB": 2},'
+    ' "entries": [1e308, 1e308, 0, 0, 0, 0, 0, 0]}',
+    '{"scenario": {"kind": "instrumental", "nX": 2, "nY": 2, "nA": 2, "nB": 2},'
+    ' "entries": [-1e308, 1e308, 0, 0, 0, 0, 1, 0]}',
 ]
 
 
@@ -414,6 +420,34 @@ def test_identity_pool_check_catches_a_wrong_residual(monkeypatch, capsys, trial
     assert capsys.readouterr().out.splitlines()[-1] == (
         "max |residual| over every deterministic box: 1"
     )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["facets", "--gpt", "-x", "2"],
+        ["bounds", "chsh"],
+        ["membership", "PR", "--theory", "nosignalling"],
+        ["identity", "bonet"],
+    ],
+    ids=["facets", "bounds", "membership", "identity"],
+)
+def test_json_output_leaves_no_reference_cycles(capsys, pr_file, argv):
+    # json's indenting encoder runs in pure Python and leaves cyclic garbage
+    # on every call, so peak memory followed the collector's timing.  The
+    # command prints the same bytes and leaves nothing for gc.collect().
+    argv = [pr_file if a == "PR" else a for a in argv] + ["--format", "json"]
+    main(argv)  # fill the caches a first call fills
+    capsys.readouterr()
+    gc.collect()
+    gc.disable()
+    try:
+        main(argv)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    out = capsys.readouterr().out
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
 def test_main_reuses_one_parser(monkeypatch, capsys):

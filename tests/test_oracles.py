@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import instrumental.inequalities as inequalities
 import instrumental.linprog as linprog
 import instrumental.polytope as polytope
 from instrumental.inequalities import (
@@ -12,6 +13,7 @@ from instrumental.inequalities import (
     _square_free,
     catalog,
     classical_maximum,
+    extension_membership,
     gpt_maximum,
     lift_to_bell,
     pearl_expressions,
@@ -36,13 +38,15 @@ from instrumental.polytope import (
     normalization_equalities,
     reduce_modulo,
 )
-from instrumental.rationals import integerize
+from instrumental.rationals import integerize, over_common_denominator
 from instrumental.scenario import (
     Correlation,
     Kind,
     Scenario,
     classical_correlations,
+    dummy_input_extension,
     mix_correlations,
+    postselect,
     strategy_to_correlation,
     validate,
 )
@@ -289,26 +293,26 @@ def test_prune_redundant_matches_two_phase_oracle(kind):
     assert kept and (pruned or kind == "infeasible")
 
 
-def _pruning_trace(monkeypatch, prune, module, rows, eqs):
+def _pruning_trace(monkeypatch, prune, module, solver, tableau, rows, eqs):
     """The rows `prune` keeps and, for each LP it solves through
-    `module.solve_lp`, in order: the status, the duals and the (row, column)
-    of every pivot."""
-    lps, pivots = [], []
-    pivot, solve = linprog._pivot, module.solve_lp
+    `module.<solver>`, in order: the status, the duals and the basis labels
+    after every pivot of `tableau._pivot`."""
+    lps, bases = [], []
+    pivot, solve = tableau._pivot, getattr(module, solver)
 
-    def recorded_pivot(tab, basis, row_i, col, *obj):
-        pivots.append((row_i, col))
-        return pivot(tab, basis, row_i, col, *obj)
+    def recorded_pivot(tab, basis, *args):
+        pivot(tab, basis, *args)
+        bases.append(tuple(basis))
 
     def recorded_solve(*args, **kwargs):
         res = solve(*args, **kwargs)
-        lps.append((res.status, res.dual, tuple(pivots)))
-        pivots.clear()
+        lps.append((res.status, res.dual, tuple(bases)))
+        bases.clear()
         return res
 
     with monkeypatch.context() as m:
-        m.setattr(linprog, "_pivot", recorded_pivot)
-        m.setattr(module, "solve_lp", recorded_solve)
+        m.setattr(tableau, "_pivot", recorded_pivot)
+        m.setattr(module, solver, recorded_solve)
         return prune(rows, eqs), lps
 
 
@@ -332,8 +336,11 @@ def _gpt_pruning_input(monkeypatch, s):
 def _assert_same_pruning(monkeypatch, rows, eqs):
     # Integer local coordinates scale each LP's columns and right-hand sides
     # by positive constants: the same kept rows, duals and pivots.
-    got = _pruning_trace(monkeypatch, _prune_redundant, polytope, rows, eqs)
-    assert got == _pruning_trace(monkeypatch, fraction_prune, oracles, rows, eqs)
+    got = _pruning_trace(monkeypatch, _prune_redundant, polytope, "solve_lp", linprog, rows, eqs)
+    want = _pruning_trace(
+        monkeypatch, fraction_prune, oracles, "fraction_solve_lp", oracles, rows, eqs
+    )
+    assert got == want
     lps = got[1]
     assert len(lps) == 1 + (len(rows) if lps[0][0] is LpStatus.OPTIMAL else 0)
 
@@ -731,34 +738,143 @@ def _random_lp(rng, family):
     return row(), ineqs, eqs, nonneg, rng.random() < 0.5
 
 
-def _traced_bases(monkeypatch, module):
-    """Record the basis after every pivot of the module's tableau."""
+def _traced(monkeypatch, module, solve, objective, kwargs):
+    """`solve(objective, **kwargs)` and the basis labels after every pivot of
+    `module._pivot`."""
     bases = []
     pivot = module._pivot
 
-    def traced(*args):
-        pivot(*args)
-        bases.append(list(args[1]))
+    def traced(tab, basis, *args):
+        pivot(tab, basis, *args)
+        bases.append(tuple(basis))
 
-    monkeypatch.setattr(module, "_pivot", traced)
-    return bases
+    with monkeypatch.context() as m:
+        m.setattr(module, "_pivot", traced)
+        return solve(objective, **kwargs), bases
+
+
+def _integer_lp(objective, ineqs, eqs):
+    """(c, r, objective, ineqs, eqs): the objective times c > 0 and every row
+    times one r > 0, the lcms of their denominators, as `int`s."""
+    c, (obj,) = over_common_denominator([objective])
+    r, ints = over_common_denominator([(*coeffs, b) for coeffs, b in [*eqs, *ineqs]])
+    rows = [(list(row[:-1]), row[-1]) for row in ints]
+    return c, r, list(obj), rows[len(eqs):], rows[: len(eqs)]
+
+
+def _assert_matches_oracle(monkeypatch, lp, got, bases, c, r, rational):
+    """The oracle's full `Fraction` tableau solves the integer LP `lp` =
+    (objective, kwargs) to `got` through the same bases.  On `rational`, the
+    LP that `lp` scales by c > 0 (objective) and r > 0 (every row), it takes
+    the same bases to the same status and x, the value over c, the duals
+    times r / c and the same Farkas vector."""
+    assert _traced(monkeypatch, oracles, fraction_solve_lp, *lp) == (got, bases)
+    want, want_bases = _traced(monkeypatch, oracles, fraction_solve_lp, *rational)
+    assert want_bases == bases
+    assert (got.status, got.x, got.farkas) == (want.status, want.x, want.farkas)
+    assert got.value == (None if want.value is None else c * want.value)
+    assert got.dual == (None if want.dual is None else tuple(v * c / r for v in want.dual))
 
 
 @pytest.mark.parametrize("family", LP_FAMILIES)
 def test_pair_tableau_matches_fraction_oracle(monkeypatch, family):
+    # The random rational LP goes to `solve_lp` with its objective and its
+    # rows scaled to integers, one factor each.
     rng = random.Random(LP_FAMILIES.index(family))
-    pair_bases = _traced_bases(monkeypatch, linprog)
-    fraction_bases = _traced_bases(monkeypatch, oracles)
     statuses = set()
     for _ in range(25):
         objective, ineqs, eqs, nonneg, maximize = _random_lp(rng, family)
-        kwargs = dict(ineqs=ineqs, eqs=eqs, nonneg=nonneg, maximize=maximize)
-        got = linprog.solve_lp(objective, **kwargs)
-        want = fraction_solve_lp(objective, **kwargs)
-        assert got == want
-        assert pair_bases == fraction_bases
+        c, r, obj, int_ineqs, int_eqs = _integer_lp(objective, ineqs, eqs)
+        flags = dict(nonneg=nonneg, maximize=maximize)
+        lp = obj, dict(ineqs=int_ineqs, eqs=int_eqs, **flags)
+        got, bases = _traced(monkeypatch, linprog, linprog.solve_lp, *lp)
+        rational = objective, dict(ineqs=ineqs, eqs=eqs, **flags)
+        _assert_matches_oracle(monkeypatch, lp, got, bases, c, r, rational)
         statuses.add(got.status)
     expected = {
         "infeasible": LpStatus.INFEASIBLE, "unbounded": LpStatus.UNBOUNDED
     }.get(family, LpStatus.OPTIMAL)
     assert statuses == {expected}
+
+
+def _caller_lps(monkeypatch, run):
+    """Each LP that `run()` hands `solve_lp` through `polytope` or
+    `inequalities`, as ((objective, kwargs), result, basis labels after each
+    pivot)."""
+    lps = []
+    solve = linprog.solve_lp
+
+    def recorded(objective, **kwargs):
+        res, bases = _traced(monkeypatch, linprog, solve, objective, kwargs)
+        # a snapshot: `_prune_redundant` deletes rows from its list later
+        rows = {k: list(kwargs.get(k, ())) for k in ("ineqs", "eqs")}
+        lps.append(((objective, dict(kwargs, **rows)), res, bases))
+        return res
+
+    with monkeypatch.context() as m:
+        for module in (polytope, inequalities):
+            m.setattr(module, "solve_lp", recorded)
+        run()
+    return lps
+
+
+def _signalling_table():
+    """Alice always answers 0, so Bob always gets y = 0, yet Bob's answer
+    follows x: no no-signalling box post-selects to it."""
+    s = Scenario.instrumental(2)
+    entries = [Fraction(0)] * s.dim
+    entries[s.index(0, 0, 0)] = entries[s.index(1, 0, 1)] = Fraction(1)
+    return Correlation(s, tuple(entries))
+
+
+def _pr3():
+    """The PR box with a dummy third input, wired: outside the classical set."""
+    return postselect(dummy_input_extension(oracles.pr_box()), Scenario.instrumental(3))
+
+
+def _project(n):
+    s = Scenario.instrumental(n)
+    return fourier_motzkin_project(no_signalling_polytope(s.parent_bell()), s.wired_indices())
+
+
+CALLER_RUNS = {
+    # membership (optimal)
+    "classical-inside-x2": (
+        lambda: extension_membership(postselect(oracles.pr_box(), Scenario.instrumental(2)), "classical"),
+        {LpStatus.OPTIMAL},
+    ),
+    # membership (infeasible), then _separating_facet
+    "classical-outside-x3": (
+        lambda: extension_membership(_pr3(), "classical"), {LpStatus.INFEASIBLE, LpStatus.OPTIMAL}
+    ),
+    "nosignalling-inside-x3": (
+        lambda: extension_membership(_pr3(), "nosignalling"), {LpStatus.OPTIMAL}
+    ),
+    # extension_membership (infeasible), then gpt_maximum of its functional
+    "nosignalling-outside-x2": (
+        lambda: extension_membership(_signalling_table(), "nosignalling"),
+        {LpStatus.INFEASIBLE, LpStatus.OPTIMAL},
+    ),
+    "gpt-maximum-x3": (lambda: gpt_maximum(catalog("bonet")), {LpStatus.OPTIMAL}),
+    # _prune_redundant
+    "pruning-x2": (lambda: _project(2), {LpStatus.OPTIMAL}),
+    "pruning-x3": (lambda: _project(3), {LpStatus.OPTIMAL}),
+}
+
+
+@pytest.mark.parametrize("case", CALLER_RUNS)
+def test_caller_lps_match_fraction_oracle(monkeypatch, case):
+    # Every caller hands `solve_lp` integer rows; the oracle's full tableau
+    # solves them alike, and so it does the rational LP they scale (here by
+    # 1/5 on the objective and 1/7 on every row).
+    run, statuses = CALLER_RUNS[case]
+    lps = _caller_lps(monkeypatch, run)
+    assert {res.status for _, res, _ in lps} == statuses
+    for (objective, kwargs), got, bases in lps:
+        rows = [*kwargs["eqs"], *kwargs["ineqs"]]
+        assert all(type(v) is int for v in (*objective, *(x for c, b in rows for x in (*c, b))))
+        rational = [Fraction(a, 5) for a in objective], dict(kwargs, **{
+            k: [([Fraction(a, 7) for a in c], Fraction(b, 7)) for c, b in kwargs[k]]
+            for k in ("ineqs", "eqs")
+        })
+        _assert_matches_oracle(monkeypatch, (objective, kwargs), got, bases, 5, 7, rational)
