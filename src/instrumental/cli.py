@@ -25,8 +25,7 @@ from .inequalities import (
     extension_membership,
     facet_orbit_classify,
     gpt_maximum,
-    identity_check,
-    identity_residual_expression,
+    identity_max_residual,
     symmetry_group,
     verify_identity,
 )
@@ -47,7 +46,6 @@ from .scenario import (
     Kind,
     Scenario,
     append_dummy_input,
-    classical_correlations,
     dummy_input_extension,
     postselect,
 )
@@ -320,14 +318,8 @@ def cmd_identity(args) -> int:
     if args.trials < 0:
         raise ValueError(f"--trials takes a count >= 0, got {args.trials}")
     params = dict(alpha=args.alpha, n=args.n)
-    bell = identity_residual_expression(args.kind, **params).scenario
     symbolic = verify_identity(args.kind, **params)
-    # The residual is affine and the deterministic boxes span the no-signalling
-    # affine hull, so its values on them decide it on every box and mixture.
-    worst = max(
-        abs(identity_check(args.kind, p, **params))
-        for p in classical_correlations(bell)
-    )
+    worst = identity_max_residual(args.kind, **params)
     doc = {
         "kind": args.kind,
         "symbolic": symbolic,
@@ -393,8 +385,9 @@ def _build_parser() -> _Parser:
     i.add_argument("--alpha", help="weight for the tilted family")
     i.add_argument("--n", type=int, help="length for the chained family")
     i.add_argument("--trials", type=int, default=500,
-                   help="not used: every deterministic box is checked; the "
-                        "count is only echoed in the output")
+                   help="not used: the residual is decided exactly on boxes "
+                        "that span the no-signalling set; the count is only "
+                        "echoed in the output")
     i.add_argument("--seed", type=int, default=0,
                    help="not used: nothing is sampled; accepted so existing "
                         "command lines still parse")

@@ -21,6 +21,7 @@ from .polytope import (
     MembershipCertificate,
     VPolytope,
     _eliminate_leads,
+    _rank,
     membership,
     no_signalling_polytope,
     normalization_equalities,
@@ -35,6 +36,7 @@ from .scenario import (
     Scenario,
     _check_strategy_count,
     enumerate_deterministic_strategies,
+    iter_deterministic_strategies,
     strategy_to_correlation,
     validate,
 )
@@ -50,6 +52,7 @@ __all__ = [
     "bounds",
     "lift_to_bell",
     "identity_check",
+    "identity_max_residual",
     "identity_residual_expression",
     "verify_identity",
     "symmetry_group",
@@ -535,6 +538,48 @@ def identity_check(kind: str, p: Correlation, *, alpha=None, n=None) -> Fraction
     if not (report.normalized and report.no_signalling):
         raise ValueError("the identity holds only for no-signalling boxes")
     return residual.evaluate(p)
+
+
+def _spanning_boxes(bell: Scenario) -> list[Correlation]:
+    """The deterministic boxes of a two-outcome Bell scenario in which each
+    party outputs 1 on at most one input: (nX+1)(nY+1) of them, which
+    affinely span its no-signalling set."""
+    def responses(m: int) -> list[tuple[int, ...]]:
+        return [(0,) * m] + [tuple(int(i == k) for i in range(m)) for k in range(m)]
+
+    return [
+        strategy_to_correlation(DeterministicStrategy(bell, a, b))
+        for a in responses(bell.nX)
+        for b in responses(bell.nY)
+    ]
+
+
+def identity_max_residual(kind: str, *, alpha=None, n=None) -> Fraction:
+    """Largest |residual| of the lifting identity over every deterministic box.
+
+    The residual is affine, so it is zero on the whole no-signalling set when
+    it is zero on boxes whose homogenized rows (1, p) have rank one more than
+    that set's affine dimension.  Zero is decided on `_spanning_boxes`, each
+    validated by `identity_check`, and their rank is checked here whatever
+    picked them: a shortfall raises CertificateError.  Only a nonzero residual
+    sends the scan through every deterministic box, one box at a time and
+    under the strategy-count limit.
+    """
+    bell = identity_residual_expression(kind, alpha=alpha, n=n).scenario
+    boxes = _spanning_boxes(bell)
+    worst = max(abs(identity_check(kind, p, alpha=alpha, n=n)) for p in boxes)
+    hull_rank = bell.dim - len(no_signalling_polytope(bell).equalities) + 1
+    if _rank([(1, *p.entries) for p in boxes]) != hull_rank:
+        raise CertificateError(
+            f"the {len(boxes)} boxes checked do not span the no-signalling set "
+            f"(affine rank {hull_rank} needed)"
+        )
+    if worst == 0:
+        return worst
+    return max(
+        abs(identity_check(kind, strategy_to_correlation(d), alpha=alpha, n=n))
+        for d in iter_deterministic_strategies(bell)
+    )
 
 
 def verify_identity(kind: str, *, alpha=None, n=None) -> bool:

@@ -33,6 +33,7 @@ __all__ = [
     "Correlation",
     "DeterministicStrategy",
     "ValidationReport",
+    "iter_deterministic_strategies",
     "enumerate_deterministic_strategies",
     "strategy_to_correlation",
     "classical_correlations",
@@ -265,19 +266,28 @@ def _check_strategy_count(s: Scenario, limit: int = 10**7) -> None:
         )
 
 
+def iter_deterministic_strategies(
+    s: Scenario, limit: int = 10**7
+) -> Iterator[DeterministicStrategy]:
+    """All deterministic strategies in lexicographic (alpha, beta) order, one
+    at a time.
+
+    Raises CapacityError at the call, before any strategy is made, when the
+    count exceeds `limit`.
+    """
+    _check_strategy_count(s, limit)
+    return (
+        DeterministicStrategy(s, alpha, beta)
+        for alpha in itertools.product(range(s.nA), repeat=s.nX)
+        for beta in itertools.product(range(s.nB), repeat=s.nY)
+    )
+
+
 def enumerate_deterministic_strategies(
     s: Scenario, limit: int = 10**7
 ) -> list[DeterministicStrategy]:
-    """All deterministic strategies in lexicographic (alpha, beta) order.
-
-    Raises CapacityError before iterating when the count exceeds `limit`.
-    """
-    _check_strategy_count(s, limit)
-    out = []
-    for alpha in itertools.product(range(s.nA), repeat=s.nX):
-        for beta in itertools.product(range(s.nB), repeat=s.nY):
-            out.append(DeterministicStrategy(s, alpha, beta))
-    return out
+    """`iter_deterministic_strategies` as a list."""
+    return list(iter_deterministic_strategies(s, limit))
 
 
 def strategy_to_correlation(d: DeterministicStrategy) -> Correlation:

@@ -13,7 +13,13 @@ from typing import Sequence
 import numpy as np
 
 from instrumental.errors import CapacityError, CertificateError
-from instrumental.inequalities import LinearExpression, _relabelling_map, lift_to_bell
+from instrumental.inequalities import (
+    LinearExpression,
+    _relabelling_map,
+    identity_check,
+    identity_residual_expression,
+    lift_to_bell,
+)
 from instrumental.linprog import LpResult, LpStatus, _check_dual, _check_farkas, solve_lp
 from instrumental.polytope import (
     Equality,
@@ -38,6 +44,7 @@ from instrumental.scenario import (
     Kind,
     Scenario,
     ValidationReport,
+    classical_correlations,
     enumerate_deterministic_strategies,
     postselect,
     strategy_to_correlation,
@@ -450,6 +457,18 @@ def postselected_strategy_columns(s: Scenario) -> list[tuple[Fraction, ...]]:
         postselect(strategy_to_correlation(d), s).entries
         for d in enumerate_deterministic_strategies(s.parent_bell())
     ]
+
+
+def full_box_residual_max(kind: str, *, alpha=None, n=None) -> Fraction:
+    """Largest |residual| of the lifting identity over every deterministic box
+    of its Bell scenario, all of them held in one list.
+    `identity_max_residual` decides zero on a certified spanning set of
+    (nX+1)(nY+1) boxes instead of these 2^(nX+nY)."""
+    bell = identity_residual_expression(kind, alpha=alpha, n=n).scenario
+    return max(
+        abs(identity_check(kind, p, alpha=alpha, n=n))
+        for p in classical_correlations(bell)
+    )
 
 
 def hashed_classical_correlations(s: Scenario) -> list[Correlation]:

@@ -10,8 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from instrumental import cli, inequalities, io, polytope
+from instrumental import cli, inequalities, io, polytope, scenario
 from instrumental.cli import main
+from instrumental.errors import CertificateError
 from instrumental.inequalities import catalog, gpt_maximum
 from instrumental.quantum import born_table, tilted_search
 from instrumental.scenario import Scenario, postselect
@@ -420,6 +421,74 @@ def test_identity_pool_check_catches_a_wrong_residual(monkeypatch, capsys, trial
     assert capsys.readouterr().out.splitlines()[-1] == (
         "max |residual| over every deterministic box: 1"
     )
+
+
+def test_identity_decides_a_correct_identity_on_spanning_boxes(monkeypatch, capsys):
+    # chained n = 7 lives on Bell(8, 7): (8+1)(7+1) = 72 boxes, not 2^15
+    seen = []
+    check = inequalities.identity_check
+
+    def spy(kind, p, **params):
+        seen.append(p.entries)
+        return check(kind, p, **params)
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a correct identity needs no full box scan")
+
+    monkeypatch.setattr(inequalities, "identity_check", spy)
+    monkeypatch.setattr(inequalities, "iter_deterministic_strategies", unreachable)
+    for module in (scenario, polytope, inequalities, cli):
+        if hasattr(module, "classical_correlations"):
+            monkeypatch.setattr(module, "classical_correlations", unreachable)
+    assert main(["identity", "chained", "--n", "7", "--trials", "0"]) == 0
+    assert capsys.readouterr().out.endswith(": 0\n")
+    assert len(seen) == len(set(seen)) == 72
+
+
+def test_identity_chained_10_is_decided_exactly(capsys):
+    argv = ["identity", "chained", "--n", "10", "--trials", "0", "--format", "json"]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["max_abs_residual"] == "0"
+
+
+def test_identity_wrong_residual_scan_keeps_the_strategy_limit(monkeypatch, capsys):
+    # a wrong residual sends the scan through every deterministic box, which
+    # must still trip the strategy-count limit before building any
+    right = inequalities.identity_residual_expression("bonet")
+    coeffs = list(right.coeffs)
+    coeffs[0] += 1
+    wrong = inequalities.LinearExpression(right.scenario, tuple(coeffs), right.constant)
+    stream = inequalities.iter_deterministic_strategies
+    monkeypatch.setattr(inequalities, "identity_residual_expression",
+                        lambda kind, **params: wrong)
+    monkeypatch.setattr(cli, "verify_identity", lambda kind, **params: True)
+    monkeypatch.setattr(inequalities, "iter_deterministic_strategies",
+                        lambda s: stream(s, limit=31))
+    assert main(["identity", "bonet"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "capacity: 32 deterministic strategies exceed the limit of 31\n"
+
+
+@pytest.mark.parametrize("drop", range(12))
+def test_identity_short_spanning_set_fails_its_certificate(monkeypatch, capsys, drop):
+    pick = inequalities._spanning_boxes
+
+    def short(bell):
+        boxes = pick(bell)
+        return boxes[:drop] + boxes[drop + 1:]
+
+    monkeypatch.setattr(inequalities, "_spanning_boxes", short)
+    with pytest.raises(CertificateError, match="11 boxes checked do not span"):
+        inequalities.identity_max_residual("bonet")
+    if drop == 0:
+        assert main(["identity", "bonet"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "certificate: the 11 boxes checked do not span the no-signalling set "
+            "(affine rank 12 needed)\n"
+        )
 
 
 @pytest.mark.parametrize(

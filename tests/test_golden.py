@@ -55,6 +55,7 @@ CASES = {
     "bounds_chained_bell_4": ["bounds", "chained_bell", "4"],
     "identity_bonet_20": ["identity", "bonet", "--trials", "20"],
     "identity_chained_3_5": ["identity", "chained", "--n", "3", "--trials", "5"],
+    "identity_chained_7_0": ["identity", "chained", "--n", "7", "--trials", "0"],
     "membership_wired_pr": ["membership", "{wired_pr}", "--theory", "classical"],
     "membership_wired_pr_local": [
         "membership", "{wired_pr}", "--theory", "classical", "--with-local-processing",

@@ -1,13 +1,17 @@
 """Test oracles against the routes the package uses."""
 
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+import instrumental.cli as cli
 import instrumental.inequalities as inequalities
+import instrumental.io as io
 import instrumental.linprog as linprog
 import instrumental.polytope as polytope
+from instrumental.cli import main
 from instrumental.inequalities import (
     LinearExpression,
     _square_free,
@@ -624,6 +628,60 @@ def test_adjacency_decomposition_matches_double_description(args):
 )
 def test_classical_correlations_match_hashed_dedup(s):
     assert classical_correlations(s) == hashed_classical_correlations(s)
+
+
+IDENTITY_CASES = [
+    (["bonet"], {}),
+    *((["tilted", "--alpha", a], {"alpha": a}) for a in ("1", "3/2", "3", "10")),
+    *((["chained", "--n", str(n)], {"n": n}) for n in (2, 3, 4)),
+]
+
+
+def _identity_ids(case):
+    return " ".join(case[0])
+
+
+def _identity_run(capsys, flags):
+    """Exit code and the maximum `identity` prints in its last line."""
+    code = main(["identity", *flags, "--trials", "0"])
+    return code, capsys.readouterr().out.splitlines()[-1].rsplit(": ", 1)[1]
+
+
+@pytest.mark.parametrize("case", IDENTITY_CASES, ids=_identity_ids)
+def test_identity_route_matches_full_box_oracle(capsys, case):
+    flags, params = case
+    assert oracles.full_box_residual_max(flags[0], **params) == 0
+    assert inequalities.identity_max_residual(flags[0], **params) == 0
+    assert _identity_run(capsys, flags) == (0, "0")
+    assert main(["identity", *flags, "--trials", "0", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["max_abs_residual"] == "0"
+
+
+# chained n = 4 is left out: its 81 residuals, each scanned over 512 boxes by
+# the command and the oracle, took 12 s (it passed)
+@pytest.mark.parametrize("case", IDENTITY_CASES[:-1], ids=_identity_ids)
+def test_identity_route_matches_full_box_oracle_on_wrong_residuals(
+    monkeypatch, capsys, case
+):
+    # +1 on one coordinate of the residual, for each coordinate in turn, then
+    # on every p(11|xy) at once, which is nX*nY on the all-ones box but at
+    # most 1 on a spanning box; the symbolic proof is stubbed out so that
+    # only the box check can fail
+    flags, params = case
+    right = inequalities.identity_residual_expression(flags[0], **params)
+    bell = right.scenario
+    ones = [bell.index(x, y, 1, 1) for x in range(bell.nX) for y in range(bell.nY)]
+    monkeypatch.setattr(cli, "verify_identity", lambda kind, **params: True)
+    for plus in [*([i] for i in range(bell.dim)), ones]:
+        coeffs = list(right.coeffs)
+        for i in plus:
+            coeffs[i] += 1
+        wrong = LinearExpression(bell, tuple(coeffs), right.constant)
+        monkeypatch.setattr(inequalities, "identity_residual_expression",
+                            lambda kind, **params: wrong)
+        want = oracles.full_box_residual_max(flags[0], **params)
+        assert want > 0
+        assert _identity_run(capsys, flags) == (3, io.fraction_to_str(want))
 
 
 def _random_expressions(s, count):

@@ -13,6 +13,7 @@ from instrumental.scenario import (
     classical_correlations,
     dummy_input_extension,
     enumerate_deterministic_strategies,
+    iter_deterministic_strategies,
     mix_correlations,
     postselect,
     strategy_to_correlation,
@@ -76,6 +77,9 @@ def test_strategy_counts():
     assert len(enumerate_deterministic_strategies(Scenario.bell(3, 2))) == 32
     with pytest.raises(CapacityError):
         enumerate_deterministic_strategies(INSTR3, limit=31)
+    # the streaming form checks at the call, before its first strategy
+    with pytest.raises(CapacityError):
+        iter_deterministic_strategies(INSTR3, limit=31)
 
 
 def test_strategy_to_correlation_bell():
