@@ -45,6 +45,7 @@ from .quantum import (
 from .scenario import (
     Kind,
     Scenario,
+    _check_strategy_count,
     append_dummy_input,
     dummy_input_extension,
     postselect,
@@ -182,6 +183,9 @@ def cmd_bounds(args) -> int:
     alpha, n = check_catalog_params(
         kind, None if chained else args.param, args.param if chained else None
     )
+    if chained:  # before Bell(n + 1, n) or any expression over it is built
+        s = Scenario.chained(n) if kind == "chained" else Scenario.bell(n, n)
+        _check_strategy_count(s)
     e = catalog(kind, alpha=alpha, n=n)
     triple = bounds(kind, alpha=alpha, n=n)
 
@@ -385,9 +389,9 @@ def _build_parser() -> _Parser:
     i.add_argument("--alpha", help="weight for the tilted family")
     i.add_argument("--n", type=int, help="length for the chained family")
     i.add_argument("--trials", type=int, default=500,
-                   help="not used: the residual is decided exactly on boxes "
-                        "that span the no-signalling set; the count is only "
-                        "echoed in the output")
+                   help="not used: the residual is decided exactly in "
+                        "Collins-Gisin coordinates; the count is only echoed "
+                        "in the output")
     i.add_argument("--seed", type=int, default=0,
                    help="not used: nothing is sampled; accepted so existing "
                         "command lines still parse")

@@ -20,15 +20,13 @@ from .polytope import (
     LinearInequality,
     MembershipCertificate,
     VPolytope,
-    _eliminate_leads,
-    _rank,
     membership,
     no_signalling_polytope,
     normalization_equalities,
     reduce_modulo,
 )
 from .linprog import LpStatus, solve_lp
-from .rationals import integerize, over_common_denominator
+from .rationals import over_common_denominator
 from .scenario import (
     Correlation,
     DeterministicStrategy,
@@ -540,42 +538,16 @@ def identity_check(kind: str, p: Correlation, *, alpha=None, n=None) -> Fraction
     return residual.evaluate(p)
 
 
-def _spanning_boxes(bell: Scenario) -> list[Correlation]:
-    """The deterministic boxes of a two-outcome Bell scenario in which each
-    party outputs 1 on at most one input: (nX+1)(nY+1) of them, which
-    affinely span its no-signalling set."""
-    def responses(m: int) -> list[tuple[int, ...]]:
-        return [(0,) * m] + [tuple(int(i == k) for i in range(m)) for k in range(m)]
-
-    return [
-        strategy_to_correlation(DeterministicStrategy(bell, a, b))
-        for a in responses(bell.nX)
-        for b in responses(bell.nY)
-    ]
-
-
 def identity_max_residual(kind: str, *, alpha=None, n=None) -> Fraction:
     """Largest |residual| of the lifting identity over every deterministic box.
 
-    The residual is affine, so it is zero on the whole no-signalling set when
-    it is zero on boxes whose homogenized rows (1, p) have rank one more than
-    that set's affine dimension.  Zero is decided on `_spanning_boxes`, each
-    validated by `identity_check`, and their rank is checked here whatever
-    picked them: a shortfall raises CertificateError.  Only a nonzero residual
-    sends the scan through every deterministic box, one box at a time and
-    under the strategy-count limit.
+    Zero when `verify_identity` holds: the residual then vanishes on the
+    whole no-signalling set.  Otherwise the scan runs through every
+    deterministic box, one box at a time and under the strategy-count limit.
     """
+    if verify_identity(kind, alpha=alpha, n=n):
+        return F0
     bell = identity_residual_expression(kind, alpha=alpha, n=n).scenario
-    boxes = _spanning_boxes(bell)
-    worst = max(abs(identity_check(kind, p, alpha=alpha, n=n)) for p in boxes)
-    hull_rank = bell.dim - len(no_signalling_polytope(bell).equalities) + 1
-    if _rank([(1, *p.entries) for p in boxes]) != hull_rank:
-        raise CertificateError(
-            f"the {len(boxes)} boxes checked do not span the no-signalling set "
-            f"(affine rank {hull_rank} needed)"
-        )
-    if worst == 0:
-        return worst
     return max(
         abs(identity_check(kind, strategy_to_correlation(d), alpha=alpha, n=n))
         for d in iter_deterministic_strategies(bell)
@@ -583,13 +555,14 @@ def identity_max_residual(kind: str, *, alpha=None, n=None) -> Fraction:
 
 
 def verify_identity(kind: str, *, alpha=None, n=None) -> bool:
-    """Symbolic proof of the lifting identity: the residual expression reduces
-    to zero modulo the no-signalling equality system."""
+    """Symbolic proof of the lifting identity: the residual expression,
+    rewritten in Collins-Gisin coordinates, is the zero affine form.  Those
+    coordinates map affinely and one-to-one onto the no-signalling affine
+    hull, so an affine residual vanishes on that hull exactly when its
+    rewritten form is zero."""
     residual = identity_residual_expression(kind, alpha=alpha, n=n)
-    ns = no_signalling_polytope(residual.scenario)
-    # coeffs . p + constant reads as the inequality coeffs . p <= -constant
-    row = integerize((*residual.coeffs, -residual.constant))
-    return not any(_eliminate_leads(row, ns.equalities))
+    _, coeffs, constant = _in_collins_gisin(residual)
+    return constant == 0 and not any(coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -782,6 +755,22 @@ def _collins_gisin(bell: Scenario) -> tuple[list[tuple[dict, int]], int]:
     return forms, na + nb + bell.nX * bell.nY * la * lb
 
 
+def _in_collins_gisin(
+    e: LinearExpression,
+) -> tuple[list[tuple[dict, int]], list[Fraction], Fraction]:
+    """A Bell expression with every entry replaced by its `_collins_gisin`
+    form: (the forms, the coefficient of each coordinate, the constant)."""
+    forms, width = _collins_gisin(e.scenario)
+    coeffs = [F0] * width
+    constant = e.constant
+    for c, (form, const) in zip(e.coeffs, forms):
+        if c:
+            constant += c * const
+            for j, m in form.items():
+                coeffs[j] += c * m
+    return forms, coeffs, constant
+
+
 def gpt_maximum(e: LinearExpression):
     """Exact maximum over post-selections of no-signalling boxes.
 
@@ -796,14 +785,10 @@ def gpt_maximum(e: LinearExpression):
     else:
         lifted = lift_to_bell(e)
         bell = lifted.scenario
-    forms, width = _collins_gisin(bell)
-    objective = [F0] * width
-    offset = lifted.constant
+    forms, objective, offset = _in_collins_gisin(lifted)
+    width = len(objective)
     rows = []
-    for c, (form, const) in zip(lifted.coeffs, forms):
-        offset += c * const
-        for j, m in form.items():
-            objective[j] += c * m
+    for form, const in forms:
         if len(form) > 1 or const:  # a lone joint coordinate is its sign
             row = [0] * width
             for j, m in form.items():
@@ -811,7 +796,7 @@ def gpt_maximum(e: LinearExpression):
             rows.append((row, const))
     # an integer objective, times den > 0: the same pivots and x
     den, (objective,) = over_common_denominator([objective])
-    res = solve_lp(objective, ineqs=rows, nonneg=True, maximize=True)
+    res = solve_lp(objective, ineqs=rows, nonneg=True)
     if res.status is not LpStatus.OPTIMAL:
         raise CertificateError("the no-signalling polytope is compact and nonempty")
     box = Correlation(bell, tuple(
@@ -864,12 +849,7 @@ def extension_membership(p: Correlation, theory: str) -> MembershipCertificate:
         coeffs = [0] * bell.dim
         coeffs[i] = den
         pin_rows.append((coeffs, v))
-    res = solve_lp(
-        [0] * bell.dim,
-        eqs=eq_rows + pin_rows,
-        nonneg=True,
-        maximize=False,
-    )
+    res = solve_lp([0] * bell.dim, eqs=eq_rows + pin_rows, nonneg=True)
     if res.status is LpStatus.OPTIMAL:
         return MembershipCertificate(
             inside=True, extension=tuple(res.x)

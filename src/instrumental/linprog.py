@@ -16,7 +16,7 @@ as it is.  One factor per row would reweigh phase 1 and move its pivots.
 
 Problems are stated over free or nonnegative variables as
 
-    max/min  objective . x
+    max      objective . x
     s.t.     coeffs . x <= rhs   (ineqs)
              coeffs . x  = rhs   (eqs)
 
@@ -76,9 +76,8 @@ class LpResult:
     nonnegative ones, and y . rhs > 0.
 
     `dual` proves `value` optimal: y . A equals the objective on free
-    variables, y . rhs == value, and when maximizing y_i >= 0 on inequality
-    rows and y . A >= objective on nonnegative variables (both signs flip
-    when minimizing).
+    variables, y . rhs == value, y_i >= 0 on inequality rows and
+    y . A >= objective on nonnegative variables.
     """
 
     status: LpStatus
@@ -94,7 +93,6 @@ def solve_lp(
     ineqs: Sequence[Row] = (),
     eqs: Sequence[Row] = (),
     nonneg: bool = False,
-    maximize: bool = True,
 ) -> LpResult:
     """Solve an exact LP over `int` data; see the module docstring."""
     d = len(objective)
@@ -107,7 +105,7 @@ def solve_lp(
         out = [(a, 1) for a in coeffs]
         return out if nonneg else out + [(-a, 1) for a in coeffs]
 
-    cost = cells([-c for c in objective] if maximize else objective)
+    cost = cells([-c for c in objective])
     rhs = [r for _, r in stated]
     rows = [cells(c) for c, _ in stated]
     status, x_std, y = _simplex_standard(cost, rows, rhs, len(eqs))
@@ -121,10 +119,10 @@ def solve_lp(
         x_std = [_sub(p, m) for p, m in zip(x_std, x_std[d:])]
     den = lcm(*(b for _, b in x_std))
     value = Fraction(sum(c * a * (den // b) for c, (a, b) in zip(objective, x_std)), den)
-    # y proves min cost . x_std; the stated problem's dual is -y when
-    # maximizing, since the cost is the negated objective there.
-    dual = _fractions([(-a, b) for a, b in y] if maximize else y)
-    _check_dual(dual, objective, ineqs, eqs, nonneg, maximize, value)
+    # y proves min cost . x_std; the cost is the negated objective, so the
+    # stated problem's dual is -y.
+    dual = _fractions([(-a, b) for a, b in y])
+    _check_dual(dual, objective, ineqs, eqs, nonneg, value)
     return LpResult(LpStatus.OPTIMAL, x=_fractions(x_std), value=value, dual=dual)
 
 
@@ -332,21 +330,20 @@ def _check_farkas(
 
 def _check_dual(
     y: Sequence[Fraction], objective: Sequence[int | Fraction], ineqs: Sequence[Row],
-    eqs: Sequence[Row], nonneg: bool, maximize: bool, value: int | Fraction,
+    eqs: Sequence[Row], nonneg: bool, value: int | Fraction,
 ) -> None:
     """Raise CertificateError unless y proves `value` optimal for the stated
     LP: see `LpResult.dual` for the conditions.  Decided in integers
     (`_combine`)."""
-    sign = 1 if maximize else -1
     rows = [*eqs, *ineqs]
-    if len(y) != len(rows) or any(sign * v.numerator < 0 for v in y[len(eqs):]):
+    if len(y) != len(rows) or any(v.numerator < 0 for v in y[len(eqs):]):
         raise CertificateError("dual multipliers have the wrong sign")
     scale, combo, total = _combine(y, [c for c, _ in rows], [r for _, r in rows], objective)
     if total * value.denominator != scale * value.numerator:
         raise CertificateError("dual multipliers do not attain the optimum")
     # y . A - objective, scaled
     gaps = [g - scale * c.numerator // c.denominator for g, c in zip(combo, objective)]
-    if any(sign * g < 0 or (g and not nonneg) for g in gaps):
+    if any(g < 0 or (g and not nonneg) for g in gaps):
         raise CertificateError("dual multipliers are infeasible")
 
 

@@ -871,7 +871,7 @@ def membership(point, polytope: VPolytope) -> MembershipCertificate:
     n = len(vs)
     eq_rows = [([v[i] for v in vs], qs[i]) for i in range(polytope.dim)]
     eq_rows.append(([den] * n, den))
-    res = solve_lp([0] * n, eqs=eq_rows, nonneg=True, maximize=False)
+    res = solve_lp([0] * n, eqs=eq_rows, nonneg=True)
     if res.status is LpStatus.OPTIMAL:
         wden, (ws,) = over_common_denominator([res.x])
         if any(w < 0 for w in ws) or any(

@@ -31,6 +31,7 @@ from instrumental.polytope import (
     _check_violated,
     _dot,
     _echelon,
+    _eliminate_leads,
     _null_space,
     facet_enumeration,
     no_signalling_polytope,
@@ -99,7 +100,6 @@ def two_phase_gpt_maximum(expression: LinearExpression):
         list(lifted.coeffs),
         eqs=no_signalling_polytope(bell).equalities,
         nonneg=True,
-        maximize=True,
     )
     if res.status is not LpStatus.OPTIMAL:
         raise ValueError(f"no finite no-signalling maximum: {res.status}")
@@ -462,13 +462,24 @@ def postselected_strategy_columns(s: Scenario) -> list[tuple[Fraction, ...]]:
 def full_box_residual_max(kind: str, *, alpha=None, n=None) -> Fraction:
     """Largest |residual| of the lifting identity over every deterministic box
     of its Bell scenario, all of them held in one list.
-    `identity_max_residual` decides zero on a certified spanning set of
-    (nX+1)(nY+1) boxes instead of these 2^(nX+nY)."""
+    `identity_max_residual` returns zero when `verify_identity` holds and
+    otherwise streams the same boxes one at a time."""
     bell = identity_residual_expression(kind, alpha=alpha, n=n).scenario
     return max(
         abs(identity_check(kind, p, alpha=alpha, n=n))
         for p in classical_correlations(bell)
     )
+
+
+def echelon_identity_holds(residual: LinearExpression) -> bool:
+    """Whether an affine Bell expression vanishes on the no-signalling affine
+    hull: it reduces to zero modulo the echelon of the no-signalling
+    equalities.  `verify_identity` rewrites it in Collins-Gisin coordinates
+    instead."""
+    ns = no_signalling_polytope(residual.scenario)
+    # coeffs . p + constant reads as the inequality coeffs . p <= -constant
+    row = integerize((*residual.coeffs, -residual.constant))
+    return not any(_eliminate_leads(row, ns.equalities))
 
 
 def hashed_classical_correlations(s: Scenario) -> list[Correlation]:
@@ -520,7 +531,6 @@ def two_phase_prune(ineqs, eqs):
             ineqs=rows[:idx] + rows[idx + 1 :],
             eqs=eqs,
             nonneg=False,
-            maximize=True,
         )
         if res.status is LpStatus.OPTIMAL and res.value <= rhs:
             rows.pop(idx)
@@ -593,7 +603,7 @@ def two_phase_separating_facet(q, verts) -> LinearInequality:
     for nvec in normals:
         eq_rows.append((list(nvec) + [Fraction(0)], Fraction(0)))
     res = fraction_solve_lp(
-        objective, ineqs=ineq_rows, eqs=eq_rows, nonneg=False, maximize=True
+        objective, ineqs=ineq_rows, eqs=eq_rows, nonneg=False
     )
     if res.status is not LpStatus.OPTIMAL or res.value <= 0:
         raise ValueError("the point is not outside the hull")
@@ -609,7 +619,6 @@ def h_maximum(coeffs, h: HPolytope) -> Fraction:
         ineqs=[(list(q.coeffs), q.bound) for q in h.inequalities],
         eqs=[(list(c), r) for c, r in h.equalities],
         nonneg=False,
-        maximize=True,
     )
     if res.status is not LpStatus.OPTIMAL:
         raise ValueError(f"no finite maximum over the H-polytope: {res.status}")
@@ -648,9 +657,7 @@ _F0 = Fraction(0)
 _F1 = Fraction(1)
 
 
-def fraction_solve_lp(
-    objective, *, ineqs=(), eqs=(), nonneg=False, maximize=True
-) -> LpResult:
+def fraction_solve_lp(objective, *, ineqs=(), eqs=(), nonneg=False) -> LpResult:
     """`linprog.solve_lp` with one `Fraction` per tableau cell: the same
     standard form, start basis, pivots and certificate checks."""
     d = len(objective)
@@ -678,7 +685,7 @@ def fraction_solve_lp(
         widen(c, i) for i, (c, _) in enumerate(ineqs)
     ]
     rhs = [r for _, r in eqs] + [r for _, r in ineqs]
-    c_std = widen([-c for c in obj] if maximize else obj, None)
+    c_std = widen([-c for c in obj], None)
     slacks = None
     if not eqs and all(r >= 0 for r in rhs):
         slacks = list(range(width - n_slack, width))
@@ -693,8 +700,8 @@ def fraction_solve_lp(
     else:
         x = [x_std[j] - x_std[d + j] for j in range(d)]
     value = sum(c * v for c, v in zip(obj, x))
-    dual = tuple(-v for v in y) if maximize else tuple(y)
-    _check_dual(dual, obj, ineqs, eqs, nonneg, maximize, value)
+    dual = tuple(-v for v in y)
+    _check_dual(dual, obj, ineqs, eqs, nonneg, value)
     return LpResult(LpStatus.OPTIMAL, x=tuple(x), value=value, dual=dual)
 
 

@@ -112,13 +112,13 @@ def test_bad_dual_raises():
     # max 2x + 3y s.t. 3x + 4y <= 12, x + 3y <= 6, x, y >= 0 has the optimum
     # 42/5, proved by the multipliers (3/5, 1/5).
     ineqs = [([3, 4], 12), ([1, 3], 6)]
-    _check_dual([F(3, 5), F(1, 5)], [2, 3], ineqs, [], True, True, F(42, 5))
+    _check_dual([F(3, 5), F(1, 5)], [2, 3], ineqs, [], True, F(42, 5))
     for y in ([F(3, 5), F(1, 4)], [F(1), F(-1, 5)], [F(3, 5)]):
         with pytest.raises(CertificateError):
-            _check_dual(y, [2, 3], ineqs, [], True, True, F(42, 5))
+            _check_dual(y, [2, 3], ineqs, [], True, F(42, 5))
     # free variables need y . A equal to the objective, not just above it
     with pytest.raises(CertificateError):
-        _check_dual([F(1), F(1)], [2, 3], ineqs, [], False, True, F(18))
+        _check_dual([F(1), F(1)], [2, 3], ineqs, [], False, F(18))
 
 
 # x0 + x1 = 1 (an equality) and x0 + x1 <= 0 cannot both hold.  y = (1/2,
@@ -175,12 +175,12 @@ def test_dual_check_fails_one_unit_off(rows_as, change, nonneg, message):
     ineqs = [([a * rows_as for a in c], b * rows_as) for c, b in ineqs]
     y = [F(v) / rows_as for v in y]  # rows times k take the multipliers over k
     objective = list(objective)
-    _check_dual(y, objective, ineqs, [], nonneg, True, F(42, 5))
+    _check_dual(y, objective, ineqs, [], nonneg, F(42, 5))
     which, entry, step = change
     target = y if which == "y" else objective
     target[entry] += step * F(1, 5)  # one unit
     with pytest.raises(CertificateError, match=message):
-        _check_dual(y, objective, ineqs, [], nonneg, True, F(42, 5))
+        _check_dual(y, objective, ineqs, [], nonneg, F(42, 5))
 
 
 @pytest.mark.parametrize("eqs", [[], [([1, 1], 1)]], ids=["slack-start", "two-phase"])

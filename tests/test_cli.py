@@ -3,8 +3,10 @@ import gc
 import json
 import os
 import random
+import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,7 +14,6 @@ import pytest
 
 from instrumental import cli, inequalities, io, polytope, scenario
 from instrumental.cli import main
-from instrumental.errors import CertificateError
 from instrumental.inequalities import catalog, gpt_maximum
 from instrumental.quantum import born_table, tilted_search
 from instrumental.scenario import Scenario, postselect
@@ -230,6 +231,25 @@ def test_bounds_capacity_trip(capsys, monkeypatch, kind, count):
     )
 
 
+@pytest.mark.parametrize("kind", ["chained", "chained_bell"])
+@pytest.mark.parametrize("n", ["12", "2000"])
+def test_bounds_capacity_trips_before_any_expression(capsys, monkeypatch, kind, n):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the capacity check must trip before any expression")
+
+    for name in ("catalog", "bounds", "classical_maximum"):
+        monkeypatch.setattr(cli, name, unreachable)
+    start = time.perf_counter()
+    assert main(["bounds", kind, n]) == 2
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(
+        r"capacity: \d+ deterministic strategies exceed the limit of 10000000\n",
+        captured.err,
+    )
+
+
 def test_membership_classical_capacity_trip(capsys, monkeypatch, tmp_path):
     def unreachable(s, limit=None):
         raise AssertionError("the capacity check must trip before any strategy")
@@ -404,8 +424,8 @@ def test_identity_is_seed_deterministic(capsys):
 @pytest.mark.parametrize("trials", [0, 5])
 def test_identity_pool_check_catches_a_wrong_residual(monkeypatch, capsys, trials):
     # p(00|00) added to the bonet residual: 1 on every deterministic box with
-    # a = b = 0 at x = y = 0, 0 on the others.  The symbolic proof is stubbed
-    # out so that only the check on the pool can fail.
+    # a = b = 0 at x = y = 0, 0 on the others.  The command's symbolic verdict
+    # is stubbed to yes, so only the residual scan can report the fault.
     right = inequalities.identity_residual_expression("bonet")
     coeffs = list(right.coeffs)
     coeffs[right.scenario.index(0, 0, 0, 0)] += 1
@@ -423,26 +443,20 @@ def test_identity_pool_check_catches_a_wrong_residual(monkeypatch, capsys, trial
     )
 
 
-def test_identity_decides_a_correct_identity_on_spanning_boxes(monkeypatch, capsys):
-    # chained n = 7 lives on Bell(8, 7): (8+1)(7+1) = 72 boxes, not 2^15
-    seen = []
-    check = inequalities.identity_check
-
-    def spy(kind, p, **params):
-        seen.append(p.entries)
-        return check(kind, p, **params)
-
+def test_identity_decides_a_correct_identity_without_boxes(monkeypatch, capsys):
+    # the residual of chained n = 7 lives on Bell(8, 7), with 2^15 boxes; a
+    # correct identity is decided in Collins-Gisin coordinates alone
     def unreachable(*args, **kwargs):
-        raise AssertionError("a correct identity needs no full box scan")
+        raise AssertionError("a correct identity needs no box and no echelon")
 
-    monkeypatch.setattr(inequalities, "identity_check", spy)
+    monkeypatch.setattr(inequalities, "identity_check", unreachable)
     monkeypatch.setattr(inequalities, "iter_deterministic_strategies", unreachable)
     for module in (scenario, polytope, inequalities, cli):
-        if hasattr(module, "classical_correlations"):
-            monkeypatch.setattr(module, "classical_correlations", unreachable)
+        for name in ("classical_correlations", "no_signalling_polytope", "_echelon"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, unreachable)
     assert main(["identity", "chained", "--n", "7", "--trials", "0"]) == 0
     assert capsys.readouterr().out.endswith(": 0\n")
-    assert len(seen) == len(set(seen)) == 72
 
 
 def test_identity_chained_10_is_decided_exactly(capsys):
@@ -468,27 +482,6 @@ def test_identity_wrong_residual_scan_keeps_the_strategy_limit(monkeypatch, caps
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "capacity: 32 deterministic strategies exceed the limit of 31\n"
-
-
-@pytest.mark.parametrize("drop", range(12))
-def test_identity_short_spanning_set_fails_its_certificate(monkeypatch, capsys, drop):
-    pick = inequalities._spanning_boxes
-
-    def short(bell):
-        boxes = pick(bell)
-        return boxes[:drop] + boxes[drop + 1:]
-
-    monkeypatch.setattr(inequalities, "_spanning_boxes", short)
-    with pytest.raises(CertificateError, match="11 boxes checked do not span"):
-        inequalities.identity_max_residual("bonet")
-    if drop == 0:
-        assert main(["identity", "bonet"]) == 3
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (
-            "certificate: the 11 boxes checked do not span the no-signalling set "
-            "(affine rank 12 needed)\n"
-        )
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,6 @@
 """Every name that the package or one of its modules lists in `__all__`
 must resolve, so that `from instrumental... import *` keeps working when
-code moves between modules."""
+code moves between modules; and the package's own code holds no `assert`."""
 
 import ast
 import importlib
@@ -95,3 +95,15 @@ def test_public_names_have_callers_in_src():
     assert not unexplained, f"public names with no caller in src/: {unexplained}"
     stale = sorted(set(UNCALLED) - uncalled)
     assert not stale, f"allow-listed names that src/ now calls: {stale}"
+
+
+def test_no_assert_statements_in_src():
+    # `python -O` strips asserts, so a soundness check written as one would
+    # vanish; checks raise errors instead.
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert not found, f"assert statements in src/: {found}"

@@ -22,6 +22,7 @@ from instrumental.inequalities import (
 )
 from instrumental.polytope import (
     _echelon,
+    _rank,
     classical_vpolytope,
     facet_enumeration,
     facet_orbits,
@@ -203,6 +204,33 @@ def test_lift_commutes_with_postselection():
         )
 
 
+@pytest.mark.parametrize(
+    "shape",
+    [(nX, nY, nA, nB) for nX in (1, 2, 3) for nY in (1, 2, 3) for nA in (2, 3) for nB in (2, 3)],
+    ids=lambda shape: "bell-%d%d%d%d" % shape,
+)
+def test_collins_gisin_forms_parametrize_the_no_signalling_hull(shape):
+    # Why `verify_identity` may decide an identity in Collins-Gisin
+    # coordinates: the forms are an affine map that satisfies every
+    # no-signalling equality (image inside the affine hull), is one-to-one
+    # (full-rank linear part) and has as many coordinates as the hull has
+    # dimensions, so it is onto the hull too.
+    bell = Scenario.bell(*shape)
+    forms, width = inequalities._collins_gisin(bell)
+    equalities = no_signalling_polytope(bell).equalities
+    for row, rhs in equalities:
+        linear = [0] * width
+        constant = 0
+        for a, (form, const) in zip(row, forms):
+            constant += a * const
+            for j, m in form.items():
+                linear[j] += a * m
+        assert not any(linear) and constant == rhs
+    columns = [[form.get(j, 0) for form, _ in forms] for j in range(width)]
+    assert _rank(columns) == width
+    assert width == bell.dim - len(equalities)
+
+
 def test_identities_hold_symbolically():
     assert verify_identity("bonet")
     for a in (1, F(3, 2), 2, 5):
@@ -255,8 +283,9 @@ def test_identity_check_rejects_bad_input():
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_deterministic_boxes_span_the_no_signalling_hull(n):
-    # Why the identity command's deterministic pool decides the identity: an
-    # affine residual zero on these points is zero on the whole affine hull.
+    # Why the identity command's scan over every deterministic box reports
+    # any residual that is nonzero somewhere on the no-signalling set: these
+    # points affinely span its whole affine hull.
     bell = Scenario.bell(n + 1, n)
     points = [(*p.entries, 1) for p in classical_correlations(bell)]
     _, point_pivots = _echelon(points)

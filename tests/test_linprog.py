@@ -37,14 +37,13 @@ def test_exact_fractional_optimum():
 def test_optimum_carries_checked_duals():
     res = solve_lp([2, 3], ineqs=[([3, 4], 12), ([1, 3], 6)], nonneg=True)
     assert res.dual == (F(3, 5), F(1, 5))
-    # minimizing: equality multipliers first, inequality ones <= 0
+    # min y as max -y: equality multipliers first, inequality ones >= 0
     res = solve_lp(
-        [0, 1],
+        [0, -1],
         eqs=[([1, 1], 1)],
         ineqs=[([-1, 0], 0), ([0, -1], 0)],
-        maximize=False,
     )
-    assert res.dual == (0, 0, -1)
+    assert res.dual == (0, 0, 1)
     assert solve_lp([1], ineqs=[([1], -3)]).dual == (1,)
 
 
@@ -69,11 +68,11 @@ def test_slack_basis_start_skips_phase_one(monkeypatch, ineqs, eqs, phases):
 
 
 def test_equality_constraints():
+    # min y as max -y
     res = solve_lp(
-        [0, 1],
+        [0, -1],
         eqs=[([1, 1], 1)],
         ineqs=[([-1, 0], 0), ([0, -1], 0)],
-        maximize=False,
     )
     assert res.status is LpStatus.OPTIMAL
     assert res.value == 0 and res.x == (1, 0)
@@ -109,19 +108,19 @@ def test_farkas_on_equality_system():
 
 def test_degenerate_problem_terminates():
     # Classic cycling-prone instance (Beale); Bland's rule must terminate.
-    # The objective and the rows are each scaled by 100 to integers.
+    # Its minimum is stated as the maximum of the negated objective, and
+    # the objective and the rows are each scaled by 100 to integers.
     res = solve_lp(
-        [-75, 15000, -2, 600],  # 100 (-3/4, 150, -1/50, 6)
+        [75, -15000, 2, -600],  # -100 (-3/4, 150, -1/50, 6)
         ineqs=[
             ([25, -6000, -4, 900], 0),  # 100 (1/4, -60, -1/25, 9)
             ([50, -9000, -2, 300], 0),  # 100 (1/2, -90, -1/50, 3)
             ([0, 0, 100, 0], 100),
         ],
         nonneg=True,
-        maximize=False,
     )
     assert res.status is LpStatus.OPTIMAL
-    assert res.value == 100 * F(-1, 20)
+    assert res.value == 100 * F(1, 20)
 
 
 def test_redundant_equalities_are_tolerated():

@@ -650,6 +650,9 @@ def _identity_run(capsys, flags):
 @pytest.mark.parametrize("case", IDENTITY_CASES, ids=_identity_ids)
 def test_identity_route_matches_full_box_oracle(capsys, case):
     flags, params = case
+    residual = inequalities.identity_residual_expression(flags[0], **params)
+    assert oracles.echelon_identity_holds(residual)
+    assert inequalities.verify_identity(flags[0], **params)
     assert oracles.full_box_residual_max(flags[0], **params) == 0
     assert inequalities.identity_max_residual(flags[0], **params) == 0
     assert _identity_run(capsys, flags) == (0, "0")
@@ -664,9 +667,9 @@ def test_identity_route_matches_full_box_oracle_on_wrong_residuals(
     monkeypatch, capsys, case
 ):
     # +1 on one coordinate of the residual, for each coordinate in turn, then
-    # on every p(11|xy) at once, which is nX*nY on the all-ones box but at
-    # most 1 on a spanning box; the symbolic proof is stubbed out so that
-    # only the box check can fail
+    # on every p(11|xy) at once, which is nX*nY on the all-ones box.  The
+    # command's symbolic verdict is stubbed to yes, so only the residual scan
+    # can report the fault; the proof and its echelon oracle both reject it.
     flags, params = case
     right = inequalities.identity_residual_expression(flags[0], **params)
     bell = right.scenario
@@ -681,7 +684,31 @@ def test_identity_route_matches_full_box_oracle_on_wrong_residuals(
                             lambda kind, **params: wrong)
         want = oracles.full_box_residual_max(flags[0], **params)
         assert want > 0
+        assert not oracles.echelon_identity_holds(wrong)
+        assert not inequalities.verify_identity(flags[0], **params)
         assert _identity_run(capsys, flags) == (3, io.fraction_to_str(want))
+
+
+@pytest.mark.parametrize("case", IDENTITY_CASES, ids=_identity_ids)
+def test_identity_proof_matches_echelon_oracle_off_the_hull(monkeypatch, capsys, case):
+    # The residual plus k (row . p - rhs) for each no-signalling equality is
+    # still zero on the no-signalling set, though not as a vector; one more
+    # unit in its constant is not.  The proof and its oracle agree on both.
+    flags, params = case
+    right = inequalities.identity_residual_expression(flags[0], **params)
+    bell = right.scenario
+    for k, (row, rhs) in enumerate(no_signalling_polytope(bell).equalities, 1):
+        for shift, holds in ((0, True), (1, False)):
+            residual = LinearExpression(
+                bell,
+                tuple(c + k * a for c, a in zip(right.coeffs, row)),
+                right.constant - k * rhs + shift,
+            )
+            monkeypatch.setattr(inequalities, "identity_residual_expression",
+                                lambda kind, **params: residual)
+            assert oracles.echelon_identity_holds(residual) is holds
+            assert inequalities.verify_identity(flags[0], **params) is holds
+    assert _identity_run(capsys, flags) == (3, "1")
 
 
 def _random_expressions(s, count):
@@ -745,10 +772,11 @@ _LP_COEFFS = (0, 0, 0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(5
 
 
 def _random_lp(rng, family):
-    """(objective, ineqs, eqs, nonneg, maximize) of one LP of the family.
+    """(objective, ineqs, eqs, nonneg) of one LP of the family, maximized.
 
     Every family but "infeasible" is feasible at a random point x, and every
-    family but "unbounded" bounds each variable from both sides."""
+    family but "unbounded" bounds each variable from both sides.  Half the
+    others maximize the negated objective, a minimum restated."""
     d = rng.randint(1, 5)
     nonneg = family in ("nonneg", "unbounded") or (
         family != "free" and rng.random() < 0.5
@@ -792,8 +820,11 @@ def _random_lp(rng, family):
         ineqs += [(r, b), ([-c for c in r], -b - 1)]
         rng.shuffle(ineqs)
     if family == "unbounded":
-        return [1] + row()[1:], ineqs, eqs, True, True
-    return row(), ineqs, eqs, nonneg, rng.random() < 0.5
+        return [1] + row()[1:], ineqs, eqs, True
+    objective = row()
+    if rng.random() >= 0.5:
+        objective = [-c for c in objective]
+    return objective, ineqs, eqs, nonneg
 
 
 def _traced(monkeypatch, module, solve, objective, kwargs):
@@ -841,12 +872,11 @@ def test_pair_tableau_matches_fraction_oracle(monkeypatch, family):
     rng = random.Random(LP_FAMILIES.index(family))
     statuses = set()
     for _ in range(25):
-        objective, ineqs, eqs, nonneg, maximize = _random_lp(rng, family)
+        objective, ineqs, eqs, nonneg = _random_lp(rng, family)
         c, r, obj, int_ineqs, int_eqs = _integer_lp(objective, ineqs, eqs)
-        flags = dict(nonneg=nonneg, maximize=maximize)
-        lp = obj, dict(ineqs=int_ineqs, eqs=int_eqs, **flags)
+        lp = obj, dict(ineqs=int_ineqs, eqs=int_eqs, nonneg=nonneg)
         got, bases = _traced(monkeypatch, linprog, linprog.solve_lp, *lp)
-        rational = objective, dict(ineqs=ineqs, eqs=eqs, **flags)
+        rational = objective, dict(ineqs=ineqs, eqs=eqs, nonneg=nonneg)
         _assert_matches_oracle(monkeypatch, lp, got, bases, c, r, rational)
         statuses.add(got.status)
     expected = {
