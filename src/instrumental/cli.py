@@ -45,6 +45,7 @@ from .quantum import (
 from .scenario import (
     Kind,
     Scenario,
+    _COUNT_LIMIT,
     _check_strategy_count,
     append_dummy_input,
     dummy_input_extension,
@@ -322,6 +323,14 @@ def cmd_identity(args) -> int:
     if args.trials < 0:
         raise ValueError(f"--trials takes a count >= 0, got {args.trials}")
     params = dict(alpha=args.alpha, n=args.n)
+    if args.kind == "chained":  # before Bell(n + 1, n) or any expression over it is built
+        _, n = check_catalog_params(args.kind, None, args.n)
+        dim = Scenario.chained(n).parent_bell().dim
+        if dim > _COUNT_LIMIT:
+            raise CapacityError(
+                f"chained --n {n} lifts to a Bell scenario of dimension {dim},"
+                f" over the limit of {_COUNT_LIMIT}"
+            )
     symbolic = verify_identity(args.kind, **params)
     worst = identity_max_residual(args.kind, **params)
     doc = {

@@ -20,13 +20,15 @@ from .polytope import (
     LinearInequality,
     MembershipCertificate,
     VPolytope,
+    _eliminate_leads,
+    _reduced,
     membership,
     no_signalling_polytope,
     normalization_equalities,
     reduce_modulo,
 )
 from .linprog import LpStatus, solve_lp
-from .rationals import over_common_denominator
+from .rationals import integerize, over_common_denominator
 from .scenario import (
     Correlation,
     DeterministicStrategy,
@@ -661,21 +663,21 @@ def facet_orbit_classify(
     every instrumental hull and projection.
     """
     s = group.scenario
-    eqs = normalization_equalities(s)
+    eliminate = _eliminate_leads(normalization_equalities(s))
+
+    def reduced(q: LinearInequality) -> LinearInequality:
+        return _reduced(eliminate, integerize((*q.coeffs, q.bound)))
+
     seeds: dict[LinearInequality, str] = {}
     for i in range(s.dim):
-        coeffs = [F0] * s.dim
-        coeffs[i] = Fraction(-1)
-        seeds.setdefault(
-            reduce_modulo(LinearInequality(tuple(coeffs), F0), eqs), "positivity"
-        )
+        coeffs = [0] * s.dim
+        coeffs[i] = -1
+        seeds.setdefault(_reduced(eliminate, (*coeffs, 0)), "positivity")
     if s.kind is Kind.INSTRUMENTAL:
         for e in pearl_expressions(s):
-            seeds.setdefault(reduce_modulo(e.as_inequality(1), eqs), "pearl")
+            seeds.setdefault(reduced(e.as_inequality(1)), "pearl")
         if s.nX == 3 and s.nA == 2 and s.nB == 2:
-            seeds.setdefault(
-                reduce_modulo(catalog("bonet").as_inequality(2), eqs), "bonet"
-            )
+            seeds.setdefault(reduced(catalog("bonet").as_inequality(2)), "bonet")
     tagged = []
     for orbit in orbits:
         tags = {seeds[q] for q in orbit if q in seeds}

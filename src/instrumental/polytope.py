@@ -45,7 +45,8 @@ import itertools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from math import lcm
+from typing import Callable, Iterable, Sequence
 
 from .errors import CapacityError, CertificateError
 from .linprog import LpStatus, solve_lp
@@ -104,34 +105,60 @@ def reduce_modulo(
     representative, so two inequalities cut the same face iff they reduce to
     the same canonical form: primitive `int` entries, positive scales only.
     """
-    row = _eliminate_leads(integerize((*ineq.coeffs, ineq.bound)), equalities)
+    return _reduced(
+        _eliminate_leads(equalities), integerize((*ineq.coeffs, ineq.bound))
+    )
+
+
+def _reduced(
+    eliminate: Callable[[Sequence[int]], tuple[int, ...]], row: Sequence[int]
+) -> LinearInequality:
+    """The inequality of the integer row (coeffs..., bound) after an
+    `_eliminate_leads` map; ValueError for the zero inequality."""
+    row = eliminate(row)
     if not any(row):
         raise ValueError("cannot canonicalize the zero inequality")
     return LinearInequality(row[:-1], row[-1])
 
 
 def _eliminate_leads(
-    row: tuple[int, ...], equalities: Sequence[Equality]
-) -> tuple[int, ...]:
-    """Zero the leading column of each row-reduced equality in the integer
-    row (coeffs..., bound) of coeffs . x <= bound.
+    equalities: Sequence[Equality],
+) -> Callable[[Sequence[int]], tuple[int, ...]]:
+    """The map that zeroes the leading column of each row-reduced equality in
+    an integer row (coeffs..., bound) of coeffs . x <= bound.
 
-    Fraction-free: the row is scaled by the equality's lead made positive,
-    the equality subtracted, and the result made primitive again, so every
-    step scales the row by a positive rational.  The package's equalities
-    are integer rows; `integerize` also takes ones given as `Fraction`s.
+    With E_k the equality k as the row (coeffs..., rhs), p_k > 0 its lead on
+    column l_k and P the lcm of the leads, a row maps to
+    primitive(P row - sum_k row[l_k] (P / p_k) E_k): one integer pass and
+    one gcd, whatever the number of equalities.  Each E_k is zero on the
+    other leads, so that is the one combination of the row and the
+    equalities that vanishes on every lead, up to the positive scale that
+    `primitive` removes.  The map is built once per equality system, each
+    E_k kept as its nonzero entries, and the build raises ValueError unless
+    the equalities are row-reduced with positive leads, as
+    `_reduce_equalities` returns them; rational entries are scaled to
+    integers first.
     """
-    for e_coeffs, e_rhs in equalities:
-        lead = next(j for j, c in enumerate(e_coeffs) if c != 0)
-        f = row[lead]
-        if f:
-            p = e_coeffs[lead]
-            if p < 0:
-                p, f = -p, -f
-            row = integerize(
-                [p * v - f * e for v, e in zip(row, (*e_coeffs, e_rhs))]
-            )
-    return row
+    rows = [integerize((*coeffs, rhs)) for coeffs, rhs in equalities]
+    terms, scale = [], 1
+    for e in rows:
+        j = next((j for j, c in enumerate(e[:-1]) if c), None)
+        if j is None or e[j] < 0 or sum(f[j] != 0 for f in rows) > 1:
+            raise ValueError("equalities must be row-reduced with positive leads")
+        terms.append((j, e))
+        scale = lcm(scale, e[j])
+    terms = [(j, [(i, scale // e[j] * c) for i, c in enumerate(e) if c]) for j, e in terms]
+
+    def eliminate(row: Sequence[int]) -> tuple[int, ...]:
+        out = [scale * v for v in row] if scale != 1 else list(row)
+        for j, entries in terms:
+            f = row[j]
+            if f:
+                for i, c in entries:
+                    out[i] -= f * c
+        return primitive(out)
+
+    return eliminate
 
 
 @dataclass(frozen=True)
@@ -292,6 +319,10 @@ def _exact_product(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]):
 # The pair prefilter takes as many positive rays per block as keep its
 # positives x negatives x mask words temporary near 2**16 uint64s (512 kB).
 _PAIR_BLOCK = 1 << 16
+# The witness screen tests each pair that passes the prefilter against this
+# many rays, those tight on the most constraints, in chunks of pairs that
+# keep its pairs x screen rays temporaries within the same 2**16 entries.
+_SCREEN = 32
 
 
 def _dd_pointed(
@@ -314,9 +345,14 @@ def _dd_pointed(
     array operations.  They are exact in the dtype `_exact_dtype` picks from
     2 r max|row| max|ray|^2, the largest value they reach.  The necessary
     condition |tight[p] & tight[m]| >= r - 2 is counted for a block of
-    (positive, negative) pairs at once on uint64 mask words; the pairs that
-    pass meet the witnesses and the full test one at a time, in (p, then m)
-    order, so the rays after every insertion are those of a pair-by-pair run.
+    (positive, negative) pairs at once on uint64 mask words.  The pairs that
+    pass are screened against the `_SCREEN` rays tight on the most
+    constraints: a screen ray k is tight on all of common = tight[p] &
+    tight[m] when no word of common & ~tight[k] is nonzero, and such a k
+    other than p and m is exactly the witness the full test looks for, so
+    the screen drops only pairs that are not adjacent.  The pairs left meet
+    the witnesses and the full test one at a time, in (p, then m) order, so
+    the rays after every insertion are those of a pair-by-pair run.
     """
     # Imported here, not with the module: the DD is the package's only numpy
     # user, so commands that run no DD never load it.
@@ -373,6 +409,13 @@ def _dd_pointed(
         ]
         mask_words = np.frombuffer(masks, "<u8").reshape(len(tight), words)
         neg_words = mask_words[neg]
+        fat = np.argsort(
+            -np.bitwise_count(mask_words).sum(axis=1), kind="stable"
+        )[:_SCREEN]
+        not_fat = ~mask_words[fat]
+        in_fat = np.zeros(len(tight), np.int32)
+        in_fat[fat] = 1
+        chunk = max(1, _PAIR_BLOCK // max(len(fat), 1))
         block = max(1, _PAIR_BLOCK // (len(neg) * words))
         adjacent: list[tuple[int, int]] = []
         new_tight: list[int] = []
@@ -383,8 +426,20 @@ def _dd_pointed(
                 axis=2, dtype=np.int32
             )
             pi, mi = np.nonzero(common_bits >= need)
+            pp, mm = ps[pi], neg[mi]
+            keep = np.empty(len(pp), bool)
+            for c in range(0, len(pp), chunk):
+                cp, cm = pp[c : c + chunk], mm[c : c + chunk]
+                common = mask_words[cp] & mask_words[cm]
+                # Screen ray k misses the pair when some constraint of
+                # common is not tight on k; p and m themselves never miss.
+                miss = np.zeros((len(cp), len(fat)), bool)
+                for w in range(words):
+                    miss |= (common[:, w, None] & not_fat[None, :, w]) != 0
+                hits = (~miss).sum(axis=1, dtype=np.int32)
+                keep[c : c + chunk] = hits == in_fat[cp] + in_fat[cm]
             last = None
-            for p, m in zip(ps[pi].tolist(), neg[mi].tolist()):
+            for p, m in zip(pp[keep].tolist(), mm[keep].tolist()):
                 if p != last:
                     last, tp, witnesses = p, tight[p], []
                 common = tp & tight[m]
@@ -444,9 +499,10 @@ def facet_enumeration(v: VPolytope, max_rays: int = 10**6) -> HPolytope:
     vp = VPolytope.from_points(v.vertices)
     d = vp.dim
     hom, basis, equalities = _affine_hull(vp.vertices)
+    eliminate = _eliminate_leads(equalities)
     facets = []
     for y in _cone_rays(hom, basis, max_rays):
-        q = reduce_modulo(LinearInequality(tuple(-c for c in y[1:]), y[0]), equalities)
+        q = _reduced(eliminate, (*(-c for c in y[1:]), y[0]))
         # The trivial inequality 0 <= 1 appears only for one-point hulls,
         # where the affine hull already pins the point.
         if any(q.coeffs):
@@ -502,8 +558,8 @@ def adjacency_decomposition(
             break
     else:
         raise ValueError("no coordinate facet -x_i <= 0 to start the search from")
-    start = LinearInequality(tuple(-int(j == i) for j in range(d)), 0)
-    start = reduce_modulo(start, equalities)
+    eliminate = _eliminate_leads(equalities)
+    start = _reduced(eliminate, (*(-int(j == i) for j in range(d)), 0))
     orbits = [_orbit(start, generators, equalities)]
     representatives = [start]
     for i, f in enumerate(representatives, 1):
@@ -531,12 +587,12 @@ def adjacency_decomposition(
             for sf, sr in zip(off_slacks, rs):
                 if num is None or -sr * den > num * sf:
                     num, den = -sr, sf
-            g = reduce_modulo(
-                LinearInequality(
-                    tuple(den * a + num * b for a, b in zip(r.coeffs, f.coeffs)),
+            g = _reduced(
+                eliminate,
+                (
+                    *(den * a + num * b for a, b in zip(r.coeffs, f.coeffs)),
                     den * r.bound + num * f.bound,
                 ),
-                equalities,
             )
             if not any(g in o for o in orbits):
                 orbits.append(_orbit(g, generators, equalities))
@@ -552,7 +608,10 @@ def facet_orbits(
     """Partition h's facets into orbits of the group that the coordinate
     permutations generate, modulo h's (invariant) equalities; ValueError
     unless the facet list is closed under the group."""
-    pool = {reduce_modulo(q, h.equalities) for q in h.inequalities}
+    eliminate = _eliminate_leads(h.equalities)
+    pool = {
+        _reduced(eliminate, integerize((*q.coeffs, q.bound))) for q in h.inequalities
+    }
     orbits = []
     while pool:
         seed = min(pool, key=lambda q: (q.coeffs, q.bound))
@@ -607,20 +666,31 @@ def _orbit(
     equalities: Sequence[Equality],
 ) -> frozenset[LinearInequality]:
     """The images of an inequality under the group that the coordinate
-    permutations generate, each reduced modulo the (invariant) equalities."""
-    orbit = {seed}
-    frontier = [seed]
+    permutations generate, each reduced modulo the (invariant) equalities.
+
+    Coordinate i moves to perm[i], so image[j] = row[inverse[j]], one gather
+    through each generator's inverse, which is taken once; the image goes
+    through the `_eliminate_leads` map, built once for the equalities.  The
+    walk holds integer rows (coeffs..., bound) and makes inequalities of
+    them at the end."""
+    eliminate = _eliminate_leads(equalities)
+    inverses = []
+    for perm in generators:
+        inverse = [0] * len(perm)
+        for i, j in enumerate(perm):
+            inverse[j] = i
+        inverses.append((*inverse, len(perm)))
+    start = (*seed.coeffs, seed.bound)
+    orbit = {start}
+    frontier = [start]
     while frontier:
         cur = frontier.pop()
-        for perm in generators:
-            coeffs = [0] * len(cur.coeffs)
-            for i, c in enumerate(cur.coeffs):
-                coeffs[perm[i]] = c
-            img = reduce_modulo(LinearInequality(tuple(coeffs), cur.bound), equalities)
+        for inverse in inverses:
+            img = eliminate([cur[i] for i in inverse])
             if img not in orbit:
                 orbit.add(img)
                 frontier.append(img)
-    return frozenset(orbit)
+    return frozenset(LinearInequality(row[:-1], row[-1]) for row in orbit)
 
 
 def vertex_enumeration(h: HPolytope, max_rays: int = 10**6) -> VPolytope:
@@ -716,8 +786,9 @@ def fourier_motzkin_project(
     remaining = [j for j in range(m) if j not in solved]
 
     permuted = ([*(q.coeffs[i] for i in order), q.bound] for q in h.inequalities)
+    eliminate = _eliminate_leads(pivots)
     rows = _tidy_rows(
-        (_eliminate_leads(integerize(r), pivots) for r in permuted),
+        (eliminate(integerize(r)) for r in permuted),
         max_rows, len(solved), m,
     )
     while remaining:
@@ -738,7 +809,8 @@ def fourier_motzkin_project(
     kept_eqs = tuple((c[m:], r) for c, r in reduced if not any(c[:m]))
     rows = [(r[m:-1], r[-1]) for r in rows]
     rows = _prune_redundant(rows, kept_eqs)
-    kept_ineqs = {reduce_modulo(LinearInequality(c, b), kept_eqs) for c, b in rows}
+    eliminate = _eliminate_leads(kept_eqs)
+    kept_ineqs = {_reduced(eliminate, (*c, b)) for c, b in rows}
     kept_ineqs = sorted(kept_ineqs, key=lambda f: (f.coeffs, f.bound))
     return HPolytope(len(keep), tuple(kept_ineqs), kept_eqs)
 
@@ -831,7 +903,7 @@ def _check_implied(row, others, eqs, y) -> None:
         if v:
             for j, cj in enumerate((*c, b)):
                 combo[j] -= v * cj
-    rest = _eliminate_leads(primitive(combo), eqs)
+    rest = _eliminate_leads(eqs)(primitive(combo))
     if any(rest[:-1]) or rest[-1] < 0:
         raise CertificateError(f"a pruned row is not implied by the rows kept: {row}")
 

@@ -256,7 +256,11 @@ class DeterministicStrategy:
             raise ValueError("beta values out of range")
 
 
-def _check_strategy_count(s: Scenario, limit: int = 10**7) -> None:
+# The most deterministic strategies, or table entries, a command builds.
+_COUNT_LIMIT = 10**7
+
+
+def _check_strategy_count(s: Scenario, limit: int = _COUNT_LIMIT) -> None:
     """Raise CapacityError when s has more than `limit` deterministic
     strategies (nA^nX * nB^nY)."""
     count = s.nA**s.nX * s.nB**s.nY
@@ -267,7 +271,7 @@ def _check_strategy_count(s: Scenario, limit: int = 10**7) -> None:
 
 
 def iter_deterministic_strategies(
-    s: Scenario, limit: int = 10**7
+    s: Scenario, limit: int = _COUNT_LIMIT
 ) -> Iterator[DeterministicStrategy]:
     """All deterministic strategies in lexicographic (alpha, beta) order, one
     at a time.
@@ -284,7 +288,7 @@ def iter_deterministic_strategies(
 
 
 def enumerate_deterministic_strategies(
-    s: Scenario, limit: int = 10**7
+    s: Scenario, limit: int = _COUNT_LIMIT
 ) -> list[DeterministicStrategy]:
     """`iter_deterministic_strategies` as a list."""
     return list(iter_deterministic_strategies(s, limit))

@@ -31,7 +31,6 @@ from instrumental.polytope import (
     _check_violated,
     _dot,
     _echelon,
-    _eliminate_leads,
     _null_space,
     facet_enumeration,
     no_signalling_polytope,
@@ -471,6 +470,28 @@ def full_box_residual_max(kind: str, *, alpha=None, n=None) -> Fraction:
     )
 
 
+def sequential_eliminate_leads(
+    row: tuple[int, ...], equalities: Sequence[Equality]
+) -> tuple[int, ...]:
+    """Zero the leading column of each row-reduced equality in the integer
+    row (coeffs..., bound), one equality at a time: scale the row by the
+    equality's lead made positive, subtract the equality and make the
+    result primitive again, so every step scales the row by a positive
+    rational.  The oracle of `polytope._eliminate_leads`, which does all of
+    them in one pass."""
+    for e_coeffs, e_rhs in equalities:
+        lead = next(j for j, c in enumerate(e_coeffs) if c != 0)
+        f = row[lead]
+        if f:
+            p = e_coeffs[lead]
+            if p < 0:
+                p, f = -p, -f
+            row = integerize(
+                [p * v - f * e for v, e in zip(row, (*e_coeffs, e_rhs))]
+            )
+    return row
+
+
 def echelon_identity_holds(residual: LinearExpression) -> bool:
     """Whether an affine Bell expression vanishes on the no-signalling affine
     hull: it reduces to zero modulo the echelon of the no-signalling
@@ -479,7 +500,7 @@ def echelon_identity_holds(residual: LinearExpression) -> bool:
     ns = no_signalling_polytope(residual.scenario)
     # coeffs . p + constant reads as the inequality coeffs . p <= -constant
     row = integerize((*residual.coeffs, -residual.constant))
-    return not any(_eliminate_leads(row, ns.equalities))
+    return not any(sequential_eliminate_leads(row, ns.equalities))
 
 
 def hashed_classical_correlations(s: Scenario) -> list[Correlation]:

@@ -250,6 +250,25 @@ def test_bounds_capacity_trips_before_any_expression(capsys, monkeypatch, kind, 
     )
 
 
+@pytest.mark.parametrize("n, dim", [(1581, 10004568), (100000, 40000400000)])
+def test_identity_capacity_trips_before_any_expression(capsys, monkeypatch, n, dim):
+    # Bell(n + 1, n) has 4 (n + 1) n entries; n = 1580 is the last under 10**7.
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the capacity check must trip before any expression")
+
+    for name in ("verify_identity", "identity_max_residual"):
+        monkeypatch.setattr(cli, name, unreachable)
+    start = time.perf_counter()
+    assert main(["identity", "chained", "--n", str(n), "--trials", "0"]) == 2
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"capacity: chained --n {n} lifts to a Bell scenario of dimension {dim},"
+        " over the limit of 10000000\n"
+    )
+
+
 def test_membership_classical_capacity_trip(capsys, monkeypatch, tmp_path):
     def unreachable(s, limit=None):
         raise AssertionError("the capacity check must trip before any strategy")

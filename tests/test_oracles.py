@@ -1,6 +1,7 @@
 """Test oracles against the routes the package uses."""
 
 import json
+import os
 import random
 from fractions import Fraction
 
@@ -42,7 +43,7 @@ from instrumental.polytope import (
     normalization_equalities,
     reduce_modulo,
 )
-from instrumental.rationals import integerize, over_common_denominator
+from instrumental.rationals import integerize, over_common_denominator, primitive
 from instrumental.scenario import (
     Correlation,
     Kind,
@@ -471,18 +472,28 @@ def test_double_description_skips_the_pair_itself_as_witness():
     assert sorted(_dd_pointed(rows, 10**6)) == sorted(want)
 
 
+# The witness screen's sizes: the default, none, a single ray, and more rays
+# than any double description here holds.  Each test runs them all, so its
+# ids stay those of its other parameters.
+SCREENS = (polytope._SCREEN, 0, 1, 10**6)
+
+
 @pytest.mark.parametrize("block", [None, 1], ids=["one-block", "one-ray-blocks"])
 @pytest.mark.parametrize("zero_one", [False, True], ids=["integer", "zero-one"])
 @pytest.mark.parametrize("r", [3, 4, 5, 6])
 def test_array_double_description_matches_python_ints(monkeypatch, r, zero_one, block):
     # Same rays in the same order: the block prefilter only drops pairs the
-    # pair-by-pair popcount drops, and the new rays come out in (p, m) order,
-    # also when each block of the prefilter holds a single positive ray.
+    # pair-by-pair popcount drops, the witness screen only pairs that a third
+    # ray rules out, and the new rays come out in (p, m) order, also when
+    # each block of the prefilter holds a single positive ray.
     if block:
         monkeypatch.setattr(polytope, "_PAIR_BLOCK", block)
     for seed in range(10):
         rows = _random_cone(random.Random(1000 * r + seed), r, zero_one)
-        assert _dd_pointed(rows, 10**6) == python_dd_pointed(rows, 10**6)
+        want = python_dd_pointed(rows, 10**6)
+        for screen in SCREENS:
+            monkeypatch.setattr(polytope, "_SCREEN", screen)
+            assert _dd_pointed(rows, 10**6) == want, screen
 
 
 def _recorded_ridge_dds(monkeypatch, s):
@@ -500,12 +511,85 @@ def _recorded_ridge_dds(monkeypatch, s):
     return calls
 
 
-@pytest.mark.parametrize("args", [(3,), (2, 3, 3)], ids=lambda a: "x".join(map(str, a)))
+@pytest.mark.parametrize(
+    "args", [(3,), (4,), (2, 3, 3), (2, 4, 4)], ids=lambda a: "x".join(map(str, a))
+)
 def test_ridge_double_descriptions_match_python_ints(monkeypatch, args):
     calls = _recorded_ridge_dds(monkeypatch, Scenario.instrumental(*args))
     assert calls
     for rows, max_rays, rays in calls:
         assert rays == python_dd_pointed(rows, max_rays)
+        for screen in SCREENS:
+            monkeypatch.setattr(polytope, "_SCREEN", screen)
+            assert _dd_pointed(rows, max_rays) == rays, screen
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--classical", "-x", "3"],
+        ["--classical", "-x", "4"],
+        ["--classical", "-x", "5"],
+        ["--gpt", "-x", "2"],
+        ["--gpt", "-x", "3"],
+    ],
+    ids=lambda a: "".join(a).replace("-", ""),
+)
+def test_one_pass_elimination_matches_sequential_on_orbit_images(monkeypatch, argv):
+    # Every image of every orbit member under every generator, permuted as
+    # coordinate i -> perm[i]: the one-pass map gives the row that zeroing
+    # one lead at a time gives, and that row is in the orbit.
+    images = []
+    walk = polytope._orbit
+
+    def checked(seed, generators, equalities):
+        orbit = walk(seed, generators, equalities)
+        eliminate = polytope._eliminate_leads(equalities)
+        for q in orbit:
+            for perm in generators:
+                coeffs = [0] * len(perm)
+                for i, c in enumerate(q.coeffs):
+                    coeffs[perm[i]] = c
+                row = (*coeffs, q.bound)
+                image = eliminate(row)
+                assert image == oracles.sequential_eliminate_leads(row, equalities)
+                assert LinearInequality(image[:-1], image[-1]) in orbit
+                images.append(image)
+        return orbit
+
+    monkeypatch.setattr(polytope, "_orbit", checked)
+    assert main(["facets", *argv, "--format", "json", "--output", os.devnull]) == 0
+    assert images
+
+
+def test_one_pass_elimination_matches_sequential_on_hypothesis_systems():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    systems = st.integers(1, 6).flatmap(
+        lambda d: st.tuples(
+            st.lists(st.tuples(*[st.integers(-4, 4)] * (d + 1)), max_size=d),
+            st.tuples(*[st.integers(-9, 9)] * (d + 1)),
+        )
+    )
+
+    @hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(systems)
+    def same_row(system):
+        rows, row = system
+        d = len(row) - 1
+        try:
+            eqs = _reduce_equalities([(r[:-1], r[-1]) for r in rows], d)
+        except ValueError:  # an inconsistent system has no reduced form
+            hypothesis.assume(False)
+        # The map scales out the row's content, which the loop keeps when no
+        # lead needs zeroing; on a primitive row they agree.
+        eliminate = polytope._eliminate_leads(eqs)
+        image = eliminate(row)
+        assert image == eliminate(primitive(row))
+        assert image == oracles.sequential_eliminate_leads(primitive(row), eqs)
+        assert not any(image[next(j for j, c in enumerate(e) if c)] for e, _ in eqs)
+
+    same_row()
 
 
 def _spy_dtypes(monkeypatch):

@@ -97,6 +97,29 @@ def test_reduce_modulo_kills_pivot_columns():
     assert q == q2
 
 
+@pytest.mark.parametrize(
+    "equalities",
+    [
+        (((1, 1, 0), 1), ((0, 1, 1), 0)),
+        (((-1, 1, 0), 0),),
+        (((0, 0, 0), 1),),
+    ],
+    ids=["nonzero-on-another-lead", "negative-lead", "no-lead"],
+)
+def test_elimination_needs_row_reduced_equalities(equalities):
+    with pytest.raises(ValueError):
+        polytope._eliminate_leads(equalities)
+    with pytest.raises(ValueError):
+        reduce_modulo(ineq([1, 0, 1], 2), equalities)
+
+
+def test_orbit_without_generators_is_the_seed():
+    eqs = (((1, 1, 0), 1),)
+    q = reduce_modulo(ineq([1, 0, 1], 2), eqs)
+    assert polytope._orbit(q, [], eqs) == frozenset({q})
+    assert polytope._orbit(q, [], ()) == frozenset({q})
+
+
 def test_simplex_facets():
     v = VPolytope.from_points([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
     h = facet_enumeration(v)
