@@ -20,6 +20,7 @@ from .polytope import (
     LinearInequality,
     MembershipCertificate,
     VPolytope,
+    _dot,
     _eliminate_leads,
     _reduced,
     membership,
@@ -817,9 +818,11 @@ def extension_membership(p: Correlation, theory: str) -> MembershipCertificate:
     post-selection mixes to p (the weights certify inside; a separating facet
     of the projected polytope certifies outside).  theory "nosignalling": an
     exact LP over Bell boxes with the wired coordinates pinned to p; inside
-    returns the extension, outside a valid inequality separating p from every
-    post-selected no-signalling box.  The classical test raises CapacityError
-    when s has more than `_MEMBERSHIP_STRATEGY_LIMIT` deterministic strategies.
+    returns the extension, checked in integers to be a nonnegative
+    no-signalling box equal to p there, outside a valid inequality
+    separating p from every post-selected no-signalling box.  The classical
+    test raises CapacityError when s has more than
+    `_MEMBERSHIP_STRATEGY_LIMIT` deterministic strategies.
     """
     s = p.scenario
     if s.kind is Kind.BELL:
@@ -853,9 +856,14 @@ def extension_membership(p: Correlation, theory: str) -> MembershipCertificate:
         pin_rows.append((coeffs, v))
     res = solve_lp([0] * bell.dim, eqs=eq_rows + pin_rows, nonneg=True)
     if res.status is LpStatus.OPTIMAL:
-        return MembershipCertificate(
-            inside=True, extension=tuple(res.x)
-        )
+        # The extension is checked in integers, on x times its denominator:
+        # nonnegative, no-signalling, and equal to p where the wire pins it.
+        xden, (xs,) = over_common_denominator([res.x])
+        if any(v < 0 for v in xs) or any(
+            _dot(c, xs) != r * xden for c, r in eq_rows + pin_rows
+        ):
+            raise CertificateError("the extension is not a no-signalling box through p")
+        return MembershipCertificate(inside=True, extension=res.x)
     # Farkas multipliers of the pinned rows give a functional whose
     # no-signalling maximum certifies the separation.
     if res.farkas is None:

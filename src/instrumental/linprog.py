@@ -45,7 +45,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
-from .errors import CertificateError
+from .errors import CapacityError, CertificateError
 
 __all__ = ["LpStatus", "LpResult", "solve_lp"]
 
@@ -55,6 +55,10 @@ Row = tuple[Sequence[int], int]  # (coefficients, right-hand side)
 Pair = tuple[int, int]  # a reduced tableau cell: (numerator, denominator > 0)
 
 _ZERO: Pair = (0, 1)
+
+# The most cells a tableau may store, about 64 bytes each: 90 times the
+# largest LP of the test suite and the benchmark (330 rows, 43,560 cells).
+_CELL_LIMIT = 4 * 10**6
 
 
 class LpStatus(Enum):
@@ -147,7 +151,9 @@ def _simplex_standard(
     `cost` and `rows` cover the structural columns; the rows after the first
     `n_eqs` get a slack each.  With no equality and every rhs >= 0 the slacks
     are a feasible basis and phase 2 starts there.  Otherwise phase 1 finds a
-    feasible basis from one artificial per row.
+    feasible basis from one artificial per row, and the tableau stores the
+    m x (m - n_eqs) block of the slack columns too.  Raises CapacityError
+    before it builds a tableau of more than `_CELL_LIMIT` cells.
 
     Returns (status, x, y), x over the structural columns, where y is the
     Farkas certificate on INFEASIBLE (y . rows <= 0 componentwise, with the
@@ -157,7 +163,14 @@ def _simplex_standard(
     m, n_vars = len(rows), len(cost)
     n = n_vars + m - n_eqs
     flip = [1] * m
-    if not n_eqs and all(r >= 0 for r in rhs):
+    slack_basis = not n_eqs and all(r >= 0 for r in rhs)
+    cells = m * (n_vars + 1 + (0 if slack_basis else m - n_eqs))
+    if cells > _CELL_LIMIT:
+        raise CapacityError(
+            f"an LP of {m} rows would store {cells} tableau cells,"
+            f" over the limit of {_CELL_LIMIT}"
+        )
+    if slack_basis:
         tab = [row + [(r, 1)] for row, r in zip(rows, rhs)]
         slacks = list(range(n_vars, n))
         return _phase_two(cost, tab, slacks[:], list(range(n_vars)), slacks, flip, n)

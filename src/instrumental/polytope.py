@@ -18,6 +18,13 @@ restriction to and from the cone's coordinates), the slacks of the orbit
 search and those of its final check run as numpy products, in int64 where a
 bound on the operands proves that every value stays below 2**63 and on
 Python ints (dtype=object) otherwise; numpy is imported on that path only.
+Its rays' tight sets are one array of uint64 words carried from insertion to
+insertion.  Pairs of rays are counted a word at a time against the adjacency
+condition's popcount bound and screened against the rays tight on the most
+rows, or against every ray while few are held, which is the full adjacency
+test; only the pairs left go through a pair-by-pair test on Python ints.
+The final check takes its ranks over GF(p), with none of the `_echelon`
+that found the hull.
 A hull with a known symmetry group is found one orbit at a time by
 adjacency decomposition: the double description runs only on the vertices
 of each orbit representative, to find its ridges, and each ridge is rotated
@@ -317,11 +324,13 @@ def _exact_product(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]):
 
 
 # The pair prefilter takes as many positive rays per block as keep its
-# positives x negatives x mask words temporary near 2**16 uint64s (512 kB).
+# positives x negatives count near 2**16 entries.
 _PAIR_BLOCK = 1 << 16
 # The witness screen tests each pair that passes the prefilter against this
 # many rays, those tight on the most constraints, in chunks of pairs that
 # keep its pairs x screen rays temporaries within the same 2**16 entries.
+# While at most 4 * _SCREEN rays are held, the screen holds every ray, which
+# makes it the full adjacency test, and no pair goes on to the pair loop.
 _SCREEN = 32
 
 
@@ -343,16 +352,24 @@ def _dd_pointed(
     The rays are one integer array, so each insertion takes its row . ray
     dots, and the new rays dp R[m] - dm R[p] of its adjacent pairs, as a few
     array operations.  They are exact in the dtype `_exact_dtype` picks from
-    2 r max|row| max|ray|^2, the largest value they reach.  The necessary
-    condition |tight[p] & tight[m]| >= r - 2 is counted for a block of
-    (positive, negative) pairs at once on uint64 mask words.  The pairs that
+    2 r max|row| max|ray|^2, the largest value they reach.  The tight sets
+    are one (rays x words) array of uint64 words, carried from insertion to
+    insertion: the rays kept are taken by index, with the row's bit set on
+    those tight on it, and a new ray's set is tight[p] & tight[m] plus that
+    bit.  The necessary condition |tight[p] & tight[m]| >= r - 2 is counted
+    for a block of (positive, negative) pairs one word at a time, into an
+    unsigned count just wide enough for the number of rows.  The pairs that
     pass are screened against the `_SCREEN` rays tight on the most
     constraints: a screen ray k is tight on all of common = tight[p] &
     tight[m] when no word of common & ~tight[k] is nonzero, and such a k
     other than p and m is exactly the witness the full test looks for, so
-    the screen drops only pairs that are not adjacent.  The pairs left meet
-    the witnesses and the full test one at a time, in (p, then m) order, so
-    the rays after every insertion are those of a pair-by-pair run.
+    the screen drops only pairs that are not adjacent.  While the rays are
+    few (at most 4 * `_SCREEN`) the screen holds every ray; that is the full
+    test, and the pairs it keeps are the adjacent ones.  Otherwise the pairs
+    left meet the witnesses and the full test one at a time, on Python-int
+    masks built for that insertion.  Either way the new rays follow
+    (p, then m) order, so the rays after every insertion are those of a
+    pair-by-pair run.
     """
     # Imported here, not with the module: the DD is the package's only numpy
     # user, so commands that run no DD never load it.
@@ -370,108 +387,73 @@ def _dd_pointed(
         raise ValueError("cone is not pointed (rank-deficient constraint matrix)")
 
     rays = np.array([primitive(e[n:]) for e in ech], dtype=object)
-    full = sum(1 << idx for idx in chosen)
-    tight = [full ^ (1 << idx) for idx in chosen]
-
-    chosen_set = set(chosen)
     words = (n + 63) // 64
-    need = r - 2
+    full = sum(1 << idx for idx in chosen)
+    tight = np.frombuffer(
+        b"".join((full ^ (1 << idx)).to_bytes(8 * words, "little") for idx in chosen),
+        "<u8",
+    ).reshape(r, words).astype(np.uint64)
+    count_dtype = np.uint8 if n < 1 << 8 else np.uint16 if n < 1 << 16 else np.uint32
+    chosen_set = set(chosen)
+    need = max(r - 2, 0)
     for idx, row in enumerate(rows):
         if idx in chosen_set:
             continue
         bound = 2 * r * _max_abs([row]) * int(np.abs(rays).max()) ** 2
         rays = rays.astype(_exact_dtype(bound), copy=False)
         dots = rays @ np.array(row, rays.dtype)
-        bit = 1 << idx
+        word, bit = idx // 64, np.uint64(1 << idx % 64)
         neg = np.flatnonzero(dots < 0)
         zero = np.flatnonzero(dots == 0)
         if not len(neg):
-            for i in zero.tolist():
-                tight[i] |= bit
+            tight[zero, word] |= bit
             continue
         pos = np.flatnonzero(dots > 0)
-        # Ray bitmask per constraint: which current rays are tight on it.
-        # The adjacency test ANDs these columns, which runs at word speed
-        # instead of scanning the ray list per candidate pair.  They are the
-        # transpose of the tight masks as a 0/1 matrix, built in one step:
-        # one byte row per ray, unpacked, transposed and packed again.
-        masks = b"".join(t.to_bytes(8 * words, "little") for t in tight)
-        bits = np.unpackbits(
-            np.frombuffer(masks, np.uint8).reshape(len(tight), 8 * words),
-            axis=1,
-            bitorder="little",
-        )
-        packed = np.packbits(bits.T, axis=1, bitorder="little").tobytes()
-        col_bytes = (len(tight) + 7) // 8
-        cols = [
-            int.from_bytes(packed[j * col_bytes : (j + 1) * col_bytes], "little")
-            for j in range(n)
-        ]
-        mask_words = np.frombuffer(masks, "<u8").reshape(len(tight), words)
-        neg_words = mask_words[neg]
-        fat = np.argsort(
-            -np.bitwise_count(mask_words).sum(axis=1), kind="stable"
-        )[:_SCREEN]
-        not_fat = ~mask_words[fat]
-        in_fat = np.zeros(len(tight), np.int32)
-        in_fat[fat] = 1
-        chunk = max(1, _PAIR_BLOCK // max(len(fat), 1))
-        block = max(1, _PAIR_BLOCK // (len(neg) * words))
-        adjacent: list[tuple[int, int]] = []
-        new_tight: list[int] = []
-        everyone = (1 << len(tight)) - 1
+        held = len(tight)
+        if held <= 4 * _SCREEN:
+            screen = np.arange(held)
+        else:
+            screen = np.argsort(
+                -np.bitwise_count(tight).sum(axis=1), kind="stable"
+            )[:_SCREEN]
+        not_screen = ~tight[screen]
+        in_screen = np.zeros(held, np.int32)
+        in_screen[screen] = 1
+        neg_words = tight[neg].T.copy()
+        chunk = max(1, _PAIR_BLOCK // max(len(screen), 1))
+        block = max(1, _PAIR_BLOCK // len(neg))
+        kept_p, kept_m = [pos[:0]], [neg[:0]]
         for b in range(0, len(pos), block):
             ps = pos[b : b + block]
-            common_bits = np.bitwise_count(mask_words[ps, None] & neg_words).sum(
-                axis=2, dtype=np.int32
-            )
+            common_bits = np.zeros((len(ps), len(neg)), count_dtype)
+            for w in range(words):
+                common_bits += np.bitwise_count(tight[ps, w, None] & neg_words[w])
             pi, mi = np.nonzero(common_bits >= need)
             pp, mm = ps[pi], neg[mi]
             keep = np.empty(len(pp), bool)
             for c in range(0, len(pp), chunk):
                 cp, cm = pp[c : c + chunk], mm[c : c + chunk]
-                common = mask_words[cp] & mask_words[cm]
+                common = tight[cp] & tight[cm]
                 # Screen ray k misses the pair when some constraint of
                 # common is not tight on k; p and m themselves never miss.
-                miss = np.zeros((len(cp), len(fat)), bool)
+                miss = np.zeros((len(cp), len(screen)), bool)
                 for w in range(words):
-                    miss |= (common[:, w, None] & not_fat[None, :, w]) != 0
+                    miss |= (common[:, w, None] & not_screen[None, :, w]) != 0
                 hits = (~miss).sum(axis=1, dtype=np.int32)
-                keep[c : c + chunk] = hits == in_fat[cp] + in_fat[cm]
-            last = None
-            for p, m in zip(pp[keep].tolist(), mm[keep].tolist()):
-                if p != last:
-                    last, tp, witnesses = p, tight[p], []
-                common = tp & tight[m]
-                # A ray other than p and m that is tight on all of common
-                # proves the pair not adjacent; m itself is tight on it.
-                for k, not_tk in witnesses:
-                    if not common & not_tk and k != m:
-                        break
-                else:
-                    # Rows inserted later are tight on fewer rays, so the
-                    # highest bits rule out the others soonest.
-                    others = everyone & ~((1 << p) | (1 << m))
-                    t = common
-                    while t and others:
-                        j = t.bit_length() - 1
-                        others &= cols[j]
-                        t ^= 1 << j
-                    if others:
-                        k = others.bit_length() - 1
-                        witnesses.append((k, ~tight[k]))
-                    else:
-                        adjacent.append((p, m))
-                        new_tight.append(common | bit)
-        p_idx, m_idx = np.array(adjacent, dtype=np.intp).reshape(-1, 2).T
+                keep[c : c + chunk] = hits == in_screen[cp] + in_screen[cm]
+            kept_p.append(pp[keep])
+            kept_m.append(mm[keep])
+        p_idx = np.concatenate(kept_p)
+        m_idx = np.concatenate(kept_m)
+        if len(screen) < held and len(p_idx):
+            p_idx, m_idx = _full_adjacency_test(tight, p_idx, m_idx, n)
         new = dots[p_idx, None] * rays[m_idx] - dots[m_idx, None] * rays[p_idx]
         new //= np.maximum(np.gcd.reduce(new, axis=1), 1)[:, None]
-        tight = (
-            [tight[i] for i in pos.tolist()]
-            + [tight[i] | bit for i in zero.tolist()]
-            + new_tight
-        )
-        rays = np.concatenate((rays[pos], rays[zero], new))
+        new_tight = tight[p_idx] & tight[m_idx]
+        survivors = np.concatenate((pos, zero))
+        tight = np.concatenate((tight[survivors], new_tight))
+        tight[len(pos) :, word] |= bit
+        rays = np.concatenate((rays[survivors], new))
         if len(rays) > max_rays:
             raise CapacityError(
                 f"double description exceeded {max_rays} intermediate rays"
@@ -481,6 +463,59 @@ def _dd_pointed(
             return []
     # Degenerate duplicates cannot arise from adjacent pairs, but stay safe.
     return list(dict.fromkeys(map(tuple, rays.tolist())))
+
+
+def _full_adjacency_test(tight, pp, mm, n: int):
+    """The adjacent pairs among (pp, mm), in order: those with no ray other
+    than p and m tight on all of tight[p] & tight[m], decided pair by pair
+    on Python-int masks.  Each positive ray keeps the witnesses it has met
+    and tries them before the full test."""
+    import numpy as np
+
+    held, words = tight.shape
+    masks = tight.astype("<u8", copy=False).tobytes()
+    size = 8 * words
+    ints = [int.from_bytes(masks[i * size : (i + 1) * size], "little") for i in range(held)]
+    # Ray bitmask per constraint: which rays are tight on it.  The full test
+    # ANDs these columns, which runs at word speed instead of scanning the
+    # ray list per pair.  They are the transpose of the tight sets as a 0/1
+    # matrix: unpacked, transposed and packed again.
+    bits = np.unpackbits(
+        np.frombuffer(masks, np.uint8).reshape(held, size), axis=1, bitorder="little"
+    )
+    packed = np.packbits(bits[:, :n].T, axis=1, bitorder="little").tobytes()
+    col_bytes = (held + 7) // 8
+    cols = [
+        int.from_bytes(packed[j * col_bytes : (j + 1) * col_bytes], "little")
+        for j in range(n)
+    ]
+    everyone = (1 << held) - 1
+    adjacent = []
+    last = None
+    for i, (p, m) in enumerate(zip(pp.tolist(), mm.tolist())):
+        if p != last:
+            last, tp, witnesses = p, ints[p], []
+        common = tp & ints[m]
+        # A ray other than p and m that is tight on all of common proves
+        # the pair not adjacent; m itself is tight on it.
+        for k, not_tk in witnesses:
+            if not common & not_tk and k != m:
+                break
+        else:
+            # Rows inserted later are tight on fewer rays, so the highest
+            # bits rule out the others soonest.
+            others = everyone & ~((1 << p) | (1 << m))
+            t = common
+            while t and others:
+                j = t.bit_length() - 1
+                others &= cols[j]
+                t ^= 1 << j
+            if others:
+                k = others.bit_length() - 1
+                witnesses.append((k, ~ints[k]))
+            else:
+                adjacent.append(i)
+    return pp[adjacent], mm[adjacent]
 
 
 # ---------------------------------------------------------------------------
@@ -598,7 +633,7 @@ def adjacency_decomposition(
                 orbits.append(_orbit(g, generators, equalities))
                 representatives.append(g)
     facets = sorted(itertools.chain(*orbits), key=lambda q: (q.coeffs, q.bound))
-    _check_facets(v.vertices, facets, representatives)
+    _check_facets(v.vertices, facets, representatives, equalities)
     return HPolytope(d, tuple(facets), equalities), orbits
 
 
@@ -626,13 +661,28 @@ def _check_facets(
     vertices: Sequence[Sequence[Fraction]],
     facets: Sequence[LinearInequality],
     representatives: Sequence[LinearInequality],
+    equalities: Sequence[Equality],
 ) -> None:
     """Raise CertificateError unless every facet has a nonnegative integer
     slack on every vertex and every representative is a facet: one of the
     list whose tight vertices span a hyperplane of the hull.  The slacks are
-    one exact product of the facet rows and the homogenized vertices."""
+    one exact product of the facet rows and the homogenized vertices.
+
+    Ranks are taken over GF(p) (`_rank_mod_p`), with none of the `_echelon`
+    that found the hull; a rank over GF(p) is at most the rational one.  The
+    hull's rank is d + 1 - m: the m equalities vanish on every vertex and
+    are independent (rank m over GF(p)), which bounds it from above, and the
+    homogenized vertices' rank over GF(p) bounds it from below.  A valid row
+    with a vertex of positive slack is tight on vertices of rank at most
+    d - m, so rank d - m over GF(p) proves it a facet."""
     hom = [integerize((1, *vert)) for vert in vertices]
-    rank = _rank(hom)
+    rank = len(hom[0]) - len(equalities)
+    if equalities:
+        eq_rows = [integerize((-rhs, *coeffs)) for coeffs, rhs in equalities]
+        if _exact_product(eq_rows, hom).any() or _rank_mod_p(eq_rows) < len(eq_rows):
+            raise CertificateError("the equalities do not hold on every vertex")
+    if _rank_mod_p(hom) < rank:
+        raise CertificateError("the vertices span more than the equalities allow")
     rows = [_slack_row(q) for q in facets]
     for q, row in zip(facets, rows):
         if any(type(c) is not int for c in row):
@@ -645,9 +695,40 @@ def _check_facets(
     listed = {q: i for i, q in enumerate(facets)}
     for q in representatives:
         i = listed.get(q)
-        tight = [] if i is None else [h for h, s in zip(hom, slacks[i]) if s == 0]
-        if i is None or _rank(tight) != rank - 1:
+        if (
+            i is None
+            or not (slacks[i] > 0).any()
+            or _rank_mod_p([h for h, s in zip(hom, slacks[i]) if s == 0]) < rank - 1
+        ):
             raise CertificateError(f"an orbit representative is not a facet: {q}")
+
+
+# A prime below 2**31: a product of two residues stays below 2**62.
+_PRIME = 2**31 - 1
+
+
+def _rank_mod_p(rows: Sequence[Sequence[int]]) -> int:
+    """The rank of integer rows over GF(_PRIME), a lower bound on their
+    rational rank: Gaussian elimination on int64 residues, each entry
+    reduced in Python ints first."""
+    import numpy as np
+
+    a = np.array([[v % _PRIME for v in row] for row in rows], np.int64)
+    rank = 0
+    for col in range(a.shape[1] if len(rows) else 0):
+        nonzero = np.flatnonzero(a[rank:, col])
+        if not len(nonzero):
+            continue
+        pivot = rank + int(nonzero[0])
+        a[[rank, pivot]] = a[[pivot, rank]]
+        a[rank] = a[rank] * pow(int(a[rank, col]), -1, _PRIME) % _PRIME
+        below = a[rank + 1 :]
+        below -= below[:, col, None] * a[rank] % _PRIME
+        below %= _PRIME
+        rank += 1
+        if rank == len(a):
+            break
+    return rank
 
 
 def _slack_row(q: LinearInequality) -> tuple[int | Fraction, ...]:
@@ -862,7 +943,10 @@ def _prune_redundant(ineqs, eqs):
     if not rows:
         return rows
     d = len(rows[0][0])
-    start = solve_lp([0] * d, ineqs=rows, eqs=eqs)
+    try:
+        start = solve_lp([0] * d, ineqs=rows, eqs=eqs)
+    except CapacityError as exc:
+        raise CapacityError(f"FM pruning start LP: {exc}") from exc
     if start.status is not LpStatus.OPTIMAL:
         return rows
     *xs, den = integerize((*start.x, 1))

@@ -315,15 +315,33 @@ def classical_correlations(s: Scenario) -> list[Correlation]:
     Two strategies induce the same table exactly when they share alpha and
     their betas differ only on wire values that no input reaches.  Of each
     such group, the first in enumeration order is kept: the one whose beta is
-    0 on every unreached wire value.  No table is built for the others.
+    0 on every unreached wire value.  So each alpha runs only over the
+    outputs on its reached wire values (every y in a Bell scenario), in
+    lexicographic order, and no strategy is built.  Raises CapacityError
+    first, as `iter_deterministic_strategies` does.
     """
+    _check_strategy_count(s)
+    nA, nB = s.nA, s.nB
     out: list[Correlation] = []
-    for d in enumerate_deterministic_strategies(s):
-        if s.kind is not Kind.BELL:
-            reached = {s.wire(a, x) for x, a in enumerate(d.alpha)}
-            if any(b and y not in reached for y, b in enumerate(d.beta)):
-                continue
-        out.append(strategy_to_correlation(d))
+    for alpha in itertools.product(range(nA), repeat=s.nX):
+        # Per wire value y, in order: the flat index of the b = 0 entry of
+        # each input that sees y; Bob's output b on y sets each of them + b.
+        if s.kind is Kind.BELL:
+            slots = [
+                [((x * s.nY + y) * nA + a) * nB for x, a in enumerate(alpha)]
+                for y in range(s.nY)
+            ]
+        else:
+            seen: dict[int, list[int]] = {}
+            for x, a in enumerate(alpha):
+                seen.setdefault(s.wire(a, x), []).append((x * nA + a) * nB)
+            slots = [seen[y] for y in sorted(seen)]
+        for beta in itertools.product(range(nB), repeat=len(slots)):
+            entries = [_F0] * s.dim
+            for starts, b in zip(slots, beta):
+                for i in starts:
+                    entries[i + b] = _F1
+            out.append(Correlation(s, tuple(entries)))
     return out
 
 

@@ -82,8 +82,10 @@ def test_tampered_farkas_vector_raises(monkeypatch):
         (wired_pr, "classical", polytope, LpStatus.OPTIMAL, {"x": shifted_weights}),
         (signalling_table, "nosignalling", inequalities, LpStatus.INFEASIBLE,
          {"farkas": negated_farkas}),
+        (wired_pr, "nosignalling", inequalities, LpStatus.OPTIMAL,
+         {"x": lambda res: (res.x[0] + 1, *res.x[1:])}),
     ],
-    ids=["weights", "farkas"],
+    ids=["weights", "farkas", "extension"],
 )
 def test_failed_certificate_exits_3(
     monkeypatch, tmp_path, capsys, table, theory, module, status, change
@@ -274,10 +276,12 @@ def _instrumental_hull(s):
 def test_tampered_facet_raises(monkeypatch):
     v, h = _instrumental_hull(INSTR3)
     facets = list(h.inequalities)
-    polytope._check_facets(v.vertices, facets, facets[:1])
+    polytope._check_facets(v.vertices, facets, facets[:1], h.equalities)
     tightened = polytope.LinearInequality(facets[5].coeffs, facets[5].bound - 1)
     with pytest.raises(CertificateError, match="cuts off"):
-        polytope._check_facets(v.vertices, facets[:5] + [tightened] + facets[6:], facets[:1])
+        polytope._check_facets(
+            v.vertices, facets[:5] + [tightened] + facets[6:], facets[:1], h.equalities
+        )
 
     # a search whose orbit step slips in a tightened copy of each seed
     orbit = polytope._orbit
@@ -302,11 +306,41 @@ def test_tampered_representative_raises():
         ),
         h.equalities,
     )
-    polytope._check_facets(v.vertices, facets + [merged], facets[:1])
+    polytope._check_facets(v.vertices, facets + [merged], facets[:1], h.equalities)
     with pytest.raises(CertificateError, match="not a facet"):
-        polytope._check_facets(v.vertices, facets + [merged], [facets[0], merged])
+        polytope._check_facets(
+            v.vertices, facets + [merged], [facets[0], merged], h.equalities
+        )
     with pytest.raises(CertificateError, match="not a facet"):
-        polytope._check_facets(v.vertices, facets[1:], facets[:1])
+        polytope._check_facets(v.vertices, facets[1:], facets[:1], h.equalities)
+
+
+def test_facet_check_takes_its_ranks_over_gf_p(monkeypatch):
+    v, h = _instrumental_hull(INSTR3)
+    facets = list(h.inequalities)
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the facet check shares no echelon with the search")
+
+    monkeypatch.setattr(polytope, "_echelon", unreachable)
+    polytope._check_facets(v.vertices, facets, facets, h.equalities)
+    (coeffs, rhs), *rest = h.equalities
+    merged = polytope.LinearInequality(
+        tuple(a + b for a, b in zip(facets[0].coeffs, facets[-1].coeffs)),
+        facets[0].bound + facets[-1].bound,
+    )
+    # tight on every vertex: its tight set has the hull's full rank
+    flat = polytope.LinearInequality(coeffs, rhs)
+    for extra in (merged, flat):
+        with pytest.raises(CertificateError, match="not a facet"):
+            polytope._check_facets(v.vertices, facets + [extra], [extra], h.equalities)
+    for equalities in (
+        rest,  # one equality short: the hull has a larger rank
+        [(coeffs, rhs), (coeffs, rhs), *rest],  # dependent equalities
+        [(coeffs, rhs + 1), *rest],  # an equality off the vertices
+    ):
+        with pytest.raises(CertificateError):
+            polytope._check_facets(v.vertices, facets, facets[:1], equalities)
 
 
 def plus_positivity(separate):

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from instrumental import cli, inequalities, io, polytope, scenario
+from instrumental import cli, inequalities, io, linprog, polytope, scenario
 from instrumental.cli import main
 from instrumental.inequalities import catalog, gpt_maximum
 from instrumental.quantum import born_table, tilted_search
@@ -98,6 +98,19 @@ def test_facets_zero_outputs_named_as_outputs(capsys, flag):
 def test_facets_capacity_exit(capsys):
     assert main(["facets", "--classical", "-x", "2", "--max-rays", "3"]) == 2
     assert "capacity" in capsys.readouterr().err
+
+
+def test_facets_gpt_lp_cell_limit_exit(capsys, monkeypatch):
+    # The pruning start LP is the projection's first; past the cell limit it
+    # exits 2 and names itself, before its tableau is built.
+    monkeypatch.setattr(linprog, "_CELL_LIMIT", 1)
+    assert main(["facets", "--gpt", "-x", "2"]) == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(
+        r"capacity: FM pruning start LP: an LP of \d+ rows would store \d+"
+        r" tableau cells, over the limit of 1\n",
+        err,
+    ), err
 
 
 # Smallest --max-rays `facets --classical` accepts.  It bounds each ridge

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 import instrumental.linprog as linprog
+from instrumental.errors import CapacityError
 from instrumental.linprog import LpStatus, solve_lp
 
 F = Fraction
@@ -65,6 +66,20 @@ def test_slack_basis_start_skips_phase_one(monkeypatch, ineqs, eqs, phases):
     res = solve_lp([1, 1], ineqs=ineqs, eqs=eqs)
     assert res.status is LpStatus.OPTIMAL
     assert len(calls) == phases
+
+
+def test_tableau_cell_limit_counts_the_slack_block(monkeypatch):
+    # Two free variables split into four columns.  The slack-basis LP of
+    # three rows stores 3 x (4 + 1) cells; with an equality row added, the
+    # two-phase tableau stores 4 x (4 + 1) cells plus the 4 x 3 slack block.
+    ineqs = [([1, 0], 1), ([0, 1], 1), ([1, 1], 3)]
+    eqs = [([1, -1], 0)]
+    monkeypatch.setattr(linprog, "_CELL_LIMIT", 31)
+    assert solve_lp([1, 1], ineqs=ineqs).status is LpStatus.OPTIMAL
+    with pytest.raises(CapacityError, match="4 rows would store 32 tableau cells"):
+        solve_lp([1, 1], ineqs=ineqs, eqs=eqs)
+    monkeypatch.setattr(linprog, "_CELL_LIMIT", 32)
+    assert solve_lp([1, 1], ineqs=ineqs, eqs=eqs).value == 2
 
 
 def test_equality_constraints():

@@ -13,6 +13,7 @@ import instrumental.io as io
 import instrumental.linprog as linprog
 import instrumental.polytope as polytope
 from instrumental.cli import main
+from instrumental.errors import CapacityError
 from instrumental.inequalities import (
     LinearExpression,
     _square_free,
@@ -496,6 +497,57 @@ def test_array_double_description_matches_python_ints(monkeypatch, r, zero_one, 
             assert _dd_pointed(rows, 10**6) == want, screen
 
 
+def _wide_cone(seed):
+    """A pointed cone of 268 rows in R^4: the homogenized origin at 256
+    scales, then 12 random points in [-3, 3]^3.  Rays through the origin
+    share its 256 rows, more than a uint8 count holds."""
+    rng = random.Random(seed)
+    points = [tuple(rng.randint(-3, 3) for _ in range(3)) for _ in range(12)]
+    return [(k, 0, 0, 0) for k in range(1, 257)] + [(1, *p) for p in points]
+
+
+def test_double_description_counts_past_255_common_rows(monkeypatch):
+    # Same rays in the same order, and the same row in the CapacityError,
+    # when pairs share 256 or more tight rows.
+    for seed in range(5):
+        rows = _wide_cone(seed)
+        want = python_dd_pointed(rows, 10**6)
+        cap = len(want) // 2
+        with pytest.raises(CapacityError) as tripped:
+            python_dd_pointed(rows, cap)
+        for screen in SCREENS:
+            monkeypatch.setattr(polytope, "_SCREEN", screen)
+            assert _dd_pointed(rows, 10**6) == want, screen
+            with pytest.raises(CapacityError) as also:
+                _dd_pointed(rows, cap)
+            assert str(also.value) == str(tripped.value)
+
+
+def test_double_description_screens_every_ray_while_they_are_few(monkeypatch):
+    # Up to 4 * _SCREEN rays the screen holds every ray and no pair reaches
+    # the pair-by-pair test; past that the pairs left do.  At _SCREEN = 2
+    # both run within one double description.
+    calls = []
+    full_test = polytope._full_adjacency_test
+
+    def counted(tight, pp, mm, n):
+        calls.append(len(tight))
+        return full_test(tight, pp, mm, n)
+
+    monkeypatch.setattr(polytope, "_full_adjacency_test", counted)
+    for seed in range(5):
+        rows = _wide_cone(seed)
+        want = python_dd_pointed(rows, 10**6)
+        loops = {}
+        for screen in (0, 2, 10**6):
+            monkeypatch.setattr(polytope, "_SCREEN", screen)
+            calls.clear()
+            assert _dd_pointed(rows, 10**6) == want, screen
+            assert all(held > 4 * screen for held in calls)
+            loops[screen] = len(calls)
+        assert loops[10**6] == 0 < loops[2] < loops[0], loops
+
+
 def _recorded_ridge_dds(monkeypatch, s):
     """(rows, max_rays, rays) of every ridge DD that the adjacency
     decomposition of s's classical polytope runs."""
@@ -706,6 +758,8 @@ def test_adjacency_decomposition_matches_double_description(args):
         Scenario.instrumental(3, 3, 2),
         Scenario.instrumental(2, 4, 4),
         Scenario.chained(3),
+        Scenario.chained(4),
+        Scenario.bell(3, 2, 2, 3),
         Scenario.f_instrumental(2, 3, 2, 2, [[0, 2], [1, 1]]),
     ],
     ids=_name,

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import instrumental.scenario as scenario
 from instrumental.errors import CapacityError
 from instrumental.scenario import (
     Correlation,
@@ -112,6 +113,18 @@ def test_distinct_correlation_counts():
 
     for s, frozen in [(INSTR2, 12), (INSTR3, 28), (Scenario.chained(2), 28)]:
         assert oracle(s) == len(classical_correlations(s)) == frozen
+
+
+def test_classical_correlations_build_no_strategy(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("tables come from alpha and the reached wire values")
+
+    monkeypatch.setattr(scenario, "DeterministicStrategy", unreachable)
+    assert len(classical_correlations(Scenario.chained(2))) == 28
+    assert len(classical_correlations(BELL22)) == 16
+    # the strategy count is checked before any table is built
+    with pytest.raises(CapacityError):
+        classical_correlations(Scenario.instrumental(30))
 
 
 def test_postselect_pr_box():
