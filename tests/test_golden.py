@@ -53,9 +53,15 @@ CASES = {
     "bounds_chained_4_csv": ["bounds", "chained", "4", "--format", "csv"],
     "bounds_tilted_chsh_2_json": ["bounds", "tilted_chsh", "2", "--format", "json"],
     "bounds_chained_bell_4": ["bounds", "chained_bell", "4"],
+    "bounds_chained_6_json": ["bounds", "chained", "6", "--format", "json"],
+    "bounds_tilted_100_json": ["bounds", "tilted", "100", "--format", "json"],
+    "bounds_chained_bell_6_json": ["bounds", "chained_bell", "6", "--format", "json"],
     "identity_bonet_20": ["identity", "bonet", "--trials", "20"],
     "identity_chained_3_5": ["identity", "chained", "--n", "3", "--trials", "5"],
     "identity_chained_7_0": ["identity", "chained", "--n", "7", "--trials", "0"],
+    "identity_chained_6_0_json": [
+        "identity", "chained", "--n", "6", "--trials", "0", "--format", "json",
+    ],
     "membership_wired_pr": ["membership", "{wired_pr}", "--theory", "classical"],
     "membership_wired_pr_local": [
         "membership", "{wired_pr}", "--theory", "classical", "--with-local-processing",
