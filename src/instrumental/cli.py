@@ -17,6 +17,7 @@ from . import io
 from .errors import CapacityError, CertificateError
 from .inequalities import (
     CATALOG_KINDS,
+    ExactValue,
     LinearExpression,
     bounds,
     catalog,
@@ -163,14 +164,14 @@ def cmd_facets(args) -> int:
 # -- bounds ----------------------------------------------------------------
 
 
-def _quantum_value(kind, alpha, n) -> tuple[float, float]:
-    """The value the family's optimal strategy actually reaches, and its
-    tolerance."""
+def _quantum_value(e, kind, alpha, n) -> tuple[float, float]:
+    """The value the family's optimal strategy actually reaches on the
+    catalog expression e, and its tolerance."""
     if kind in ("chained", "chained_bell"):
         t = born_table(chained_strategy(n), Scenario.bell(n, n))
         if kind == "chained":
             t = postselect(append_dummy_input(t, fixed_a=1), Scenario.chained(n))
-        return catalog(kind, n=n).evaluate(t), 1e-9
+        return e.evaluate(t), 1e-9
     r = tilted_search(alpha or 1)
     value = r.bell_value if kind in ("chsh", "tilted_chsh") else r.instrumental_value
     return value, 1e-9 if alpha in (None, 1) else 1e-6
@@ -190,34 +191,18 @@ def cmd_bounds(args) -> int:
     e = catalog(kind, alpha=alpha, n=n)
     triple = bounds(kind, alpha=alpha, n=n)
 
-    checks: list[tuple[str, object, bool, str]] = []
     cmax, _ = classical_maximum(e)
-    checks.append(
-        (
-            "classical",
-            triple.classical,
-            cmax == triple.classical.rational and triple.classical.coefficient == 0,
-            f"vertex maximum {io.fraction_to_str(cmax)}",
-        )
-    )
-    qval, qtol = _quantum_value(kind, alpha, n)
-    checks.append(
-        (
-            "quantum",
-            triple.quantum,
-            abs(qval - float(triple.quantum)) <= qtol,
-            f"strategy value {qval:.12f}",
-        )
-    )
+    qval, qtol = _quantum_value(e, kind, alpha, n)
     gmax, _ = gpt_maximum(e)
-    checks.append(
-        (
-            "gpt",
-            triple.gpt,
-            gmax == triple.gpt.rational and triple.gpt.coefficient == 0,
-            f"no-signalling maximum {io.fraction_to_str(gmax)}",
-        )
-    )
+    # (theory, closed form, verified, how it was computed)
+    checks = [
+        ("classical", triple.classical, triple.classical == ExactValue.of(cmax),
+         f"vertex maximum {io.fraction_to_str(cmax)}"),
+        ("quantum", triple.quantum, abs(qval - float(triple.quantum)) <= qtol,
+         f"strategy value {qval:.12f}"),
+        ("gpt", triple.gpt, triple.gpt == ExactValue.of(gmax),
+         f"no-signalling maximum {io.fraction_to_str(gmax)}"),
+    ]
 
     rows = [(name, str(val), float(val)) for name, val, _, _ in checks]
     verified = all(ok for _, _, ok, _ in checks)

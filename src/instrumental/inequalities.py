@@ -108,12 +108,15 @@ class LinearExpression:
         return LinearInequality(self.coeffs, Fraction(bound) - self.constant)
 
     def _binary(self, other: "LinearExpression", sign: int) -> "LinearExpression":
+        """self + sign * other, touching only the nonzero entries of other."""
         if self.scenario != other.scenario:
             raise ValueError("expressions live over different scenarios")
+        coeffs = list(self.coeffs)
+        for i, b in enumerate(other.coeffs):
+            if b:
+                coeffs[i] += b if sign > 0 else -b
         return LinearExpression(
-            self.scenario,
-            tuple(a + sign * b for a, b in zip(self.coeffs, other.coeffs)),
-            self.constant + sign * other.constant,
+            self.scenario, tuple(coeffs), self.constant + sign * other.constant
         )
 
     def __add__(self, other: "LinearExpression") -> "LinearExpression":
@@ -125,7 +128,7 @@ class LinearExpression:
     def __mul__(self, scale) -> "LinearExpression":
         q = Fraction(scale)
         return LinearExpression(
-            self.scenario, tuple(c * q for c in self.coeffs), self.constant * q
+            self.scenario, tuple(c * q if c else c for c in self.coeffs), self.constant * q
         )
 
     __rmul__ = __mul__
@@ -160,22 +163,27 @@ class LinearExpression:
         return out
 
 
+def _accumulate(dim: int, terms: Iterable[tuple[int, Fraction]]) -> tuple[Fraction, ...]:
+    """The vector sum of w at index i over the (i, w) terms.  An index no
+    term reaches keeps the shared F0, and the first term at an index is
+    stored, not added, so only repeated indices cost a Fraction sum."""
+    coeffs = [F0] * dim
+    for i, w in terms:
+        coeffs[i] = w if coeffs[i] is F0 else coeffs[i] + w
+    return tuple(coeffs)
+
+
 def _sum_terms(s: Scenario, coords_list: Iterable[tuple]) -> LinearExpression:
-    coeffs = [F0] * s.dim
-    for coords in coords_list:
-        coeffs[s.index(*coords)] += F1
-    return LinearExpression(s, tuple(coeffs))
+    return LinearExpression(s, _accumulate(s.dim, ((s.index(*c), F1) for c in coords_list)))
 
 
 def _correlator_sum(s: Scenario, terms: Iterable[tuple]) -> LinearExpression:
     """sum of w * <A_x B_y> over the (w, x, y) terms, written entry by entry;
     <A_x B_y> = sum_ab (-1)^(a+b) p(ab|xy) on a binary Bell scenario s."""
-    coeffs = [F0] * s.dim
-    for w, x, y in terms:
-        for a in range(2):
-            for b in range(2):
-                coeffs[s.index(x, y, a, b)] += w if a == b else -w
-    return LinearExpression(s, tuple(coeffs))
+    return LinearExpression(s, _accumulate(s.dim, (
+        (s.index(x, y, a, b), w if a == b else -w)
+        for w, x, y in terms for a in range(2) for b in range(2)
+    )))
 
 
 # ---------------------------------------------------------------------------
@@ -427,13 +435,10 @@ def bounds(kind: str, *, alpha=None, n=None) -> BoundsTriple:
     if kind in ("tilted", "chained"):
         parent = "tilted_chsh" if kind == "tilted" else "chained_bell"
         bell = bounds(parent, alpha=alpha, n=n)
-        shift = _identity_rhs(kind, alpha, n).constant
-        quarter = Fraction(1, 4)
-        return BoundsTriple(
-            bell.classical * quarter + shift,
-            bell.quantum * quarter + shift,
-            bell.gpt * quarter + shift,
-        )
+        shift = _identity_shift(kind, alpha, n)
+        return BoundsTriple(*(
+            v * Fraction(1, 4) + shift for v in (bell.classical, bell.quantum, bell.gpt)
+        ))
     if kind == "chsh":
         return bounds("tilted_chsh", alpha=1)
     if kind == "tilted_chsh":
@@ -483,35 +488,41 @@ def lift_to_bell(e: LinearExpression) -> LinearExpression:
     if s.kind is Kind.BELL:
         raise ValueError("the expression is already over a Bell scenario")
     bell = s.parent_bell()
-    coeffs = [F0] * bell.dim
-    for i, c in zip(s.wired_indices(), e.coeffs):
-        coeffs[i] += c
-    return LinearExpression(bell, tuple(coeffs), e.constant)
+    coeffs = _accumulate(bell.dim, ((i, c) for i, c in zip(s.wired_indices(), e.coeffs) if c))
+    return LinearExpression(bell, coeffs, e.constant)
 
 
 def _embed(e: LinearExpression, target: Scenario) -> LinearExpression:
     """The same Bell expression viewed inside a larger Bell scenario."""
-    coeffs = [F0] * target.dim
-    for coords, c in zip(e.scenario.coords(), e.coeffs):
-        coeffs[target.index(*coords)] += c
-    return LinearExpression(target, tuple(coeffs), e.constant)
+    coeffs = _accumulate(target.dim, (
+        (target.index(*coords), c) for coords, c in zip(e.scenario.coords(), e.coeffs) if c
+    ))
+    return LinearExpression(target, coeffs, e.constant)
+
+
+def _identity_shift(kind: str, alpha, n) -> Fraction:
+    """The constant of `_identity_rhs`: 1 + alpha/2 for the tilted family
+    (alpha = 1 for bonet) and (n + 1)/2 for the chain."""
+    if kind in ("bonet", "tilted"):
+        return 1 + (F1 if kind == "bonet" else alpha) / 2
+    if kind == "chained":
+        return Fraction(n + 1, 2)
+    raise ValueError(f"no lifting identity for kind {kind!r}")
 
 
 def _identity_rhs(kind: str, alpha, n) -> LinearExpression:
     """The Bell-side closed form equal to the lifted expression on every
     no-signalling box."""
-    if kind in ("bonet", "tilted"):
-        alpha = F1 if kind == "bonet" else alpha
-        bell = Scenario.bell(3, 2)
-        chsh = _embed(catalog("tilted_chsh", alpha=alpha), bell)
-        e = Fraction(1, 4) * chsh - alpha * _sum_terms(bell, [(2, 0, 1, 1)])
-        return e.shifted(1 + alpha / 2)
+    shift = _identity_shift(kind, alpha, n)
     if kind == "chained":
         bell = Scenario.bell(n + 1, n)
-        ch = _embed(catalog("chained_bell", n=n), bell)
-        e = Fraction(1, 4) * ch - _sum_terms(bell, [(n, n - 1, 0, 1)])
-        return e.shifted(Fraction(n + 1, 2))
-    raise ValueError(f"no lifting identity for kind {kind!r}")
+        parent, penalty = catalog("chained_bell", n=n), _sum_terms(bell, [(n, n - 1, 0, 1)])
+    else:
+        alpha = F1 if kind == "bonet" else alpha
+        bell = Scenario.bell(3, 2)
+        parent = catalog("tilted_chsh", alpha=alpha)
+        penalty = alpha * _sum_terms(bell, [(2, 0, 1, 1)])
+    return (Fraction(1, 4) * _embed(parent, bell) - penalty).shifted(shift)
 
 
 @functools.lru_cache(maxsize=None)
@@ -545,16 +556,14 @@ def identity_max_residual(kind: str, *, alpha=None, n=None) -> Fraction:
     """Largest |residual| of the lifting identity over every deterministic box.
 
     Zero when `verify_identity` holds: the residual then vanishes on the
-    whole no-signalling set.  Otherwise the scan runs through every
-    deterministic box, one box at a time and under the strategy-count limit.
+    whole no-signalling set.  Otherwise the larger of the residual's and its
+    negation's `classical_maximum`, each found by best response under the
+    strategy-count limit, without building a box.
     """
     if verify_identity(kind, alpha=alpha, n=n):
         return F0
-    bell = identity_residual_expression(kind, alpha=alpha, n=n).scenario
-    return max(
-        abs(identity_check(kind, strategy_to_correlation(d), alpha=alpha, n=n))
-        for d in iter_deterministic_strategies(bell)
-    )
+    residual = identity_residual_expression(kind, alpha=alpha, n=n)
+    return max(classical_maximum(residual)[0], classical_maximum(residual * -1)[0])
 
 
 def verify_identity(kind: str, *, alpha=None, n=None) -> bool:
@@ -564,7 +573,7 @@ def verify_identity(kind: str, *, alpha=None, n=None) -> bool:
     hull, so an affine residual vanishes on that hull exactly when its
     rewritten form is zero."""
     residual = identity_residual_expression(kind, alpha=alpha, n=n)
-    _, coeffs, constant = _in_collins_gisin(residual)
+    _, _, coeffs, constant = _in_collins_gisin(residual)
     return constant == 0 and not any(coeffs)
 
 
@@ -708,8 +717,7 @@ def classical_maximum(e: LinearExpression):
     """
     s = e.scenario
     _check_strategy_count(s)
-    den = math.lcm(*(c.denominator for c in e.coeffs))
-    ints = [c.numerator * (den // c.denominator) for c in e.coeffs]
+    den, (ints,) = over_common_denominator([e.coeffs])
     # rows[x, a]: (y, the coefficients of (x, y, a, b) over b) for each y
     # that Bob can see when Alice outputs a at input x
     rows = {}
@@ -760,18 +768,20 @@ def _collins_gisin(bell: Scenario) -> tuple[list[tuple[dict, int]], int]:
 
 def _in_collins_gisin(
     e: LinearExpression,
-) -> tuple[list[tuple[dict, int]], list[Fraction], Fraction]:
+) -> tuple[list[tuple[dict, int]], int, list[int], int]:
     """A Bell expression with every entry replaced by its `_collins_gisin`
-    form: (the forms, the coefficient of each coordinate, the constant)."""
+    form, times the common denominator D > 0 of its coefficients and
+    constant: (the forms, D, D times the coefficient of each coordinate,
+    D times the constant), all `int`s."""
     forms, width = _collins_gisin(e.scenario)
-    coeffs = [F0] * width
-    constant = e.constant
-    for c, (form, const) in zip(e.coeffs, forms):
+    den, ((*ints, constant),) = over_common_denominator([(*e.coeffs, e.constant)])
+    coeffs = [0] * width
+    for c, (form, const) in zip(ints, forms):
         if c:
             constant += c * const
             for j, m in form.items():
                 coeffs[j] += c * m
-    return forms, coeffs, constant
+    return forms, den, coeffs, constant
 
 
 def gpt_maximum(e: LinearExpression):
@@ -783,29 +793,27 @@ def gpt_maximum(e: LinearExpression):
     in Collins-Gisin coordinates, where that polytope is positivity rows
     alone with right-hand sides 0 or 1, so it starts from the slack basis.
     """
-    if e.scenario.kind is Kind.BELL:
-        lifted, bell = e, e.scenario
-    else:
-        lifted = lift_to_bell(e)
-        bell = lifted.scenario
-    forms, objective, offset = _in_collins_gisin(lifted)
-    width = len(objective)
+    lifted = e if e.scenario.kind is Kind.BELL else lift_to_bell(e)
+    bell = lifted.scenario
+    forms, den, objective, offset = _in_collins_gisin(lifted)
     rows = []
     for form, const in forms:
         if len(form) > 1 or const:  # a lone joint coordinate is its sign
-            row = [0] * width
+            row = [0] * len(objective)
             for j, m in form.items():
                 row[j] = -m
             rows.append((row, const))
-    # an integer objective, times den > 0: the same pivots and x
-    den, (objective,) = over_common_denominator([objective])
+    # the objective times den > 0: the same pivots and x
     res = solve_lp(objective, ineqs=rows, nonneg=True)
     if res.status is not LpStatus.OPTIMAL:
         raise CertificateError("the no-signalling polytope is compact and nonempty")
+    # each box entry from x times its common denominator, one Fraction apiece
+    xden, (xs,) = over_common_denominator([res.x])
     box = Correlation(bell, tuple(
-        const + sum(m * res.x[j] for j, m in form.items()) for form, const in forms
+        Fraction(const * xden + sum(m * xs[j] for j, m in form.items()), xden)
+        for form, const in forms
     ))
-    value = res.value / den + offset
+    value = (res.value + offset) / den
     if lifted.evaluate(box) != value:
         raise CertificateError("the witness box does not attain the no-signalling maximum")
     return value, box
@@ -868,12 +876,9 @@ def extension_membership(p: Correlation, theory: str) -> MembershipCertificate:
     # no-signalling maximum certifies the separation.
     if res.farkas is None:
         raise CertificateError("infeasible extension LP without a Farkas vector")
-    mult = res.farkas[len(eq_rows):]
-    coeffs = [F0] * s.dim
-    for i, m in enumerate(mult):
-        coeffs[i] = m
-    bound, _ = gpt_maximum(LinearExpression(s, tuple(coeffs)))
-    sep = reduce_modulo(LinearInequality(tuple(coeffs), bound), ())
+    coeffs = res.farkas[len(eq_rows):]  # one per pinned coordinate of s
+    bound, _ = gpt_maximum(LinearExpression(s, coeffs))
+    sep = reduce_modulo(LinearInequality(coeffs, bound), ())
     margin = sep.violation(p.entries)
     if margin <= 0:
         raise CertificateError("Farkas functional does not separate the table")

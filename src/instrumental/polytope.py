@@ -1047,8 +1047,9 @@ def _check_separator(
     """Raise CertificateError unless the point's margin is positive, sep
     holds on every vertex, and sep is either an affine-hull equality of the
     vertices (tight on all of them) or a facet: the vertices tight on it
-    span a hyperplane of the hull, by the `_echelon` rank of their
-    homogenized rows, as in `_check_facets`."""
+    span a hyperplane of the hull, by the exact rational rank (`_rank`, an
+    `_echelon`) of their homogenized rows, the elimination
+    `_separating_facet` also runs.  `_check_facets` ranks modulo 2^31 - 1."""
     hom = [integerize((1, *v)) for v in verts]
     y = _slack_row(sep)
     slacks = [_dot(y, h) for h in hom]

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import atan2, gcd, sqrt
+from math import atan2, gcd, lcm, sqrt
 from typing import Sequence
 
 import numpy as np
@@ -15,7 +15,9 @@ import numpy as np
 from instrumental.errors import CapacityError, CertificateError
 from instrumental.inequalities import (
     LinearExpression,
+    _collins_gisin,
     _relabelling_map,
+    catalog,
     identity_check,
     identity_residual_expression,
     lift_to_bell,
@@ -103,6 +105,112 @@ def two_phase_gpt_maximum(expression: LinearExpression):
     if res.status is not LpStatus.OPTIMAL:
         raise ValueError(f"no finite no-signalling maximum: {res.status}")
     return res.value + lifted.constant, Correlation(bell, tuple(res.x))
+
+
+def dense_combination(
+    e: LinearExpression, other: LinearExpression, sign: int
+) -> LinearExpression:
+    """e + sign * other, one Fraction sum for every coordinate.
+    `LinearExpression.__add__` and `__sub__` touch only other's nonzero
+    entries."""
+    if e.scenario != other.scenario:
+        raise ValueError("expressions live over different scenarios")
+    return LinearExpression(
+        e.scenario,
+        tuple(a + sign * b for a, b in zip(e.coeffs, other.coeffs)),
+        e.constant + sign * other.constant,
+    )
+
+
+def dense_scale(e: LinearExpression, scale) -> LinearExpression:
+    """scale * e, one Fraction product for every coordinate.
+    `LinearExpression.__mul__` skips the zero entries."""
+    q = Fraction(scale)
+    return LinearExpression(e.scenario, tuple(c * q for c in e.coeffs), e.constant * q)
+
+
+def dense_lift(e: LinearExpression) -> LinearExpression:
+    """`lift_to_bell` by adding every coefficient, zero or not, into a dense
+    Bell vector."""
+    bell = e.scenario.parent_bell()
+    coeffs = [Fraction(0)] * bell.dim
+    for i, c in zip(e.scenario.wired_indices(), e.coeffs):
+        coeffs[i] += c
+    return LinearExpression(bell, tuple(coeffs), e.constant)
+
+
+def dense_embed(e: LinearExpression, target: Scenario) -> LinearExpression:
+    """`inequalities._embed` by adding every coefficient, zero or not, at its
+    coordinates in the larger Bell scenario."""
+    coeffs = [Fraction(0)] * target.dim
+    for coords, c in zip(e.scenario.coords(), e.coeffs):
+        coeffs[target.index(*coords)] += c
+    return LinearExpression(target, tuple(coeffs), e.constant)
+
+
+def dense_in_collins_gisin(e: LinearExpression):
+    """A Bell expression in Collins-Gisin coordinates, summed in Fractions:
+    (the forms, the coefficient of each coordinate, the constant).
+    `inequalities._in_collins_gisin` returns the same times the expression's
+    common denominator, summed in ints."""
+    forms, width = _collins_gisin(e.scenario)
+    coeffs = [Fraction(0)] * width
+    constant = e.constant
+    for c, (form, const) in zip(e.coeffs, forms):
+        if c:
+            constant += c * const
+            for j, m in form.items():
+                coeffs[j] += c * m
+    return forms, coeffs, constant
+
+
+def dense_gpt_maximum(e: LinearExpression):
+    """`gpt_maximum` through `dense_in_collins_gisin`: the objective scaled
+    to integers after the map, and each witness box entry summed in
+    Fractions from the LP's x.  Returns (value, witness Bell box)."""
+    lifted = e if e.scenario.kind is Kind.BELL else dense_lift(e)
+    forms, objective, offset = dense_in_collins_gisin(lifted)
+    rows = []
+    for form, const in forms:
+        if len(form) > 1 or const:
+            row = [0] * len(objective)
+            for j, m in form.items():
+                row[j] = -m
+            rows.append((row, const))
+    den = lcm(*(c.denominator for c in objective))
+    res = solve_lp([int(c * den) for c in objective], ineqs=rows, nonneg=True)
+    if res.status is not LpStatus.OPTIMAL:
+        raise ValueError(f"no finite no-signalling maximum: {res.status}")
+    box = Correlation(lifted.scenario, tuple(
+        const + sum(m * res.x[j] for j, m in form.items()) for form, const in forms
+    ))
+    return res.value / den + offset, box
+
+
+def dense_identity_residual(kind: str, *, alpha=None, n=None) -> LinearExpression:
+    """lift(catalog(kind)) minus the lifting identity's Bell side, built with
+    the dense oracles above from `correlator_sum`: a quarter of the parent
+    Bell expression embedded in Bell(nX + 1, nX), minus the penalty term
+    alpha p(11|2,0) (tilted, alpha = 1 for bonet) or p(01|n,n-1) (chained),
+    plus the constant 1 + alpha/2 or (n + 1)/2.
+    `identity_residual_expression` builds it with sparse sums."""
+    lifted = dense_lift(catalog(kind, alpha=alpha, n=n))
+    bell = lifted.scenario
+    if kind == "chained":
+        parent, weight, penalty = correlator_sum("chained_bell", n=n), 1, (n, n - 1, 0, 1)
+        shift = Fraction(n + 1, 2)
+    else:
+        alpha = Fraction(1 if kind == "bonet" else alpha)
+        parent, weight, penalty = correlator_sum("tilted_chsh", alpha=alpha), alpha, (2, 0, 1, 1)
+        shift = 1 + alpha / 2
+    coeffs = [Fraction(0)] * bell.dim
+    coeffs[bell.index(*penalty)] = Fraction(weight)
+    rhs = dense_combination(
+        dense_scale(dense_embed(parent, bell), Fraction(1, 4)),
+        LinearExpression(bell, tuple(coeffs)),
+        -1,
+    )
+    return dense_combination(lifted, LinearExpression(bell, rhs.coeffs, rhs.constant + shift), -1)
 
 
 def density_matrix_born_table(strategy, scenario: Scenario) -> Correlation:
@@ -462,7 +570,7 @@ def full_box_residual_max(kind: str, *, alpha=None, n=None) -> Fraction:
     """Largest |residual| of the lifting identity over every deterministic box
     of its Bell scenario, all of them held in one list.
     `identity_max_residual` returns zero when `verify_identity` holds and
-    otherwise streams the same boxes one at a time."""
+    otherwise takes the best responses to the residual and its negation."""
     bell = identity_residual_expression(kind, alpha=alpha, n=n).scenario
     return max(
         abs(identity_check(kind, p, alpha=alpha, n=n))

@@ -498,22 +498,49 @@ def test_identity_chained_10_is_decided_exactly(capsys):
 
 
 def test_identity_wrong_residual_scan_keeps_the_strategy_limit(monkeypatch, capsys):
-    # a wrong residual sends the scan through every deterministic box, which
-    # must still trip the strategy-count limit before building any
+    # a wrong residual sends the scan through the best response over every
+    # deterministic box, which must still trip the strategy-count limit first
     right = inequalities.identity_residual_expression("bonet")
     coeffs = list(right.coeffs)
     coeffs[0] += 1
     wrong = inequalities.LinearExpression(right.scenario, tuple(coeffs), right.constant)
-    stream = inequalities.iter_deterministic_strategies
+    check = inequalities._check_strategy_count
     monkeypatch.setattr(inequalities, "identity_residual_expression",
                         lambda kind, **params: wrong)
     monkeypatch.setattr(cli, "verify_identity", lambda kind, **params: True)
-    monkeypatch.setattr(inequalities, "iter_deterministic_strategies",
-                        lambda s: stream(s, limit=31))
+    monkeypatch.setattr(inequalities, "_check_strategy_count",
+                        lambda s: check(s, limit=31))
     assert main(["identity", "bonet"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "capacity: 32 deterministic strategies exceed the limit of 31\n"
+
+
+def test_identity_wrong_residual_at_chained_10_is_found_by_best_response(
+    monkeypatch, capsys
+):
+    # Bell(11, 10) has 2^21 deterministic boxes; a residual that is one
+    # coordinate (or every p(11|xy)) off the correct one reads 1 (or nX*nY)
+    # at its worst box, found by best response without building a box
+    right = inequalities.identity_residual_expression("chained", n=10)
+    bell = right.scenario
+    ones = [bell.index(x, y, 1, 1) for x in range(bell.nX) for y in range(bell.nY)]
+    monkeypatch.setattr(cli, "verify_identity", lambda kind, **params: True)
+    for plus, want in (([bell.index(3, 2, 0, 1)], "1"), (ones, str(len(ones)))):
+        coeffs = list(right.coeffs)
+        for i in plus:
+            coeffs[i] += 1
+        wrong = inequalities.LinearExpression(bell, tuple(coeffs), right.constant)
+        monkeypatch.setattr(inequalities, "identity_residual_expression",
+                            lambda kind, **params: wrong)
+        start = time.perf_counter()
+        code = main(["identity", "chained", "--n", "10", "--trials", "0"])
+        elapsed = time.perf_counter() - start
+        assert code == 3
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            f"max |residual| over every deterministic box: {want}"
+        )
+        assert elapsed < 1.0
 
 
 @pytest.mark.parametrize(

@@ -39,6 +39,7 @@ UNCALLED = {
     "maximize_linear": "wrapped by perfbench/tracing.py until its metrics are read in-program",
     "vertex_enumeration": "wrapped by perfbench/tracing.py until its metrics are read in-program",
     "random_mixture": "wrapped by perfbench/tracing.py until its metrics are read in-program",
+    "identity_check": "wrapped by perfbench/tracing.py until its metrics are read in-program",
     "save_correlation": "README: writes the table format `membership --table` reads",
     "read_ieq": "README: reads the PORTA files `facets --format porta` writes",
     "hpolytope_from_json": "README: reads the facet lists `facets --format json` writes",

@@ -827,6 +827,30 @@ def test_identity_route_matches_full_box_oracle_on_wrong_residuals(
         assert _identity_run(capsys, flags) == (3, io.fraction_to_str(want))
 
 
+@pytest.mark.parametrize("case", IDENTITY_CASES[:-1], ids=_identity_ids)
+def test_identity_wrong_residuals_of_either_sign_match_full_box_oracle(
+    monkeypatch, capsys, case
+):
+    # -1 on one coordinate, then +2 on one and -3 on another: the worst box
+    # is where the residual is most negative, which only the best response
+    # to the negated residual finds
+    flags, params = case
+    right = inequalities.identity_residual_expression(flags[0], **params)
+    bell = right.scenario
+    monkeypatch.setattr(cli, "verify_identity", lambda kind, **params: True)
+    for change in ({0: -1}, {1: 2, bell.dim - 1: -3}):
+        coeffs = list(right.coeffs)
+        for i, k in change.items():
+            coeffs[i] += k
+        wrong = LinearExpression(bell, tuple(coeffs), right.constant)
+        monkeypatch.setattr(inequalities, "identity_residual_expression",
+                            lambda kind, **params: wrong)
+        want = oracles.full_box_residual_max(flags[0], **params)
+        assert want == max(-min(change.values()), max(change.values()))
+        assert inequalities.identity_max_residual(flags[0], **params) == want
+        assert _identity_run(capsys, flags) == (3, io.fraction_to_str(want))
+
+
 @pytest.mark.parametrize("case", IDENTITY_CASES, ids=_identity_ids)
 def test_identity_proof_matches_echelon_oracle_off_the_hull(monkeypatch, capsys, case):
     # The residual plus k (row . p - rhs) for each no-signalling equality is
@@ -1104,3 +1128,140 @@ def test_caller_lps_match_fraction_oracle(monkeypatch, case):
             for k in ("ineqs", "eqs")
         })
         _assert_matches_oracle(monkeypatch, (objective, kwargs), got, bases, 5, 7, rational)
+
+
+def test_sparse_expression_arithmetic_matches_dense_on_hypothesis_expressions():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    scenarios = [
+        Scenario.bell(2, 2), Scenario.bell(3, 2), Scenario.bell(2, 3, 3, 2),
+        Scenario.instrumental(2), Scenario.instrumental(3), Scenario.instrumental(2, 3, 2),
+        Scenario.chained(3),
+    ]
+    # mostly zero entries, as the catalog's are
+    pool = [Fraction(a, d) for a in range(-5, 6) for d in (1, 2, 3, 4, 12)]
+    entry = st.sampled_from([Fraction(0)] * len(pool) * 2 + pool)
+
+    def expression(s):
+        return st.builds(
+            lambda coeffs, constant: LinearExpression(s, tuple(coeffs), constant),
+            st.lists(entry, min_size=s.dim, max_size=s.dim), entry,
+        )
+
+    # terms may repeat a coordinate, which the sums must add up
+    cases = st.sampled_from(scenarios).flatmap(
+        lambda s: st.tuples(
+            expression(s), expression(s), entry,
+            st.lists(st.tuples(entry, st.integers(0, s.dim - 1)), max_size=8),
+        )
+    )
+
+    def same(got, want):
+        assert got == want
+        assert all(type(c) is Fraction for c in got.coeffs)
+        assert type(got.constant) is Fraction
+
+    @hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(cases)
+    def matches(case):
+        e, f, q, terms = case
+        s = e.scenario
+        coords = list(s.coords())
+        dense = LinearExpression(s, (Fraction(0),) * s.dim)
+        for _, i in terms:
+            unit = [Fraction(0)] * s.dim
+            unit[i] = Fraction(1)
+            dense = oracles.dense_combination(dense, LinearExpression(s, tuple(unit)), 1)
+        same(inequalities._sum_terms(s, [coords[i] for _, i in terms]), dense)
+        if s.kind is Kind.BELL and (s.nA, s.nB) == (2, 2):
+            dense = LinearExpression(s, (Fraction(0),) * s.dim)
+            for w, i in terms:
+                x, y = coords[i][:2]
+                dense = oracles.dense_combination(
+                    dense, oracles.dense_scale(oracles.dense_correlator(s, x, y), w), 1
+                )
+            got = inequalities._correlator_sum(s, [(w, *coords[i][:2]) for w, i in terms])
+            same(got, dense)
+        same(e + f, oracles.dense_combination(e, f, 1))
+        same(e - f, oracles.dense_combination(e, f, -1))
+        same(e * q, oracles.dense_scale(e, q))
+        same(q * e, oracles.dense_scale(e, q))
+        same(e * -1, oracles.dense_scale(e, -1))
+        if e.scenario.kind is Kind.BELL:
+            wider = Scenario.bell(e.scenario.nX + 1, e.scenario.nY + 1,
+                                  e.scenario.nA, e.scenario.nB)
+            same(inequalities._embed(e, wider), oracles.dense_embed(e, wider))
+            same(inequalities._embed(e, e.scenario), e)
+            forms, den, coeffs, constant = inequalities._in_collins_gisin(e)
+            want_forms, want_coeffs, want_constant = oracles.dense_in_collins_gisin(e)
+            assert forms == want_forms
+            assert coeffs == [den * c for c in want_coeffs]
+            assert constant == den * want_constant
+            assert all(type(c) is int for c in coeffs) and type(constant) is int
+        else:
+            same(lift_to_bell(e), oracles.dense_lift(e))
+
+    matches()
+
+
+def _catalog_families():
+    alphas = ("1", "3/2", "2", "3", "10", "100")
+    yield "bonet", {}
+    yield "chsh", {}
+    for kind in ("tilted", "tilted_chsh"):
+        yield from ((kind, {"alpha": Fraction(a)}) for a in alphas)
+    for kind in ("chained", "chained_bell"):
+        yield from ((kind, {"n": n}) for n in range(2, 9))
+
+
+@pytest.mark.parametrize(
+    "kind, params", list(_catalog_families()),
+    ids=[" ".join([k, *map(str, p.values())]) for k, p in _catalog_families()],
+)
+def test_bound_table_routes_match_dense_oracles(kind, params):
+    e = catalog(kind, **params)
+    bell = e if e.scenario.kind is Kind.BELL else lift_to_bell(e)
+    forms, den, coeffs, constant = inequalities._in_collins_gisin(bell)
+    want_forms, want_coeffs, want_constant = oracles.dense_in_collins_gisin(bell)
+    assert (forms, coeffs, constant) == (
+        want_forms, [den * c for c in want_coeffs], den * want_constant
+    )
+    value, box = gpt_maximum(e)
+    want_value, want_box = oracles.dense_gpt_maximum(e)
+    assert value == want_value
+    assert box == want_box
+    assert all(type(v) is Fraction for v in box.entries)
+    if kind in ("bonet", "tilted", "chained"):
+        residual = oracles.dense_identity_residual(kind, **params)
+        assert inequalities.identity_residual_expression(kind, **params) == residual
+        _, proof, shift = oracles.dense_in_collins_gisin(residual)
+        assert inequalities.verify_identity(kind, **params) is (shift == 0 and not any(proof))
+        assert inequalities.verify_identity(kind, **params)
+    # the table's exact rows against the maxima of the expression itself, so
+    # the lifting identity's closed-form shift is checked without it
+    triple = inequalities.bounds(kind, **params)
+    assert triple.classical == inequalities.ExactValue.of(classical_maximum(e)[0])
+    assert triple.gpt == inequalities.ExactValue.of(value)
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("bonet", {}), ("tilted", {"alpha": 3}), ("chained", {"n": 6}), ("chained", {"n": 40}),
+])
+def test_bounds_read_the_identity_shift_without_bell_expressions(monkeypatch, kind, params):
+    # the Instrumental rows need only the closed-form shift, not the
+    # identity's Bell side over Bell(n + 1, n)
+    want = inequalities._identity_rhs(
+        kind, Fraction(params.get("alpha", 1)), params.get("n")
+    ).constant
+    assert inequalities._identity_shift(kind, Fraction(params.get("alpha", 1)),
+                                        params.get("n")) == want
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("bounds built a Bell-side identity expression")
+
+    for name in ("_identity_rhs", "_embed", "_sum_terms", "_correlator_sum"):
+        monkeypatch.setattr(inequalities, name, unreachable)
+    triple = inequalities.bounds(kind, **params)
+    assert triple.classical.rational - want == (
+        2 * params.get("alpha", 1) if kind != "chained" else 2 * params["n"] - 2
+    ) / Fraction(4)
