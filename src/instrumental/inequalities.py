@@ -128,7 +128,7 @@ class LinearExpression:
     def __mul__(self, scale) -> "LinearExpression":
         q = Fraction(scale)
         return LinearExpression(
-            self.scenario, tuple(c * q if c else c for c in self.coeffs), self.constant * q
+            self.scenario, tuple(c and c * q for c in self.coeffs), self.constant * q
         )
 
     __rmul__ = __mul__
@@ -174,7 +174,8 @@ def _accumulate(dim: int, terms: Iterable[tuple[int, Fraction]]) -> tuple[Fracti
 
 
 def _sum_terms(s: Scenario, coords_list: Iterable[tuple]) -> LinearExpression:
-    return LinearExpression(s, _accumulate(s.dim, ((s.index(*c), F1) for c in coords_list)))
+    coeffs = _accumulate(s.dim, ((s.index(*c), F1) for c in coords_list))
+    return LinearExpression(s, coeffs)
 
 
 def _correlator_sum(s: Scenario, terms: Iterable[tuple]) -> LinearExpression:
@@ -488,16 +489,14 @@ def lift_to_bell(e: LinearExpression) -> LinearExpression:
     if s.kind is Kind.BELL:
         raise ValueError("the expression is already over a Bell scenario")
     bell = s.parent_bell()
-    coeffs = _accumulate(bell.dim, ((i, c) for i, c in zip(s.wired_indices(), e.coeffs) if c))
-    return LinearExpression(bell, coeffs, e.constant)
+    terms = ((i, c) for i, c in zip(s.wired_indices(), e.coeffs) if c)
+    return LinearExpression(bell, _accumulate(bell.dim, terms), e.constant)
 
 
 def _embed(e: LinearExpression, target: Scenario) -> LinearExpression:
     """The same Bell expression viewed inside a larger Bell scenario."""
-    coeffs = _accumulate(target.dim, (
-        (target.index(*coords), c) for coords, c in zip(e.scenario.coords(), e.coeffs) if c
-    ))
-    return LinearExpression(target, coeffs, e.constant)
+    terms = ((target.index(*x), c) for x, c in zip(e.scenario.coords(), e.coeffs) if c)
+    return LinearExpression(target, _accumulate(target.dim, terms), e.constant)
 
 
 def _identity_shift(kind: str, alpha, n) -> Fraction:
@@ -516,7 +515,8 @@ def _identity_rhs(kind: str, alpha, n) -> LinearExpression:
     shift = _identity_shift(kind, alpha, n)
     if kind == "chained":
         bell = Scenario.bell(n + 1, n)
-        parent, penalty = catalog("chained_bell", n=n), _sum_terms(bell, [(n, n - 1, 0, 1)])
+        parent = catalog("chained_bell", n=n)
+        penalty = _sum_terms(bell, [(n, n - 1, 0, 1)])
     else:
         alpha = F1 if kind == "bonet" else alpha
         bell = Scenario.bell(3, 2)
