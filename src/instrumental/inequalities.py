@@ -37,7 +37,6 @@ from .scenario import (
     Scenario,
     _check_strategy_count,
     enumerate_deterministic_strategies,
-    iter_deterministic_strategies,
     strategy_to_correlation,
     validate,
 )
@@ -707,32 +706,29 @@ def classical_maximum(e: LinearExpression):
     """Exact maximum over deterministic strategies, by best response.
 
     Bob's input y is free on Bell scenarios and the wire value
-    wire(alpha(x), x) on the wired kinds, so once Alice's response alpha is
-    fixed, Bob's output can be chosen separately for each y: the coefficients
-    of (x, alpha(x), b) go into the bucket of their y, and each bucket takes
-    its best b (the smallest on ties, 0 when no input reaches it).  Returns
-    (value, DeterministicStrategy) for the first alpha in lexicographic order
-    that attains the maximum.  The sums run over the coefficients scaled to
-    integers by their common denominator.
+    wire(alpha(x), x) on the wired kinds (the scenario's `response_map`), so
+    once Alice's response alpha is fixed, Bob's output can be chosen
+    separately for each y: the coefficients of (x, alpha(x), b) go into the
+    bucket of their y, and each bucket takes its best b (the smallest on
+    ties, 0 when no input reaches it).  Returns (value, DeterministicStrategy)
+    for the first alpha in lexicographic order that attains the maximum.  The
+    sums run over the coefficients scaled to integers by their common
+    denominator.
     """
     s = e.scenario
     _check_strategy_count(s)
     den, (ints,) = over_common_denominator([e.coeffs])
-    # rows[x, a]: (y, the coefficients of (x, y, a, b) over b) for each y
-    # that Bob can see when Alice outputs a at input x
-    rows = {}
-    for x in range(s.nX):
-        for a in range(s.nA):
-            if s.kind is Kind.BELL:
-                starts = [(y, s.index(x, y, a, 0)) for y in range(s.nY)]
-            else:
-                starts = [(s.wire(a, x), s.index(x, a, 0))]
-            rows[x, a] = [(y, ints[i : i + s.nB]) for y, i in starts]
+    # rows[x][a]: (y, the coefficients of Bob's outcomes b there) for each y
+    # that sees a at x
+    rows = [
+        [[(y, ints[i : i + s.nB]) for y, i in responses] for responses in by_a]
+        for by_a in s.response_map
+    ]
     best = witness = None
     for alpha in itertools.product(range(s.nA), repeat=s.nX):
         buckets = [[0] * s.nB for _ in range(s.nY)]
-        for x, a in enumerate(alpha):
-            for y, coeffs in rows[x, a]:
+        for by_a, a in zip(rows, alpha):
+            for y, coeffs in by_a[a]:
                 bucket = buckets[y]
                 for b, c in enumerate(coeffs):
                     bucket[b] += c

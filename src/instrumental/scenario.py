@@ -19,13 +19,13 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CapacityError
+from .rationals import over_common_denominator
 
 __all__ = [
     "Kind",
@@ -61,8 +61,8 @@ class Scenario:
 
     ``wiring[a][x]`` is the input Bob receives when Alice saw x and output a.
     Plain Instrumental stores no table (its wire is y = a, with nY == nA);
-    downstream code reads the wire through `wire`, `parent_bell` and
-    `wired_indices`, which treat both wired kinds uniformly.
+    downstream code reads the wire through `wire`, `parent_bell`,
+    `wired_indices` and `response_map`, which treat both wired kinds alike.
     """
 
     kind: Kind
@@ -175,6 +175,25 @@ class Scenario:
         """
         k = self.nA * self.nB
         return [list(range(i, i + k)) for i in range(0, self.dim, k)]
+
+    @functools.cached_property
+    def response_map(self) -> tuple[tuple[tuple[tuple[int, int], ...], ...], ...]:
+        """Where Alice's answer sends Bob: ``response_map[x][a]`` lists, for
+        each Bob input y that sees a at x, the pair (y, flat index of the
+        entry with Bob's outcome b = 0); outcome b sits at that index + b.
+        Every y sees a in a Bell scenario, only wire(a, x) on the wired kinds.
+        """
+        idx = self.index
+        if self.kind is Kind.BELL:
+            return tuple(
+                tuple(tuple((y, idx(x, y, a, 0)) for y in range(self.nY))
+                      for a in range(self.nA))
+                for x in range(self.nX)
+            )
+        return tuple(
+            tuple(((self.wire(a, x), idx(x, a, 0)),) for a in range(self.nA))
+            for x in range(self.nX)
+        )
 
     @functools.cached_property
     def marginal_groups(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
@@ -294,19 +313,20 @@ def enumerate_deterministic_strategies(
     return list(iter_deterministic_strategies(s, limit))
 
 
+def _strategy_table(
+    s: Scenario, alpha: Sequence[int], beta: Sequence[int]
+) -> Correlation:
+    """The 0/1 table of Alice's responses alpha and Bob's beta (indexed by y)."""
+    entries = [_F0] * s.dim
+    for responses, a in zip(s.response_map, alpha):
+        for y, i in responses[a]:
+            entries[i + beta[y]] = _F1
+    return Correlation(s, tuple(entries))
+
+
 def strategy_to_correlation(d: DeterministicStrategy) -> Correlation:
     """The 0/1 table induced by a deterministic strategy."""
-    s = d.scenario
-    entries = [_F0] * s.dim
-    if s.kind is Kind.BELL:
-        for x in range(s.nX):
-            for y in range(s.nY):
-                entries[s.index(x, y, d.alpha[x], d.beta[y])] = _F1
-    else:
-        for x in range(s.nX):
-            a = d.alpha[x]
-            entries[s.index(x, a, d.beta[s.wire(a, x)])] = _F1
-    return Correlation(s, tuple(entries))
+    return _strategy_table(d.scenario, d.alpha, d.beta)
 
 
 def classical_correlations(s: Scenario) -> list[Correlation]:
@@ -321,27 +341,13 @@ def classical_correlations(s: Scenario) -> list[Correlation]:
     first, as `iter_deterministic_strategies` does.
     """
     _check_strategy_count(s)
-    nA, nB = s.nA, s.nB
     out: list[Correlation] = []
-    for alpha in itertools.product(range(nA), repeat=s.nX):
-        # Per wire value y, in order: the flat index of the b = 0 entry of
-        # each input that sees y; Bob's output b on y sets each of them + b.
-        if s.kind is Kind.BELL:
-            slots = [
-                [((x * s.nY + y) * nA + a) * nB for x, a in enumerate(alpha)]
-                for y in range(s.nY)
-            ]
-        else:
-            seen: dict[int, list[int]] = {}
-            for x, a in enumerate(alpha):
-                seen.setdefault(s.wire(a, x), []).append((x * nA + a) * nB)
-            slots = [seen[y] for y in sorted(seen)]
-        for beta in itertools.product(range(nB), repeat=len(slots)):
-            entries = [_F0] * s.dim
-            for starts, b in zip(slots, beta):
-                for i in starts:
-                    entries[i + b] = _F1
-            out.append(Correlation(s, tuple(entries)))
+    for alpha in itertools.product(range(s.nA), repeat=s.nX):
+        reached = {y for rs, a in zip(s.response_map, alpha) for y, _ in rs[a]}
+        outputs = [range(s.nB) if y in reached else (0,) for y in range(s.nY)]
+        out.extend(
+            _strategy_table(s, alpha, beta) for beta in itertools.product(*outputs)
+        )
     return out
 
 
@@ -427,7 +433,10 @@ def validate(p: Correlation, atol: float = 1e-9) -> ValidationReport:
     Exact tables are checked exactly, in integers; float tables within `atol`.
     """
     s = p.scenario
-    values, one = _scaled_entries(p)
+    if p.exact:
+        one, (values,) = over_common_denominator([p.entries])
+    else:
+        values, one = p.entries, 1.0
     get = values.__getitem__
     tol = 0 if p.exact else atol
     first: tuple[str, tuple] | None = None
@@ -449,16 +458,6 @@ def validate(p: Correlation, atol: float = 1e-9) -> ValidationReport:
         if not nosig:
             first = first or ("no_signalling", ())
     return ValidationReport(nonneg, normalized, nosig, first)
-
-
-def _scaled_entries(p: Correlation) -> tuple[Sequence, int | float]:
-    """Entries as integers over their common denominator, and it (floats: 1.0)."""
-    if not p.exact:
-        return p.entries, 1.0
-    den = math.lcm(*(e.denominator for e in p.entries))
-    if den == 1:
-        return [e.numerator for e in p.entries], 1
-    return [e.numerator * (den // e.denominator) for e in p.entries], den
 
 
 def _marginal_gap(s: Scenario, values: Sequence):

@@ -456,19 +456,18 @@ def test_identity_is_seed_deterministic(capsys):
 @pytest.mark.parametrize("trials", [0, 5])
 def test_identity_pool_check_catches_a_wrong_residual(monkeypatch, capsys, trials):
     # p(00|00) added to the bonet residual: 1 on every deterministic box with
-    # a = b = 0 at x = y = 0, 0 on the others.  The command's symbolic verdict
-    # is stubbed to yes, so only the residual scan can report the fault.
+    # a = b = 0 at x = y = 0, 0 on the others.  The proof rejects it, and the
+    # residual scan that follows reports the fault.
     right = inequalities.identity_residual_expression("bonet")
     coeffs = list(right.coeffs)
     coeffs[right.scenario.index(0, 0, 0, 0)] += 1
     wrong = inequalities.LinearExpression(right.scenario, tuple(coeffs), right.constant)
     monkeypatch.setattr(inequalities, "identity_residual_expression",
                         lambda kind, **params: wrong)
-    monkeypatch.setattr(cli, "verify_identity", lambda kind, **params: True)
     argv = ["identity", "bonet", "--trials", str(trials), "--format", "json"]
     assert main(argv) == 3
     doc = json.loads(capsys.readouterr().out)
-    assert doc["symbolic"] is True and doc["max_abs_residual"] == "1"
+    assert doc["symbolic"] is False and doc["max_abs_residual"] == "1"
     assert main(argv[:-2]) == 3
     assert capsys.readouterr().out.splitlines()[-1] == (
         "max |residual| over every deterministic box: 1"
@@ -482,13 +481,33 @@ def test_identity_decides_a_correct_identity_without_boxes(monkeypatch, capsys):
         raise AssertionError("a correct identity needs no box and no echelon")
 
     monkeypatch.setattr(inequalities, "identity_check", unreachable)
-    monkeypatch.setattr(inequalities, "iter_deterministic_strategies", unreachable)
+    monkeypatch.setattr(inequalities, "classical_maximum", unreachable)
     for module in (scenario, polytope, inequalities, cli):
         for name in ("classical_correlations", "no_signalling_polytope", "_echelon"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, unreachable)
     assert main(["identity", "chained", "--n", "7", "--trials", "0"]) == 0
     assert capsys.readouterr().out.endswith(": 0\n")
+
+
+@pytest.mark.parametrize(
+    "flags", [["bonet"], ["tilted", "--alpha", "3"], ["chained", "--n", "3"]],
+    ids=" ".join,
+)
+def test_identity_proves_a_correct_identity_once(monkeypatch, capsys, flags):
+    # a proof that holds leaves nothing to scan, so nothing proves it again
+    calls = []
+    proof = inequalities.verify_identity
+
+    def counted(kind, **params):
+        calls.append(kind)
+        return proof(kind, **params)
+
+    monkeypatch.setattr(cli, "verify_identity", counted)
+    monkeypatch.setattr(inequalities, "verify_identity", counted)
+    assert main(["identity", *flags, "--trials", "0"]) == 0
+    assert capsys.readouterr().out.endswith(": 0\n")
+    assert calls == [flags[0]]
 
 
 def test_identity_chained_10_is_decided_exactly(capsys):
@@ -507,7 +526,6 @@ def test_identity_wrong_residual_scan_keeps_the_strategy_limit(monkeypatch, caps
     check = inequalities._check_strategy_count
     monkeypatch.setattr(inequalities, "identity_residual_expression",
                         lambda kind, **params: wrong)
-    monkeypatch.setattr(cli, "verify_identity", lambda kind, **params: True)
     monkeypatch.setattr(inequalities, "_check_strategy_count",
                         lambda s: check(s, limit=31))
     assert main(["identity", "bonet"]) == 2
@@ -525,7 +543,6 @@ def test_identity_wrong_residual_at_chained_10_is_found_by_best_response(
     right = inequalities.identity_residual_expression("chained", n=10)
     bell = right.scenario
     ones = [bell.index(x, y, 1, 1) for x in range(bell.nX) for y in range(bell.nY)]
-    monkeypatch.setattr(cli, "verify_identity", lambda kind, **params: True)
     for plus, want in (([bell.index(3, 2, 0, 1)], "1"), (ones, str(len(ones)))):
         coeffs = list(right.coeffs)
         for i in plus:

@@ -7,7 +7,6 @@ from fractions import Fraction
 
 import pytest
 
-import instrumental.cli as cli
 import instrumental.inequalities as inequalities
 import instrumental.io as io
 import instrumental.linprog as linprog
@@ -806,13 +805,12 @@ def test_identity_route_matches_full_box_oracle_on_wrong_residuals(
 ):
     # +1 on one coordinate of the residual, for each coordinate in turn, then
     # on every p(11|xy) at once, which is nX*nY on the all-ones box.  The
-    # command's symbolic verdict is stubbed to yes, so only the residual scan
-    # can report the fault; the proof and its echelon oracle both reject it.
+    # proof and its echelon oracle both reject it, and the command's residual
+    # scan reports the fault.
     flags, params = case
     right = inequalities.identity_residual_expression(flags[0], **params)
     bell = right.scenario
     ones = [bell.index(x, y, 1, 1) for x in range(bell.nX) for y in range(bell.nY)]
-    monkeypatch.setattr(cli, "verify_identity", lambda kind, **params: True)
     for plus in [*([i] for i in range(bell.dim)), ones]:
         coeffs = list(right.coeffs)
         for i in plus:
@@ -837,7 +835,6 @@ def test_identity_wrong_residuals_of_either_sign_match_full_box_oracle(
     flags, params = case
     right = inequalities.identity_residual_expression(flags[0], **params)
     bell = right.scenario
-    monkeypatch.setattr(cli, "verify_identity", lambda kind, **params: True)
     for change in ({0: -1}, {1: 2, bell.dim - 1: -3}):
         coeffs = list(right.coeffs)
         for i, k in change.items():
