@@ -46,6 +46,11 @@ CASES = {
     "facets_gpt_x4_json": ["facets", "--gpt", "-x", "4", "--format", "json"],
     "facets_gpt_x2_a3_json": ["facets", "--gpt", "-x", "2", "-a", "3", "--format", "json"],
     "facets_gpt_x2_b3_json": ["facets", "--gpt", "-x", "2", "-b", "3", "--format", "json"],
+    "facets_gpt_x5_json": ["facets", "--gpt", "-x", "5", "--format", "json"],
+    "facets_gpt_x2_a3_b3_json": [
+        "facets", "--gpt", "-x", "2", "-a", "3", "-b", "3", "--format", "json",
+    ],
+    "facets_gpt_x3_b3_json": ["facets", "--gpt", "-x", "3", "-b", "3", "--format", "json"],
     "bounds_bonet": ["bounds", "bonet"],
     "bounds_bonet_json": ["bounds", "bonet", "--format", "json"],
     "bounds_chsh_json": ["bounds", "chsh", "--format", "json"],
