@@ -318,7 +318,7 @@ def cmd_identity(args) -> int:
             )
     symbolic = verify_identity(args.kind, **params)
     # a proved identity vanishes on every box; only a failed proof is scanned
-    worst = 0 if symbolic else identity_max_residual(args.kind, **params)
+    worst = identity_max_residual(args.kind, proved=symbolic, **params)
     doc = {
         "kind": args.kind,
         "symbolic": symbolic,
@@ -355,7 +355,10 @@ def _build_parser() -> _Parser:
     f.add_argument("-x", type=int, required=True, help="number of inputs")
     f.add_argument("-a", type=int, default=2, help="Alice outcomes")
     f.add_argument("-b", type=int, default=2, help="Bob outcomes")
-    f.add_argument("--max-rays", type=int, default=10**6)
+    f.add_argument("--max-rays", type=int, default=10**6,
+                   help="with --classical, the most rays each ridge double "
+                        "description may hold; with --gpt, the most rows "
+                        "Fourier-Motzkin may hold after any step")
     f.add_argument("--format", choices=["table", "json", "porta"], default="table")
     f.add_argument("--output")
     f.set_defaults(func=cmd_facets)

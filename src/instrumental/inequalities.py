@@ -551,15 +551,18 @@ def identity_check(kind: str, p: Correlation, *, alpha=None, n=None) -> Fraction
     return residual.evaluate(p)
 
 
-def identity_max_residual(kind: str, *, alpha=None, n=None) -> Fraction:
+def identity_max_residual(kind: str, *, alpha=None, n=None, proved=None) -> Fraction:
     """Largest |residual| of the lifting identity over every deterministic box.
 
     Zero when `verify_identity` holds: the residual then vanishes on the
     whole no-signalling set.  Otherwise the larger of the residual's and its
     negation's `classical_maximum`, each found by best response under the
-    strategy-count limit, without building a box.
+    strategy-count limit, without building a box.  `proved` is the verdict
+    of a `verify_identity` the caller has already run; None runs it here.
     """
-    if verify_identity(kind, alpha=alpha, n=n):
+    if proved is None:
+        proved = verify_identity(kind, alpha=alpha, n=n)
+    if proved:
         return F0
     residual = identity_residual_expression(kind, alpha=alpha, n=n)
     return max(classical_maximum(residual)[0], classical_maximum(residual * -1)[0])

@@ -33,10 +33,12 @@ answer against the vertices.  The search returns the orbits it walked, and
 `facet_orbits` walks a projection's.  Projections run through Fourier-Motzkin
 elimination on integer rows: one substitution pass through the equalities,
 then row combination for the variables left, deduplicating after every step,
-with one exact-LP redundancy pass over the final rows.  Those LPs start from
-one feasible point and skip phase 1, and every verdict is certified: a row
-dropped by multipliers on the rows kept, a row kept by a point that violates
-it alone.
+with one redundancy pass over the final rows.  That pass finds one feasible
+point and one strictly interior point by LP.  A row that the ray from the
+interior point along its normal meets first is kept by integer ray shooting;
+every other row gets an exact LP that starts from the feasible point and
+skips phase 1.  Every verdict is certified: a row dropped by multipliers on
+the rows kept, a row kept by a point that violates it alone.
 Membership tests are LP feasibility problems whose answers carry
 certificates: explicit convex weights for inside points, a separating
 inequality for outside points.  That inequality is a facet of maximal
@@ -843,13 +845,14 @@ def fourier_motzkin_project(
     pass; equalities whose pivot falls on a kept column carry over to the
     projection.  The variables left are eliminated one at a time by
     combining positive and negative rows.  Every step deduplicates the rows
-    and checks `max_rows`; exact LPs remove redundant rows once, from the
-    final system (`_prune_redundant`): one feasibility LP, then one
-    phase-2-only LP per row from the slack basis, each verdict checked
-    against a certificate in the original coordinates.  Those LPs run on
+    and checks `max_rows`; redundant rows are removed once, from the final
+    system (`_prune_redundant`): one feasibility LP and one interior-point
+    LP, then each row is kept by ray shooting from the interior point or
+    decided by a phase-2-only LP from the slack basis, each verdict checked
+    against a certificate in the original coordinates.  All of it runs on
     integer rows: local coordinates z over a feasible point X / D and
     primitive integer null-space vectors N, x = (X + N z) / D.  Against the
-    `Fraction` coordinates x0 + N' z' they scale each z column and every
+    `Fraction` coordinates x0 + N' z' the LPs scale each z column and every
     right-hand side by a positive constant, so Bland's rule takes the same
     pivots and the duals that prune rows are the same.
     """
@@ -917,21 +920,30 @@ def _tidy_rows(rows, max_rows: int, done: int, m: int) -> list[tuple[int, ...]]:
 
 def _prune_redundant(ineqs, eqs):
     """Drop each (coeffs, bound) row that the rows still kept and the
-    equalities imply, in order, decided by one exact LP per row.
+    equalities imply, in order.  A row is kept by ray shooting when it can
+    be, and decided by an exact LP otherwise.
 
     `eqs` are row-reduced, as `_reduce_equalities` returns them.  One
     feasibility LP finds a point x0 of the whole system; without one, every
     row is kept, since no row of an infeasible system is implied by the
-    others.  The LPs then run on integer rows: x0 = X / D with X integer and
+    others.  The rest runs on integer rows: x0 = X / D with X integer and
     D > 0, N holds the primitive integer multiples of the null-space vectors
-    of the equalities, and x = (X + N z) / D.  Row j becomes
-    (c_j N) . z <= s_j with the scaled slack s_j = D b_j - c_j . X >= 0.
-    Row i's LP maximizes (c_i N) . z over the other rows left and the cap
-    (c_i N) . z <= s_i + D: no equalities and no negative right-hand side,
-    so `solve_lp` starts it from the slack basis, and the cap bounds it.  A
-    value <= s_i drops the row, and the duals on the other rows are checked
-    to imply it (`_check_implied`); otherwise the point (X + N z) / D is
-    checked to meet the others and violate row i (`_check_violated`).
+    of the equalities, and x = (X + N z) / D.  Row j becomes a_j . z <= s_j
+    with a_j = c_j N and the scaled slack s_j = D b_j - c_j . X >= 0.
+
+    One more LP looks for a point strictly inside every row
+    (`_interior_rays`).  When there is one, row i is shot at from it along
+    its normal projected onto the equalities' null space (`_shoot`); a row
+    met strictly before every other row left is kept with no LP, by a point
+    just past the hit.  Every other row goes to its own LP, which maximizes
+    a_i . z over the other rows left and the cap a_i . z <= s_i + D: no
+    equalities and no negative right-hand side, so `solve_lp` starts it from
+    the slack basis, and the cap bounds it.  A value <= s_i drops the row,
+    and the duals on the other rows are checked to imply it
+    (`_check_implied`); otherwise the LP's optimum is the witness.  Every
+    witness (X + N z) / D is checked to meet the others and violate row i
+    (`_check_violated`).  Shooting keeps only rows that their LP would keep,
+    so the rows kept are the same as with one LP per row.
 
     Against the same LPs over x = x0 + N' z' with the `Fraction` null space
     N', each z column is scaled by a positive constant and every right-hand
@@ -952,25 +964,87 @@ def _prune_redundant(ineqs, eqs):
     *xs, den = integerize((*start.x, 1))
     null = [integerize(n) for n in _null_space(*_echelon([c for c, _ in eqs]), d)]
     local = [(tuple(_dot(c, n) for n in null), den * b - _dot(c, xs)) for c, b in rows]
+    center, rays = _interior_rays(local, null)
     idx = 0
     while idx < len(rows):
-        a, s = local[idx]
         others = rows[:idx] + rows[idx + 1 :]
-        res = solve_lp(a, ineqs=[*local[:idx], *local[idx + 1 :], (a, s + den)])
-        if res.status is not LpStatus.OPTIMAL:
-            raise CertificateError("a capped pruning LP has no optimum")
-        if res.value <= s:
-            _check_implied(rows[idx], others, eqs, res.dual[:-1])
-            del rows[idx], local[idx]
-        else:
+        shot = _shoot(idx, local, center, rays)
+        if shot is None:
+            a, s = local[idx]
+            res = solve_lp(a, ineqs=[*local[:idx], *local[idx + 1 :], (a, s + den)])
+            if res.status is not LpStatus.OPTIMAL:
+                raise CertificateError("a capped pruning LP has no optimum")
+            if res.value <= s:
+                _check_implied(rows[idx], others, eqs, res.dual[:-1])
+                del rows[idx], local[idx], rays[idx]
+                continue
             *z, zden = integerize((*res.x, 1))
-            x = [
-                Fraction(zden * v + _dot(z, col), zden * den)
-                for v, col in zip(xs, zip(*null))
-            ]
-            _check_violated(rows[idx], others, eqs, x)
-            idx += 1
+        else:
+            z, zden = shot
+        x = [
+            Fraction(zden * v + _dot(z, col), zden * den)
+            for v, col in zip(xs, zip(*null))
+        ]
+        _check_violated(rows[idx], others, eqs, x)
+        idx += 1
     return rows
+
+
+def _interior_rays(local, null):
+    """(center, rays) for `_shoot`, from the local rows (a_j, s_j) and the
+    null-space vectors N.
+
+    center = (Zc, Dc) with Zc / Dc a point strictly inside every row: it
+    maximizes t over a_j . z + t <= s_j, an LP from the slack basis, and is
+    kept only at an optimum with t > 0; otherwise center is None.  rays[j] = (g_j, d_j)
+    holds row j's gap at the center, g_j = Dc s_j - a_j . Zc > 0, and its
+    direction, a positive integer multiple of M^-1 a_j with M = N^T N.  M is
+    inverted once, by one `_echelon` of [M | I], whose rows are
+    (p_r e_r | p_r M^-1_r) with p_r > 0."""
+    k = len(null)
+    res = solve_lp([0] * k + [1], ineqs=[((*a, 1), s) for a, s in local])
+    if res.status is not LpStatus.OPTIMAL or res.value <= 0:
+        return None, [None] * len(local)
+    *zc, dc = integerize((*res.x[:-1], 1))
+    gram, _ = _echelon(
+        [[_dot(u, v) for v in null] + [int(r == c) for c in range(k)]
+         for r, u in enumerate(null)]
+    )
+    scale = lcm(*(row[r] for r, row in enumerate(gram)))
+    inverse = [[scale // row[r] * v for v in row[k:]] for r, row in enumerate(gram)]
+    rays = [(dc * s - _dot(a, zc), [_dot(row, a) for row in inverse]) for a, s in local]
+    return (zc, dc), rays
+
+
+def _shoot(i, local, center, rays):
+    """Row i's witness by ray shooting, or None.
+
+    The ray from the center along d_i meets row j at the step
+    g_j / (Dc a_j . d_i) when a_j . d_i > 0, and never otherwise.  Unless row
+    i is met strictly before every other row, returns None.  Otherwise
+    returns (Z, zden), the point Z / zden halfway between row i's step and
+    the next row's, or at twice row i's step when no other row is met: it
+    violates row i and meets every other row.  Every comparison
+    cross-multiplies integers."""
+    if center is None:
+        return None
+    gi, di = rays[i]
+    ei = _dot(local[i][0], di)
+    if ei <= 0:  # a_i = 0: no direction to shoot along
+        return None
+    gn = en = None
+    for j, ((a, _), (g, _)) in enumerate(zip(local, rays)):
+        e = _dot(a, di)
+        if e > 0 and j != i:
+            if g * ei <= gi * e:
+                return None
+            if gn is None or g * en < gn * e:
+                gn, en = g, e
+    if gn is None:  # a next step three times row i's puts the midpoint at twice it
+        gn, en = 3 * gi, ei
+    zc, dc = center
+    step, half = gi * en + gn * ei, 2 * ei * en  # the midpoint's step times Dc * half
+    return [half * c + step * v for c, v in zip(zc, di)], dc * half
 
 
 def _check_implied(row, others, eqs, y) -> None:

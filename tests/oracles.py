@@ -942,6 +942,12 @@ def _pivot(tab, basis, row_i, col, obj=None):
 # fixtures and helpers that only the tests use
 
 
+# The box [0, 10] x [0, 1] with its corner cut by x + y <= 10.9: every row is
+# a facet, but from the interior point (1/2, 1/2) that pruning finds, the ray
+# along the cut's normal meets y <= 1 first, so the cut is kept by its LP.
+CUT_BOX = [((1, 0), 10), ((-1, 0), 0), ((0, 1), 1), ((0, -1), 0), ((10, 10), 109)]
+
+
 def pr_box() -> Correlation:
     """The extremal no-signalling box with a + b = x*y (mod 2), all marginals 1/2."""
     s = Scenario.bell(2, 2)

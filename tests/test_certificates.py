@@ -19,7 +19,7 @@ from instrumental.linprog import LpStatus, _check_dual, _check_farkas, solve_lp
 from instrumental.polytope import classical_vpolytope, facet_enumeration, facet_orbits
 from instrumental.scenario import Correlation, Scenario, postselect
 
-from oracles import pr_box
+from oracles import CUT_BOX, pr_box
 
 F = Fraction
 SRC = Path(__file__).resolve().parent.parent / "src" / "instrumental"
@@ -233,31 +233,47 @@ def test_tampered_pruning_multiplier_exits_3(monkeypatch, capsys):
 
 
 def zero_pruning_points(monkeypatch):
-    """Pruning LPs that return z = 0, which maps back to x0 and so meets
-    every row; the feasibility LP that finds x0 is left alone."""
+    """Row LPs that return z = 0, which maps back to x0 and so meets every
+    row.  A row LP is one whose last row, its cap, has the objective as
+    coefficients; the feasibility LP that finds x0 and the interior-point LP
+    are left alone."""
     def tampered(objective, **kwargs):
         res = solve_lp(objective, **kwargs)
-        if kwargs.get("eqs"):  # the feasibility LP that finds x0
+        ineqs = kwargs.get("ineqs", ())
+        if not ineqs or tuple(ineqs[-1][0]) != tuple(objective):
             return res
         return dataclasses.replace(res, x=(Fraction(0),) * len(res.x))
 
     monkeypatch.setattr(polytope, "solve_lp", tampered)
 
 
+def center_shots(monkeypatch):
+    """Ray shooting that hands back its starting point, strictly inside
+    every row, in place of the point just past the row it keeps."""
+    shoot = polytope._shoot
+
+    def tampered(i, local, center, rays):
+        return None if shoot(i, local, center, rays) is None else center
+
+    monkeypatch.setattr(polytope, "_shoot", tampered)
+
+
 def test_tampered_pruning_witness_exits_3(monkeypatch, capsys):
+    # every kept row of this projection is kept by ray shooting
     argv = ["facets", "--gpt", "-x", "2"]
     assert main(argv) == 0
     capsys.readouterr()
-    zero_pruning_points(monkeypatch)
+    center_shots(monkeypatch)
     assert main(argv) == 3
     assert "a kept row has no witness" in capsys.readouterr().err
 
 
 def test_kept_row_witness_inside_its_row_raises(monkeypatch):
-    ns = polytope.no_signalling_polytope(INSTR2.parent_bell())
+    # the cut of CUT_BOX is kept by its LP, not by ray shooting
+    assert polytope._prune_redundant(CUT_BOX, ()) == CUT_BOX
     zero_pruning_points(monkeypatch)
     with pytest.raises(CertificateError, match="no witness"):
-        polytope.fourier_motzkin_project(ns, INSTR2.wired_indices())
+        polytope._prune_redundant(CUT_BOX, ())
 
 
 def test_orbit_classification_rejects_open_facet_list():

@@ -510,6 +510,56 @@ def test_identity_proves_a_correct_identity_once(monkeypatch, capsys, flags):
     assert calls == [flags[0]]
 
 
+def test_identity_proves_a_wrong_identity_once(monkeypatch, capsys):
+    # p(00|00) added to the bonet residual: the failed proof's verdict goes
+    # to the best-response scan, which does not prove the identity again
+    right = inequalities.identity_residual_expression("bonet")
+    coeffs = list(right.coeffs)
+    coeffs[right.scenario.index(0, 0, 0, 0)] += 1
+    wrong = inequalities.LinearExpression(right.scenario, tuple(coeffs), right.constant)
+    monkeypatch.setattr(inequalities, "identity_residual_expression",
+                        lambda kind, **params: wrong)
+    calls = []
+    proof = inequalities.verify_identity
+
+    def counted(kind, **params):
+        calls.append(kind)
+        return proof(kind, **params)
+
+    monkeypatch.setattr(cli, "verify_identity", counted)
+    monkeypatch.setattr(inequalities, "verify_identity", counted)
+    assert main(["identity", "bonet", "--trials", "0"]) == 3
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "max |residual| over every deterministic box: 1"
+    )
+    assert calls == ["bonet"]
+
+
+def test_identity_max_residual_proves_before_it_scans(monkeypatch):
+    # a library caller without a verdict gets the proof first: a correct
+    # identity is 0 with no scan, a wrong one is proved once, then scanned
+    calls = []
+    proof = inequalities.verify_identity
+    scan = inequalities.classical_maximum
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a proved identity needs no scan")
+
+    monkeypatch.setattr(inequalities, "verify_identity",
+                        lambda kind, **params: calls.append(kind) or proof(kind, **params))
+    monkeypatch.setattr(inequalities, "classical_maximum", unreachable)
+    assert inequalities.identity_max_residual("tilted", alpha=3) == 0
+    right = inequalities.identity_residual_expression("bonet")
+    coeffs = list(right.coeffs)
+    coeffs[right.scenario.index(0, 0, 0, 0)] += 1
+    wrong = inequalities.LinearExpression(right.scenario, tuple(coeffs), right.constant)
+    monkeypatch.setattr(inequalities, "identity_residual_expression",
+                        lambda kind, **params: wrong)
+    monkeypatch.setattr(inequalities, "classical_maximum", scan)
+    assert inequalities.identity_max_residual("bonet") == 1
+    assert calls == ["tilted", "bonet"]
+
+
 def test_identity_chained_10_is_decided_exactly(capsys):
     argv = ["identity", "chained", "--n", "10", "--trials", "0", "--format", "json"]
     assert main(argv) == 0

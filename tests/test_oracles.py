@@ -30,6 +30,9 @@ from instrumental.polytope import (
     LinearInequality,
     VPolytope,
     _dd_pointed,
+    _dot,
+    _echelon,
+    _null_space,
     _prune_redundant,
     _reduce_equalities,
     adjacency_decomposition,
@@ -58,6 +61,7 @@ from instrumental.scenario import (
 
 import oracles
 from oracles import (
+    CUT_BOX,
     brute_force_extreme_rays,
     fraction_integerize,
     fraction_prune,
@@ -300,8 +304,8 @@ def test_prune_redundant_matches_two_phase_oracle(kind):
 
 def _pruning_trace(monkeypatch, prune, module, solver, tableau, rows, eqs):
     """The rows `prune` keeps and, for each LP it solves through
-    `module.<solver>`, in order: the status, the duals and the basis labels
-    after every pivot of `tableau._pivot`."""
+    `module.<solver>`, in order: its objective and inequality rows, its
+    result, and the basis labels after every pivot of `tableau._pivot`."""
     lps, bases = [], []
     pivot, solve = tableau._pivot, getattr(module, solver)
 
@@ -309,9 +313,10 @@ def _pruning_trace(monkeypatch, prune, module, solver, tableau, rows, eqs):
         pivot(tab, basis, *args)
         bases.append(tuple(basis))
 
-    def recorded_solve(*args, **kwargs):
-        res = solve(*args, **kwargs)
-        lps.append((res.status, res.dual, tuple(bases)))
+    def recorded_solve(objective, **kwargs):
+        res = solve(objective, **kwargs)
+        ineqs = [(tuple(c), r) for c, r in kwargs.get("ineqs", ())]
+        lps.append(((tuple(objective), ineqs), res, tuple(bases)))
         bases.clear()
         return res
 
@@ -338,16 +343,48 @@ def _gpt_pruning_input(monkeypatch, s):
     return case
 
 
+def _outcome(lp):
+    _, res, bases = lp
+    return res.status, res.dual, bases
+
+
 def _assert_same_pruning(monkeypatch, rows, eqs):
-    # Integer local coordinates scale each LP's columns and right-hand sides
-    # by positive constants: the same kept rows, duals and pivots.
-    got = _pruning_trace(monkeypatch, _prune_redundant, polytope, "solve_lp", linprog, rows, eqs)
-    want = _pruning_trace(
+    # After the start LP and the interior-point LP, every LP still solved is
+    # the oracle's LP for the same row, in the same order.  Integer local
+    # coordinates scale each column and every right-hand side by positive
+    # constants: the same kept rows, duals and pivots.  Rows that ray
+    # shooting keeps skip their LP, and no row is dropped without one.
+    kept, got = _pruning_trace(
+        monkeypatch, _prune_redundant, polytope, "solve_lp", linprog, rows, eqs
+    )
+    want_kept, want = _pruning_trace(
         monkeypatch, fraction_prune, oracles, "fraction_solve_lp", oracles, rows, eqs
     )
-    assert got == want
-    lps = got[1]
-    assert len(lps) == 1 + (len(rows) if lps[0][0] is LpStatus.OPTIMAL else 0)
+    assert kept == want_kept
+    assert _outcome(got[0]) == _outcome(want[0])
+    if want[0][1].status is not LpStatus.OPTIMAL:
+        assert len(got) == len(want) == 1
+        return
+    null = _null_space(*_echelon([c for c, _ in eqs]), len(rows[0][0]))
+    kappa = [next(Fraction(k) / v for k, v in zip(integerize(n), n) if v) for n in null]
+    x0 = want[0][1].x
+    den = integerize((*x0, 1))[-1]
+
+    def scaled(a):
+        return tuple(k * v for k, v in zip(kappa, a))
+
+    def in_integers(lp):  # an oracle LP as `_prune_redundant` states it
+        (objective, ineqs), _, _ = lp
+        return scaled(objective), [(scaled(a), den * s) for a, s in ineqs]
+
+    local = [(scaled([_dot(c, n) for n in null]), den * (b - _dot(c, x0))) for c, b in rows]
+    assert got[1][0] == ((0,) * len(null) + (1,), [((*a, 1), s) for a, s in local])
+    oracle_lps = iter(want[1:])
+    for lp in got[2:]:
+        match = next((w for w in oracle_lps if in_integers(w) == lp[0]), None)
+        assert match is not None and _outcome(lp) == _outcome(match)
+    dropped = sum(res.value <= ineqs[-1][1] - den for (_, ineqs), res, _ in got[2:])
+    assert dropped == len(rows) - len(kept)
 
 
 @pytest.mark.parametrize(
@@ -356,6 +393,23 @@ def _assert_same_pruning(monkeypatch, rows, eqs):
 def test_gpt_pruning_matches_fraction_oracle(monkeypatch, args):
     rows, eqs = _gpt_pruning_input(monkeypatch, Scenario.instrumental(*args))
     _assert_same_pruning(monkeypatch, rows, eqs)
+
+
+@pytest.mark.parametrize(
+    "rows, lp_objectives",
+    [(CUT_BOX, [(10, 10)]), ([((1,), 1), ((-1,), -1)], [(1,), (-1,)])],
+    ids=["another-row-met-first", "no-interior-point"],
+)
+def test_pruning_falls_back_to_row_lps(monkeypatch, rows, lp_objectives):
+    # A row that ray shooting cannot keep goes to its LP: the cut of CUT_BOX,
+    # and both rows of x <= 1, -x <= -1, which leave no point strictly inside
+    # either.  Every row is still kept, as the two-phase oracle keeps it.
+    kept, lps = _pruning_trace(
+        monkeypatch, _prune_redundant, polytope, "solve_lp", linprog, rows, ()
+    )
+    assert kept == rows == two_phase_prune(rows, ())
+    assert [objective for (objective, _), _, _ in lps[2:]] == lp_objectives
+    _assert_same_pruning(monkeypatch, rows, ())
 
 
 @pytest.mark.parametrize(

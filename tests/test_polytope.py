@@ -425,9 +425,9 @@ def test_projection_trip_points(n, trip):
 
 
 def test_projection_prunes_without_phase_one(monkeypatch):
-    # One two-phase feasibility LP, then phase-2-only pruning LPs: 192
+    # One two-phase feasibility LP, then phase-2-only pruning LPs: 71
     # pivots at three inputs (46 of them finding the feasible point), against
-    # 1,497 when every pruning LP ran both phases.
+    # 1,497 when every pruning LP ran both phases (192 with one LP per row).
     s = Scenario.instrumental(3)
     ns = no_signalling_polytope(s.parent_bell())
     pivots = []
@@ -435,6 +435,20 @@ def test_projection_prunes_without_phase_one(monkeypatch):
     monkeypatch.setattr(linprog, "_pivot", lambda *a: pivots.append(1) or pivot(*a))
     fourier_motzkin_project(ns, s.wired_indices())
     assert len(pivots) <= 400
+
+
+@pytest.mark.parametrize("n, lps", [(2, 6), (3, 8)])
+def test_projection_keeps_every_facet_by_ray_shooting(monkeypatch, n, lps):
+    # The start LP, the interior-point LP and one LP per dropped row, 4 of 16
+    # rows at two inputs and 6 of 30 at three: every facet is kept by ray
+    # shooting, with no LP of its own.
+    s = Scenario.instrumental(n)
+    ns = no_signalling_polytope(s.parent_bell())
+    calls = []
+    solve = polytope.solve_lp
+    monkeypatch.setattr(polytope, "solve_lp", lambda *a, **k: calls.append(1) or solve(*a, **k))
+    fourier_motzkin_project(ns, s.wired_indices())
+    assert len(calls) == lps
 
 
 def test_separation_runs_without_phase_one(monkeypatch):
