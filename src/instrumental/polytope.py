@@ -1006,12 +1006,12 @@ def _interior_rays(local, null):
     if res.status is not LpStatus.OPTIMAL or res.value <= 0:
         return None, [None] * len(local)
     *zc, dc = integerize((*res.x[:-1], 1))
-    gram, _ = _echelon(
+    reduced, _ = _echelon(
         [[_dot(u, v) for v in null] + [int(r == c) for c in range(k)]
          for r, u in enumerate(null)]
     )
-    scale = lcm(*(row[r] for r, row in enumerate(gram)))
-    inverse = [[scale // row[r] * v for v in row[k:]] for r, row in enumerate(gram)]
+    scale = lcm(*(row[r] for r, row in enumerate(reduced)))
+    inverse = [[scale // row[r] * v for v in row[k:]] for r, row in enumerate(reduced)]
     rays = [(dc * s - _dot(a, zc), [_dot(row, a) for row in inverse]) for a, s in local]
     return (zc, dc), rays
 
