@@ -510,15 +510,20 @@ def test_identity_proves_a_correct_identity_once(monkeypatch, capsys, flags):
     assert calls == [flags[0]]
 
 
-def test_identity_proves_a_wrong_identity_once(monkeypatch, capsys):
-    # p(00|00) added to the bonet residual: the failed proof's verdict goes
-    # to the best-response scan, which does not prove the identity again
+def _patch_wrong_bonet_residual(monkeypatch):
+    """The bonet residual plus p(00|00): 1 at its worst deterministic box."""
     right = inequalities.identity_residual_expression("bonet")
     coeffs = list(right.coeffs)
     coeffs[right.scenario.index(0, 0, 0, 0)] += 1
     wrong = inequalities.LinearExpression(right.scenario, tuple(coeffs), right.constant)
     monkeypatch.setattr(inequalities, "identity_residual_expression",
                         lambda kind, **params: wrong)
+
+
+def test_identity_proves_a_wrong_identity_once(monkeypatch, capsys):
+    # the failed proof's verdict goes to the best-response scan, which does
+    # not prove the identity again
+    _patch_wrong_bonet_residual(monkeypatch)
     calls = []
     proof = inequalities.verify_identity
 
@@ -549,12 +554,7 @@ def test_identity_max_residual_proves_before_it_scans(monkeypatch):
                         lambda kind, **params: calls.append(kind) or proof(kind, **params))
     monkeypatch.setattr(inequalities, "classical_maximum", unreachable)
     assert inequalities.identity_max_residual("tilted", alpha=3) == 0
-    right = inequalities.identity_residual_expression("bonet")
-    coeffs = list(right.coeffs)
-    coeffs[right.scenario.index(0, 0, 0, 0)] += 1
-    wrong = inequalities.LinearExpression(right.scenario, tuple(coeffs), right.constant)
-    monkeypatch.setattr(inequalities, "identity_residual_expression",
-                        lambda kind, **params: wrong)
+    _patch_wrong_bonet_residual(monkeypatch)
     monkeypatch.setattr(inequalities, "classical_maximum", scan)
     assert inequalities.identity_max_residual("bonet") == 1
     assert calls == ["tilted", "bonet"]
