@@ -75,6 +75,8 @@ def _integer(v) -> int:
 
 
 def scenario_from_json(d: dict[str, Any]) -> Scenario:
+    if not isinstance(d, dict):
+        raise ValueError(f"a scenario must be a JSON object, got {d!r:.40}")
     wiring = d.get("wiring")
     if wiring is not None:
         wiring = tuple(tuple(_integer(y) for y in row) for row in wiring)

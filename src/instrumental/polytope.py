@@ -43,8 +43,8 @@ Membership tests are LP feasibility problems whose answers carry
 certificates: explicit convex weights for inside points, a separating
 inequality for outside points.  That inequality is a facet of maximal
 normalized violation, found by one LP over the polar of the centred hull
-that starts from the slack basis, and checked to be a facet by the rank of
-the vertices tight on it.
+that starts from the slack basis, and checked to be a facet by the GF(p)
+rank of the vertices tight on it against the hull's equalities.
 """
 
 from __future__ import annotations
@@ -591,7 +591,7 @@ def adjacency_decomposition(
     # The slack of -x_i <= 0 on a homogenized vertex row h is h[i + 1].
     for i in range(d):
         on_face = [h for h in hom if h[i + 1] == 0]
-        if min(h[i + 1] for h in hom) >= 0 and _rank(on_face) == rank - 1:
+        if min(h[i + 1] for h in hom) >= 0 and len(_echelon(on_face)[1]) == rank - 1:
             break
     else:
         raise ValueError("no coordinate facet -x_i <= 0 to start the search from")
@@ -672,17 +672,12 @@ def _check_facets(
 
     Ranks are taken over GF(p) (`_rank_mod_p`), with none of the `_echelon`
     that found the hull; a rank over GF(p) is at most the rational one.  The
-    hull's rank is d + 1 - m: the m equalities vanish on every vertex and
-    are independent (rank m over GF(p)), which bounds it from above, and the
-    homogenized vertices' rank over GF(p) bounds it from below.  A valid row
+    hull's rank is d + 1 - m: the m equalities (`_hull_rank`) bound it from
+    above, and the homogenized vertices' rank over GF(p) from below.  A valid row
     with a vertex of positive slack is tight on vertices of rank at most
     d - m, so rank d - m over GF(p) proves it a facet."""
     hom = [integerize((1, *vert)) for vert in vertices]
-    rank = len(hom[0]) - len(equalities)
-    if equalities:
-        eq_rows = [integerize((-rhs, *coeffs)) for coeffs, rhs in equalities]
-        if _exact_product(eq_rows, hom).any() or _rank_mod_p(eq_rows) < len(eq_rows):
-            raise CertificateError("the equalities do not hold on every vertex")
+    rank = _hull_rank(hom, equalities)
     if _rank_mod_p(hom) < rank:
         raise CertificateError("the vertices span more than the equalities allow")
     rows = [_slack_row(q) for q in facets]
@@ -705,42 +700,41 @@ def _check_facets(
             raise CertificateError(f"an orbit representative is not a facet: {q}")
 
 
-# A prime below 2**31: a product of two residues stays below 2**62.
 _PRIME = 2**31 - 1
+
+
+def _hull_rank(hom: Sequence[Sequence[int]], equalities: Sequence[Equality]) -> int:
+    """d + 1 - m, at least the rank of the homogenized vertex rows `hom`, once
+    the m equalities are checked to vanish on them and be independent mod p."""
+    eq_rows = [integerize((-rhs, *coeffs)) for coeffs, rhs in equalities]
+    if any(_dot(e, h) for e in eq_rows for h in hom) or _rank_mod_p(eq_rows) < len(eq_rows):
+        raise CertificateError("the equalities are dependent or miss a vertex")
+    return len(hom[0]) - len(eq_rows)
 
 
 def _rank_mod_p(rows: Sequence[Sequence[int]]) -> int:
     """The rank of integer rows over GF(_PRIME), a lower bound on their
-    rational rank: Gaussian elimination on int64 residues, each entry
-    reduced in Python ints first."""
-    import numpy as np
-
-    a = np.array([[v % _PRIME for v in row] for row in rows], np.int64)
-    rank = 0
-    for col in range(a.shape[1] if len(rows) else 0):
-        nonzero = np.flatnonzero(a[rank:, col])
-        if not len(nonzero):
-            continue
-        pivot = rank + int(nonzero[0])
-        a[[rank, pivot]] = a[[pivot, rank]]
-        a[rank] = a[rank] * pow(int(a[rank, col]), -1, _PRIME) % _PRIME
-        below = a[rank + 1 :]
-        below -= below[:, col, None] * a[rank] % _PRIME
-        below %= _PRIME
-        rank += 1
-        if rank == len(a):
-            break
-    return rank
+    rational rank: each row's residues are reduced by the pivot rows kept so
+    far, and kept, scaled to 1 on their first nonzero column, unless 0."""
+    kept: list[tuple[int, list[int]]] = []
+    for row in rows:
+        r = [v % _PRIME for v in row]
+        for col, pivot in kept:
+            if f := r[col]:
+                r = [(a - f * b) % _PRIME for a, b in zip(r, pivot)]
+        col = next((j for j, v in enumerate(r) if v), None)
+        if col is not None:
+            inv = pow(r[col], -1, _PRIME)
+            kept.append((col, [v * inv % _PRIME for v in r]))
+            if len(kept) == len(r):
+                break
+    return len(kept)
 
 
 def _slack_row(q: LinearInequality) -> tuple[int | Fraction, ...]:
     """(bound, -coeffs): its dot with a homogenized vertex row (1, v), scaled
     by a positive factor, is bound - coeffs . v scaled by the same factor."""
     return (q.bound, *(-c for c in q.coeffs))
-
-
-def _rank(rows: Sequence[Sequence[int]]) -> int:
-    return len(_echelon(rows)[1])
 
 
 def _orbit(
@@ -1049,10 +1043,9 @@ def _shoot(i, local, center, rays):
 
 def _check_implied(row, others, eqs, y) -> None:
     """Raise CertificateError unless the multipliers y >= 0 on the other
-    rows prove the row implied: row - sum_j y_j others_j must reduce, by
-    `_eliminate_leads` modulo the equalities, to 0 . x <= t with t >= 0.
-    Decided in integers, on the integer rows and y times the lcm of its
-    denominators."""
+    rows prove the row implied: row - sum_j y_j others_j, less multiples of
+    the equalities (each clears its lead column, the row scaled by |lead|),
+    is 0 . x <= t with t >= 0.  Decided in integers, y times its lcm denominator."""
     den, (ys,) = over_common_denominator([y])
     if len(y) != len(others) or any(v < 0 for v in ys):
         raise CertificateError("pruning multipliers must be nonnegative")
@@ -1061,8 +1054,13 @@ def _check_implied(row, others, eqs, y) -> None:
         if v:
             for j, cj in enumerate((*c, b)):
                 combo[j] -= v * cj
-    rest = _eliminate_leads(eqs)(primitive(combo))
-    if any(rest[:-1]) or rest[-1] < 0:
+    for c, r in eqs:
+        e = integerize((*c, r))
+        lead = next((j for j, v in enumerate(e[:-1]) if v), None)
+        if lead is not None and combo[lead]:
+            p, f = abs(e[lead]), combo[lead] if e[lead] > 0 else -combo[lead]
+            combo = [p * v - f * ev for v, ev in zip(combo, e)]
+    if any(combo[:-1]) or combo[-1] < 0:
         raise CertificateError(f"a pruned row is not implied by the rows kept: {row}")
 
 
@@ -1109,35 +1107,36 @@ def membership(point, polytope: VPolytope) -> MembershipCertificate:
         ):
             raise CertificateError("weights are not a convex mix of the point")
         return MembershipCertificate(inside=True, weights=res.x)
-    sep = _separating_facet(q, VPolytope.from_points(verts).vertices)
+    sep, equalities = _separating_facet(q, VPolytope.from_points(verts).vertices)
     margin = sep.violation(q)
-    _check_separator(sep, margin, verts)
+    _check_separator(sep, margin, verts, equalities)
     return MembershipCertificate(inside=False, separator=sep, margin=margin)
 
 
 def _check_separator(
-    sep: LinearInequality, margin: Fraction, verts: Sequence[Sequence[Fraction]]
+    sep: LinearInequality, margin: Fraction, verts: Sequence[Sequence[Fraction]],
+    equalities: Sequence[Equality],
 ) -> None:
     """Raise CertificateError unless the point's margin is positive, sep
     holds on every vertex, and sep is either an affine-hull equality of the
-    vertices (tight on all of them) or a facet: the vertices tight on it
-    span a hyperplane of the hull, by the exact rational rank (`_rank`, an
-    `_echelon`) of their homogenized rows, the elimination
-    `_separating_facet` also runs.  `_check_facets` ranks modulo 2^31 - 1."""
+    vertices (tight on all of them) or a facet: as in `_check_facets`, the
+    vertices tight on it have rank `_hull_rank` - 1 over GF(p)."""
     hom = [integerize((1, *v)) for v in verts]
+    rank = _hull_rank(hom, equalities)
     y = _slack_row(sep)
     slacks = [_dot(y, h) for h in hom]
     if margin <= 0 or min(slacks) < 0:
         raise CertificateError("the inequality does not separate the point")
     tight = [h for h, s in zip(hom, slacks) if s == 0]
-    if len(tight) < len(hom) and _rank(tight) != _rank(hom) - 1:
+    if len(tight) < len(hom) and _rank_mod_p(tight) < rank - 1:
         raise CertificateError(f"the separator is not a facet of the hull: {sep}")
 
 
 def _separating_facet(
     q: tuple[Fraction, ...], verts: Sequence[tuple[Fraction, ...]]
-) -> LinearInequality:
-    """A separating hyperplane for q, supporting the hull along a facet.
+) -> tuple[LinearInequality, list[Equality]]:
+    """A separating hyperplane for q, supporting the hull along a facet, and
+    the equalities of the hull's affine hull, for `_check_separator`.
 
     First tries the affine hull: if q violates an equality, that equality
     (suitably oriented) already separates.  Otherwise it maximizes the
@@ -1168,14 +1167,12 @@ def _separating_facet(
     # scale . (v - c) per vertex: positive multiples of the centred vertices
     centered = [tuple(n * x - t for x, t in zip(v, total)) for v in ints]
     basis, pivots = _echelon(centered)
-    for nvec in _null_space(basis, pivots, d):
-        # nvec . x is constant on the hull
-        rhs = sum(nv * c for nv, c in zip(nvec, centroid))
-        val = sum(nv * qi for nv, qi in zip(nvec, q))
-        if val > rhs:
-            return reduce_modulo(LinearInequality(tuple(nvec), rhs), ())
-        if val < rhs:
-            return reduce_modulo(LinearInequality(tuple(-c for c in nvec), -rhs), ())
+    equalities = [(nvec, _dot(nvec, centroid)) for nvec in _null_space(basis, pivots, d)]
+    for nvec, rhs in equalities:
+        if (val := _dot(nvec, q)) != rhs:
+            s = 1 if val > rhs else -1
+            sep = LinearInequality(tuple(s * c for c in nvec), s * rhs)
+            return reduce_modulo(sep, ()), equalities
     rows = [([_dot(b, v) for b in basis], scale) for v in centered]
     # qden . scale . (q - c), with qden the denominator of q: the objective
     # times qden > 0, which keeps the pivots and x
@@ -1187,7 +1184,7 @@ def _separating_facet(
             "separation failed although the membership LP was infeasible"
         )
     g = tuple(_dot(res.x, col) for col in zip(*basis))
-    return reduce_modulo(LinearInequality(g, _dot(g, centroid) + 1), ())
+    return reduce_modulo(LinearInequality(g, _dot(g, centroid) + 1), ()), equalities
 
 
 def maximize_linear(

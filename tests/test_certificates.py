@@ -219,6 +219,27 @@ def test_bad_pruning_certificates_raise():
             polytope._check_violated(SQUARE[0], SQUARE[1:], eqs, x)
 
 
+def test_pruning_check_runs_no_fourier_motzkin_substitution(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the pruning check shares no elimination with FM")
+
+    monkeypatch.setattr(polytope, "_eliminate_leads", unreachable)
+    polytope._check_implied(SQUARE[2], SQUARE[:2], (), [F(1), F(1)])
+    with pytest.raises(CertificateError, match="not implied"):
+        polytope._check_implied(SQUARE[2], SQUARE[:2], (), [F(1), F(1, 2)])
+    # y <= 1 follows from x <= 1 only on the line x = y, whichever sign
+    # the equality's lead has
+    for eq in (((1, -1), 0), ((-1, 1), 0), ((-2, 2), 0)):
+        polytope._check_implied(SQUARE[1], SQUARE[:1], (eq,), [F(1)])
+    with pytest.raises(CertificateError, match="not implied"):
+        polytope._check_implied(SQUARE[1], SQUARE[:1], (), [F(1)])
+    # on -x = -1, x <= 2 holds and x <= 0 does not: a negative lead must not
+    # flip the row's sense
+    polytope._check_implied(((1, 0), 2), [], (((-1, 0), -1),), [])
+    with pytest.raises(CertificateError, match="not implied"):
+        polytope._check_implied(((1, 0), 0), [], (((-1, 0), -1),), [])
+
+
 def shifted_dual(res):
     return (res.dual[0] + Fraction(1, 2),) + res.dual[1:]
 
@@ -364,10 +385,10 @@ def plus_positivity(separate):
     coordinate where the point is 0: the sum of two valid rows, violated by
     the same margin, but tight only where both are."""
     def tampered(q, verts):
-        f = separate(q, verts)
+        f, equalities = separate(q, verts)
         coeffs = list(f.coeffs)
         coeffs[q.index(0)] -= 1
-        return polytope.LinearInequality(tuple(coeffs), f.bound)
+        return polytope.LinearInequality(tuple(coeffs), f.bound), equalities
 
     return tampered
 
@@ -376,8 +397,9 @@ def loosened(separate):
     """`_separating_facet` returning its facet with the bound raised by
     less than the margin: still separating, but tight on no vertex."""
     def tampered(q, verts):
-        f = separate(q, verts)
-        return polytope.LinearInequality(f.coeffs, f.bound + f.violation(q) / 2)
+        f, equalities = separate(q, verts)
+        loose = polytope.LinearInequality(f.coeffs, f.bound + f.violation(q) / 2)
+        return loose, equalities
 
     return tampered
 
@@ -405,6 +427,184 @@ def test_non_facet_separator_exits_3(monkeypatch, tmp_path, capsys):
     )
     assert main(argv) == 3
     assert "not a facet" in capsys.readouterr().err
+
+
+SQUARE_2D = [(0, 0), (1, 0), (0, 1), (1, 1)]
+# the same square on the plane z = 1 of R^3: one affine-hull equality
+SQUARE_3D = [(x, y, 1) for x, y in SQUARE_2D]
+
+
+@pytest.mark.parametrize("points", [SQUARE_2D, SQUARE_3D])
+def test_separator_check_takes_its_ranks_over_gf_p(monkeypatch, points):
+    square = polytope.VPolytope.from_points(points)
+    q = tuple(F(v) for v in (2, *points[0][1:]))
+    sep, equalities = polytope._separating_facet(q, square.vertices)
+    bad, _ = plus_positivity(polytope._separating_facet)(q, square.vertices)
+    assert len(equalities) == len(points[0]) - 2
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the separator check shares no echelon with the search")
+
+    monkeypatch.setattr(polytope, "_echelon", unreachable)
+    polytope._check_separator(sep, sep.violation(q), square.vertices, equalities)
+    with pytest.raises(CertificateError, match="not a facet"):
+        polytope._check_separator(bad, bad.violation(q), square.vertices, equalities)
+
+
+def short_of_one(equalities):
+    return equalities[1:]
+
+
+def doubled(equalities):
+    return equalities[:1] + equalities
+
+
+def shifted(equalities):
+    (coeffs, rhs), *rest = equalities
+    return [(coeffs, rhs + 1), *rest]
+
+
+@pytest.mark.parametrize("change", [short_of_one, doubled, shifted])
+def test_separator_with_wrong_equalities_raises(monkeypatch, change):
+    square = polytope.VPolytope.from_points(SQUARE_3D)
+    q = (F(2), F(0), F(1))
+    assert not polytope.membership(q, square).inside
+    separate = polytope._separating_facet
+
+    def tampered(q, verts):
+        sep, equalities = separate(q, verts)
+        return sep, change(equalities)
+
+    monkeypatch.setattr(polytope, "_separating_facet", tampered)
+    with pytest.raises(CertificateError):
+        polytope.membership(q, square)
+
+
+# Each check of a certificate, and the routines that find what it checks:
+# no check may reach a finder through any chain of calls.
+CHECKS = [
+    ("polytope", "_check_facets"), ("polytope", "_check_separator"),
+    ("polytope", "_check_implied"), ("polytope", "_check_violated"),
+    ("linprog", "_check_dual"), ("linprog", "_check_farkas"),
+]
+FINDERS = {
+    "_echelon", "_rank", "_eliminate_leads", "_null_space", "_reduce_equalities",
+    "_affine_hull", "_dd_pointed", "_full_adjacency_test", "solve_lp",
+    "_simplex_standard", "_phase_two", "_pivot_loop", "_pivot",
+    "_interior_rays", "_shoot", "_separating_facet",
+}
+
+
+def finder_chains(sources, roots=CHECKS, finders=FINDERS):
+    """Every chain of uses from a root function to a finder, as
+    "a → b → c" strings, in the modules that `sources` maps by name to their
+    text.
+
+    A name resolves to its own module's top-level definition, else to what
+    a `from .module import name` in that module names; `module.name`
+    resolves through a `from . import module`.  Every use counts, called or
+    passed on, and a class counts with all of its methods.  Names that
+    resolve to nothing here (builtins, numpy, attributes of values) end a
+    chain.  A chain that a longer reported chain extends is left out."""
+    defs, imported = {}, {}
+    for mod, text in sources.items():
+        tree = ast.parse(text)
+        imported[mod] = {}
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs[mod, node.name] = node
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    target = (node.module, alias.name) if node.module else (alias.name, None)
+                    imported[mod][alias.asname or alias.name] = target
+
+    def uses(mod, name):
+        for node in ast.walk(defs[mod, name]):
+            if isinstance(node, ast.Name):
+                key = (mod, node.id) if (mod, node.id) in defs else imported[mod].get(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                module, inner = imported[mod].get(node.value.id, (None, "?"))
+                key = (module, node.attr) if inner is None else None
+            else:
+                continue
+            if key in defs and key != (mod, name):
+                yield key
+
+    chains = []
+    for root in roots:
+        path = {root: [root[1]]}
+        frontier = [root]
+        while frontier:
+            node = frontier.pop(0)
+            for key in uses(*node):
+                if key not in path:
+                    path[key] = path[node] + [key[1]]
+                    frontier.append(key)
+                    if key[1] in finders:
+                        chains.append(" → ".join(path[key]))
+    return sorted(c for c in chains if not any(o.startswith(c + " → ") for o in chains))
+
+
+def test_no_check_reaches_a_finder():
+    sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
+    assert finder_chains(sources) == []
+
+
+SYNTHETIC = {
+    "polytope": """
+from .linprog import helper
+from . import linprog
+
+def _check_facets(rows):
+    return _reduced(rows)
+
+def _check_separator(rows):
+    return helper(rows)
+
+def _check_implied(rows):
+    return sorted(rows, key=_echelon)
+
+def _check_violated(rows):
+    return linprog._pivot(rows)
+
+def _reduced(rows):
+    return rows
+
+def _echelon(rows):
+    return rows
+""",
+    "linprog": """
+from .polytope import _echelon as elimination
+
+def helper(rows):
+    return elimination(rows)
+
+def _check_dual(rows):
+    return _reduced(rows)
+
+def _check_farkas(rows):
+    return len(rows)
+
+def _reduced(rows):
+    return _pivot(rows)
+
+def _pivot(rows):
+    return rows
+""",
+}
+
+
+def test_finder_chains_on_a_synthetic_source():
+    # `_reduced` is innocent in polytope and calls `_pivot` in linprog; a
+    # finder is found through an aliased import, a module attribute, and a
+    # function passed on without being called
+    assert finder_chains(SYNTHETIC) == [
+        "_check_dual → _reduced → _pivot",
+        "_check_implied → _echelon",
+        "_check_separator → helper → _echelon",
+        "_check_violated → _pivot",
+    ]
 
 
 def test_no_assert_statements_in_package():

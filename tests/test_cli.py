@@ -228,6 +228,17 @@ def test_malformed_correlation_files_exit_1(capsys, tmp_path, theory):
         assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("scenario", ["[]", "5", '"instrumental"', "null"])
+def test_scenario_that_is_not_an_object_exits_1(capsys, tmp_path, scenario):
+    path = tmp_path / "table.json"
+    path.write_text('{"scenario": %s, "entries": ["1", "0"]}' % scenario)
+    assert main(["membership", str(path), "--theory", "classical"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: a scenario must be a JSON object")
+    assert captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "kind, count", [("chained", 33554432), ("chained_bell", 16777216)]
 )
@@ -684,9 +695,16 @@ from instrumental import cli, io
 from instrumental.quantum import born_table, tilted_search
 from instrumental.scenario import Scenario
 io.save_correlation(born_table(tilted_search(1).strategy, Scenario.bell(2, 2)), sys.argv[1])
+# the PR box, written inline: a classical "outside" verdict
+pr = ["1/2" if (a + b) % 2 == x * y else "0" for x in (0, 1) for y in (0, 1)
+      for a in (0, 1) for b in (0, 1)]
+with open(sys.argv[2], "w") as fh:
+    json.dump({"scenario": {"kind": "bell", "nX": 2, "nY": 2, "nA": 2, "nB": 2},
+               "entries": pr}, fh)
 runs = [["bounds", "chsh"], ["bounds", "chained", "4"], ["identity", "bonet"],
         ["facets", "--gpt", "-x", "2"],
         ["membership", sys.argv[1], "--theory", "nosignalling", "--with-local-processing"],
+        ["membership", sys.argv[2], "--theory", "classical", "--with-local-processing"],
         ["facets", "--classical", "-x", "3"]]
 loaded = ["numpy" in sys.modules]
 for argv in runs:
@@ -702,8 +720,9 @@ def test_numpy_loads_only_for_the_double_description(tmp_path):
     src = Path(cli.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src)}
     done = subprocess.run(
-        [sys.executable, "-c", NUMPY_PROBE, str(tmp_path / "born.json")],
+        [sys.executable, "-c", NUMPY_PROBE, str(tmp_path / "born.json"),
+         str(tmp_path / "pr.json")],
         capture_output=True, text=True, env=env, timeout=120, check=True,
     )
     loaded = json.loads(done.stdout)
-    assert loaded == [False] + [[0, False]] * 5 + [[0, True]]
+    assert loaded == [False] + [[0, False]] * 6 + [[0, True]]
