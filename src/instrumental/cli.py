@@ -248,9 +248,8 @@ def cmd_membership(args) -> int:
         p = rationalize_correlation(p)
     if from_bell:
         if args.with_local_processing:
-            p = postselect(dummy_input_extension(p), Scenario.instrumental(3))
-        else:
-            p = postselect(p, Scenario.instrumental(p.scenario.nX))
+            p = dummy_input_extension(p)
+        p = postselect(p, Scenario.instrumental(p.scenario.nX, p.scenario.nA, p.scenario.nB))
     elif args.with_local_processing:
         raise ValueError("--with-local-processing applies to two-input Bell tables")
 

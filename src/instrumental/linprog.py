@@ -31,10 +31,11 @@ entering one was.  Each stored cell equals the full tableau's cell, so
 Bland's rule (the lowest label with a negative reduced cost enters) and the
 ratio test take the same pivots.
 
-An LP with no equality rows and no negative right-hand side starts phase 2
-from the slack basis.  Every other LP runs two phases from one artificial
-per row.  The duals are the final reduced costs of the starting basis, 0 on
-a variable still basic.
+Row i starts on its slack when it is an inequality with rhs >= 0, else on
+its artificial, sign-flipped when rhs < 0.  Phase 1 runs only when some row
+starts on an artificial: it minimizes the sum of those artificials, and the
+tableau stores the slacks of their inequality rows.  The duals are the final
+reduced costs of the starting basis, 0 on a variable still basic.
 """
 
 from __future__ import annotations
@@ -149,10 +150,10 @@ def _simplex_standard(
     """min cost . x s.t. rows . x (+ slack) = rhs, x >= 0, over reduced pairs.
 
     `cost` and `rows` cover the structural columns; the rows after the first
-    `n_eqs` get a slack each.  With no equality and every rhs >= 0 the slacks
-    are a feasible basis and phase 2 starts there.  Otherwise phase 1 finds a
-    feasible basis from one artificial per row, and the tableau stores the
-    m x (m - n_eqs) block of the slack columns too.  Raises CapacityError
+    `n_eqs` get a slack each.  Row i starts on its slack when it is an
+    inequality with rhs >= 0, else on its artificial n + i (see the module
+    docstring); the tableau stores the structural columns and the slacks of
+    the inequality rows that start on an artificial.  Raises CapacityError
     before it builds a tableau of more than `_CELL_LIMIT` cells.
 
     Returns (status, x, y), x over the structural columns, where y is the
@@ -161,55 +162,47 @@ def _simplex_standard(
     y . rhs == cost . x) and None on UNBOUNDED.
     """
     m, n_vars = len(rows), len(cost)
-    n = n_vars + m - n_eqs
-    flip = [1] * m
-    slack_basis = not n_eqs and all(r >= 0 for r in rhs)
-    cells = m * (n_vars + 1 + (0 if slack_basis else m - n_eqs))
+    n, slack = n_vars + m - n_eqs, n_vars - n_eqs  # row i's slack is slack + i
+    start = [n + i if i < n_eqs or r < 0 else slack + i for i, r in enumerate(rhs)]
+    flip = [-1 if r < 0 else 1 for r in rhs]
+    stored = [slack + i for i in range(n_eqs, m) if rhs[i] < 0]
+    cells = m * (n_vars + 1 + len(stored))
     if cells > _CELL_LIMIT:
         raise CapacityError(
             f"an LP of {m} rows would store {cells} tableau cells,"
             f" over the limit of {_CELL_LIMIT}"
         )
-    if slack_basis:
-        tab = [row + [(r, 1)] for row, r in zip(rows, rhs)]
-        slacks = list(range(n_vars, n))
-        return _phase_two(cost, tab, slacks[:], list(range(n_vars)), slacks, flip, n)
     tab = []
     for i, (row, r) in enumerate(zip(rows, rhs)):
-        slack = [_ZERO] * (m - n_eqs)
-        if i >= n_eqs:
-            slack[i - n_eqs] = (1, 1)
-        row = row + slack + [(r, 1)]
-        if r < 0:
-            flip[i] = -1
-            row = [(-a, b) for a, b in row]
-        tab.append(row)
-    basis = [n + i for i in range(m)]
-    cols = list(range(n))
-
-    # Phase 1: minimize the sum of artificials; every cell is still an int.
-    obj = [(-sum(a for a, _ in col), 1) for col in zip(*tab)]
-    if not _pivot_loop(tab, basis, cols, obj, allowed=n + m):
-        raise CertificateError("phase 1 cannot be unbounded")
-    if obj[-1][0] < 0:  # leftover artificial mass: infeasible
-        # y_i = flip_i (1 - r_i) for the reduced cost r_i of artificial i
-        costs = _final_costs(cols, obj, range(n, n + m))
-        return LpStatus.INFEASIBLE, [], [
-            _reduced(f * (b - a), b) for f, (a, b) in zip(flip, costs)
-        ]
-
-    # Drive remaining artificials out of the basis (degenerate rows).
-    drop: list[int] = []
-    for i in range(m):
-        if basis[i] >= n:
-            nonzero = [(c, p) for p, c in enumerate(cols) if c < n and tab[i][p][0]]
-            if nonzero:
-                _pivot(tab, basis, cols, i, min(nonzero)[1])
-            else:
-                drop.append(i)  # redundant constraint
-    for i in reversed(drop):
-        del tab[i], basis[i]
-    return _phase_two(cost, tab, basis, cols, range(n, n + m), flip, n)
+        row = row + [(int(c == slack + i), 1) for c in stored] + [(r, 1)]
+        tab.append([(-a, b) for a, b in row] if r < 0 else row)
+    basis, cols = start[:], list(range(n_vars)) + stored
+    arts = [i for i, label in enumerate(start) if label >= n]
+    if arts:
+        # Phase 1: minimize the sum of artificials; every cell is still an int.
+        obj = [(-sum(tab[i][p][0] for i in arts), 1) for p in range(len(cols) + 1)]
+        if not _pivot_loop(tab, basis, cols, obj, allowed=n + m):
+            raise CertificateError("phase 1 cannot be unbounded")
+        if obj[-1][0] < 0:  # leftover artificial mass: infeasible
+            # y_i = flip_i (c_i - r_i) for the reduced cost r_i of row i's start
+            # variable, whose phase-1 cost c_i is 1 on an artificial, 0 on a slack
+            costs = _final_costs(cols, obj, start)
+            return LpStatus.INFEASIBLE, [], [
+                _reduced(f * ((label >= n) * b - a), b)
+                for f, label, (a, b) in zip(flip, start, costs)
+            ]
+        # Drive remaining artificials out of the basis (degenerate rows).
+        drop: list[int] = []
+        for i in range(m):
+            if basis[i] >= n:
+                nonzero = [(c, p) for p, c in enumerate(cols) if c < n and tab[i][p][0]]
+                if nonzero:
+                    _pivot(tab, basis, cols, i, min(nonzero)[1])
+                else:
+                    drop.append(i)  # redundant constraint
+        for i in reversed(drop):
+            del tab[i], basis[i]
+    return _phase_two(cost, tab, basis, cols, start, flip, n)
 
 
 def _phase_two(
@@ -219,9 +212,9 @@ def _phase_two(
     """Minimize the cost over a feasible tableau, entering only labels < n.
 
     `start[i]` is the variable of row i in the starting basis, whose column
-    was that row's unit vector, sign-flipped by `flip[i]`: the slacks, or
-    the artificials, which never re-enter but keep their stored columns so
-    the duals stay readable.  Its final reduced cost is 0 - y_i.
+    was that row's unit vector, sign-flipped by `flip[i]`: its slack, or its
+    artificial, which never re-enters but keeps its stored column so the
+    duals stay readable.  Its final reduced cost is 0 - y_i.
     """
     n_vars = len(cost)
     obj = [cost[c] if c < n_vars else _ZERO for c in cols] + [_ZERO]

@@ -833,19 +833,19 @@ def fourier_motzkin_project(
     """Project onto the coordinates in `keep` (ascending original order).
 
     Rows are primitive integer tuples (coeffs..., bound) throughout.  The
-    equalities are row-reduced once with the eliminated columns ordered
-    first.  Each pivot on an eliminated column solves for that variable, and
+    equalities are row-reduced once with the eliminated columns ordered first.
+    Each pivot on an eliminated column solves for that variable, and
     `_eliminate_leads` substitutes all of them into the inequalities in one
     pass; equalities whose pivot falls on a kept column carry over to the
-    projection.  The variables left are eliminated one at a time by
-    combining positive and negative rows.  Every step deduplicates the rows
-    and checks `max_rows`; redundant rows are removed once, from the final
-    system (`_prune_redundant`): one feasibility LP and one interior-point
-    LP, then each row is kept by ray shooting from the interior point or
-    decided by a phase-2-only LP from the slack basis, each verdict checked
-    against a certificate in the original coordinates.  All of it runs on
-    integer rows: local coordinates z over a feasible point X / D and
-    primitive integer null-space vectors N, x = (X + N z) / D.  Against the
+    projection.  The variables left are eliminated one at a time by combining
+    positive and negative rows.  Every step deduplicates the rows and checks
+    `max_rows`; redundant rows are removed once, from the final system of at
+    most `_PRUNE_ROW_LIMIT` rows (`_prune_redundant`): one feasibility LP and
+    one interior-point LP, then each row is kept by ray shooting from the
+    interior point or decided by a phase-2-only LP from the slack basis, each
+    verdict checked against a certificate in the original coordinates.  All of
+    it runs on integer rows: local coordinates z over a feasible point X / D
+    and primitive integer null-space vectors N, x = (X + N z) / D.  Against the
     `Fraction` coordinates x0 + N' z' the LPs scale each z column and every
     right-hand side by a positive constant, so Bland's rule takes the same
     pivots and the duals that prune rows are the same.
@@ -912,10 +912,17 @@ def _tidy_rows(rows, max_rows: int, done: int, m: int) -> list[tuple[int, ...]]:
     return list(out)
 
 
+# Most rows the pruning pass takes: it solves up to one LP over all the rows
+# per row.  The tests hand it at most 72 rows, `facets --gpt -x 14` 448 and
+# `-x 2 -a 4 -b 4` 55,399.
+_PRUNE_ROW_LIMIT = 2000
+
+
 def _prune_redundant(ineqs, eqs):
     """Drop each (coeffs, bound) row that the rows still kept and the
     equalities imply, in order.  A row is kept by ray shooting when it can
-    be, and decided by an exact LP otherwise.
+    be, and decided by an exact LP otherwise.  More than `_PRUNE_ROW_LIMIT`
+    rows raise CapacityError before the first LP.
 
     `eqs` are row-reduced, as `_reduce_equalities` returns them.  One
     feasibility LP finds a point x0 of the whole system; without one, every
@@ -948,6 +955,10 @@ def _prune_redundant(ineqs, eqs):
     rows = list(ineqs)
     if not rows:
         return rows
+    if len(rows) > _PRUNE_ROW_LIMIT:
+        raise CapacityError(
+            f"FM pruning: {len(rows)} rows, over the limit of {_PRUNE_ROW_LIMIT}"
+        )
     d = len(rows[0][0])
     try:
         start = solve_lp([0] * d, ineqs=rows, eqs=eqs)
@@ -989,14 +1000,16 @@ def _interior_rays(local, null):
     null-space vectors N.
 
     center = (Zc, Dc) with Zc / Dc a point strictly inside every row: it
-    maximizes t over a_j . z + t <= s_j, an LP from the slack basis, and is
-    kept only at an optimum with t > 0; otherwise center is None.  rays[j] = (g_j, d_j)
-    holds row j's gap at the center, g_j = Dc s_j - a_j . Zc > 0, and its
-    direction, a positive integer multiple of M^-1 a_j with M = N^T N.  M is
-    inverted once, by one `_echelon` of [M | I], whose rows are
-    (p_r e_r | p_r M^-1_r) with p_r > 0."""
+    maximizes t over a_j . z + t <= s_j and the cap t <= max_j s_j + 1, an LP
+    from the slack basis, and is kept only when t > 0; otherwise center is
+    None.  On a bounded system some convex combination of the a_j is 0, so the
+    cap never binds.  rays[j] = (g_j, d_j) holds row j's gap at the center,
+    g_j = Dc s_j - a_j . Zc > 0, and its direction, a positive integer multiple
+    of M^-1 a_j with M = N^T N.  M is inverted once, by one `_echelon` of
+    [M | I], whose rows are (p_r e_r | p_r M^-1_r) with p_r > 0."""
     k = len(null)
-    res = solve_lp([0] * k + [1], ineqs=[((*a, 1), s) for a, s in local])
+    cap = ((0,) * k + (1,), max(s for _, s in local) + 1)
+    res = solve_lp([0] * k + [1], ineqs=[*(((*a, 1), s) for a, s in local), cap])
     if res.status is not LpStatus.OPTIMAL or res.value <= 0:
         return None, [None] * len(local)
     *zc, dc = integerize((*res.x[:-1], 1))

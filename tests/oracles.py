@@ -815,9 +815,7 @@ def fraction_solve_lp(objective, *, ineqs=(), eqs=(), nonneg=False) -> LpResult:
     ]
     rhs = [r for _, r in eqs] + [r for _, r in ineqs]
     c_std = widen([-c for c in obj], None)
-    slacks = None
-    if not eqs and all(r >= 0 for r in rhs):
-        slacks = list(range(width - n_slack, width))
+    slacks = [None] * len(eqs) + list(range(width - n_slack, width))
 
     status, x_std, y = _simplex_standard(c_std, rows, rhs, slacks)
     if status is LpStatus.INFEASIBLE:
@@ -834,37 +832,39 @@ def fraction_solve_lp(objective, *, ineqs=(), eqs=(), nonneg=False) -> LpResult:
     return LpResult(LpStatus.OPTIMAL, x=tuple(x), value=value, dual=dual)
 
 
-def _simplex_standard(c, rows, rhs, slacks=None):
+def _simplex_standard(c, rows, rhs, slacks):
     """min c.x s.t. rows.x = rhs, x >= 0; returns (status, x, y) as
-    `linprog._simplex_standard` does, checking a Farkas y here."""
+    `linprog._simplex_standard` does, checking a Farkas y here.  `slacks[i]`
+    is the column of row i's slack, None on an equality row.  Row i starts on
+    that slack when rhs_i >= 0, else on its artificial n + i, whose column is
+    e_i, not sign-flipped with the row.  The artificial column of a row that
+    starts on its slack is zero."""
     m, n = len(rows), len(c)
-    flip = [1] * m
-    if slacks is not None:
-        tab = [list(row) + [r] for row, r in zip(rows, rhs)]
-        return _phase_two(c, tab, list(slacks), slacks, flip, n)
+    start = [
+        s if s is not None and r >= 0 else n + i for i, (s, r) in enumerate(zip(slacks, rhs))
+    ]
+    flip = [-1 if r < 0 else 1 for r in rhs]
     tab = []
     for i in range(m):
-        row = list(rows[i])
-        r = rhs[i]
-        if r < 0:
-            flip[i] = -1
-            row = [-v for v in row]
-            r = -r
         art = [_F0] * m
-        art[i] = _F1
-        tab.append(row + art + [r])
-    basis = [n + i for i in range(m)]
+        if start[i] >= n:
+            art[i] = _F1
+        tab.append([flip[i] * v for v in rows[i]] + art + [flip[i] * rhs[i]])
+    basis = list(start)
     total = n + m
+    arts = [i for i in range(m) if start[i] >= n]
+    if not arts:
+        return _phase_two(c + [_F0] * m, tab, basis, start, flip, n)
 
-    obj = [_F0] * n + [_F1] * m + [_F0]
-    for row in tab:
+    obj = [_F0] * n + [_F1 if start[i] >= n else _F0 for i in range(m)] + [_F0]
+    for i in arts:
         for j in range(total + 1):
-            if row[j]:
-                obj[j] -= row[j]
+            if tab[i][j]:
+                obj[j] -= tab[i][j]
     if not _pivot_loop(tab, basis, obj, allowed=total):
         raise CertificateError("phase 1 cannot be unbounded")
     if -obj[-1] > 0:
-        y = [flip[i] * (_F1 - obj[n + i]) for i in range(m)]
+        y = [f * (int(j >= n) - obj[j]) for f, j in zip(flip, start)]
         _check_farkas(y, rows, rhs)
         return LpStatus.INFEASIBLE, [], y
 
@@ -878,7 +878,7 @@ def _simplex_standard(c, rows, rhs, slacks=None):
                 _pivot(tab, basis, i, col)
     for i in reversed(drop):
         del tab[i], basis[i]
-    return _phase_two(c + [_F0] * m, tab, basis, range(n, total), flip, n)
+    return _phase_two(c + [_F0] * m, tab, basis, start, flip, n)
 
 
 def _phase_two(c, tab, basis, start, flip, n):

@@ -113,6 +113,26 @@ def test_facets_gpt_lp_cell_limit_exit(capsys, monkeypatch):
     ), err
 
 
+@pytest.mark.parametrize(
+    "module, name, limit, err",
+    [
+        (linprog, "_CELL_LIMIT", 306, "FM pruning start LP: an LP of 18 rows would"
+         " store 306 tableau cells, over the limit of 305"),
+        (polytope, "_PRUNE_ROW_LIMIT", 16, "FM pruning: 16 rows, over the limit of 15"),
+    ],
+    ids=["start-lp-cells", "pruning-rows"],
+)
+def test_facets_gpt_pruning_limits(capsys, monkeypatch, module, name, limit, err):
+    # At -x 2 the pruning pass takes 16 rows over 8 free coordinates, and its
+    # start LP 2 equalities more.  Every inequality has rhs >= 0 and starts on
+    # its slack, so the tableau stores 18 x (16 + 1) cells and no slack column.
+    monkeypatch.setattr(module, name, limit - 1)
+    assert main(["facets", "--gpt", "-x", "2"]) == 2
+    assert capsys.readouterr().err == f"capacity: {err}\n"
+    monkeypatch.setattr(module, name, limit)
+    assert main(["facets", "--gpt", "-x", "2"]) == 0
+
+
 # Smallest --max-rays `facets --classical` accepts.  It bounds each ridge
 # double description of the orbit-by-orbit search, so it sits below the
 # whole-hull trip points in test_echelon.py (58 and 340).  The message says
@@ -412,6 +432,17 @@ def test_membership_local_processing_flips_verdict(capsys, pr_file):
     assert "outside" in out
     assert "separating inequality" in out
     assert "margin 2" in out
+
+
+@pytest.mark.parametrize("flag", [[], ["--with-local-processing"]], ids=["plain", "local"])
+@pytest.mark.parametrize("nA, nB", [(3, 3), (2, 3)])
+def test_membership_wires_bell_tables_of_any_outcome_counts(capsys, tmp_path, flag, nA, nB):
+    # Bob's input is Alice's outcome, so Bell(2, nA; nA, nB) wires into
+    # Instrumental(2, nA, nB), or into three inputs after the dummy one.
+    path = tmp_path / "uniform.json"
+    io.save_correlation(uniform_box(Scenario.bell(2, nA, nA, nB)), path)
+    assert main(["membership", str(path), "--theory", "classical", *flag]) == 0
+    assert capsys.readouterr().out.startswith("classical: inside\n")
 
 
 def test_membership_box_nosignalling(capsys, box52_file):

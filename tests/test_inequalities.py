@@ -125,6 +125,20 @@ def test_exact_value_normalization():
     assert str(ExactValue.root(2, F(1, 2), F(3, 2))) == "3/2 + (1/2)*sqrt(2)"
 
 
+def test_exact_cosine_with_zero_coefficient_is_rational():
+    # cos(pi/5) has no fold, but a zero coefficient leaves only the rational
+    assert ExactValue.cosine(5, 0, F(1, 3)) == ExactValue.of(F(1, 3))
+
+
+def test_bell_expression_prints_its_terms():
+    assert str(catalog("chsh")) == " ".join([
+        "p(00|00) - p(01|00) - p(10|00) + p(11|00)",
+        "+ p(00|01) - p(01|01) - p(10|01) + p(11|01)",
+        "+ p(00|10) - p(01|10) - p(10|10) + p(11|10)",
+        "- p(00|11) + p(01|11) + p(10|11) - p(11|11)",
+    ])
+
+
 def test_bounds_tables():
     b = bounds("bonet")
     assert b.classical == ExactValue.of(2)

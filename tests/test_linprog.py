@@ -69,17 +69,21 @@ def test_slack_basis_start_skips_phase_one(monkeypatch, ineqs, eqs, phases):
 
 
 def test_tableau_cell_limit_counts_the_slack_block(monkeypatch):
-    # Two free variables split into four columns.  The slack-basis LP of
-    # three rows stores 3 x (4 + 1) cells; with an equality row added, the
-    # two-phase tableau stores 4 x (4 + 1) cells plus the 4 x 3 slack block.
+    # Two free variables split into four columns.  Three inequalities with
+    # rhs >= 0 and one equality store 4 x (4 + 1) cells: each inequality
+    # starts on its slack, whose column is never built.  The added row
+    # -x <= -1 starts on its artificial, so its slack column is stored:
+    # 5 x (4 + 1 + 1) cells.
     ineqs = [([1, 0], 1), ([0, 1], 1), ([1, 1], 3)]
     eqs = [([1, -1], 0)]
-    monkeypatch.setattr(linprog, "_CELL_LIMIT", 31)
-    assert solve_lp([1, 1], ineqs=ineqs).status is LpStatus.OPTIMAL
-    with pytest.raises(CapacityError, match="4 rows would store 32 tableau cells"):
-        solve_lp([1, 1], ineqs=ineqs, eqs=eqs)
-    monkeypatch.setattr(linprog, "_CELL_LIMIT", 32)
-    assert solve_lp([1, 1], ineqs=ineqs, eqs=eqs).value == 2
+    for extra, cells in [([], 20), ([([-1, 0], -1)], 30)]:
+        monkeypatch.setattr(linprog, "_CELL_LIMIT", cells - 1)
+        with pytest.raises(
+            CapacityError, match=f"{4 + len(extra)} rows would store {cells} tableau cells"
+        ):
+            solve_lp([1, 1], ineqs=ineqs + extra, eqs=eqs)
+        monkeypatch.setattr(linprog, "_CELL_LIMIT", cells)
+        assert solve_lp([1, 1], ineqs=ineqs + extra, eqs=eqs).value == 2
 
 
 def test_equality_constraints():

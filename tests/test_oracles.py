@@ -378,7 +378,8 @@ def _assert_same_pruning(monkeypatch, rows, eqs):
         return scaled(objective), [(scaled(a), den * s) for a, s in ineqs]
 
     local = [(scaled([_dot(c, n) for n in null]), den * (b - _dot(c, x0))) for c, b in rows]
-    assert got[1][0] == ((0,) * len(null) + (1,), [((*a, 1), s) for a, s in local])
+    cap = ((0,) * len(null) + (1,), max(s for _, s in local) + 1)
+    assert got[1][0] == ((0,) * len(null) + (1,), [*(((*a, 1), s) for a, s in local), cap])
     oracle_lps = iter(want[1:])
     for lp in got[2:]:
         match = next((w for w in oracle_lps if in_integers(w) == lp[0]), None)
@@ -409,6 +410,20 @@ def test_pruning_falls_back_to_row_lps(monkeypatch, rows, lp_objectives):
     )
     assert kept == rows == two_phase_prune(rows, ())
     assert [objective for (objective, _), _, _ in lps[2:]] == lp_objectives
+    _assert_same_pruning(monkeypatch, rows, ())
+
+
+def test_pruning_shoots_at_the_rows_of_an_unbounded_system(monkeypatch):
+    # Over x <= 1 and y <= 1, t is unbounded in the interior-point LP until
+    # its cap t <= max_j s_j + 1 bounds it.  From the center found, both rows
+    # are kept by shooting; only the implied x + y <= 3 goes to an LP.
+    rows = [((1, 0), 1), ((0, 1), 1), ((1, 1), 3)]
+    kept, lps = _pruning_trace(
+        monkeypatch, _prune_redundant, polytope, "solve_lp", linprog, rows, ()
+    )
+    assert kept == rows[:2] == two_phase_prune(rows, ())
+    assert lps[1][1].status is LpStatus.OPTIMAL and lps[1][1].value > 0
+    assert [objective for (objective, _), _, _ in lps[2:]] == [(1, 1)]
     _assert_same_pruning(monkeypatch, rows, ())
 
 

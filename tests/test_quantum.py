@@ -174,3 +174,18 @@ def test_rationalize_correlation():
     ok = rationalize_correlation(awkward)
     assert ok.exact
     assert max(abs(float(f) - e) for f, e in zip(ok.entries, awkward.entries)) < 1e-9
+
+
+def test_rationalize_correlation_renormalizes_exactly():
+    # The first two entries snap to themselves, the third to 1/2; the fourth
+    # has no fraction over 10^6 close enough to make the context sum to one,
+    # so each snapped context is divided by its total.
+    a, b = 1 / 999983, 1 / 999979
+    block = (a, b, 0.5, 0.5 - a - b)
+    p = Correlation(Scenario.instrumental(2), block * 2)
+    snapped = [Fraction(e).limit_denominator(10**6) for e in block]
+    assert sum(snapped) != 1
+    q = rationalize_correlation(p)
+    assert sum(q.entries[:4]) == sum(q.entries[4:]) == 1
+    assert q.entries[:4] == tuple(f / sum(snapped) for f in snapped)
+    assert max(abs(f - Fraction(e)) for f, e in zip(q.entries, p.entries)) < 1e-9

@@ -64,6 +64,12 @@ def test_index_flattening_order():
     assert [si.index(*c) for c in si.coords()] == list(range(si.dim))
 
 
+def test_correlation_takes_int_entries_and_flat_indices():
+    p = Correlation(Scenario.instrumental(2), (1, 0, 0, 0, 0, 0, 1, 0))
+    assert all(type(e) is Fraction for e in p.entries) and p.exact
+    assert p[6] == p[1, 1, 0] == 1 and p[7] == 0
+
+
 def test_chained_wiring_table():
     s = Scenario.chained(3)
     assert (s.nX, s.nY, s.nA, s.nB) == (4, 3, 2, 2)
