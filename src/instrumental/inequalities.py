@@ -13,7 +13,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import CapacityError, CertificateError
 from .polytope import (
@@ -583,38 +583,6 @@ def verify_identity(kind: str, *, alpha=None, n=None) -> bool:
 # relabelling symmetry
 
 
-def _relabelling_map(
-    source: Scenario,
-    target: Scenario,
-    x_perm: Sequence[int],
-    a_perms: Sequence[Sequence[int]],
-    b_perms: Sequence[Sequence[int]],
-) -> tuple[int, ...]:
-    """Index permutation for (x, a, b) -> (x_perm[x], a_perms[x][a], b_perms[y][b])
-    with y the source wire value; source and target must have equal shapes."""
-    if (source.nX, source.nA, source.nB) != (target.nX, target.nA, target.nB):
-        raise ValueError("relabelling requires matching cardinalities")
-    if sorted(x_perm) != list(range(source.nX)):
-        raise ValueError("x relabelling is not a permutation")
-    if len(a_perms) != source.nX or any(
-        sorted(p) != list(range(source.nA)) for p in a_perms
-    ):
-        raise ValueError("per-input a relabellings are not permutations")
-    if len(b_perms) != source.nY or any(
-        sorted(p) != list(range(source.nB)) for p in b_perms
-    ):
-        raise ValueError("per-wire b relabellings are not permutations")
-    out = [0] * source.dim
-    for x in range(source.nX):
-        for a in range(source.nA):
-            y = source.wire(a, x)
-            for b in range(source.nB):
-                out[source.index(x, a, b)] = target.index(
-                    x_perm[x], a_perms[x][a], b_perms[y][b]
-                )
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class SymmetryGroup:
     """Generators of the scenario-preserving relabellings, as coordinate
@@ -627,32 +595,23 @@ class SymmetryGroup:
 
 
 def symmetry_group(s: Scenario) -> SymmetryGroup:
+    """SymmetryGroup's adjacent transpositions, each read off `Scenario.index`
+    as a map (x, a, b) -> (x', a', b') of flat indices.  a is swapped at every
+    input: per input, b would see an inconsistent wire input."""
     if s.kind is not Kind.INSTRUMENTAL:
         raise ValueError("relabelling generators are defined for the plain wiring")
-    identity_a = tuple(range(s.nA))
-    identity_b = tuple(range(s.nB))
-    gens = []
+    coords = list(s.coords())
 
-    def add(x_perm, a_perms, b_perms):
-        gens.append(_relabelling_map(s, s, x_perm, a_perms, b_perms))
+    def swap(v, i):
+        return i + 1 if v == i else i if v == i + 1 else v
 
-    for i in range(s.nX - 1):
-        x_perm = list(range(s.nX))
-        x_perm[i], x_perm[i + 1] = x_perm[i + 1], x_perm[i]
-        add(x_perm, [identity_a] * s.nX, [identity_b] * s.nY)
-    for i in range(s.nA - 1):
-        a_perm = list(range(s.nA))
-        a_perm[i], a_perm[i + 1] = a_perm[i + 1], a_perm[i]
-        # a must be relabelled globally: a per-input relabelling would give b
-        # inconsistent views of its own wire input.
-        add(tuple(range(s.nX)), [a_perm] * s.nX, [identity_b] * s.nY)
-    for y in range(s.nY):
-        for i in range(s.nB - 1):
-            b_perm = list(range(s.nB))
-            b_perm[i], b_perm[i + 1] = b_perm[i + 1], b_perm[i]
-            b_perms = [identity_b] * s.nY
-            b_perms[y] = tuple(b_perm)
-            add(tuple(range(s.nX)), [identity_a] * s.nX, b_perms)
+    gens = [tuple(s.index(swap(x, i), a, b) for x, a, b in coords) for i in range(s.nX - 1)]
+    gens += [tuple(s.index(x, swap(a, i), b) for x, a, b in coords) for i in range(s.nA - 1)]
+    gens += [
+        tuple(s.index(x, a, swap(b, i) if a == y else b) for x, a, b in coords)
+        for y in range(s.nY)
+        for i in range(s.nB - 1)
+    ]
     return SymmetryGroup(s, tuple(gens))
 
 

@@ -745,25 +745,20 @@ def _orbit(
     """The images of an inequality under the group that the coordinate
     permutations generate, each reduced modulo the (invariant) equalities.
 
-    Coordinate i moves to perm[i], so image[j] = row[inverse[j]], one gather
-    through each generator's inverse, which is taken once; the image goes
-    through the `_eliminate_leads` map, built once for the equalities.  The
-    walk holds integer rows (coeffs..., bound) and makes inequalities of
-    them at the end."""
+    A step gathers a row through a generator itself, image[j] = row[perm[j]]:
+    as coordinate i moves to perm[i], that is its image under the inverse.
+    The inverses generate the same finite group, so the walk reaches the same
+    set with no inverse table.  Images go through the `_eliminate_leads` map,
+    built once; the walk holds integer rows (coeffs..., bound) to the end."""
     eliminate = _eliminate_leads(equalities)
-    inverses = []
-    for perm in generators:
-        inverse = [0] * len(perm)
-        for i, j in enumerate(perm):
-            inverse[j] = i
-        inverses.append((*inverse, len(perm)))
+    gathers = [(*perm, len(perm)) for perm in generators]
     start = (*seed.coeffs, seed.bound)
     orbit = {start}
     frontier = [start]
     while frontier:
         cur = frontier.pop()
-        for inverse in inverses:
-            img = eliminate([cur[i] for i in inverse])
+        for gather in gathers:
+            img = eliminate([cur[j] for j in gather])
             if img not in orbit:
                 orbit.add(img)
                 frontier.append(img)

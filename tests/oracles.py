@@ -16,7 +16,6 @@ from instrumental.errors import CapacityError, CertificateError
 from instrumental.inequalities import (
     LinearExpression,
     _collins_gisin,
-    _relabelling_map,
     catalog,
     identity_check,
     identity_residual_expression,
@@ -1008,6 +1007,28 @@ def contains(h: HPolytope, point: Sequence[Fraction]) -> bool:
 
 def affine_dimension(h: HPolytope) -> int:
     return h.dim - len(_echelon([c for c, _ in h.equalities])[1])
+
+
+def _relabelling_map(
+    source: Scenario,
+    target: Scenario,
+    x_perm: Sequence[int],
+    a_perms: Sequence[Sequence[int]],
+    b_perms: Sequence[Sequence[int]],
+) -> tuple[int, ...]:
+    """Index permutation for (x, a, b) -> (x_perm[x], a_perms[x][a],
+    b_perms[y][b]) with y the source wire value, between two scenarios of
+    equal shapes: the general relabelling that `symmetry_group`'s adjacent
+    transpositions are tested against."""
+    out = [0] * source.dim
+    for x in range(source.nX):
+        for a in range(source.nA):
+            y = source.wire(a, x)
+            for b in range(source.nB):
+                out[source.index(x, a, b)] = target.index(
+                    x_perm[x], a_perms[x][a], b_perms[y][b]
+                )
+    return tuple(out)
 
 
 def relabel_expression(
