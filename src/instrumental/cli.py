@@ -308,7 +308,7 @@ def cmd_identity(args) -> int:
         raise ValueError(f"--trials takes a count >= 0, got {args.trials}")
     params = dict(alpha=args.alpha, n=args.n)
     if args.kind == "chained":  # before Bell(n + 1, n) or any expression over it is built
-        _, n = check_catalog_params(args.kind, None, args.n)
+        _, n = check_catalog_params(args.kind, args.alpha, args.n)
         dim = Scenario.chained(n).parent_bell().dim
         if dim > _COUNT_LIMIT:
             raise CapacityError(

@@ -352,12 +352,14 @@ CATALOG_KINDS = ("bonet", "tilted", "chained", "chsh", "tilted_chsh", "chained_b
 def check_catalog_params(kind: str, alpha, n) -> tuple[Fraction | None, int | None]:
     """Validate the parameters of a catalog kind; returns (alpha, n) parsed.
 
-    Tilted kinds take a weight alpha >= 1, chained kinds a chain length
-    n >= 2, and the others nothing.  Every error message names the kind.
+    Tilted kinds take only a weight alpha >= 1, chained kinds only a chain
+    length n >= 2, the others nothing; every error message names the kind.
     """
     if kind not in CATALOG_KINDS:
         raise ValueError(f"unknown expression kind {kind!r}")
     if kind in ("tilted", "tilted_chsh"):
+        if n is not None:
+            raise ValueError(f"{kind} takes no chain length n")
         if alpha is None:
             raise ValueError(f"{kind} needs a weight alpha")
         try:
@@ -368,6 +370,8 @@ def check_catalog_params(kind: str, alpha, n) -> tuple[Fraction | None, int | No
             raise ValueError(f"{kind} needs a weight alpha >= 1")
         return alpha, None
     if kind in ("chained", "chained_bell"):
+        if alpha is not None:
+            raise ValueError(f"{kind} takes no weight alpha")
         if n is None:
             raise ValueError(f"{kind} needs a chain length n")
         n = int(n)

@@ -67,11 +67,17 @@ def scenario_to_json(s: Scenario) -> dict[str, Any]:
 
 
 def _integer(v) -> int:
-    """A JSON cardinality, dimension or wiring entry; booleans and non-integral
-    numbers are rejected instead of truncated."""
-    if isinstance(v, bool) or (isinstance(v, float) and not v.is_integer()):
+    """A JSON count, dimension or wiring entry: an int or an integral float."""
+    if type(v) is not int and not (type(v) is float and v.is_integer()):
         raise ValueError(f"expected an integer, got {v!r}")
     return int(v)
+
+
+def _array(v, name: str) -> list:
+    """A JSON array; a string or object would be read item by item."""
+    if not isinstance(v, list):
+        raise ValueError(f"{name} must be a JSON array, got {v!r:.40}")
+    return v
 
 
 def scenario_from_json(d: dict[str, Any]) -> Scenario:
@@ -79,7 +85,8 @@ def scenario_from_json(d: dict[str, Any]) -> Scenario:
         raise ValueError(f"a scenario must be a JSON object, got {d!r:.40}")
     wiring = d.get("wiring")
     if wiring is not None:
-        wiring = tuple(tuple(_integer(y) for y in row) for row in wiring)
+        rows = _array(wiring, "wiring")
+        wiring = tuple(tuple(_integer(y) for y in _array(r, "a wiring row")) for r in rows)
     return Scenario(
         Kind(d["kind"]),
         *(_integer(d[k]) for k in ("nX", "nY", "nA", "nB")),
@@ -98,7 +105,7 @@ def correlation_to_json(p: Correlation) -> dict[str, Any]:
 
 def correlation_from_json(d: dict[str, Any]) -> Correlation:
     s = scenario_from_json(d["scenario"])
-    raw = d["entries"]
+    raw = _array(d["entries"], "entries")
     if any(isinstance(e, bool) for e in raw):
         raise ValueError("correlation entries must be numbers, not booleans")
     if all(isinstance(e, (str, int)) for e in raw):

@@ -28,8 +28,8 @@ that found the hull.
 A hull with a known symmetry group is found one orbit at a time by
 adjacency decomposition: the double description runs only on the vertices
 of each orbit representative, to find its ridges, and each ridge is rotated
-to the neighbouring facet; a check separate from the search confirms the
-answer against the vertices.  The search returns the orbits it walked, and
+to the neighbouring facet; checks separate from the search confirm the
+generators and the answer against the vertices.  It returns the orbits, and
 `facet_orbits` walks a projection's.  Projections run through Fourier-Motzkin
 elimination on integer rows: one substitution pass through the equalities,
 then row combination for the variables left, deduplicating after every step,
@@ -572,19 +572,21 @@ def adjacency_decomposition(
     one symmetry orbit at a time (Bremner, Dutour Sikirić and Schürmann,
     arXiv:math/0702239), and the facet orbits the search walked.
 
-    `generators` are coordinate permutations that map the vertex set onto
-    itself.  The search starts from a coordinate facet -x_i <= 0 and raises
-    ValueError when there is none.  For each orbit representative F it
-    enumerates F's ridges with `facet_enumeration` on the vertices tight on F
-    (`max_rays` bounds each of those), rotates F across every ridge to the
+    `generators` are coordinate permutations, checked first to map the
+    vertex set onto itself (`_check_generators`), so the images of a proved
+    facet are facets.  The search starts from a coordinate facet -x_i <= 0
+    and raises ValueError when there is none.  For each orbit representative
+    F it enumerates F's ridges with `facet_enumeration` on the vertices tight
+    on F (`max_rays` bounds each), rotates F across every ridge to the
     neighbouring facet in integer arithmetic, and adds the orbit of each new
     neighbour.  The facet graph is connected, so the orbits found cover every
     facet.  The hull equals `facet_enumeration(v)`'s, and `_check_facets`
-    checks it against the vertices before it is returned.  The orbits, in
-    the order found, partition the facets as `facet_orbits` would.
+    checks it against the vertices.  The orbits, in the order found,
+    partition the facets as `facet_orbits` would.
     """
     d = v.dim
     hom, basis, equalities = _affine_hull(v.vertices)
+    _check_generators(hom, generators)
     rank = len(basis)
     if rank == 1:
         return HPolytope(d, (), equalities), []
@@ -657,6 +659,17 @@ def facet_orbits(
             raise ValueError("orbit escapes the facet list; input not group-closed")
         pool -= orbits[-1]
     return orbits
+
+
+def _check_generators(hom, generators) -> None:
+    """Raise CertificateError unless each generator permutes the coordinates
+    and maps the set of homogenized integer vertex rows (1, v) onto itself;
+    gathering h[perm[j] + 1] into j + 1 applies its inverse, which does too."""
+    rows, coords = set(hom), list(range(len(hom[0]) - 1))
+    for k, perm in enumerate(generators):
+        gather = (0, *(j + 1 for j in perm))
+        if sorted(perm) != coords or {tuple(h[j] for j in gather) for h in rows} != rows:
+            raise CertificateError(f"generator {k} does not map the vertex set onto itself")
 
 
 def _check_facets(

@@ -486,6 +486,7 @@ CHECKS = [
     ("polytope", "_check_facets"), ("polytope", "_check_separator"),
     ("polytope", "_check_implied"), ("polytope", "_check_violated"),
     ("linprog", "_check_dual"), ("linprog", "_check_farkas"),
+    ("polytope", "_check_generators"),
 ]
 FINDERS = {
     "_echelon", "_rank", "_eliminate_leads", "_null_space", "_reduce_equalities",
@@ -567,6 +568,9 @@ def _check_implied(rows):
 
 def _check_violated(rows):
     return linprog._pivot(rows)
+
+def _check_generators(rows):
+    return set(rows)
 
 def _reduced(rows):
     return rows

@@ -232,6 +232,16 @@ HAND_WRITTEN = [
     ' "entries": [1e308, 1e308, 0, 0, 0, 0, 0, 0]}',
     '{"scenario": {"kind": "instrumental", "nX": 2, "nY": 2, "nA": 2, "nB": 2},'
     ' "entries": [-1e308, 1e308, 0, 0, 0, 0, 1, 0]}',
+    # a string or object where an array belongs, and a string count
+    '{"scenario": {"kind": "instrumental", "nX": 2, "nY": 2, "nA": 2, "nB": 2},'
+    ' "entries": "10000001"}',
+    '{"scenario": {"kind": "f_instrumental", "nX": 2, "nY": 2, "nA": 2, "nB": 2,'
+    ' "wiring": ["01", "10"]},'
+    ' "entries": ["1", "0", "0", "0", "1", "0", "0", "0"]}',
+    '{"scenario": {"kind": "instrumental", "nX": 2, "nY": "2", "nA": 2, "nB": 2},'
+    ' "entries": ["1", "0", "0", "0", "1", "0", "0", "0"]}',
+    '{"scenario": {"kind": "instrumental", "nX": 2, "nY": 2, "nA": 2, "nB": 2},'
+    ' "entries": {"a": 1}}',
 ]
 
 
@@ -693,6 +703,8 @@ def test_main_reuses_one_parser(monkeypatch, capsys):
 def test_identity_usage_errors(capsys):
     assert main(["identity", "tilted", "--trials", "5"]) == 1
     assert main(["identity", "bonet", "--alpha", "2"]) == 1
+    assert main(["identity", "tilted", "--alpha", "2", "--n", "7"]) == 1
+    assert main(["identity", "chained", "--n", "2", "--alpha", "3"]) == 1
     capsys.readouterr()
 
 

@@ -98,6 +98,10 @@ def test_catalog_rejects_bad_parameters():
         catalog("bonet", alpha=2)
     with pytest.raises(ValueError):
         catalog("nonsense")
+    with pytest.raises(ValueError, match="chained takes no weight alpha"):
+        catalog("chained", n=3, alpha=5)
+    with pytest.raises(ValueError, match="tilted takes no chain length n"):
+        catalog("tilted", alpha=2, n=7)
 
 
 def test_chsh_reaches_4_on_pr():

@@ -2,12 +2,15 @@
 general relabelling map, the classical vertex set, and a walk through
 inverse tables."""
 
+import dataclasses
 import os
 
 import pytest
 
+import instrumental.cli as cli
 import instrumental.polytope as polytope
 from instrumental.cli import main
+from instrumental.errors import CertificateError
 from instrumental.inequalities import symmetry_group
 from instrumental.polytope import LinearInequality, _eliminate_leads, classical_vpolytope
 from instrumental.scenario import Scenario
@@ -102,3 +105,35 @@ def test_orbit_matches_an_inverse_table_walk(monkeypatch, argv):
     monkeypatch.setattr(polytope, "_orbit", checked)
     assert main(["facets", *argv, "--format", "json", "--output", os.devnull]) == 0
     assert walked
+
+
+def test_check_generators_rejects_what_is_no_symmetry():
+    s = Scenario.instrumental(2)
+    hom = [(1, *v) for v in classical_vpolytope(s).vertices]
+    generators = symmetry_group(s).generators
+    polytope._check_generators(hom, generators)
+    identity = tuple(range(s.dim))
+    for perm in ((0, *identity[:-1]), identity[:-1], swapped(s.dim, 0)):
+        with pytest.raises(CertificateError, match=f"generator {len(generators)} does not"):
+            polytope._check_generators(hom, (*generators, perm))
+
+
+def test_tampered_generator_exits_3(monkeypatch, capsys):
+    # A swap of p(00|0) and p(01|0) alone changes Bob's answer at one input
+    # and wire value but not the other: no relabelling, and the check names
+    # it before the search.
+    group = symmetry_group
+
+    def tampered(s):
+        g = group(s)
+        swap = list(range(s.dim))
+        swap[s.index(0, 0, 0)], swap[s.index(0, 0, 1)] = s.index(0, 0, 1), s.index(0, 0, 0)
+        return dataclasses.replace(g, generators=(*g.generators, tuple(swap)))
+
+    monkeypatch.setattr(cli, "symmetry_group", tampered)
+    assert main(["facets", "--classical", "-x", "3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "certificate: generator 5 does not map the vertex set onto itself\n"
+    )
