@@ -658,9 +658,9 @@ def facet_orbit_classify(
         tags = {seeds[q] for q in orbit if q in seeds}
         if len(tags) > 1:
             raise CertificateError("one orbit matched two different families")
-        members = tuple(sorted(orbit, key=lambda q: (q.coeffs, q.bound)))
+        members = tuple(sorted(orbit))
         tagged.append(Orbit(tags.pop() if tags else "unknown", members[0], members))
-    tagged.sort(key=lambda o: (o.representative.coeffs, o.representative.bound))
+    tagged.sort(key=lambda o: o.representative)
     return tuple(tagged)
 
 

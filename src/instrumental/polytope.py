@@ -8,16 +8,16 @@ Polytopes appear in two representations:
 Row reductions (affine hulls, null spaces, equality systems, the starting
 cone of the double description) go through one fraction-free Gauss-Jordan
 elimination over Python ints, `_echelon`, whose rows are the primitive integer
-multiples of the reduced row echelon form.  Inequality rows and equality
-systems stay primitive `int` tuples from there to the returned polytope;
-only `_null_space` scales its basis to 1 on the free column, as `Fraction`s,
-the coordinates the pruning LPs run in.  Conversions run through an
-incremental double-description cone algorithm over primitive integer
-vectors.  Its dense integer arithmetic (row . ray dots, new rays, the
-restriction to and from the cone's coordinates), the slacks of the orbit
-search and those of its final check run as numpy products, in int64 where a
-bound on the operands proves that every value stays below 2**63 and on
-Python ints (dtype=object) otherwise; numpy is imported on that path only.
+multiples of the reduced row echelon form.  Inequality rows, equality
+systems and null-space vectors stay primitive `int` tuples from there to the
+returned polytope, and facet lists sort in `LinearInequality`'s own order,
+(coeffs, bound).  Conversions run through an incremental
+double-description cone algorithm over primitive integer vectors.  Its
+dense integer arithmetic (row . ray dots, new rays, the restriction to and
+from the cone's coordinates), the slacks of the orbit search and those of
+its final check run as numpy products, in int64 where a bound on the
+operands proves that every value stays below 2**63 and on Python ints
+(dtype=object) otherwise; numpy is imported on that path only.
 Its rays' tight sets are one array of uint64 words carried from insertion to
 insertion.  Pairs of rays are counted a word at a time against the adjacency
 condition's popcount bound and screened against the rays tight on the most
@@ -31,9 +31,10 @@ of each orbit representative, to find its ridges, and each ridge is rotated
 to the neighbouring facet; checks separate from the search confirm the
 generators and the answer against the vertices.  It returns the orbits, and
 `facet_orbits` walks a projection's.  Projections run through Fourier-Motzkin
-elimination on integer rows: one substitution pass through the equalities,
-then row combination for the variables left, deduplicating after every step,
-with one redundancy pass over the final rows.  That pass finds one feasible
+elimination on integer rows: one pass substitutes every equality, which
+leaves each row in its canonical form modulo the equalities kept, then row
+combination for the variables left, deduplicating after every step, with
+one redundancy pass over the final rows.  That pass finds one feasible
 point and one strictly interior point by LP.  A row that the ray from the
 interior point along its normal meets first is kept by integer ray shooting;
 every other row gets an exact LP that starts from the feasible point and
@@ -81,18 +82,18 @@ __all__ = [
 ]
 
 _F0 = Fraction(0)
-_F1 = Fraction(1)
 
 Equality = tuple[tuple[int | Fraction, ...], int | Fraction]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class LinearInequality:
     """The half-space coeffs . x <= bound.
 
     Entries are rationals; every inequality the package returns has
     primitive `int` entries, which compare, hash and print like the equal
     `Fraction`s.  Equalities, (coeffs, rhs) pairs, follow the same rule.
+    They order as (coeffs, bound) tuples, the order every facet list sorts in.
     """
 
     coeffs: tuple[int | Fraction, ...]
@@ -280,18 +281,20 @@ def _echelon(rows: Sequence[Sequence]) -> tuple[list[tuple[int, ...]], list[int]
 
 def _null_space(
     rows: Sequence[Sequence[int]], pivots: Sequence[int], ncols: int
-) -> list[tuple[Fraction, ...]]:
-    """A basis of {y : rows . y = 0} from an `_echelon` result: one vector
-    per free column, 1 on that column and 0 on the other free ones."""
+) -> list[tuple[int, ...]]:
+    """A basis of {y : rows . y = 0} from an `_echelon` result: one primitive
+    integer vector per free column, positive there and 0 on the other free
+    ones, with that column scaled to the lcm of the pivots it meets."""
     basis = []
     for f in range(ncols):
         if f in pivots:
             continue
-        vec = [_F0] * ncols
-        vec[f] = _F1
+        scale = lcm(*(row[pc] for row, pc in zip(rows, pivots) if row[f]))
+        vec = [0] * ncols
+        vec[f] = scale
         for row, pc in zip(rows, pivots):
-            vec[pc] = Fraction(-row[f], row[pc])
-        basis.append(tuple(vec))
+            vec[pc] = -row[f] * (scale // row[pc])
+        basis.append(primitive(vec))
     return basis
 
 
@@ -544,8 +547,7 @@ def facet_enumeration(v: VPolytope, max_rays: int = 10**6) -> HPolytope:
         # where the affine hull already pins the point.
         if any(q.coeffs):
             facets.append(q)
-    facets = sorted(set(facets), key=lambda f: (f.coeffs, f.bound))
-    return HPolytope(d, tuple(facets), equalities)
+    return HPolytope(d, tuple(sorted(set(facets))), equalities)
 
 
 def _affine_hull(
@@ -636,7 +638,7 @@ def adjacency_decomposition(
             if not any(g in o for o in orbits):
                 orbits.append(_orbit(g, generators, equalities))
                 representatives.append(g)
-    facets = sorted(itertools.chain(*orbits), key=lambda q: (q.coeffs, q.bound))
+    facets = sorted(itertools.chain(*orbits))
     _check_facets(v.vertices, facets, representatives, equalities)
     return HPolytope(d, tuple(facets), equalities), orbits
 
@@ -653,7 +655,7 @@ def facet_orbits(
     }
     orbits = []
     while pool:
-        seed = min(pool, key=lambda q: (q.coeffs, q.bound))
+        seed = min(pool)
         orbits.append(_orbit(seed, generators, h.equalities))
         if not orbits[-1] <= pool:
             raise ValueError("orbit escapes the facet list; input not group-closed")
@@ -787,10 +789,9 @@ def vertex_enumeration(h: HPolytope, max_rays: int = 10**6) -> VPolytope:
     ]
     ineq_rows.append((1,) + (0,) * d)  # homogenization: t >= 0
 
-    subspace = _null_space(*_echelon(eq_rows), d + 1)
-    if not subspace:
+    basis = _null_space(*_echelon(eq_rows), d + 1)
+    if not basis:
         return VPolytope(d, ())
-    basis = [integerize(vec) for vec in subspace]
 
     verts = []
     for y in _cone_rays(ineq_rows, basis, max_rays):
@@ -842,21 +843,23 @@ def fourier_motzkin_project(
 
     Rows are primitive integer tuples (coeffs..., bound) throughout.  The
     equalities are row-reduced once with the eliminated columns ordered first.
-    Each pivot on an eliminated column solves for that variable, and
-    `_eliminate_leads` substitutes all of them into the inequalities in one
-    pass; equalities whose pivot falls on a kept column carry over to the
-    projection.  The variables left are eliminated one at a time by combining
-    positive and negative rows.  Every step deduplicates the rows and checks
-    `max_rows`; redundant rows are removed once, from the final system of at
-    most `_PRUNE_ROW_LIMIT` rows (`_prune_redundant`): one feasibility LP and
-    one interior-point LP, then each row is kept by ray shooting from the
-    interior point or decided by a phase-2-only LP from the slack basis, each
-    verdict checked against a certificate in the original coordinates.  All of
-    it runs on integer rows: local coordinates z over a feasible point X / D
-    and primitive integer null-space vectors N, x = (X + N z) / D.  Against the
-    `Fraction` coordinates x0 + N' z' the LPs scale each z column and every
-    right-hand side by a positive constant, so Bland's rule takes the same
-    pivots and the duals that prune rows are the same.
+    One that pivots on an eliminated column solves for that variable; the
+    others carry over to the projection.  One `_eliminate_leads` map over
+    all of them substitutes every equality in one pass, which zeroes every
+    pivot column: each row is then its canonical form modulo the equalities
+    returned, as `reduce_modulo` gives it.  The variables left are
+    eliminated one at a time by combining positive and negative rows, which
+    keeps the pivot columns zero.  Every step deduplicates the rows and
+    checks `max_rows`; redundant rows are removed once, from the final system
+    of at most `_PRUNE_ROW_LIMIT` rows (`_prune_redundant`): one feasibility
+    LP and one interior-point LP, then each row is kept by ray shooting from
+    the interior point or decided by a phase-2-only LP from the slack basis,
+    each verdict checked against a certificate in the original coordinates.
+    All of it runs on integer rows: local coordinates z over a feasible point
+    X / D and primitive integer null-space vectors N, x = (X + N z) / D.
+    Against the `Fraction` coordinates x0 + N' z' the LPs scale each z column
+    and every right-hand side by a positive constant, so Bland's rule takes
+    the same pivots and the duals that prune rows are the same.
     """
     keep = sorted(set(keep))
     if any(i < 0 or i >= h.dim for i in keep):
@@ -867,15 +870,14 @@ def fourier_motzkin_project(
     reduced = _reduce_equalities(
         [(tuple(c[i] for i in order), r) for c, r in h.equalities], h.dim
     )
-    pivots = [e for e in reduced if any(e[0][:m])]
-    solved = {next(j for j, c in enumerate(e[0]) if c != 0) for e in pivots}
-    remaining = [j for j in range(m) if j not in solved]
+    leads = {next(j for j, v in enumerate(c) if v) for c, _ in reduced}
+    remaining = [j for j in range(m) if j not in leads]
 
     permuted = ([*(q.coeffs[i] for i in order), q.bound] for q in h.inequalities)
-    eliminate = _eliminate_leads(pivots)
+    eliminate = _eliminate_leads(reduced)
     rows = _tidy_rows(
         (eliminate(integerize(r)) for r in permuted),
-        max_rows, len(solved), m,
+        max_rows, m - len(remaining), m,
     )
     while remaining:
         var = min(
@@ -893,11 +895,8 @@ def fourier_motzkin_project(
         rows = _tidy_rows(combined, max_rows, m - len(remaining), m)
 
     kept_eqs = tuple((c[m:], r) for c, r in reduced if not any(c[:m]))
-    rows = [(r[m:-1], r[-1]) for r in rows]
-    rows = _prune_redundant(rows, kept_eqs)
-    eliminate = _eliminate_leads(kept_eqs)
-    kept_ineqs = {_reduced(eliminate, (*c, b)) for c, b in rows}
-    kept_ineqs = sorted(kept_ineqs, key=lambda f: (f.coeffs, f.bound))
+    rows = _prune_redundant([(r[m:-1], r[-1]) for r in rows], kept_eqs)
+    kept_ineqs = sorted(LinearInequality(c, b) for c, b in rows)
     return HPolytope(len(keep), tuple(kept_ineqs), kept_eqs)
 
 
@@ -936,9 +935,9 @@ def _prune_redundant(ineqs, eqs):
     feasibility LP finds a point x0 of the whole system; without one, every
     row is kept, since no row of an infeasible system is implied by the
     others.  The rest runs on integer rows: x0 = X / D with X integer and
-    D > 0, N holds the primitive integer multiples of the null-space vectors
-    of the equalities, and x = (X + N z) / D.  Row j becomes a_j . z <= s_j
-    with a_j = c_j N and the scaled slack s_j = D b_j - c_j . X >= 0.
+    D > 0, N holds the primitive integer `_null_space` vectors of the
+    equalities, and x = (X + N z) / D.  Row j becomes a_j . z <= s_j with
+    a_j = c_j N and the scaled slack s_j = D b_j - c_j . X >= 0.
 
     One more LP looks for a point strictly inside every row
     (`_interior_rays`).  When there is one, row i is shot at from it along
@@ -950,15 +949,17 @@ def _prune_redundant(ineqs, eqs):
     the slack basis, and the cap bounds it.  A value <= s_i drops the row,
     and the duals on the other rows are checked to imply it
     (`_check_implied`); otherwise the LP's optimum is the witness.  Every
-    witness (X + N z) / D is checked to meet the others and violate row i
-    (`_check_violated`).  Shooting keeps only rows that their LP would keep,
-    so the rows kept are the same as with one LP per row.
+    witness Z / zden is checked, as zden X + N Z over zden D, to meet the
+    others and violate row i (`_check_violated`).  Shooting keeps only rows
+    that their LP would keep, so the rows kept are the same as with one LP
+    per row.
 
     Against the same LPs over x = x0 + N' z' with the `Fraction` null space
-    N', each z column is scaled by a positive constant and every right-hand
-    side by D.  Bland's entering column reads only reduced-cost signs and the
-    ratio test's minimum and ties scale uniformly, so each LP pivots through
-    the same bases and returns the same duals; only its value scales by D.
+    N', 1 on each free column, each z column is scaled by a positive constant
+    and every right-hand side by D.  Bland's entering column reads only
+    reduced-cost signs and the ratio test's minimum and ties scale uniformly,
+    so each LP pivots through the same bases and returns the same duals; only
+    its value scales by D.
     """
     rows = list(ineqs)
     if not rows:
@@ -975,7 +976,7 @@ def _prune_redundant(ineqs, eqs):
     if start.status is not LpStatus.OPTIMAL:
         return rows
     *xs, den = integerize((*start.x, 1))
-    null = [integerize(n) for n in _null_space(*_echelon([c for c, _ in eqs]), d)]
+    null = _null_space(*_echelon([c for c, _ in eqs]), d)
     local = [(tuple(_dot(c, n) for n in null), den * b - _dot(c, xs)) for c, b in rows]
     center, rays = _interior_rays(local, null)
     idx = 0
@@ -994,11 +995,8 @@ def _prune_redundant(ineqs, eqs):
             *z, zden = integerize((*res.x, 1))
         else:
             z, zden = shot
-        x = [
-            Fraction(zden * v + _dot(z, col), zden * den)
-            for v, col in zip(xs, zip(*null))
-        ]
-        _check_violated(rows[idx], others, eqs, x)
+        point = [zden * v + _dot(z, col) for v, col in zip(xs, zip(*null))]
+        _check_violated(rows[idx], others, eqs, point, zden * den)
         idx += 1
     return rows
 
@@ -1085,13 +1083,13 @@ def _check_implied(row, others, eqs, y) -> None:
         raise CertificateError(f"a pruned row is not implied by the rows kept: {row}")
 
 
-def _check_violated(row, others, eqs, x) -> None:
-    """Raise CertificateError unless the point x meets every equality and
-    every other row and violates the row, decided in integers on the
-    primitive multiple (X, D) of (x, 1)."""
-    *xs, den = integerize((*x, 1))
+def _check_violated(row, others, eqs, xs, den) -> None:
+    """Raise CertificateError unless den > 0 and the point xs / den meets
+    every equality and every other row and violates the row, decided in
+    integers on xs and den."""
     if (
-        any(_dot(c, xs) != r * den for c, r in eqs)
+        den <= 0
+        or any(_dot(c, xs) != r * den for c, r in eqs)
         or any(_dot(c, xs) > b * den for c, b in others)
         or _dot(row[0], xs) <= row[1] * den
     ):

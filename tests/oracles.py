@@ -670,10 +670,11 @@ def two_phase_prune(ineqs, eqs):
 def fraction_prune(ineqs, eqs):
     """Drop each (coeffs, bound) row that the rows still kept and the
     equalities imply, by the phase-2-only LPs of `polytope._prune_redundant`
-    in `Fraction` coordinates: x = x0 + N z over the `_null_space` vectors N
-    as they come and the feasible point x0 as the LP returns it, row j as
-    (c_j N) . z <= b_j - c_j . x0 and the cap on row i at s_i + 1.  Every LP
-    runs on the `Fraction` tableau of `fraction_solve_lp`.
+    in `Fraction` coordinates: x = x0 + N z over the `rref_null_space`
+    vectors N, 1 on each free column, and the feasible point x0 as the LP
+    returns it, row j as (c_j N) . z <= b_j - c_j . x0 and the cap on row i
+    at s_i + 1.  Every LP runs on the `Fraction` tableau of
+    `fraction_solve_lp`.
     `_prune_redundant` scales each z column and every right-hand side by
     positive constants to reach integer rows; its LPs pivot alike and give
     the same duals."""
@@ -685,7 +686,7 @@ def fraction_prune(ineqs, eqs):
     if start.status is not LpStatus.OPTIMAL:
         return rows
     x0 = start.x
-    null = _null_space(*_echelon([c for c, _ in eqs]), d)
+    null = rref_null_space([c for c, _ in eqs], d)
     local = [(tuple(_dot(c, n) for n in null), b - _dot(c, x0)) for c, b in rows]
     idx = 0
     while idx < len(rows):
@@ -699,7 +700,8 @@ def fraction_prune(ineqs, eqs):
             del rows[idx], local[idx]
         else:
             x = [v + _dot(res.x, col) for v, col in zip(x0, zip(*null))]
-            _check_violated(rows[idx], others, eqs, x)
+            *xs, den = integerize((*x, 1))
+            _check_violated(rows[idx], others, eqs, xs, den)
             idx += 1
     return rows
 

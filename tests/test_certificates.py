@@ -212,11 +212,16 @@ def test_bad_pruning_certificates_raise():
     # x = (x + y) - y cancels, but a negative multiplier proves nothing
     with pytest.raises(CertificateError, match="nonnegative"):
         polytope._check_implied(SQUARE[0], SQUARE[:0:-1], (), [F(1), F(-1)])
-    polytope._check_violated(SQUARE[0], SQUARE[1:], (), [F(2), F(0)])
-    # moved back inside x <= 1, or out of y <= 1, or off an equality
-    for x, eqs in (([F(1), F(0)], ()), ([F(3, 2), F(3, 2)], ()), ([F(2), F(0)], (((0, 1), 1),))):
+    polytope._check_violated(SQUARE[0], SQUARE[1:], (), [2, 0], 1)
+    polytope._check_violated(SQUARE[0], SQUARE[1:], (), [4, 0], 2)
+    # moved back inside x <= 1, or out of y <= 1, or off an equality; the
+    # last two pass every row test only because den <= 0 flips its sense
+    for xs, den, eqs in (
+        ([1, 0], 1, ()), ([3, 3], 2, ()), ([2, 0], 1, (((0, 1), 1),)),
+        ([0, -2], -1, ()), ([1, -1], 0, ()),
+    ):
         with pytest.raises(CertificateError):
-            polytope._check_violated(SQUARE[0], SQUARE[1:], eqs, x)
+            polytope._check_violated(SQUARE[0], SQUARE[1:], eqs, xs, den)
 
 
 def test_pruning_check_runs_no_fourier_motzkin_substitution(monkeypatch):

@@ -75,7 +75,9 @@ def test_echelon_matches_rref():
 def test_null_space_matches_rref():
     for m in MATRICES:
         ncols = len(m[0]) if m else 3
-        assert _null_space(*_echelon(m), ncols) == rref_null_space(m, ncols)
+        got = _null_space(*_echelon(m), ncols)
+        assert got == [integerize(v) for v in rref_null_space(m, ncols)]
+        assert all(type(v) is int for vec in got for v in vec)
 
 
 def test_reduce_equalities_matches_rref():

@@ -32,7 +32,6 @@ from instrumental.polytope import (
     _dd_pointed,
     _dot,
     _echelon,
-    _null_space,
     _prune_redundant,
     _reduce_equalities,
     adjacency_decomposition,
@@ -365,7 +364,7 @@ def _assert_same_pruning(monkeypatch, rows, eqs):
     if want[0][1].status is not LpStatus.OPTIMAL:
         assert len(got) == len(want) == 1
         return
-    null = _null_space(*_echelon([c for c, _ in eqs]), len(rows[0][0]))
+    null = oracles.rref_null_space([c for c, _ in eqs], len(rows[0][0]))
     kappa = [next(Fraction(k) / v for k, v in zip(integerize(n), n) if v) for n in null]
     x0 = want[0][1].x
     den = integerize((*x0, 1))[-1]
