@@ -579,7 +579,7 @@ def verify_identity(kind: str, *, alpha=None, n=None) -> bool:
     hull, so an affine residual vanishes on that hull exactly when its
     rewritten form is zero."""
     residual = identity_residual_expression(kind, alpha=alpha, n=n)
-    _, _, coeffs, constant = _in_collins_gisin(residual)
+    _, coeffs, constant = _in_collins_gisin(residual)
     return constant == 0 and not any(coeffs)
 
 
@@ -705,8 +705,8 @@ def classical_maximum(e: LinearExpression):
     return Fraction(best, den) + e.constant, witness
 
 
-def _collins_gisin(bell: Scenario) -> tuple[list[tuple[dict, int]], int]:
-    """Each Bell entry p(ab|xy), in flat order, as an affine form
+def _collins_gisin(bell: Scenario, coords: Iterable) -> tuple[list[tuple[dict, int]], int]:
+    """Each Bell entry p(ab|xy) of `coords`, in order, as an affine form
     ({coordinate: coefficient}, constant) in the Collins-Gisin coordinates
     p_A(a|x), p_B(b|y), p(ab|xy) for a < nA-1, b < nB-1 (Collins and Gisin,
     J. Phys. A 37, 1775 (2004)); and the number of coordinates.  A last
@@ -718,7 +718,7 @@ def _collins_gisin(bell: Scenario) -> tuple[list[tuple[dict, int]], int]:
         return ([(o, 1)], 0) if o < last else ([(k, -1) for k in range(last)], 1)
 
     forms = []
-    for x, y, a, b in bell.coords():
+    for x, y, a, b in coords:
         (ta, ka), (tb, kb) = side(a, la), side(b, lb)
         form = {x * la + i: s * kb for i, s in ta}
         form.update({na + y * lb + j: t * ka for j, t in tb})
@@ -728,22 +728,21 @@ def _collins_gisin(bell: Scenario) -> tuple[list[tuple[dict, int]], int]:
     return forms, na + nb + bell.nX * bell.nY * la * lb
 
 
-def _in_collins_gisin(
-    e: LinearExpression,
-) -> tuple[list[tuple[dict, int]], int, list[int], int]:
+def _in_collins_gisin(e: LinearExpression) -> tuple[int, list[int], int]:
     """A Bell expression with every entry replaced by its `_collins_gisin`
     form, times the common denominator D > 0 of its coefficients and
-    constant: (the forms, D, D times the coefficient of each coordinate,
-    D times the constant), all `int`s."""
-    forms, width = _collins_gisin(e.scenario)
+    constant: (D, D times the coefficient of each coordinate, D times the
+    constant), all `int`s.  Only the entries with a nonzero coefficient
+    are expanded."""
     den, ((*ints, constant),) = over_common_denominator([(*e.coeffs, e.constant)])
+    nonzero = itertools.compress(e.scenario.coords(), ints)
+    forms, width = _collins_gisin(e.scenario, nonzero)
     coeffs = [0] * width
-    for c, (form, const) in zip(ints, forms):
-        if c:
-            constant += c * const
-            for j, m in form.items():
-                coeffs[j] += c * m
-    return forms, den, coeffs, constant
+    for c, (form, const) in zip(filter(None, ints), forms):
+        constant += c * const
+        for j, m in form.items():
+            coeffs[j] += c * m
+    return den, coeffs, constant
 
 
 def gpt_maximum(e: LinearExpression):
@@ -757,7 +756,8 @@ def gpt_maximum(e: LinearExpression):
     """
     lifted = e if e.scenario.kind is Kind.BELL else lift_to_bell(e)
     bell = lifted.scenario
-    forms, den, objective, offset = _in_collins_gisin(lifted)
+    forms, _ = _collins_gisin(bell, bell.coords())
+    den, objective, offset = _in_collins_gisin(lifted)
     rows = []
     for form, const in forms:
         if len(form) > 1 or const:  # a lone joint coordinate is its sign

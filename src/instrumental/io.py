@@ -145,16 +145,15 @@ def hpolytope_to_json(h: HPolytope) -> dict[str, Any]:
 
 
 def hpolytope_from_json(d: dict[str, Any]) -> HPolytope:
-    def row(entry):
-        return tuple(fraction_from_str(c) for c in entry["coeffs"])
+    def rows(key):
+        for e in _array(d[key], key):
+            coeffs = _array(e["coeffs"], "coeffs")
+            yield tuple(map(fraction_from_str, coeffs)), fraction_from_str(e["bound"])
 
     return HPolytope(
         _integer(d["dim"]),
-        tuple(
-            LinearInequality(row(e), fraction_from_str(e["bound"]))
-            for e in d["inequalities"]
-        ),
-        tuple((row(e), fraction_from_str(e["bound"])) for e in d["equalities"]),
+        tuple(LinearInequality(*r) for r in rows("inequalities")),
+        tuple(rows("equalities")),
     )
 
 

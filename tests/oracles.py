@@ -150,9 +150,10 @@ def dense_embed(e: LinearExpression, target: Scenario) -> LinearExpression:
 def dense_in_collins_gisin(e: LinearExpression):
     """A Bell expression in Collins-Gisin coordinates, summed in Fractions:
     (the forms, the coefficient of each coordinate, the constant).
-    `inequalities._in_collins_gisin` returns the same times the expression's
-    common denominator, summed in ints."""
-    forms, width = _collins_gisin(e.scenario)
+    `inequalities._in_collins_gisin` returns the same coefficients and
+    constant times the expression's common denominator, summed in ints from
+    the forms of the nonzero coefficients alone."""
+    forms, width = _collins_gisin(e.scenario, e.scenario.coords())
     coeffs = [Fraction(0)] * width
     constant = e.constant
     for c, (form, const) in zip(e.coeffs, forms):

@@ -419,6 +419,9 @@ def test_bounds_usage_errors(capsys):
     assert main(["bounds", "bonet", "7"]) == 1
     assert main(["bounds", "mystery"]) == 1
     capsys.readouterr()
+    for kind in ("chained", "chained_bell"):
+        assert main(["bounds", kind]) == 1
+        assert capsys.readouterr() == ("", f"error: {kind} needs a chain length n\n")
 
 
 def test_membership_wired_pr(capsys, wired_pr_file):
@@ -706,6 +709,8 @@ def test_identity_usage_errors(capsys):
     assert main(["identity", "tilted", "--alpha", "2", "--n", "7"]) == 1
     assert main(["identity", "chained", "--n", "2", "--alpha", "3"]) == 1
     capsys.readouterr()
+    assert main(["identity", "chained"]) == 1
+    assert capsys.readouterr() == ("", "error: chained needs a chain length n\n")
 
 
 def test_identity_rejects_negative_trials(capsys):
@@ -725,11 +730,18 @@ def test_output_file(tmp_path):
     assert "pearl: 4 facets" in target.read_text()
 
 
-def test_usage_exit_codes(capsys):
+def test_usage_exit_codes(capsys, tmp_path):
     assert main([]) == 1
     assert main(["facets", "--classical"]) == 1  # missing -x
     assert main(["facets", "-x", "2"]) == 1  # missing side
     capsys.readouterr()
+    # Bob's input is Alice's outcome, and Bell(2, 2; 3, 3) has no third input
+    path = tmp_path / "uniform.json"
+    io.save_correlation(uniform_box(Scenario.bell(2, 2, 3, 3)), path)
+    assert main(["membership", str(path), "--theory", "classical"]) == 1
+    assert capsys.readouterr() == (
+        "", "error: wire values exceed the Bell scenario's nY\n"
+    )
 
 
 NUMPY_PROBE = """

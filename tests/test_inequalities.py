@@ -233,7 +233,7 @@ def test_collins_gisin_forms_parametrize_the_no_signalling_hull(shape):
     # (full-rank linear part) and has as many coordinates as the hull has
     # dimensions, so it is onto the hull too.
     bell = Scenario.bell(*shape)
-    forms, width = inequalities._collins_gisin(bell)
+    forms, width = inequalities._collins_gisin(bell, bell.coords())
     equalities = no_signalling_polytope(bell).equalities
     for row, rhs in equalities:
         linear = [0] * width
@@ -246,6 +246,25 @@ def test_collins_gisin_forms_parametrize_the_no_signalling_hull(shape):
     columns = [[form.get(j, 0) for form, _ in forms] for j in range(width)]
     assert len(_echelon(columns)[1]) == width
     assert width == bell.dim - len(equalities)
+
+
+def test_identity_proof_expands_only_the_nonzero_entries(monkeypatch):
+    # The chained residual at n = 10 has a nonzero coefficient on few of its
+    # 440 Bell entries; only those get a Collins-Gisin form.
+    residual = inequalities.identity_residual_expression("chained", n=10)
+    nonzero = sum(1 for c in residual.coeffs if c)
+    built = []
+    forms_of = inequalities._collins_gisin
+
+    def counted(bell, coords):
+        forms, width = forms_of(bell, coords)
+        built.append(len(forms))
+        return forms, width
+
+    monkeypatch.setattr(inequalities, "_collins_gisin", counted)
+    assert verify_identity("chained", n=10)
+    assert built == [nonzero]
+    assert nonzero < residual.scenario.dim == 440
 
 
 def test_identities_hold_symbolically():

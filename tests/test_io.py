@@ -118,6 +118,15 @@ def test_readers_reject_booleans_and_fractional_counts():
     bool_coeff = {**good, "inequalities": [{"coeffs": ["1", True], "bound": "1"}]}
     with pytest.raises(TypeError, match="True"):
         io.hpolytope_from_json(bool_coeff)
+    # a string or object where an array belongs would be read item by item:
+    # "11" as x1 + x2, {} and "" as no rows
+    for bad, name in (
+        ({**good, "inequalities": [{"coeffs": "11", "bound": "1"}]}, "coeffs"),
+        ({**good, "equalities": {}}, "equalities"),
+        ({**good, "inequalities": ""}, "inequalities"),
+    ):
+        with pytest.raises(ValueError, match=f"^{name} must be a JSON array"):
+            io.hpolytope_from_json(bad)
 
 
 def test_readers_reject_negative_dimension():
