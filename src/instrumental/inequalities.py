@@ -579,7 +579,9 @@ def verify_identity(kind: str, *, alpha=None, n=None) -> bool:
     hull, so an affine residual vanishes on that hull exactly when its
     rewritten form is zero."""
     residual = identity_residual_expression(kind, alpha=alpha, n=n)
-    _, coeffs, constant = _in_collins_gisin(residual)
+    nonzero = itertools.compress(residual.scenario.coords(), residual.coeffs)
+    forms, width = _collins_gisin(residual.scenario, nonzero)
+    _, coeffs, constant = _in_collins_gisin(residual, forms, width)
     return constant == 0 and not any(coeffs)
 
 
@@ -728,15 +730,13 @@ def _collins_gisin(bell: Scenario, coords: Iterable) -> tuple[list[tuple[dict, i
     return forms, na + nb + bell.nX * bell.nY * la * lb
 
 
-def _in_collins_gisin(e: LinearExpression) -> tuple[int, list[int], int]:
+def _in_collins_gisin(e: LinearExpression, forms, width) -> tuple[int, list[int], int]:
     """A Bell expression with every entry replaced by its `_collins_gisin`
     form, times the common denominator D > 0 of its coefficients and
-    constant: (D, D times the coefficient of each coordinate, D times the
-    constant), all `int`s.  Only the entries with a nonzero coefficient
-    are expanded."""
+    constant: (D, D times the coefficient of each of the `width` coordinates,
+    D times the constant), all `int`s.  `forms` are the forms of the entries
+    with a nonzero coefficient, in order; no other entry is expanded."""
     den, ((*ints, constant),) = over_common_denominator([(*e.coeffs, e.constant)])
-    nonzero = itertools.compress(e.scenario.coords(), ints)
-    forms, width = _collins_gisin(e.scenario, nonzero)
     coeffs = [0] * width
     for c, (form, const) in zip(filter(None, ints), forms):
         constant += c * const
@@ -756,8 +756,9 @@ def gpt_maximum(e: LinearExpression):
     """
     lifted = e if e.scenario.kind is Kind.BELL else lift_to_bell(e)
     bell = lifted.scenario
-    forms, _ = _collins_gisin(bell, bell.coords())
-    den, objective, offset = _in_collins_gisin(lifted)
+    forms, width = _collins_gisin(bell, bell.coords())
+    nonzero = itertools.compress(forms, lifted.coeffs)
+    den, objective, offset = _in_collins_gisin(lifted, nonzero, width)
     rows = []
     for form, const in forms:
         if len(form) > 1 or const:  # a lone joint coordinate is its sign

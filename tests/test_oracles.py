@@ -1257,12 +1257,11 @@ def test_sparse_expression_arithmetic_matches_dense_on_hypothesis_expressions():
                                   e.scenario.nA, e.scenario.nB)
             same(inequalities._embed(e, wider), oracles.dense_embed(e, wider))
             same(inequalities._embed(e, e.scenario), e)
-            den, coeffs, constant = inequalities._in_collins_gisin(e)
-            want_forms, want_coeffs, want_constant = oracles.dense_in_collins_gisin(e)
             nonzero = [c for c in e.scenario.coords() if e.coeffs[e.scenario.index(*c)]]
-            assert inequalities._collins_gisin(e.scenario, nonzero)[0] == [
-                f for f, c in zip(want_forms, e.coeffs) if c
-            ]
+            forms, width = inequalities._collins_gisin(e.scenario, nonzero)
+            den, coeffs, constant = inequalities._in_collins_gisin(e, forms, width)
+            want_forms, want_coeffs, want_constant = oracles.dense_in_collins_gisin(e)
+            assert forms == [f for f, c in zip(want_forms, e.coeffs) if c]
             assert coeffs == [den * c for c in want_coeffs]
             assert constant == den * want_constant
             assert all(type(c) is int for c in coeffs) and type(constant) is int
@@ -1289,9 +1288,10 @@ def _catalog_families():
 def test_bound_table_routes_match_dense_oracles(kind, params):
     e = catalog(kind, **params)
     bell = e if e.scenario.kind is Kind.BELL else lift_to_bell(e)
-    den, coeffs, constant = inequalities._in_collins_gisin(bell)
+    forms, width = inequalities._collins_gisin(bell.scenario, bell.scenario.coords())
+    nonzero = [f for f, c in zip(forms, bell.coeffs) if c]
+    den, coeffs, constant = inequalities._in_collins_gisin(bell, nonzero, width)
     want_forms, want_coeffs, want_constant = oracles.dense_in_collins_gisin(bell)
-    forms, _ = inequalities._collins_gisin(bell.scenario, bell.scenario.coords())
     assert (forms, coeffs, constant) == (
         want_forms, [den * c for c in want_coeffs], den * want_constant
     )
