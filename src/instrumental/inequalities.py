@@ -132,11 +132,6 @@ class LinearExpression:
 
     __rmul__ = __mul__
 
-    def shifted(self, offset) -> "LinearExpression":
-        return LinearExpression(
-            self.scenario, self.coeffs, self.constant + Fraction(offset)
-        )
-
     def __str__(self) -> str:
         parts = []
         for coords, c in zip(self.scenario.coords(), self.coeffs):
@@ -177,13 +172,25 @@ def _sum_terms(s: Scenario, coords_list: Iterable[tuple]) -> LinearExpression:
     return LinearExpression(s, coeffs)
 
 
-def _correlator_sum(s: Scenario, terms: Iterable[tuple]) -> LinearExpression:
-    """sum of w * <A_x B_y> over the (w, x, y) terms, written entry by entry;
-    <A_x B_y> = sum_ab (-1)^(a+b) p(ab|xy) on a binary Bell scenario s."""
-    return LinearExpression(s, _accumulate(s.dim, (
+def _correlator_entries(s: Scenario, terms: Iterable[tuple]):
+    """The (index, weight) terms of sum w * <A_x B_y> over the (w, x, y)
+    terms, entry by entry: <A_x B_y> = sum_ab (-1)^(a+b) p(ab|xy) on a
+    binary Bell scenario s."""
+    return (
         (s.index(x, y, a, b), w if a == b else -w)
         for w, x, y in terms for a in range(2) for b in range(2)
-    )))
+    )
+
+
+def _correlator_sum(s: Scenario, terms: Iterable[tuple]) -> LinearExpression:
+    return LinearExpression(s, _accumulate(s.dim, _correlator_entries(s, terms)))
+
+
+def _bell_correlators(kind: str, alpha, n) -> list[tuple]:
+    """The (w, x, y) correlator terms of tilted_chsh or chained_bell."""
+    if kind == "tilted_chsh":
+        return [(alpha, 0, 0), (F1, 0, 1), (alpha, 1, 0), (-F1, 1, 1)]
+    return [(F1, 0, 0), (-F1, 0, n - 1)] + [(F1, j, j - d) for j in range(1, n) for d in (0, 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -396,32 +403,20 @@ def catalog(kind: str, *, alpha=None, n=None) -> LinearExpression:
         return catalog("tilted", alpha=1)
     if kind == "tilted":
         s = Scenario.instrumental(3)
-        a_is_0 = _sum_terms(s, [(0, 0, b) for b in range(2)]) + _sum_terms(
-            s, [(1, 0, b) for b in range(2)]
-        )
-        e = (1 - alpha) / 2 * a_is_0
-        e = e + alpha * _sum_terms(s, [(0, 0, 0)])
-        e = e + _sum_terms(s, [(0, 1, 1)])
-        e = e + alpha * _sum_terms(s, [(1, 0, 0)])
-        e = e + _sum_terms(s, [(1, 1, 0)])
-        e = e + alpha * _sum_terms(s, [(2, 0, 1)])
-        return e
+        half = (1 - alpha) / 2  # on every a = 0 entry at x = 0, 1
+        terms = [((x, 0, b), half) for x in range(2) for b in range(2)] + [
+            ((0, 0, 0), alpha), ((0, 1, 1), F1), ((1, 0, 0), alpha),
+            ((1, 1, 0), F1), ((2, 0, 1), alpha),
+        ]
+        return LinearExpression(s, _accumulate(s.dim, ((s.index(*c), w) for c, w in terms)))
     if kind == "chained":
         s = Scenario.chained(n)
-        e = _sum_terms(s, [(j, v, v) for j in range(1, n) for v in range(2)])
-        e = e + _sum_terms(s, [(0, a, 0) for a in range(2)])
-        e = e + _sum_terms(s, [(n, 1, 1)])
-        return e
+        return _sum_terms(s, [(j, v, v) for j in range(1, n) for v in range(2)]
+                          + [(0, 0, 0), (0, 1, 0), (n, 1, 1)])
     if kind == "chsh":
         return catalog("tilted_chsh", alpha=1)
-    if kind == "tilted_chsh":
-        terms = [(alpha, 0, 0), (F1, 0, 1), (alpha, 1, 0), (-F1, 1, 1)]
-        return _correlator_sum(Scenario.bell(2, 2), terms)
-    # chained_bell
-    terms = [(F1, 0, 0), (-F1, 0, n - 1)]
-    for j in range(1, n):
-        terms += [(F1, j, j), (F1, j, j - 1)]
-    return _correlator_sum(Scenario.bell(n, n), terms)
+    bell = Scenario.bell(2, 2) if kind == "tilted_chsh" else Scenario.bell(n, n)
+    return _correlator_sum(bell, _bell_correlators(kind, alpha, n))
 
 
 def bounds(kind: str, *, alpha=None, n=None) -> BoundsTriple:
@@ -483,6 +478,12 @@ def pearl_expressions(s: Scenario) -> list[LinearExpression]:
 # lifting and the Bell-side identities
 
 
+def _lifted_terms(e: LinearExpression):
+    """The (parent-Bell index, coefficient) of each nonzero coefficient of a
+    wired expression: p(ab|x) sits at p(ab|x, y=wire(a,x))."""
+    return ((i, c) for i, c in zip(e.scenario.wired_indices(), e.coeffs) if c)
+
+
 def lift_to_bell(e: LinearExpression) -> LinearExpression:
     """Rewrite over the parent Bell scenario via p(ab|x) -> p(ab|x, y=wire(a,x)).
 
@@ -492,19 +493,12 @@ def lift_to_bell(e: LinearExpression) -> LinearExpression:
     if s.kind is Kind.BELL:
         raise ValueError("the expression is already over a Bell scenario")
     bell = s.parent_bell()
-    terms = ((i, c) for i, c in zip(s.wired_indices(), e.coeffs) if c)
-    return LinearExpression(bell, _accumulate(bell.dim, terms), e.constant)
-
-
-def _embed(e: LinearExpression, target: Scenario) -> LinearExpression:
-    """The same Bell expression viewed inside a larger Bell scenario."""
-    terms = ((target.index(*x), c) for x, c in zip(e.scenario.coords(), e.coeffs) if c)
-    return LinearExpression(target, _accumulate(target.dim, terms), e.constant)
+    return LinearExpression(bell, _accumulate(bell.dim, _lifted_terms(e)), e.constant)
 
 
 def _identity_shift(kind: str, alpha, n) -> Fraction:
-    """The constant of `_identity_rhs`: 1 + alpha/2 for the tilted family
-    (alpha = 1 for bonet) and (n + 1)/2 for the chain."""
+    """The constant of the lifting identity's Bell side: 1 + alpha/2 for the
+    tilted family (alpha = 1 for bonet) and (n + 1)/2 for the chain."""
     if kind in ("bonet", "tilted"):
         return 1 + (F1 if kind == "bonet" else alpha) / 2
     if kind == "chained":
@@ -512,28 +506,23 @@ def _identity_shift(kind: str, alpha, n) -> Fraction:
     raise ValueError(f"no lifting identity for kind {kind!r}")
 
 
-def _identity_rhs(kind: str, alpha, n) -> LinearExpression:
-    """The Bell-side closed form equal to the lifted expression on every
-    no-signalling box."""
-    shift = _identity_shift(kind, alpha, n)
-    if kind == "chained":
-        bell = Scenario.bell(n + 1, n)
-        parent = catalog("chained_bell", n=n)
-        penalty = _sum_terms(bell, [(n, n - 1, 0, 1)])
-    else:
-        alpha = F1 if kind == "bonet" else alpha
-        bell = Scenario.bell(3, 2)
-        parent = catalog("tilted_chsh", alpha=alpha)
-        penalty = alpha * _sum_terms(bell, [(2, 0, 1, 1)])
-    return (Fraction(1, 4) * _embed(parent, bell) - penalty).shifted(shift)
-
-
 @functools.lru_cache(maxsize=None)
 def identity_residual_expression(kind: str, *, alpha=None, n=None) -> LinearExpression:
-    """lift(catalog(kind)) minus its Bell-side closed form, as one expression."""
+    """lift(catalog(kind)) minus its Bell-side closed form, as one expression:
+    the lifted terms, minus a quarter of the parent Bell correlators written in
+    the lifted scenario, plus the penalty alpha p(11|2,0) (1 for bonet) or
+    p(01|n,n-1), summed in one pass; the constant is minus the shift."""
     alpha, n = check_catalog_params(kind, alpha, n)
-    lifted = lift_to_bell(catalog(kind, alpha=alpha, n=n))
-    return lifted - _identity_rhs(kind, alpha, n)
+    e = catalog(kind, alpha=alpha, n=n)
+    bell = e.scenario.parent_bell()
+    weight = F1 if alpha is None else alpha
+    if kind == "chained":
+        parent, penalty = _bell_correlators("chained_bell", None, n), (n, n - 1, 0, 1)
+    else:
+        parent, penalty = _bell_correlators("tilted_chsh", weight, None), (2, 0, 1, 1)
+    quarter = _correlator_entries(bell, [(-w / 4, x, y) for w, x, y in parent])
+    terms = itertools.chain(_lifted_terms(e), quarter, [(bell.index(*penalty), weight)])
+    return LinearExpression(bell, _accumulate(bell.dim, terms), -_identity_shift(kind, alpha, n))
 
 
 def identity_check(kind: str, p: Correlation, *, alpha=None, n=None) -> Fraction:
@@ -732,13 +721,13 @@ def _collins_gisin(bell: Scenario, coords: Iterable) -> tuple[list[tuple[dict, i
 
 def _in_collins_gisin(e: LinearExpression, forms, width) -> tuple[int, list[int], int]:
     """A Bell expression with every entry replaced by its `_collins_gisin`
-    form, times the common denominator D > 0 of its coefficients and
-    constant: (D, D times the coefficient of each of the `width` coordinates,
+    form, times the lcm D > 0 of the denominators of its nonzero coefficients
+    and constant: (D, D times each of the `width` coordinates' coefficients,
     D times the constant), all `int`s.  `forms` are the forms of the entries
     with a nonzero coefficient, in order; no other entry is expanded."""
-    den, ((*ints, constant),) = over_common_denominator([(*e.coeffs, e.constant)])
+    den, ((*ints, constant),) = over_common_denominator([(*filter(None, e.coeffs), e.constant)])
     coeffs = [0] * width
-    for c, (form, const) in zip(filter(None, ints), forms):
+    for c, (form, const) in zip(ints, forms):
         constant += c * const
         for j, m in form.items():
             coeffs[j] += c * m

@@ -139,8 +139,8 @@ def dense_lift(e: LinearExpression) -> LinearExpression:
 
 
 def dense_embed(e: LinearExpression, target: Scenario) -> LinearExpression:
-    """`inequalities._embed` by adding every coefficient, zero or not, at its
-    coordinates in the larger Bell scenario."""
+    """The same Bell expression viewed inside a larger Bell scenario, by
+    adding every coefficient, zero or not, at its coordinates there."""
     coeffs = [Fraction(0)] * target.dim
     for coords, c in zip(e.scenario.coords(), e.coeffs):
         coeffs[target.index(*coords)] += c
@@ -193,7 +193,8 @@ def dense_identity_residual(kind: str, *, alpha=None, n=None) -> LinearExpressio
     Bell expression embedded in Bell(nX + 1, nX), minus the penalty term
     alpha p(11|2,0) (tilted, alpha = 1 for bonet) or p(01|n,n-1) (chained),
     plus the constant 1 + alpha/2 or (n + 1)/2.
-    `identity_residual_expression` builds it with sparse sums."""
+    `identity_residual_expression` builds it in one accumulation over the
+    nonzero terms."""
     lifted = dense_lift(catalog(kind, alpha=alpha, n=n))
     bell = lifted.scenario
     if kind == "chained":

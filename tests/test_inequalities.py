@@ -32,6 +32,7 @@ from instrumental.polytope import (
 from instrumental.scenario import (
     Correlation,
     DeterministicStrategy,
+    Kind,
     Scenario,
     classical_correlations,
     enumerate_deterministic_strategies,
@@ -265,6 +266,28 @@ def test_identity_proof_expands_only_the_nonzero_entries(monkeypatch):
     assert verify_identity("chained", n=10)
     assert built == [nonzero]
     assert nonzero < residual.scenario.dim == 440
+
+
+@pytest.mark.parametrize("kind, params, bell", [
+    ("chained", {"n": 10}, Scenario.bell(11, 10)),
+    ("tilted", {"alpha": 3}, Scenario.bell(3, 2)),
+])
+def test_identity_residual_is_one_bell_expression(monkeypatch, kind, params, bell):
+    # The lifted terms, a quarter of the parent Bell correlators and the
+    # penalty go into one accumulation over the lifted scenario: no other
+    # expression over a Bell scenario is built on the way.
+    built = []
+    check = LinearExpression.__post_init__
+
+    def counted(self):
+        built.append(self.scenario)
+        check(self)
+
+    inequalities.identity_residual_expression.cache_clear()
+    monkeypatch.setattr(LinearExpression, "__post_init__", counted)
+    residual = inequalities.identity_residual_expression(kind, **params)
+    assert residual.scenario == bell
+    assert [s for s in built if s.kind is Kind.BELL] == [bell]
 
 
 def test_identities_hold_symbolically():

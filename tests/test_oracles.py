@@ -1253,10 +1253,6 @@ def test_sparse_expression_arithmetic_matches_dense_on_hypothesis_expressions():
         same(q * e, oracles.dense_scale(e, q))
         same(e * -1, oracles.dense_scale(e, -1))
         if e.scenario.kind is Kind.BELL:
-            wider = Scenario.bell(e.scenario.nX + 1, e.scenario.nY + 1,
-                                  e.scenario.nA, e.scenario.nB)
-            same(inequalities._embed(e, wider), oracles.dense_embed(e, wider))
-            same(inequalities._embed(e, e.scenario), e)
             nonzero = [c for c in e.scenario.coords() if e.coeffs[e.scenario.index(*c)]]
             forms, width = inequalities._collins_gisin(e.scenario, nonzero)
             den, coeffs, constant = inequalities._in_collins_gisin(e, forms, width)
@@ -1319,16 +1315,15 @@ def test_bound_table_routes_match_dense_oracles(kind, params):
 def test_bounds_read_the_identity_shift_without_bell_expressions(monkeypatch, kind, params):
     # the Instrumental rows need only the closed-form shift, not the
     # identity's Bell side over Bell(n + 1, n)
-    want = inequalities._identity_rhs(
-        kind, Fraction(params.get("alpha", 1)), params.get("n")
-    ).constant
+    want = -oracles.dense_identity_residual(kind, **params).constant
     assert inequalities._identity_shift(kind, Fraction(params.get("alpha", 1)),
                                         params.get("n")) == want
 
     def unreachable(*args, **kwargs):
         raise AssertionError("bounds built a Bell-side identity expression")
 
-    for name in ("_identity_rhs", "_embed", "_sum_terms", "_correlator_sum"):
+    for name in ("identity_residual_expression", "_bell_correlators", "_correlator_entries",
+                 "_lifted_terms", "_sum_terms", "_correlator_sum"):
         monkeypatch.setattr(inequalities, name, unreachable)
     triple = inequalities.bounds(kind, **params)
     assert triple.classical.rational - want == (
