@@ -739,9 +739,10 @@ def gpt_maximum(e: LinearExpression):
 
     Instrumental expressions are lifted first; the maximum over the projected
     set equals the maximum of the lift over the no-signalling polytope because
-    post-selection is onto.  Returns (value, witness Bell box).  The LP runs
-    in Collins-Gisin coordinates, where that polytope is positivity rows
-    alone with right-hand sides 0 or 1, so it starts from the slack basis.
+    post-selection is onto.  Returns (value, witness Bell box), the box
+    checked to attain the value and to be nonnegative.  The LP runs in
+    Collins-Gisin coordinates, where that polytope is positivity rows alone
+    with right-hand sides 0 or 1, so it starts from the slack basis.
     """
     lifted = e if e.scenario.kind is Kind.BELL else lift_to_bell(e)
     bell = lifted.scenario
@@ -768,6 +769,8 @@ def gpt_maximum(e: LinearExpression):
     value = (res.value + offset) / den
     if lifted.evaluate(box) != value:
         raise CertificateError("the witness box does not attain the no-signalling maximum")
+    if any(v < 0 for v in box.entries):
+        raise CertificateError("the witness box has a negative entry")
     return value, box
 
 

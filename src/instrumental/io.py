@@ -80,18 +80,23 @@ def _array(v, name: str) -> list:
     return v
 
 
-def scenario_from_json(d: dict[str, Any]) -> Scenario:
+def _field(d, key: str, name: str):
+    """d[key] of the JSON object d, which the errors call `name`."""
     if not isinstance(d, dict):
-        raise ValueError(f"a scenario must be a JSON object, got {d!r:.40}")
+        raise ValueError(f"{name} must be a JSON object, got {d!r:.40}")
+    if key not in d:
+        raise ValueError(f"{name} has no {key!r} key")
+    return d[key]
+
+
+def scenario_from_json(d: dict[str, Any]) -> Scenario:
+    kind = Kind(_field(d, "kind", "a scenario"))
+    counts = [_integer(_field(d, k, "a scenario")) for k in ("nX", "nY", "nA", "nB")]
     wiring = d.get("wiring")
     if wiring is not None:
         rows = _array(wiring, "wiring")
         wiring = tuple(tuple(_integer(y) for y in _array(r, "a wiring row")) for r in rows)
-    return Scenario(
-        Kind(d["kind"]),
-        *(_integer(d[k]) for k in ("nX", "nY", "nA", "nB")),
-        wiring,
-    )
+    return Scenario(kind, *counts, wiring)
 
 
 def correlation_to_json(p: Correlation) -> dict[str, Any]:
@@ -104,8 +109,8 @@ def correlation_to_json(p: Correlation) -> dict[str, Any]:
 
 
 def correlation_from_json(d: dict[str, Any]) -> Correlation:
-    s = scenario_from_json(d["scenario"])
-    raw = _array(d["entries"], "entries")
+    s = scenario_from_json(_field(d, "scenario", "a correlation"))
+    raw = _array(_field(d, "entries", "a correlation"), "entries")
     if any(isinstance(e, bool) for e in raw):
         raise ValueError("correlation entries must be numbers, not booleans")
     if all(isinstance(e, (str, int)) for e in raw):
@@ -146,12 +151,13 @@ def hpolytope_to_json(h: HPolytope) -> dict[str, Any]:
 
 def hpolytope_from_json(d: dict[str, Any]) -> HPolytope:
     def rows(key):
-        for e in _array(d[key], key):
-            coeffs = _array(e["coeffs"], "coeffs")
-            yield tuple(map(fraction_from_str, coeffs)), fraction_from_str(e["bound"])
+        for e in _array(_field(d, key, "a facet list"), key):
+            coeffs = _array(_field(e, "coeffs", f"a row of {key}"), "coeffs")
+            bound = _field(e, "bound", f"a row of {key}")
+            yield tuple(map(fraction_from_str, coeffs)), fraction_from_str(bound)
 
     return HPolytope(
-        _integer(d["dim"]),
+        _integer(_field(d, "dim", "a facet list")),
         tuple(LinearInequality(*r) for r in rows("inequalities")),
         tuple(rows("equalities")),
     )

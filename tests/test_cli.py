@@ -366,6 +366,26 @@ def test_bounds_tampered_gpt_witness_exits_3(capsys, monkeypatch):
     )
 
 
+def test_bounds_gpt_witness_with_negative_entries_exits_3(capsys, monkeypatch):
+    # x moved along c_k e_j - c_j e_k keeps the objective c . x, so the box
+    # still attains the value, but some of its entries turn negative
+    solve = inequalities.solve_lp
+
+    def tampered(objective, *args, **kwargs):
+        res = solve(objective, *args, **kwargs)
+        j, k = [i for i, c in enumerate(objective) if c][:2]
+        x = list(res.x)
+        x[j] += 10 * objective[k]
+        x[k] -= 10 * objective[j]
+        return dataclasses.replace(res, x=tuple(x))
+
+    monkeypatch.setattr(inequalities, "solve_lp", tampered)
+    assert main(["bounds", "chsh"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "certificate: the witness box has a negative entry\n"
+
+
 @pytest.mark.parametrize(
     "argv", [["bounds", "tilted", "1/0"], ["identity", "tilted", "--alpha", "1/0"]]
 )

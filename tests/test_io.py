@@ -91,6 +91,15 @@ def test_correlation_round_trip_exact(tmp_path):
     assert io.load_correlation(path) == p
     # the file is plain json
     assert json.loads(path.read_text())["scenario"]["kind"] == "instrumental"
+    # a missing key or a document that is not an object names what is wrong
+    no_nx = {**d, "scenario": {k: v for k, v in d["scenario"].items() if k != "nX"}}
+    for bad, message in (
+        ({"scenario": d["scenario"]}, "a correlation has no 'entries' key"),
+        (no_nx, "a scenario has no 'nX' key"),
+        ([], "a correlation must be a JSON object"),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            io.correlation_from_json(bad)
 
 
 def test_correlation_round_trip_float():
@@ -126,6 +135,17 @@ def test_readers_reject_booleans_and_fractional_counts():
         ({**good, "inequalities": ""}, "inequalities"),
     ):
         with pytest.raises(ValueError, match=f"^{name} must be a JSON array"):
+            io.hpolytope_from_json(bad)
+    # a row that is not an object, or a missing key, names what is wrong
+    for bad, message in (
+        ({**good, "inequalities": ["x"]}, "a row of inequalities must be a JSON object"),
+        ({**good, "inequalities": [{"coeffs": ["1", "1"]}]},
+         "a row of inequalities has no 'bound' key"),
+        ({**good, "equalities": [5]}, "a row of equalities must be a JSON object"),
+        ({"dim": 2, "inequalities": []}, "a facet list has no 'equalities' key"),
+        ([], "a facet list must be a JSON object"),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}"):
             io.hpolytope_from_json(bad)
 
 
